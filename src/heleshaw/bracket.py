@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import DegenerateResultantError
-from .maps import AnalyticMap, CircleGrid, PolynomialMap
+from .maps import AnalyticMap, CircleGrid, PolynomialMap, circle_values
 from .moments import richardson_moment
 from .rational import trim
 
@@ -152,40 +152,16 @@ def bracket_system(m: PolynomialMap) -> BracketSystem:
 # bracket samples on the circle
 # ----------------------------------------------------------------------
 
-def _velocity_positive(velocities) -> np.ndarray:
-    """Coefficient velocities adot_j for j >= 0 from either a j>=0 array or a
-    full logical -n..n vector (odd length, conjugate-symmetric)."""
-    v = np.asarray(velocities, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError("velocities must be one-dimensional")
-    return v
-
-
 def bracket_samples(m: AnalyticMap, velocities, grid: CircleGrid) -> np.ndarray:
     """Samples of {f, f*}_t = z f' fdot* + z^{-1} f'* fdot on the grid.
 
-    ``velocities`` holds adot_j (j >= 0) for fdot = sum adot_j z^{j+1}; the
-    fdot* samples are the reflected series sum conj(adot_j) z^{-(j+1)}.  On
-    the unit circle the result equals 2 Re[fdot conj(z f')], hence is real
-    up to rounding for any velocity vector.
+    ``velocities`` holds adot_j (j >= 0) for fdot = sum adot_j z^{j+1}.  On
+    the unit circle f'* = conj(f') and fdot* = conj(fdot), so the samples
+    are the real values 2 Re[z f' conj(fdot)].
     """
-    v = _velocity_positive(velocities)
-    z = grid.nodes
-    fdot = np.zeros_like(z)
-    fdot_star = np.zeros_like(z)
-    zpow = z.copy()
-    for vj in v:
-        fdot += vj * zpow
-        zpow = zpow * z
-    zinv = 1.0 / z
-    zpow = zinv.copy()
-    for vj in v:
-        fdot_star += np.conj(vj) * zpow
-        zpow = zpow * zinv
-    fp = m.derivative_rational()
-    fpv = fp(z)
-    fpsv = fp.reflect()(z)
-    return z * fpv * fdot_star + zinv * fpsv * fdot
+    v = np.asarray(velocities, dtype=complex)
+    fdot = circle_values(np.concatenate([[0.0], v]), grid)
+    return 2.0 * np.real(grid.nodes * m.derivative_on(grid) * np.conj(fdot))
 
 
 def string_residual(m: AnalyticMap, velocities, grid: CircleGrid) -> float:

@@ -34,8 +34,6 @@ class Tolerances:
     cusp_min_derivative: float = 1e-6
     #: residual above which an "exactly cancelled" pole counts as uncancelled
     pole_cancel: float = 1e-8
-    #: default radius factor for contour-quadrature residues
-    contour_radius_factor: float = 0.5
     #: nodes for contour-quadrature residues
     contour_nodes: int = 256
 

@@ -16,6 +16,18 @@ Two steppers, both fixed-step RK4:
   boundary data 1/(2 |f'|^2).  Since fdot vanishes at every zero of f' the
   branch-point images B_j = f(omega_j) stay fixed; their drift is measured
   and reported, never enforced.
+
+Series mode works on the circle grid: f' is sampled by one inverse FFT of
+its coefficients (:func:`heleshaw.maps.circle_values`), P comes from the FFT
+of 1/(2 |f'|^2), and :func:`series_velocity` is the one velocity function,
+shared by the RK4 stages and the snapshot diagnostics.  Branch points are
+found once, from the exact map before truncation, and then continued: at
+each snapshot Newton's method polishes the previous omegas on the
+coefficients of f', and the argument principle on the circles of radius
+1 -/+ branch_boundary_margin certifies the zero count.  A count that
+differs between the two circles (a zero at the boundary) raises
+:class:`BranchPointError`; a count that changed, or a Newton run that does
+not converge, falls back to companion-matrix roots for that snapshot.
 """
 
 from __future__ import annotations
@@ -39,9 +51,11 @@ from .maps import (
     CircleGrid,
     PolynomialMap,
     TaylorMap,
+    circle_values,
     simple_derivative_zeros_in_disk,
 )
 from .moments import moments_richardson
+from .rational import RationalFunction, pder, pmul, psub
 from .bracket import (
     bracket_samples,
     derivative_reflection_resultant,
@@ -78,15 +92,8 @@ class HerglotzFunction:
 
     coeffs: tuple
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            out = out * z + c
-        return out
-
     def real_part_on(self, grid: CircleGrid) -> np.ndarray:
-        return np.real(self(grid.nodes))
+        return np.real(circle_values(self.coeffs, grid))
 
 
 def poisson_schwarz(
@@ -102,12 +109,12 @@ def poisson_schwarz(
     p_m = 2 rho_hat_m for m >= 1.  Spectrally accurate for f' analytic and
     zero-free on the circle.
     """
-    fpv = m.derivative_rational()(grid.nodes)
+    fpv = m.derivative_on(grid)
     small = float(np.min(np.abs(fpv)))
     if small < tol.cusp_min_derivative:
         raise CuspError(f"min |f'| = {small:.3e} on the circle (cusp forming)")
     rho = 1.0 / (2.0 * np.abs(fpv) ** 2)
-    hat = np.fft.fft(rho) / grid.size
+    hat = np.fft.rfft(rho) / grid.size
     if n_modes is None:
         n_modes = grid.size // 2 - 1
     n_modes = min(n_modes, grid.size // 2 - 1)
@@ -131,9 +138,6 @@ class BranchPointSet:
     def __len__(self) -> int:
         return len(self.omegas)
 
-    def pairs(self):
-        return list(zip(self.omegas, self.values))
-
 
 def branch_points(
     m: AnalyticMap, near=None, tol: Tolerances = DEFAULT, cross_check: bool = True
@@ -142,8 +146,9 @@ def branch_points(
 
     Each image is computed both directly as f(omega_j) and as the residue of
     f f'' / f' at omega_j; disagreement beyond 1e-9 raises, since it means
-    the zero is not resolved.  Pass the previous zeros as ``near`` to keep
-    trajectories continuous along an evolution.
+    the zero is not resolved.  Pass the previous zeros as ``near`` to
+    continue them along an evolution (see
+    :func:`heleshaw.maps.simple_derivative_zeros_in_disk`).
     """
     omegas = simple_derivative_zeros_in_disk(m, near=near, tol=tol)
     if omegas.size == 0:
@@ -151,8 +156,14 @@ def branch_points(
     r = m.rational()
     direct = np.asarray([r(w) for w in omegas], dtype=complex)
     if cross_check:
-        fp = r.derivative()
-        integrand = r * fp.derivative() / fp
+        # f = P/Q, f' = N1/Q**2 and f'' = M2/Q**3, so f f''/f' = P M2/(Q**2 N1)
+        # in lowest terms.  Forming it as (f * f'') / f' instead leaves extra
+        # powers of Q in numerator and denominator: a cluster of uncancelled
+        # zeros at the poles of f that ruins the residue near |omega| = 1.
+        P, Q = r.num, r.den
+        N1 = psub(pmul(pder(P), Q), pmul(P, pder(Q)))
+        M2 = psub(pmul(pder(N1), Q), 2.0 * pmul(N1, pder(Q)))
+        integrand = RationalFunction(pmul(P, M2), pmul(pmul(Q, Q), N1))
         scale = max(float(np.max(np.abs(direct))), 1.0)
         for w, bv in zip(omegas, direct):
             res = integrand.residue(w, order=1)
@@ -268,13 +279,9 @@ def step_taylor_fixed_branch(
         raise TypeError("series stepper needs a TaylorMap state")
     if grid is None:
         grid = CircleGrid(1024)
-    order = m.order
 
     def deriv(a):
-        cur = TaylorMap(tuple(a))
-        p = poisson_schwarz(cur, grid, n_modes=order - 1, tol=tol)
-        b = a * np.arange(1, order + 1)
-        return np.convolve(b, np.asarray(p.coeffs))[:order]
+        return series_velocity(TaylorMap(tuple(a)), grid, tol=tol)
 
     a = np.asarray(m.coeffs, dtype=complex)
     anew = _enforce_normalization(_rk4(a, dt, deriv), tol)
@@ -288,11 +295,16 @@ def step_taylor_fixed_branch(
     return EvolutionState(state.t + dt, newmap)
 
 
-def taylor_velocity(m: TaylorMap, grid: CircleGrid, tol: Tolerances = DEFAULT):
-    """Coefficient velocities of the fixed-branch-point flow (diagnostics)."""
+def series_velocity(
+    m: TaylorMap, grid: CircleGrid, tol: Tolerances = DEFAULT
+) -> np.ndarray:
+    """Coefficient velocities adot_j of fdot = z f' P, truncated to the order.
+
+    Only p_0..p_{order-1} reach the kept coefficients, so P is built with
+    that many modes and the product is an exact convolution of coefficients.
+    """
     p = poisson_schwarz(m, grid, n_modes=m.order - 1, tol=tol)
-    b = np.asarray(m.coeffs, dtype=complex) * np.arange(1, m.order + 1)
-    return np.convolve(b, np.asarray(p.coeffs))[: m.order]
+    return np.convolve(m.derivative_coeffs(), np.asarray(p.coeffs))[: m.order]
 
 
 def step_error_estimate(state: EvolutionState, dt: float, stepper, **kwargs) -> float:
@@ -349,7 +361,11 @@ def run_evolution(spec) -> EvolutionResult:
     m, mode = scenarios.initial_map(spec)
     tol = spec.tolerances
     grid = CircleGrid(spec.grid_n)
+    seeds = None
     if mode == "taylor" and not isinstance(m, TaylorMap):
+        # the exact map's f' has a low-degree numerator, so its zeros seed
+        # the continuation on the truncated series cheaply
+        seeds = simple_derivative_zeros_in_disk(m, tol=tol)
         m = TaylorMap(tuple(m.power_series(spec.taylor_order)))
         tail = m.tail_energy()
         if tail > tol.tail_energy:
@@ -360,7 +376,7 @@ def run_evolution(spec) -> EvolutionResult:
     K = max(spec.diagnostic_moments, 1)
     base = moments_richardson(m, K).as_array()
     if mode == "taylor":
-        bp = branch_points(m, tol=tol)
+        bp = branch_points(m, near=seeds, tol=tol)
         base_branch = bp.values
         prev_omegas = bp.omegas
     else:
@@ -381,7 +397,7 @@ def run_evolution(spec) -> EvolutionResult:
                 if len(bpt) == len(base_branch)
                 else np.full(max(len(base_branch), 1), np.inf)
             )
-            vel = taylor_velocity(state.map, grid, tol=tol)
+            vel = series_velocity(state.map, grid, tol=tol)
         else:
             bdrift = np.zeros(0)
             vel = velocities_positive(solve_string_system(state.map, tol=tol))

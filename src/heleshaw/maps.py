@@ -31,7 +31,7 @@ from .errors import (
     RootFindingError,
     UnderResolvedError,
 )
-from .rational import RationalFunction, pmul, pval, trim
+from .rational import RationalFunction, pder, pmul, pval, trim
 
 __all__ = [
     "CircleGrid",
@@ -59,9 +59,13 @@ __all__ = [
 class CircleGrid:
     """Uniform grid of N points exp(2*pi*i*k/N) on the unit circle.
 
-    N must be a power of two (>= 4) so FFT projections are exact and cheap.
-    Keep N at least 4x the polynomial degree of anything sampled on it;
-    the winding-number residual is the runtime check for that.
+    N must be a power of two (>= 4) so FFT projections are cheap.  Evaluating
+    a polynomial on the grid (:func:`circle_values`) is exact for any degree,
+    but N must still resolve what is computed from the samples: the spectrum
+    of 1/|f'|**2 for the Poisson-Schwarz extension, and the derivative of a
+    sampled curve for winding numbers.  Keep N at least 4x the polynomial
+    degree of anything sampled on it; the winding-number residual is the
+    runtime check for that.
     """
 
     size: int = 1024
@@ -96,6 +100,18 @@ class LaurentSlice:
         if not (self.min_exp <= i <= self.max_exp):
             raise IndexError(f"exponent {i} outside [{self.min_exp}, {self.max_exp}]")
         return complex(self.coeffs[i - self.min_exp])
+
+
+def circle_values(coeffs, grid: CircleGrid) -> np.ndarray:
+    """Values of sum_j coeffs[j] z**j at the grid nodes, by one inverse FFT.
+
+    z_k**j depends on j only mod N, so the coefficients are folded mod N
+    first; the values are exact (to rounding) for any degree.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    n = grid.size
+    folded = np.pad(c, (0, -len(c) % n)).reshape(-1, n).sum(axis=0)
+    return n * np.fft.ifft(folded)
 
 
 def laurent_slice(samples, min_exp: int, max_exp: int) -> LaurentSlice:
@@ -158,6 +174,10 @@ class AnalyticMap:
     def boundary_values(self, grid: CircleGrid) -> np.ndarray:
         return self.rational()(grid.nodes)
 
+    def derivative_on(self, grid: CircleGrid) -> np.ndarray:
+        """f' at the grid nodes."""
+        return self.derivative_rational()(grid.nodes)
+
 
 @dataclass(frozen=True)
 class PolynomialMap(AnalyticMap):
@@ -191,6 +211,9 @@ class PolynomialMap(AnalyticMap):
         """b_j = (j+1) a_j, the coefficients of f'."""
         a = np.asarray(self.coeffs, dtype=complex)
         return a * np.arange(1, len(a) + 1)
+
+    def derivative_on(self, grid: CircleGrid) -> np.ndarray:
+        return circle_values(self.derivative_coeffs(), grid)
 
 
 @dataclass(frozen=True)
@@ -301,9 +324,9 @@ class TaylorMap(AnalyticMap):
     coeffs: tuple
 
     def __post_init__(self):
-        c = tuple(complex(x) for x in self.coeffs)
+        c = np.asarray(self.coeffs, dtype=complex).tolist()
         a0 = _coerce_a0(c[0])
-        object.__setattr__(self, "coeffs", (complex(a0),) + c[1:])
+        object.__setattr__(self, "coeffs", (complex(a0),) + tuple(c[1:]))
 
     @property
     def order(self) -> int:
@@ -319,6 +342,9 @@ class TaylorMap(AnalyticMap):
     def derivative_coeffs(self) -> np.ndarray:
         a = np.asarray(self.coeffs, dtype=complex)
         return a * np.arange(1, len(a) + 1)
+
+    def derivative_on(self, grid: CircleGrid) -> np.ndarray:
+        return circle_values(self.derivative_coeffs(), grid)
 
     def tail_energy(self, tail: int | None = None) -> float:
         """Relative coefficient energy in the last ``tail`` slots."""
@@ -471,6 +497,13 @@ def simple_derivative_zeros_in_disk(
 ) -> np.ndarray:
     """Zeros of f' strictly inside the unit disk, required simple.
 
+    Pass the previous zeros as ``near`` to continue them: each is polished by
+    Newton's method on the numerator of f', and the zero count in the disk
+    is certified by the argument principle (:func:`_continued_zeros`).
+    Without ``near``, or when the continuation is not certified, all roots
+    are found from the companion matrix and, if the count is unchanged,
+    matched to ``near`` in order.
+
     Raises :class:`BranchPointError` for multiple zeros or zeros within the
     boundary margin of the unit circle.
     """
@@ -478,9 +511,24 @@ def simple_derivative_zeros_in_disk(
     num = trim(fp.num)
     if len(num) < 2:
         return np.zeros(0, dtype=complex)
-    roots = polynomial_roots(num, tol=tol)
+    inside = None
+    if near is not None:
+        inside = _continued_zeros(num, np.asarray(near, dtype=complex), tol)
+    if inside is None:
+        inside = _companion_zeros(num, near, tol)
+    if _min_gap(inside) < 1e-8:
+        raise BranchPointError("multiple zero of f' detected in the disk")
+    fpp = fp.derivative()
+    for r in inside:
+        if abs(fpp(r)) < tol.branch_simple_min:
+            raise BranchPointError(f"zero of f' at {r} is not simple")
+    return inside
+
+
+def _companion_zeros(num, near, tol: Tolerances) -> np.ndarray:
+    """Zeros of ``num`` inside the disk, from all of its roots."""
     inside = []
-    for r in roots:
+    for r in polynomial_roots(num, tol=tol):
         if abs(r) < 1.0 - tol.branch_boundary_margin:
             inside.append(r)
         elif abs(abs(r) - 1.0) <= tol.branch_boundary_margin:
@@ -491,13 +539,86 @@ def simple_derivative_zeros_in_disk(
     inside = np.asarray(inside, dtype=complex)
     if near is not None and len(near) == len(inside) and len(inside) > 1:
         inside = _match_previous(inside, np.asarray(near, dtype=complex))
-    if inside.size > 1:
-        d = np.abs(inside[:, None] - inside[None, :])
-        np.fill_diagonal(d, np.inf)
-        if np.min(d) < 1e-8:
-            raise BranchPointError("multiple zero of f' detected in the disk")
-    fpp = fp.derivative()
-    for r in inside:
-        if abs(fpp(r)) < tol.branch_simple_min:
-            raise BranchPointError(f"zero of f' at {r} is not simple")
     return inside
+
+
+# Winding residual above which a continued zero count is not trusted and the
+# companion route runs instead.  Far tighter than ``winding_residual_max``:
+# a truncated series has spurious zeros just outside the unit circle, each
+# adding up to (1/|z|)**N of aliasing error, so a count is taken only when
+# that error is negligible.
+_BRANCH_COUNT_RESIDUAL = 1e-6
+
+
+def _continued_zeros(num, near: np.ndarray, tol: Tolerances):
+    """Zeros of ``num`` inside the disk, continued from ``near``.
+
+    The zero count is the winding number of ``num`` on the circles of radius
+    1 -/+ branch_boundary_margin.  Different counts mean a zero within the
+    margin of the unit circle, which raises :class:`BranchPointError`.
+    Returns None, so the caller falls back to the companion matrix, when a
+    count is not resolved to ``_BRANCH_COUNT_RESIDUAL``, the count is not
+    ``len(near)``, or Newton's method does not converge to distinct zeros
+    inside the disk.
+    """
+    margin = tol.branch_boundary_margin
+    # twice the usual 4x-degree grid: truncated series gather spurious zeros
+    # just outside the circle, and each adds (1/|z|)**N to the residual
+    grid = CircleGrid(max(64, 1 << (8 * len(num) - 1).bit_length()))
+    powers = np.arange(len(num))
+    counts = []
+    for radius in (1.0 - margin, 1.0 + margin):
+        try:
+            idx, residual = winding_number(
+                circle_values(num * radius**powers, grid), 0.0, tol
+            )
+        except (PoleProximityError, UnderResolvedError):
+            return None
+        if residual > _BRANCH_COUNT_RESIDUAL:
+            return None
+        counts.append(idx)
+    if counts[0] != counts[1]:
+        raise BranchPointError(
+            f"{counts[1] - counts[0]} zero(s) of f' lie within {margin} "
+            "of the unit circle"
+        )
+    if counts[0] != len(near):
+        return None
+    if not len(near):
+        return near
+    dnum = pder(num)
+    w = [_newton_zero(num, dnum, complex(z), tol) for z in near]
+    if None in w:
+        return None
+    w = np.asarray(w)
+    if np.max(np.abs(w)) >= 1.0 - margin or _min_gap(w) < 1e-8:
+        return None
+    return w
+
+
+def _min_gap(points: np.ndarray) -> float:
+    """Smallest distance between two of the points (inf for fewer than two)."""
+    if len(points) < 2:
+        return np.inf
+    d = np.abs(points[:, None] - points[None, :])
+    np.fill_diagonal(d, np.inf)
+    return float(np.min(d))
+
+
+def _newton_zero(c, dc, w: complex, tol: Tolerances):
+    """Newton's method on the polynomial ``c`` from ``w``; None if it stalls.
+
+    Stops with one more step once |c(w)| counts as a root (``root_residual``
+    relative to the coefficient scale); quadratic convergence makes that
+    last step reach rounding level.
+    """
+    small = tol.root_residual * float(np.max(np.abs(c)))
+    for _ in range(50):
+        v = pval(c, w)
+        d = pval(dc, w)
+        if d == 0:
+            return None
+        w -= v / d
+        if abs(v) <= small:
+            return w
+    return None

@@ -71,10 +71,16 @@ def pval(p, z):
     """Evaluate by Horner; ``z`` may be scalar or array."""
     p = np.asarray(p, dtype=complex)
     z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:  # Python complex arithmetic: the same Horner, far faster
+        zs = complex(z)
+        acc = complex(p[-1])
+        for c in p[-2::-1].tolist():
+            acc = acc * zs + c
+        return acc
     out = np.full(z.shape, p[-1], dtype=complex)
     for c in p[-2::-1]:
         out = out * z + c
-    return out if out.shape else complex(out)
+    return out
 
 
 def taylor_shift(p, z0, order=None) -> np.ndarray:

@@ -19,7 +19,13 @@ from heleshaw.bracket import (
     velocities_positive,
 )
 from heleshaw.errors import DegenerateResultantError
-from heleshaw.maps import CircleGrid, PolynomialMap, laurent_slice, polynomial_roots
+from heleshaw.maps import (
+    AbcRationalMap,
+    CircleGrid,
+    PolynomialMap,
+    laurent_slice,
+    polynomial_roots,
+)
 
 CARDIOID = PolynomialMap((1.0, 0.3))
 GRID = CircleGrid(1024)
@@ -305,6 +311,18 @@ def test_bracket_real_on_circle():
     v = velocities_positive(solve_string_system(CARDIOID))
     s = bracket_samples(CARDIOID, v, GRID)
     assert np.max(np.abs(s.imag)) < 1e-13
+
+
+def test_bracket_samples_match_direct_formula():
+    # z f' fdot* + z^{-1} f'* fdot with every factor evaluated directly
+    vel = np.array([0.4, 0.1 - 0.2j, 0.05j])
+    z = GRID.nodes
+    fdot = sum(v * z ** (j + 1) for j, v in enumerate(vel))
+    fdot_star = sum(np.conj(v) * z ** -(j + 1) for j, v in enumerate(vel))
+    for m in (PolynomialMap((1.0, 0.2 + 0.1j, 0.1)), AbcRationalMap(0.4, 2.0, 2.0)):
+        fp = m.derivative_rational()
+        direct = z * fp(z) * fdot_star + fp.reflect()(z) * fdot / z
+        assert_allclose(bracket_samples(m, vel, GRID), direct, rtol=0, atol=1e-13)
 
 
 def test_bracket_coefficient_slice_symmetry():

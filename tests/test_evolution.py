@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+from heleshaw import maps
 
 from heleshaw.errors import (
     ConfigError,
@@ -16,7 +22,12 @@ from heleshaw.evolution import (
     step_polynomial,
     step_taylor_fixed_branch,
 )
-from heleshaw.maps import CircleGrid, PolynomialMap, TaylorMap
+from heleshaw.maps import (
+    CircleGrid,
+    PolynomialMap,
+    TaylorMap,
+    simple_derivative_zeros_in_disk,
+)
 from heleshaw.moments import moments_richardson
 from heleshaw.scenarios import ScenarioSpec, make_subcase2, subcase2_from_omega
 
@@ -120,6 +131,36 @@ def test_branch_point_residue_route_agreement():
     m = subcase2_from_omega(0.35 + 0.25j, 1.5)
     bp = branch_points(m, cross_check=True)
     assert len(bp) == 1
+
+
+@pytest.mark.parametrize("modulus", [0.85, 0.9, 0.95])
+@pytest.mark.parametrize("phase", [0.0, -2.9])
+def test_branch_residue_cross_check_near_the_circle(modulus, phase):
+    # |omega_1| -> 1 as |B1| -> sqrt(M0): the residue of f f''/f' must stay
+    # within the 1e-9 cross-check instead of failing on uncancelled poles
+    b1 = modulus * np.exp(1j * phase)
+    bp = branch_points(make_subcase2(1.0, b1))
+    assert len(bp) == 1
+    assert abs(bp.values[0] - b1) < 1e-10
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    m0=st.floats(0.5, 2.0),
+    ratio=st.floats(0.05, 0.8),
+    phase=st.floats(-np.pi, np.pi),
+)
+def test_continuation_matches_companion_on_series(m0, ratio, phase):
+    # seed from the exact map, step the order-256 series once, then continue
+    exact = make_subcase2(m0, ratio * np.sqrt(m0) * np.exp(1j * phase))
+    seeds = simple_derivative_zeros_in_disk(exact)
+    state = EvolutionState(0.0, TaylorMap(tuple(exact.power_series(256))))
+    state = step_taylor_fixed_branch(state, 1e-3, grid=CircleGrid(4096))
+    companion = simple_derivative_zeros_in_disk(state.map)
+    with mock.patch.object(maps, "polynomial_roots", side_effect=AssertionError):
+        continued = simple_derivative_zeros_in_disk(state.map, near=seeds)
+    assert len(continued) == len(companion) == 1
+    assert abs(continued[0] - companion[0]) < 1e-12
 
 
 def test_branch_points_continuation_order():
@@ -259,6 +300,26 @@ def test_run_subcase2_matches_closed_family():
         err = np.max(np.abs(np.asarray(s.map.coeffs) - exact))
         assert err < 1e-6
         assert s.diagnostics.max_branch_drift < 1e-7
+
+
+def test_series_run_finds_roots_only_on_the_exact_map(monkeypatch):
+    # branch points are seeded from the exact map (a degree-2 numerator of
+    # f') and continued on the order-256 series at every snapshot
+    degrees = []
+    real = maps.polynomial_roots
+
+    def counted(coeffs, *args, **kwargs):
+        degrees.append(len(maps.trim(coeffs)) - 1)
+        return real(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(maps, "polynomial_roots", counted)
+    spec = ScenarioSpec(family="subcase2", params={"M0": 1.0, "B1": B1_SUB2},
+                        horizon=0.002, dt=1e-3, grid_n=4096, taylor_order=256)
+    res = run_evolution(spec)
+    assert res.completed
+    assert len(res.states) == 2
+    assert res.states[-1].diagnostics.max_branch_drift < 1e-12
+    assert degrees == [2]
 
 
 def test_negative_dt_rejected_at_spec_level():

@@ -7,6 +7,8 @@ from heleshaw.errors import (
     PoleProximityError,
     RootFindingError,
 )
+from heleshaw import maps
+from heleshaw.config import DEFAULT
 from heleshaw.maps import (
     AbcRationalMap,
     CircleGrid,
@@ -14,6 +16,7 @@ from heleshaw.maps import (
     PolynomialMap,
     RationalMap,
     TaylorMap,
+    circle_values,
     derivative,
     eval_map,
     laurent_slice,
@@ -23,7 +26,7 @@ from heleshaw.maps import (
     simple_derivative_zeros_in_disk,
     winding_number,
 )
-from heleshaw.rational import RationalFunction
+from heleshaw.rational import RationalFunction, pval
 
 ABC = AbcRationalMap(0.4, 2.0, 2.0)
 GRID = CircleGrid(1024)
@@ -52,6 +55,26 @@ def test_laurent_slice_roundtrip():
     assert_allclose(sl[1], 0.5, atol=1e-14)
     with pytest.raises(IndexError):
         sl[2]
+
+
+@pytest.mark.parametrize("degree", [5, 255, 1023, 3000])
+def test_circle_values_match_horner(degree):
+    # degree >= N exercises the folding of coefficients mod N
+    rng = np.random.default_rng(degree)
+    c = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    c /= np.arange(1, degree + 2)
+    g = CircleGrid(1024)
+    exact = pval(c, g.nodes)
+    err = np.max(np.abs(circle_values(c, g) - exact))
+    assert err < 1e-12 * np.max(np.abs(exact))
+
+
+def test_derivative_on_grid_agrees_across_map_kinds():
+    g = CircleGrid(256)
+    for m in (PolynomialMap((1.0, 0.2 - 0.1j, 0.05)),
+              TaylorMap((1.0, 0.3, 0.0, 0.01j))):
+        assert_allclose(m.derivative_on(g), m.derivative_rational()(g.nodes),
+                        rtol=0, atol=1e-14)
 
 
 def test_laurent_slice_length_invariant():
@@ -302,6 +325,49 @@ def test_zero_near_circle_rejected():
     m = PolynomialMap((1.0, 1.0 / (2 * r)))
     with pytest.raises(BranchPointError):
         simple_derivative_zeros_in_disk(m)
+
+
+def _counted_roots(monkeypatch):
+    calls = []
+    real = maps.polynomial_roots
+
+    def counted(coeffs, *args, **kwargs):
+        calls.append(len(coeffs) - 1)
+        return real(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(maps, "polynomial_roots", counted)
+    return calls
+
+
+def test_continuation_raises_for_zero_within_margin(monkeypatch):
+    # f' = (1 + z)(1 - 2z): a zero at 1/2 and one on the circle.  With a
+    # wide margin both argument-principle counts are resolved, they differ,
+    # and the continuation raises without any companion-matrix roots.
+    m = PolynomialMap((1.0, -0.5, -2.0 / 3.0))
+    tol = DEFAULT.override(branch_boundary_margin=0.3)
+    calls = _counted_roots(monkeypatch)
+    with pytest.raises(BranchPointError, match="within 0.3"):
+        simple_derivative_zeros_in_disk(m, near=[0.5], tol=tol)
+    assert calls == []
+    # at the default margin the counts are not resolved; the companion
+    # fallback rejects the zero on the circle just the same
+    with pytest.raises(BranchPointError):
+        simple_derivative_zeros_in_disk(m, near=[0.5])
+    assert calls == [2]
+
+
+def test_continuation_with_wrong_count_falls_back(monkeypatch):
+    from heleshaw.scenarios import subcase2_from_omega
+
+    m = TaylorMap(tuple(subcase2_from_omega(0.5 * np.exp(0.4j), 1.0).power_series(64)))
+    companion = simple_derivative_zeros_in_disk(m)
+    calls = _counted_roots(monkeypatch)
+    assert_allclose(simple_derivative_zeros_in_disk(m, near=companion), companion,
+                    rtol=1e-12)
+    assert calls == []
+    out = simple_derivative_zeros_in_disk(m, near=[companion[0], 0.1])
+    assert calls == [63]
+    assert_allclose(out, companion, rtol=1e-12)
 
 
 def test_taylor_map_tail_energy():

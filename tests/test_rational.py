@@ -15,6 +15,13 @@ from heleshaw.rational import (
 )
 
 
+
+def test_pval_scalar_matches_array_path():
+    p = np.array([1.0, -0.5j, 0.25, 2.0 + 1.0j, -0.125])
+    for z in (0.0, 0.3 - 0.7j, 1.5j):
+        assert_allclose(pval(p, z), pval(p, np.array([z]))[0], rtol=1e-15)
+        assert isinstance(pval(p, z), complex)
+
 def test_trim_drops_exact_trailing_zeros():
     assert_allclose(trim([1.0, 2.0, 0.0, 0.0]), [1.0, 2.0])
     assert_allclose(trim([0.0, 0.0]), [0.0])
