@@ -16,12 +16,9 @@ from .maps import (
     PolynomialMap,
     RationalMap,
     TaylorMap,
-    derivative,
     eval_map,
     laurent_slice,
     polynomial_roots,
-    reflect,
-    residue_at,
     winding_number,
 )
 from .moments import (
@@ -89,7 +86,6 @@ __all__ = [
     "bracket_samples",
     "bracket_system",
     "coeffs_to_moments",
-    "derivative",
     "eval_map",
     "jacobian_identity_report",
     "laurent_slice",
@@ -106,8 +102,6 @@ __all__ = [
     "polynomial_roots",
     "quadrature_check",
     "quadrature_coeffs",
-    "reflect",
-    "residue_at",
     "run_evolution",
     "solve_string_system",
     "step_polynomial",

@@ -68,35 +68,22 @@ __all__ = [
 # matrices
 # ----------------------------------------------------------------------
 
-def _power_coeffs(a: np.ndarray, k: int, nmax: int) -> np.ndarray:
-    """coeff_i(f^k) for i = 0..nmax with f = z * p(z), p coeffs ``a``."""
-    out = np.zeros(nmax + 1, dtype=complex)
-    if k == 0:
-        out[0] = 1.0
-        return out
-    pk = np.array([1.0 + 0.0j])
-    for _ in range(k):
-        pk = np.convolve(pk, a)
-    for i in range(k, nmax + 1):
-        if i - k < len(pk):
-            out[i] = pk[i - k]
-    return out
-
-
 def moment_power_matrix(m: PolynomialMap) -> np.ndarray:
     """The (2n+1) x (2n+1) matrix V of Laurent coefficients of powers of f.
 
     Block upper/lower triangular with diagonal a0^{|k|}; det V = a0^{n(n+1)}.
+    Row k > 0 holds coeff_i(f^k) = coeff_{i-k}(p^k) for f = z p, i = k..n.
     """
     a = np.asarray(m.coeffs, dtype=complex)
     n = len(a) - 1
     V = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
     V[n, n] = 1.0
+    pk = np.array([1.0 + 0.0j])
     for k in range(1, n + 1):
-        ck = _power_coeffs(a, k, n)
-        for i in range(k, n + 1):
-            V[n + k, n + i] = ck[i]
-            V[n - k, n - i] = np.conj(ck[i])
+        pk = np.convolve(pk, a)
+        row = pk[: n - k + 1]
+        V[n + k, n + k :] = row
+        V[n - k, : n - k + 1] = np.conj(row[::-1])
     return V
 
 
@@ -104,29 +91,18 @@ def bracket_matrix(m: PolynomialMap) -> np.ndarray:
     """The (2n+1) x (2n+1) matrix U with row i giving coeff_{-i}({f,f*}_t).
 
     Nonzero bands: for i >= 0 the entry sits at -n <= j <= -i or 0 <= j <= n;
-    for i <= 0 at -n <= j <= 0 or -i <= j <= n.  The (0,0) entry is 2 b0.
+    for i <= 0 at -n <= j <= 0 or -i <= j <= n, i.e. where i j >= 0 or
+    |j| >= |i|.  The (0,0) entry is 2 b0.
     """
     b = m.derivative_coeffs()
     n = len(b) - 1
-
-    def bsigned(k: int) -> complex:
-        if k >= 0:
-            return b[k] if k <= n else 0.0
-        return np.conj(b[-k]) if -k <= n else 0.0
-
-    U = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    for i in range(-n, n + 1):
-        for j in range(-n, n + 1):
-            if i >= 0:
-                inside = (-n <= j <= -i) or (0 <= j <= n)
-            else:
-                inside = (-n <= j <= 0) or (-i <= j <= n)
-            if not inside:
-                continue
-            val = bsigned(-(i + j))
-            if i == 0 and j == 0:
-                val += bsigned(0)
-            U[n + i, n + j] = val
+    zeros = np.zeros(n, dtype=complex)
+    # b_k for k = -2n..2n at array index k + 2n; zero for |k| > n
+    signed = np.concatenate([zeros, np.conj(b[:0:-1]), b, zeros])
+    idx = np.arange(-n, n + 1)
+    i, j = idx[:, None], idx[None, :]
+    U = np.where((i * j >= 0) | (np.abs(j) >= np.abs(i)), signed[2 * n - i - j], 0.0)
+    U[n, n] += b[0]
     return U
 
 
@@ -235,9 +211,12 @@ def derivative_reflection_resultant(m: PolynomialMap) -> complex:
 # the string system
 # ----------------------------------------------------------------------
 
-def solve_string_system(
-    m: PolynomialMap, tol: Tolerances = DEFAULT, sym_tol: float = 1e-10
-) -> np.ndarray:
+# Relative departure from adot_{-j} = conj(adot_j) above which a solution is
+# rejected as ill-conditioned.
+_SYMMETRY_TOL = 1e-10
+
+
+def solve_string_system(m: PolynomialMap, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Coefficient velocities adot with U adot = e_0 (logical index -n..n).
 
     These are exactly the derivatives da_j / dM_0 at fixed higher moments.
@@ -258,7 +237,7 @@ def solve_string_system(
     v = np.linalg.solve(U, rhs)
     flipped = np.conj(v[::-1])
     scale = max(float(np.max(np.abs(v))), 1e-300)
-    if float(np.max(np.abs(v - flipped))) > sym_tol * scale:
+    if float(np.max(np.abs(v - flipped))) > _SYMMETRY_TOL * scale:
         raise DegenerateResultantError(
             "solution violates conjugate symmetry; system is ill-conditioned"
         )

@@ -43,16 +43,9 @@ from .moments import (
     moments_residue,
     moments_richardson,
     quadrature_check,
-    quadrature_coeffs,
 )
 from .reports import RunReport, export_trajectory, fmt, render_boundary_svg
-from .scenarios import (
-    FAMILIES,
-    ScenarioSpec,
-    initial_map,
-    make_example_abc,
-    verify_scenario,
-)
+from .scenarios import FAMILIES, ScenarioSpec, quadrature_data, verify_scenario
 from .evolution import run_evolution
 
 __all__ = ["parse_config", "build_parser", "main"]
@@ -74,6 +67,8 @@ _GLOBAL_KEYS = {
     "json": str,
 }
 _LIST_KEYS = {"output_times": float, "coeffs": complex}
+# config keys that name a ScenarioSpec field differently
+_SPEC_FIELDS = {"csv": "csv_path", "svg": "svg_path", "json": "json_path"}
 _PARAM_KEYS = {
     "a": complex,
     "b": complex,
@@ -131,17 +126,7 @@ def parse_config(source) -> ScenarioSpec:
     if "family" not in fields:
         raise ConfigError("config must set 'family'")
     return ScenarioSpec(
-        family=fields["family"],
-        params=params,
-        horizon=fields.get("horizon", 0.0),
-        dt=fields.get("dt", 1e-3),
-        output_times=fields.get("output_times", ()),
-        grid_n=fields.get("grid_n", 1024),
-        taylor_order=fields.get("taylor_order", 64),
-        diagnostic_moments=fields.get("diagnostic_moments", 4),
-        csv_path=fields.get("csv"),
-        svg_path=fields.get("svg"),
-        json_path=fields.get("json"),
+        params=params, **{_SPEC_FIELDS.get(k, k): v for k, v in fields.items()}
     )
 
 
@@ -184,42 +169,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-fd", action="store_true",
                    help="skip the finite-difference cross-check")
 
-    p = sub.add_parser("quadrature-check", help="quadrature identity residuals")
-    p.add_argument("--coeffs", type=_coeffs_arg, default=None,
-                   help="polynomial map (one-point identity)")
+    family_params = argparse.ArgumentParser(add_help=False)
+    family_params.add_argument("--coeffs", type=_coeffs_arg, default=None,
+                               help="polynomial coefficients a_0,a_1,...")
+    family_params.add_argument("--a", type=complex, default=None)
+    family_params.add_argument("--b", type=complex, default=None)
+    family_params.add_argument("--c-magnitude", type=float, default=None)
+    family_params.add_argument("--M0", type=float, default=None)
+    family_params.add_argument("--B1", type=complex, default=None)
+
+    p = sub.add_parser("quadrature-check", parents=[family_params],
+                       help="quadrature identity residuals")
     p.add_argument("--family", choices=("example_abc", "subcase1", "subcase2"),
-                   default=None)
-    p.add_argument("--a", type=complex, default=None)
-    p.add_argument("--b", type=complex, default=None)
-    p.add_argument("--c-magnitude", type=float, default=None)
-    p.add_argument("--M0", type=float, default=None)
-    p.add_argument("--B1", type=complex, default=None)
+                   default=None, help="without it, --coeffs is a polynomial map")
     p.add_argument("--max-power", type=int, default=2,
                    help="test functions z^0..z^max_power")
 
-    p = sub.add_parser("scenario", help="construct a scenario map and verify it")
+    p = sub.add_parser("scenario", parents=[family_params],
+                       help="construct a scenario map and verify it")
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--a", type=complex, default=None)
-    p.add_argument("--b", type=complex, default=None)
-    p.add_argument("--c-magnitude", type=float, default=None)
-    p.add_argument("--M0", type=float, default=None)
-    p.add_argument("--B1", type=complex, default=None)
     p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--coeffs", type=_coeffs_arg, default=None)
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--svg", type=str, default=None,
                    help="write the image boundary as SVG")
 
-    p = sub.add_parser("evolve", help="run a Hele-Shaw evolution")
+    p = sub.add_parser("evolve", parents=[family_params], help="run a Hele-Shaw evolution")
     p.add_argument("--config", type=str, default=None, help="config file path")
     p.add_argument("--family", choices=FAMILIES, default=None)
-    p.add_argument("--a", type=complex, default=None)
-    p.add_argument("--b", type=complex, default=None)
-    p.add_argument("--c-magnitude", type=float, default=None)
-    p.add_argument("--M0", type=float, default=None)
-    p.add_argument("--B1", type=complex, default=None)
     p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--coeffs", type=_coeffs_arg, default=None)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--output-times", type=str, default=None,
@@ -231,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _collect_params(args, keys=("a", "b", "c_magnitude", "M0", "B1", "a0", "coeffs")):
+def _collect_params(args) -> dict:
+    """The family parameters given as flags, under their config key names."""
     out = {}
-    for k in keys:
+    for k in _PARAM_KEYS:
         v = getattr(args, k, None)
         if v is not None:
             out[k] = v
@@ -307,25 +285,9 @@ def _cmd_jacobian(args, report: RunReport, say):
 
 def _cmd_quadrature_check(args, report: RunReport, say):
     testfns = [[0.0] * p + [1.0] for p in range(args.max_power + 1)]
-    if args.coeffs is not None:
-        m = PolynomialMap(args.coeffs)
-        data = quadrature_coeffs(m)
-    elif args.family == "example_abc":
-        if None in (args.a, args.b, args.c_magnitude):
-            raise ConfigError("example_abc needs --a, --b, --c-magnitude")
-        m, data = make_example_abc(args.a, args.b, args.c_magnitude)
-    elif args.family in ("subcase1", "subcase2"):
-        if None in (args.M0, args.B1):
-            raise ConfigError(f"{args.family} needs --M0 and --B1")
-        if args.family == "subcase1":
-            m, data = make_example_abc(*_subcase1_abc(args.M0, args.B1))
-        else:
-            from .scenarios import make_subcase2
-
-            m = make_subcase2(args.M0, args.B1)
-            data = quadrature_coeffs(m)
-    else:
-        raise ConfigError("need --coeffs or --family with its parameters")
+    spec = ScenarioSpec(family=args.family or "polynomial", params=_collect_params(args))
+    m, _ = spec.initial
+    data = quadrature_data(m)
     if data.is_two_point:
         say(f"two-point identity: A = {data.weight_a:.16g}, B = {data.weight_b:.16g}, "
             f"node 1/conj(b) = {data.node_b:.16g}")
@@ -338,17 +300,10 @@ def _cmd_quadrature_check(args, report: RunReport, say):
         report.add(f"quadrature_g_power_{p}", r < 1e-6, r)
 
 
-def _subcase1_abc(M0, B1):
-    from .scenarios import make_subcase1
-
-    m = make_subcase1(M0, B1)
-    return m.a, m.b, abs(m.c)
-
-
 def _cmd_scenario(args, report: RunReport, say):
     spec = ScenarioSpec(family=args.family, params=_collect_params(args),
                         grid_n=args.grid)
-    m, mode = initial_map(spec)
+    m, mode = spec.initial
     rep = verify_scenario(m, args.family, grid_n=args.grid)
     say(f"scenario '{args.family}' ({mode} mode), {len(rep.checks)} checks:")
     for c in rep:
@@ -366,18 +321,14 @@ def _cmd_evolve(args, report: RunReport, say):
     else:
         if args.family is None:
             raise ConfigError("evolve needs --config or --family plus parameters")
-        out_times = ()
+        opts = {"horizon": args.horizon, "dt": args.dt, "csv_path": args.csv,
+                "svg_path": args.svg, "json_path": args.json_path}
         if args.output_times:
-            out_times = tuple(float(tok) for tok in args.output_times.split(",") if tok.strip())
+            opts["output_times"] = tuple(
+                float(tok) for tok in args.output_times.split(",") if tok.strip())
         spec = ScenarioSpec(
-            family=args.family,
-            params=_collect_params(args),
-            horizon=args.horizon if args.horizon is not None else 0.0,
-            dt=args.dt if args.dt is not None else 1e-3,
-            output_times=out_times,
-            csv_path=args.csv,
-            svg_path=args.svg,
-            json_path=args.json_path,
+            family=args.family, params=_collect_params(args),
+            **{k: v for k, v in opts.items() if v is not None},
         )
     result = run_evolution(spec)
     report.spec["scenario"] = _spec_dict(spec)

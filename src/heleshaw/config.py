@@ -1,8 +1,9 @@
-"""Centralized numerical tolerances.
+"""The gates at which the solvers raise a typed error.
 
-Every module pulls its thresholds from a single :class:`Tolerances` record so
-that a scenario can tighten or loosen them in one place.  The defaults are the
-values the test suite is written against.
+Solvers, steppers and root finders take these thresholds from one
+:class:`Tolerances` record, so a scenario can tighten or loosen them in one
+place.  The bounds of reported checks sit next to the checks instead.  The
+defaults are the values the test suite is written against.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ class Tolerances:
     cusp_min_derivative: float = 1e-6
     #: residual above which an "exactly cancelled" pole counts as uncancelled
     pole_cancel: float = 1e-8
-    #: nodes for contour-quadrature residues
-    contour_nodes: int = 256
 
     def override(self, **kwargs) -> "Tolerances":
         """Return a copy with the given fields replaced."""

@@ -356,9 +356,7 @@ def run_evolution(spec) -> EvolutionResult:
     exception class name becomes the stop reason and the snapshots collected
     so far are returned.
     """
-    from . import scenarios  # deferred: scenarios does not import this module
-
-    m, mode = scenarios.initial_map(spec)
+    m, mode = spec.initial
     tol = spec.tolerances
     grid = CircleGrid(spec.grid_n)
     seeds = None

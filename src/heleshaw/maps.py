@@ -27,7 +27,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     BranchPointError,
     PoleProximityError,
-    ResidueError,
     RootFindingError,
     UnderResolvedError,
 )
@@ -43,9 +42,6 @@ __all__ = [
     "AbcRationalMap",
     "TaylorMap",
     "eval_map",
-    "derivative",
-    "reflect",
-    "residue_at",
     "polynomial_roots",
     "winding_number",
 ]
@@ -374,60 +370,7 @@ def eval_map(m: AnalyticMap, z, tol: Tolerances = DEFAULT):
     return m.rational()(z)
 
 
-def derivative(m: AnalyticMap) -> RationalFunction:
-    """f' in closed form; for polynomials the coefficients are (j+1) a_j."""
-    return m.derivative_rational()
-
-
-def reflect(m: AnalyticMap) -> RationalFunction:
-    """The reflected function f*(z) = conj(f(1/conj(z)))."""
-    return m.reflection()
-
-
-def residue_at(
-    fn,
-    p,
-    order: int | None = None,
-    radius: float | None = None,
-    n_nodes: int | None = None,
-    tol: Tolerances = DEFAULT,
-) -> complex:
-    """Residue of ``fn`` at the pole ``p``.
-
-    Rational functions are handled exactly by Laurent division.  Plain
-    callables fall back to contour quadrature on a circle of the given
-    ``radius`` (the caller should keep other singularities at distance at
-    least 2*radius); convergence is checked by comparing against the
-    half-resolution rule.
-    """
-    p = complex(p)
-    if isinstance(fn, AnalyticMap):
-        fn = fn.rational()
-    if isinstance(fn, RationalFunction):
-        return fn.residue(p, order=order)
-    if radius is None:
-        radius = 0.25
-    n = n_nodes or tol.contour_nodes
-    full = _contour_residue(fn, p, radius, n)
-    half = _contour_residue(fn, p, radius, n // 2)
-    scale = max(abs(full), 1.0)
-    if abs(full - half) > 1e-8 * scale:
-        raise ResidueError(
-            f"contour residue did not converge at radius {radius}: "
-            f"{full} vs {half} at half resolution"
-        )
-    return full
-
-
-def _contour_residue(fn, p, radius, n):
-    th = 2.0 * np.pi * np.arange(n) / n
-    zs = p + radius * np.exp(1j * th)
-    vals = np.asarray([fn(z) for z in zs], dtype=complex)
-    # (1/2 pi i) * integral fn dz over the circle, trapezoid in theta
-    return complex(np.sum(vals * (zs - p)) / n)
-
-
-def polynomial_roots(coeffs, near=None, tol: Tolerances = DEFAULT) -> np.ndarray:
+def polynomial_roots(coeffs, near=None) -> np.ndarray:
     """All roots of the polynomial with ascending ``coeffs``.
 
     Companion-matrix eigenvalues with one Newton polish step.  Standalone
@@ -528,7 +471,7 @@ def simple_derivative_zeros_in_disk(
 def _companion_zeros(num, near, tol: Tolerances) -> np.ndarray:
     """Zeros of ``num`` inside the disk, from all of its roots."""
     inside = []
-    for r in polynomial_roots(num, tol=tol):
+    for r in polynomial_roots(num):
         if abs(r) < 1.0 - tol.branch_boundary_margin:
             inside.append(r)
         elif abs(abs(r) - 1.0) <= tol.branch_boundary_margin:

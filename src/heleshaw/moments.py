@@ -112,25 +112,16 @@ class QuadratureData:
 
 
 def default_moment_count(m: AnalyticMap) -> int:
-    """K = max(n, 2m + 2): probe beyond the support of degenerate examples."""
+    """K = max(n, 2m + 2): probe beyond the support of degenerate examples.
+
+    For rational maps n = s - 1, with s the order of the pole of f* f' at
+    the origin (the highest derivative in the one-point identity).
+    """
     if isinstance(m, (PolynomialMap, TaylorMap)):
         return max(len(m.coeffs) - 1, 2)
-    npoles = len(m.finite_poles())
-    base = quadrature_pole_order(m) - 1
-    return max(base, 2 * npoles + 2)
-
-
-def quadrature_pole_order(m: AnalyticMap) -> int:
-    """Order of the pole of f* f' at the origin."""
     r = m.rational()
-    g = r.reflect() * r.derivative()
-    s = 0
-    while s < len(g.den) and g.den[s] == 0:
-        s += 1
-    t = 0
-    while t < len(g.num) and g.num[t] == 0:
-        t += 1
-    return max(s - t, 0)
+    _, s = (r.reflect() * r.derivative()).principal_part_at_zero()
+    return max(s - 1, 2 * len(m.finite_poles()) + 2)
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +168,7 @@ def moments_richardson(m, K: int | None = None) -> MomentVector:
 # residues of f^k f* f'
 # ----------------------------------------------------------------------
 
-def _interior_singularities(m: AnalyticMap, tol: Tolerances) -> list:
+def _interior_singularities(m: AnalyticMap) -> list:
     pts = [0.0 + 0.0j]
     for p in m.finite_poles():
         q = 1.0 / np.conj(p)
@@ -199,7 +190,7 @@ def moments_residue(m: AnalyticMap, K: int | None = None,
     if np.min(np.abs(fp(grid.nodes))) < tol.cusp_min_derivative:
         raise CuspError("f' vanishes on the unit circle; boundary form invalid")
     base = r.reflect() * fp
-    pts = _interior_singularities(m, tol)
+    pts = _interior_singularities(m)
     vals = []
     integrand = base
     for k in range(K + 1):
@@ -239,23 +230,35 @@ def moments_area_oracle(
     return MomentVector.from_values(fine), err
 
 
-def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int) -> np.ndarray:
+def _disk_grid(nr: int, nt: int):
+    """Polar tensor nodes (nr x nt) on the unit disk and their radial weights.
+
+    Gauss-Legendre radially, trapezoid in the angle; :func:`_disk_mean`
+    turns values at the nodes into (1/pi) times the area integral.
+    """
     x, w = np.polynomial.legendre.leggauss(nr)
     rr = 0.5 * (x + 1.0)
-    wr = 0.5 * w
     th = 2.0 * np.pi * np.arange(nt) / nt
-    zgrid = rr[:, None] * np.exp(1j * th)[None, :]
+    return rr[:, None] * np.exp(1j * th)[None, :], 0.5 * w * rr
+
+
+def _disk_mean(values: np.ndarray, weights: np.ndarray) -> complex:
+    """(1/pi) int_D h dA from h at the :func:`_disk_grid` nodes."""
+    ang = np.sum(values, axis=1) * (2.0 * np.pi / values.shape[1])
+    return np.sum(weights * ang) / np.pi
+
+
+def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int) -> np.ndarray:
+    zgrid, weights = _disk_grid(nr, nt)
     r = m.rational()
-    fv = r(zgrid.ravel()).reshape(zgrid.shape)
-    fpv = r.derivative()(zgrid.ravel()).reshape(zgrid.shape)
-    dens = np.abs(fpv) ** 2
+    fv = r(zgrid)
+    dens = np.abs(r.derivative()(zgrid)) ** 2
     out = np.zeros(K + 1, dtype=complex)
     powk = np.ones_like(fv)
     for k in range(K + 1):
         if k > 0:
             powk = powk * fv
-        ang = np.sum(powk * dens, axis=1) * (2.0 * np.pi / nt)
-        out[k] = np.sum(wr * rr * ang) / np.pi
+        out[k] = _disk_mean(powk * dens, weights)
     return out
 
 
@@ -338,22 +341,12 @@ def quadrature_check(
     Test functions are polynomial coefficient arrays (ascending powers of the
     disk variable), so their derivatives at the node are exact.
     """
-    nr, nt = resolution
-    x, w = np.polynomial.legendre.leggauss(nr)
-    rr = 0.5 * (x + 1.0)
-    wr = 0.5 * w
-    th = 2.0 * np.pi * np.arange(nt) / nt
-    zgrid = (rr[:, None] * np.exp(1j * th)[None, :]).ravel()
-    r = m.rational()
-    dens = np.abs(r.derivative()(zgrid)) ** 2
+    zgrid, weights = _disk_grid(*resolution)
+    dens = np.abs(m.rational().derivative()(zgrid)) ** 2
     out = []
     for g in testfns:
         g = np.asarray(g, dtype=complex)
-        gv = pval(g, zgrid)
-        area = np.sum(
-            (wr * rr) * (np.sum((gv * dens).reshape(len(rr), nt), axis=1)
-                         * (2.0 * np.pi / nt))
-        ) / np.pi
+        area = _disk_mean(pval(g, zgrid) * dens, weights)
         if data.is_two_point:
             side = data.weight_a * pval(g, np.array([0.0 + 0j]))[0]
             side += data.weight_b * pval(g, np.array([data.node_b]))[0]

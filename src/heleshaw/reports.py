@@ -131,32 +131,21 @@ def export_trajectory(result: EvolutionResult, path) -> None:
 # SVG boundary snapshots
 # ----------------------------------------------------------------------
 
-def render_boundary_svg(
-    source,
-    path,
-    grid_n: int = 512,
-    size: int = 640,
-    branch_markers=(),
-    labels=None,
-) -> None:
+def render_boundary_svg(source, path, grid_n: int = 512, size: int = 640) -> None:
     """Static SVG 1.1 with one polyline per boundary curve f(bd D).
 
     ``source`` is a map, a list of maps, or an :class:`EvolutionResult`
-    (whose snapshots become time-labeled layers).  ``branch_markers`` adds
-    small circles at the given complex points.
+    (whose snapshots become time-labeled layers).
     """
     if isinstance(source, EvolutionResult):
         maps = [s.map for s in source.states]
         labels = [f"t={fmt(s.t)}" for s in source.states]
-    elif isinstance(source, AnalyticMap):
-        maps = [source]
     else:
-        maps = list(source)
-    if labels is None:
+        maps = [source] if isinstance(source, AnalyticMap) else list(source)
         labels = [f"curve{idx}" for idx in range(len(maps))]
     grid = CircleGrid(grid_n)
     curves = [m.boundary_values(grid) for m in maps]
-    allpts = np.concatenate(curves + [np.asarray(branch_markers, dtype=complex)])
+    allpts = np.concatenate(curves)
     lo = min(allpts.real.min(), allpts.imag.min())
     hi = max(allpts.real.max(), allpts.imag.max())
     pad = 0.05 * max(hi - lo, 1e-12)
@@ -182,11 +171,6 @@ def render_boundary_svg(
             f'stroke="rgb({shade},{shade // 2},{255 - shade})" stroke-width="1.2"/>'
         )
         parts.append("</g>")
-    for bp in branch_markers:
-        x, y = xy(complex(bp))
-        parts.append(
-            f'<circle cx="%.6f" cy="%.6f" r="3" fill="black"/>' % (x, y)
-        )
     parts.append("</svg>")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -90,6 +90,8 @@ class ScenarioSpec:
     csv_path: str | None = None
     svg_path: str | None = None
     json_path: str | None = None
+    #: (map, mode) from :func:`initial_map`, built once when the spec is made
+    initial: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -100,7 +102,8 @@ class ScenarioSpec:
             raise ConfigError("dt must be positive")
         if self.horizon < 0:
             raise ConfigError("horizon must be nonnegative")
-        initial_map(self)  # parameter validation happens at parse time
+        # parameter validation happens at parse time
+        object.__setattr__(self, "initial", initial_map(self))
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +270,14 @@ def initial_map(spec: ScenarioSpec):
     raise ConfigError(f"unknown family '{fam}'")
 
 
+def quadrature_data(m: AnalyticMap) -> QuadratureData:
+    """The quadrature identity of a scenario map: two-point for the
+    c z (z-a)/(z-b) family, one-point (from f* f') otherwise."""
+    if isinstance(m, AbcRationalMap):
+        return make_example_abc(m.a, m.b, abs(m.c))[1]
+    return quadrature_coeffs(m)
+
+
 # ----------------------------------------------------------------------
 # verification report
 # ----------------------------------------------------------------------
@@ -333,7 +344,7 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> ScenarioRe
         )
 
     if kind == "example_abc":
-        _, data = make_example_abc(m.a, m.b, abs(m.c))
+        data = quadrature_data(m)
         mv = moments_residue(m, 6)
         checks.append(
             _check("M0_equals_A_plus_B",
@@ -370,7 +381,7 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> ScenarioRe
         checks.append(_check("double_covering", worst_w, 1e-6))
 
     if kind == "subcase2":
-        data = quadrature_coeffs(m)
+        data = quadrature_data(m)
         mv = moments_residue(m, 6)
         checks.append(_check("one_point_weight_is_M0",
                              abs(complex(data.c[0]) - mv[0]), 1e-10))

@@ -98,6 +98,66 @@ def test_n0_matrices():
     assert_allclose(bracket_matrix(m), [[1.6]])
 
 
+def _loop_power_matrix(m):
+    """V as the module docstring defines it, entry by entry:
+    V[k, i] = coeff_i(f^k) for 0 <= k <= i <= n and
+    V[k, i] = conj(coeff_{-i}(f^{-k})) for -n <= i <= k < 0."""
+    a = np.asarray(m.coeffs, dtype=complex)
+    n = len(a) - 1
+    powers = [np.array([1.0 + 0.0j])]  # p^k for f = z p
+    for _ in range(n):
+        powers.append(np.convolve(powers[-1], a))
+
+    def coeff(i, k):  # coeff_i(f^k) = coeff_{i-k}(p^k)
+        return powers[k][i - k] if i - k < len(powers[k]) else 0.0
+
+    V = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    for k in range(-n, n + 1):
+        for i in range(-n, n + 1):
+            if 0 <= k <= i:
+                V[n + k, n + i] = coeff(i, k)
+            elif i <= k < 0:
+                V[n + k, n + i] = np.conj(coeff(-i, -k))
+    return V
+
+
+def _loop_bracket_matrix(m):
+    """U as the module docstring and bracket_matrix define it, entry by entry:
+    U[i, j] = b_{-(i+j)} + b_0 delta_{i0} delta_{0j} on the bands
+    -n <= j <= -i or 0 <= j <= n (i >= 0), -n <= j <= 0 or -i <= j <= n
+    (i <= 0), with b_{-j} = conj(b_j) and b_j = 0 for |j| > n."""
+    b = m.derivative_coeffs()
+    n = len(b) - 1
+
+    def bsigned(k):
+        if abs(k) > n:
+            return 0.0
+        return b[k] if k >= 0 else np.conj(b[-k])
+
+    U = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    for i in range(-n, n + 1):
+        for j in range(-n, n + 1):
+            if i >= 0:
+                inside = -n <= j <= -i or 0 <= j <= n
+            else:
+                inside = -n <= j <= 0 or -i <= j <= n
+            if inside:
+                U[n + i, n + j] = bsigned(-(i + j)) + (b[0] if i == j == 0 else 0.0)
+    return U
+
+
+def test_matrices_bitwise_equal_loop_oracle():
+    rng = np.random.default_rng(11)
+    for n in range(1, 33):
+        for _ in range(3):
+            a0 = rng.uniform(0.3, 2.0)
+            scale = rng.uniform(0.05, 0.5)
+            m = PolynomialMap(tuple(np.concatenate(
+                [[a0], scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))])))
+            assert np.array_equal(moment_power_matrix(m), _loop_power_matrix(m)), n
+            assert np.array_equal(bracket_matrix(m), _loop_bracket_matrix(m)), n
+
+
 # ----------------------------------------------------------------------
 # determinants and resultants
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,55 @@ def test_cli_bracket_check_degenerate_map_fails(capsys):
 
 def test_cli_quadrature_check_polynomial():
     assert main(["quadrature-check", "--coeffs", "1,0.3"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "subcase1", "--M0", "1", "--B1", "0.3"],
+    ["--family", "subcase2", "--M0", "1", "--B1", "0.28111"],
+    ["--family", "example_abc", "--a", "0.2", "--b", "1.7+0.2j", "--c-magnitude", "1.3"],
+])
+def test_cli_quadrature_check_families(argv, capsys):
+    code = main(["--json", "quadrature-check", *argv])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 0
+    assert [c["name"] for c in checks] == [f"quadrature_g_power_{p}" for p in range(3)]
+    assert all(c["status"] == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "subcase2", "--M0", "1"],  # missing --B1
+    ["--family", "example_abc", "--a", "0.2", "--b", "1.7"],  # missing --c-magnitude
+    ["--family", "subcase2", "--M0", "1", "--B1", "0.28111", "--a", "0.2"],
+    ["--family", "subcase1", "--M0", "1", "--B1", "0.3", "--coeffs", "1,0.3"],
+    ["--coeffs", "1,0.3", "--M0", "1"],
+    [],
+])
+def test_cli_quadrature_check_bad_parameters_exit_2(argv):
+    assert main(["quadrature-check", *argv]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "subcase2", "--M0", "1", "--B1", "0.28111", "--a", "0.2"],
+    ["evolve", "--family", "subcase2", "--M0", "1", "--B1", "0.28111", "--coeffs", "1"],
+])
+def test_cli_family_rejects_foreign_parameter(argv):
+    assert main(argv) == 2
+
+
+_FAMILY_OPTIONS = {"--coeffs", "--a", "--b", "--c-magnitude", "--M0", "--B1"}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("quadrature-check", _FAMILY_OPTIONS | {"--family", "--max-power"}),
+    ("scenario", _FAMILY_OPTIONS | {"--a0", "--grid", "--svg"}),
+    ("evolve", _FAMILY_OPTIONS | {
+        "--config", "--family", "--a0", "--horizon", "--dt", "--output-times",
+        "--csv", "--svg", "--json-path"}),
+])
+def test_cli_help_option_set(command, options, capsys):
+    assert main([command, "--help"]) == 0
+    shown = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert shown == options | {"--help"}
 
 
 def test_cli_config_validation_error(tmp_path):

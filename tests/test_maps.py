@@ -17,12 +17,9 @@ from heleshaw.maps import (
     RationalMap,
     TaylorMap,
     circle_values,
-    derivative,
     eval_map,
     laurent_slice,
     polynomial_roots,
-    reflect,
-    residue_at,
     simple_derivative_zeros_in_disk,
     winding_number,
 )
@@ -131,7 +128,7 @@ def test_rational_map_consistency_check():
 # ----------------------------------------------------------------------
 
 def test_derivative_of_identity():
-    fp = derivative(PolynomialMap((1.0,)))
+    fp = PolynomialMap((1.0,)).derivative_rational()
     z = np.exp(1j * np.linspace(0, 2, 5))
     assert_allclose(fp(z), np.ones(5), atol=1e-15)
 
@@ -142,7 +139,7 @@ def test_derivative_coefficients_scale():
 
 
 def test_abc_derivative_closed_form():
-    fp = derivative(ABC)
+    fp = ABC.derivative_rational()
     for z in (0.3 + 0.1j, -0.5, 0.9j):
         want = 2.0 * (z**2 - 2 * 2.0 * z + 0.4 * 2.0) / (z - 2.0) ** 2
         assert_allclose(fp(z), want, rtol=1e-13)
@@ -153,12 +150,12 @@ def test_abc_derivative_closed_form():
 # ----------------------------------------------------------------------
 
 def test_reflect_scaled_identity():
-    fs = reflect(PolynomialMap((0.7,)))
+    fs = PolynomialMap((0.7,)).reflection()
     assert_allclose(fs(2.0), 0.7 / 2.0, rtol=1e-15)
 
 
 def test_reflect_abc_closed_form():
-    fs = reflect(ABC)
+    fs = ABC.reflection()
     for z in (0.3 + 0.1j, 1.5, -0.7j):
         want = 2.0 * (1 - 0.4 * z) / (z * (1 - 2.0 * z))
         assert_allclose(fs(z), want, rtol=1e-13)
@@ -169,7 +166,7 @@ def test_reflect_quadratic_with_imaginary_coeff():
     # coefficients recovered from circle samples
     m = PolynomialMap((1.0, 0.3j))
     g = CircleGrid(64)
-    sl = laurent_slice(reflect(m)(g.nodes), -2, 0)
+    sl = laurent_slice(m.reflection()(g.nodes), -2, 0)
     assert_allclose(sl[-1], 1.0, atol=1e-14)
     assert_allclose(sl[-2], -0.3j, atol=1e-14)
     assert_allclose(sl[0], 0.0, atol=1e-14)
@@ -189,7 +186,7 @@ def test_reflect_involution_on_maps():
 def test_reflection_equals_conjugate_on_circle():
     for m in (ABC, PolynomialMap((1.0, 0.25, 0.1j))):
         fv = m.boundary_values(GRID)
-        fsv = reflect(m)(GRID.nodes)
+        fsv = m.reflection()(GRID.nodes)
         scale = np.max(np.abs(fv))
         assert np.max(np.abs(fsv - np.conj(fv))) < 1e-12 * scale
 
@@ -199,24 +196,17 @@ def test_reflection_equals_conjugate_on_circle():
 # ----------------------------------------------------------------------
 
 def test_residue_basic_poles():
-    assert_allclose(residue_at(RationalFunction([1.0], [0.0, 1.0]), 0.0), 1.0)
+    assert_allclose(RationalFunction([1.0], [0.0, 1.0]).residue(0.0), 1.0)
     assert_allclose(
-        residue_at(RationalFunction([1.0], [0.0, 0.0, 1.0]), 0.0), 0.0, atol=1e-15
+        RationalFunction([1.0], [0.0, 0.0, 1.0]).residue(0.0), 0.0, atol=1e-15
     )
 
 
 def test_residue_two_node_weights():
     # residues of f* f' at 0 and 1/conj(b) are the quadrature weights
-    integ = reflect(ABC) * derivative(ABC)
-    assert_allclose(residue_at(integ, 0.0), 0.8, rtol=1e-13)
-    assert_allclose(residue_at(integ, 0.5), 304.0 / 225.0, rtol=1e-13)
-
-
-def test_contour_residue_matches_exact():
-    integ = reflect(ABC) * derivative(ABC)
-    exact = residue_at(integ, 0.5)
-    quad = residue_at(lambda z: integ(z), 0.5, radius=0.2)
-    assert abs(quad - exact) < 1e-10 * abs(exact)
+    integ = ABC.reflection() * ABC.derivative_rational()
+    assert_allclose(integ.residue(0.0), 0.8, rtol=1e-13)
+    assert_allclose(integ.residue(0.5), 304.0 / 225.0, rtol=1e-13)
 
 
 # ----------------------------------------------------------------------
