@@ -41,7 +41,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import DegenerateResultantError
 from .maps import AnalyticMap, CircleGrid, PolynomialMap, circle_values
-from .moments import richardson_moment
+from .moments import richardson_moments
 from .rational import trim
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "string_residual",
     "conjugate_moment_map",
     "finite_difference_jacobian",
+    "log_rel_error",
     "JacobianReport",
     "jacobian_identity_report",
 ]
@@ -263,9 +264,8 @@ def conjugate_moment_map(x: np.ndarray) -> np.ndarray:
     a = x[n:].copy()
     abar = np.concatenate([[x[n]], x[:n][::-1]])
     out = np.zeros(2 * n + 1, dtype=complex)
-    for k in range(0, n + 1):
-        out[n + k] = richardson_moment(a, abar, k)
-        out[n - k] = richardson_moment(abar, a, k)
+    out[n:] = richardson_moments(a, abar, n)
+    out[n::-1] = richardson_moments(abar, a, n)
     return out
 
 
@@ -285,26 +285,73 @@ def finite_difference_jacobian(m: PolynomialMap, step: float = 1e-5) -> np.ndarr
     return J
 
 
+def _log_det(M: np.ndarray) -> complex:
+    """log det M = log|det M| + i arg det M, from ``slogdet``.
+
+    Never overflows or underflows.  A singular or non-finite determinant
+    raises :class:`DegenerateResultantError`, so no identity is ever
+    compared between two zeros.
+    """
+    sign, logabs = np.linalg.slogdet(M)
+    if sign == 0 or not np.isfinite(logabs):
+        raise DegenerateResultantError(
+            f"determinant is zero or not finite (log|det| = {logabs})"
+        )
+    return complex(logabs, np.angle(sign))
+
+
+def log_rel_error(log_x: complex, log_y: complex) -> float:
+    """|x / y - 1| from log x and log y (phases compared modulo 2 pi)."""
+    return float(abs(np.expm1(log_x - log_y)))
+
+
 @dataclass(frozen=True)
 class JacobianReport:
-    """Both sides of the determinant identity plus supporting diagnostics."""
+    """Both sides of the determinant identity plus supporting diagnostics.
+
+    Determinants are held as complex logarithms (``log|d| + i arg d``):
+    for a0 away from 1 they leave the floating-point range at n ~ 32.  The
+    ``det_vu``, ``rhs`` and ``det_v`` properties exponentiate them and may
+    read inf or 0.
+    """
 
     n: int
-    det_vu: complex
-    rhs: complex
-    rel_error: float
-    det_v: complex
-    det_v_closed: complex
-    det_u: complex
-    det_u_closed: complex
-    det_sylvester: complex | None
-    resultant: complex
+    log_det_vu: complex
+    log_rhs: complex
+    log_det_v: complex
+    log_det_v_closed: complex
+    log_det_u: complex
+    log_det_u_closed: complex
+    log_det_sylvester: complex | None
+    log_resultant: complex
     fd_max_abs_err: float | None
     fd_step: float | None
 
     @property
+    def rel_error(self) -> float:
+        """|det(V U) / rhs - 1|."""
+        return log_rel_error(self.log_det_vu, self.log_rhs)
+
+    @property
     def ok(self) -> bool:
         return self.rel_error < 1e-10
+
+    @property
+    def det_vu(self) -> complex:
+        return _exp(self.log_det_vu)
+
+    @property
+    def rhs(self) -> complex:
+        return _exp(self.log_rhs)
+
+    @property
+    def det_v(self) -> complex:
+        return _exp(self.log_det_v)
+
+
+def _exp(log_d: complex) -> complex:
+    with np.errstate(over="ignore", under="ignore"):
+        return complex(np.exp(log_d))
 
 
 def jacobian_identity_report(
@@ -312,37 +359,36 @@ def jacobian_identity_report(
 ) -> JacobianReport:
     """Check det(V U) = 2 a0^{n^2+3n+1} Res(f', f'*) and the helpers.
 
+    Both sides are compared in log space:  log det(V U) from ``slogdet``
+    against  log 2 + (n^2+3n+1) log a0 + log Res,  with
+    Res = det S / a0^{2n} for the Sylvester matrix S of (f', z^n f'*).
     Also validates V U entrywise against finite differences of the moment
     map when ``fd_step`` is given (pass None to skip).
     """
     sys = bracket_system(m)
     n = sys.n
-    a0 = m.a0
+    log_a0 = np.log(m.a0)
     b = m.derivative_coeffs()
-    det_v = complex(np.linalg.det(sys.power))
-    det_u = complex(np.linalg.det(sys.bracket))
-    res = derivative_reflection_resultant(m)
-    det_vu = complex(np.linalg.det(sys.jacobian))
-    rhs = 2.0 * a0 ** (n * n + 3 * n + 1) * res
-    rel = abs(det_vu - rhs) / max(abs(rhs), 1e-300)
-    det_s = None
+    log_det_s = None
+    log_res = 0j  # n = 0: the empty resultant is 1
     if n >= 1:
-        det_s = complex(np.linalg.det(sylvester_matrix(b, np.conj(b)[::-1])))
+        log_det_s = _log_det(sylvester_matrix(b, np.conj(b)[::-1]))
+        log_res = log_det_s - 2 * n * log_a0
+    log_2 = np.log(2.0)
     fd_err = None
     if fd_step is not None:
         fd = finite_difference_jacobian(m, fd_step)
         fd_err = float(np.max(np.abs(sys.jacobian - fd)))
     return JacobianReport(
         n=n,
-        det_vu=det_vu,
-        rhs=rhs,
-        rel_error=rel,
-        det_v=det_v,
-        det_v_closed=complex(a0 ** (n * (n + 1))),
-        det_u=det_u,
-        det_u_closed=2.0 * b[0] ** (2 * n + 1) * res,
-        det_sylvester=det_s,
-        resultant=res,
+        log_det_vu=_log_det(sys.jacobian),
+        log_rhs=complex(log_2 + (n * n + 3 * n + 1) * log_a0 + log_res),
+        log_det_v=_log_det(sys.power),
+        log_det_v_closed=complex(n * (n + 1) * log_a0),
+        log_det_u=_log_det(sys.bracket),
+        log_det_u_closed=complex(log_2 + (2 * n + 1) * log_a0 + log_res),
+        log_det_sylvester=log_det_s,
+        log_resultant=log_res,
         fd_max_abs_err=fd_err,
         fd_step=fd_step,
     )

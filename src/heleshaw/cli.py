@@ -24,6 +24,8 @@ are ignored; unknown keys are rejected by name.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import os
 import sys
 import time
@@ -32,6 +34,7 @@ import numpy as np
 
 from .bracket import (
     jacobian_identity_report,
+    log_rel_error,
     solve_string_system,
     string_residual,
     velocities_positive,
@@ -222,8 +225,23 @@ def _collect_params(args) -> dict:
 # subcommand pipelines
 # ----------------------------------------------------------------------
 
+def _polynomial_map(coeffs) -> PolynomialMap:
+    try:
+        return PolynomialMap(coeffs)
+    except ValueError as exc:
+        raise ConfigError(f"bad --coeffs: {exc}") from None
+
+
+def _fmt_log(log_d: complex) -> str:
+    """A number given by its complex log, as ``mantissa e exponent``; the
+    mantissa is complex with modulus in [1, 10), so nothing overflows."""
+    e = math.floor(log_d.real / math.log(10.0))
+    mant = cmath.exp(log_d - e * math.log(10.0))
+    return f"({mant.real:.16g}{mant.imag:+.16g}j)e{e:+d}"
+
+
 def _cmd_moments(args, report: RunReport, say):
-    m = PolynomialMap(args.coeffs)
+    m = _polynomial_map(args.coeffs)
     rich = moments_richardson(m, args.K)
     K = rich.K
     res = moments_residue(m, K)
@@ -242,7 +260,7 @@ def _cmd_moments(args, report: RunReport, say):
 
 
 def _cmd_bracket_check(args, report: RunReport, say):
-    m = PolynomialMap(args.coeffs)
+    m = _polynomial_map(args.coeffs)
     v = solve_string_system(m)
     grid = CircleGrid(args.grid)
     res = string_residual(m, velocities_positive(v), grid)
@@ -261,21 +279,21 @@ def _cmd_jacobian(args, report: RunReport, say):
             f"--degree {args.degree} expects {args.degree + 1} coefficients, "
             f"got {len(args.coeffs)}"
         )
-    m = PolynomialMap(args.coeffs)
+    m = _polynomial_map(args.coeffs)
     rep = jacobian_identity_report(m, fd_step=None if args.no_fd else args.fd_step)
     say(f"n = {rep.n}")
-    say(f"det(V U)                      = {rep.det_vu:.16g}")
-    say(f"2 a0^(n^2+3n+1) Res(f',f'*)   = {rep.rhs:.16g}")
+    say(f"det(V U)                      = {_fmt_log(rep.log_det_vu)}")
+    say(f"2 a0^(n^2+3n+1) Res(f',f'*)   = {_fmt_log(rep.log_rhs)}")
     say(f"relative error                = {fmt(rep.rel_error)}")
-    say(f"det V = {rep.det_v:.16g}   closed form {rep.det_v_closed:.16g}")
-    say(f"det U = {rep.det_u:.16g}   closed form {rep.det_u_closed:.16g}")
+    say(f"det V = {_fmt_log(rep.log_det_v)}   closed form {_fmt_log(rep.log_det_v_closed)}")
+    say(f"det U = {_fmt_log(rep.log_det_u)}   closed form {_fmt_log(rep.log_det_u_closed)}")
     report.add("jacobian_identity", rep.rel_error < 1e-10, rep.rel_error)
-    dv = abs(rep.det_v - rep.det_v_closed) / max(abs(rep.det_v_closed), 1e-300)
-    du = abs(rep.det_u - rep.det_u_closed) / max(abs(rep.det_u_closed), 1e-300)
+    dv = log_rel_error(rep.log_det_v, rep.log_det_v_closed)
+    du = log_rel_error(rep.log_det_u, rep.log_det_u_closed)
     report.add("det_v_closed_form", dv < 1e-10, dv)
     report.add("det_u_resultant_form", du < 1e-10, du)
-    if rep.det_sylvester is not None:
-        ds = abs(rep.det_u - 2.0 * m.a0 * rep.det_sylvester) / max(abs(rep.det_u), 1e-300)
+    if rep.log_det_sylvester is not None:
+        ds = log_rel_error(np.log(2.0 * m.a0) + rep.log_det_sylvester, rep.log_det_u)
         report.add("det_u_sylvester_form", ds < 1e-10, ds)
     if rep.fd_max_abs_err is not None:
         say(f"max |V U - finite differences| = {fmt(rep.fd_max_abs_err)}")
@@ -324,8 +342,12 @@ def _cmd_evolve(args, report: RunReport, say):
         opts = {"horizon": args.horizon, "dt": args.dt, "csv_path": args.csv,
                 "svg_path": args.svg, "json_path": args.json_path}
         if args.output_times:
-            opts["output_times"] = tuple(
-                float(tok) for tok in args.output_times.split(",") if tok.strip())
+            try:
+                opts["output_times"] = tuple(
+                    float(tok) for tok in args.output_times.split(",") if tok.strip())
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad --output-times {args.output_times!r}: {exc}") from None
         spec = ScenarioSpec(
             family=args.family, params=_collect_params(args),
             **{k: v for k, v in opts.items() if v is not None},

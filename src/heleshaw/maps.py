@@ -256,7 +256,7 @@ class RationalMap(AnalyticMap):
         return self.numer_coeffs[0].real
 
     def finite_poles(self) -> np.ndarray:
-        return np.array([1.0 / np.conj(w) for w in self.pole_reflections])
+        return np.array([1.0 / w for w in self.pole_reflections])
 
     def rational(self) -> RationalFunction:
         num = np.concatenate([[0.0], self.numer_coeffs])

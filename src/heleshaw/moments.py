@@ -42,6 +42,7 @@ __all__ = [
     "QuadratureData",
     "default_moment_count",
     "richardson_moment",
+    "richardson_moments",
     "moments_richardson",
     "moments_residue",
     "moments_area_oracle",
@@ -128,28 +129,37 @@ def default_moment_count(m: AnalyticMap) -> int:
 # Richardson's coefficient sum
 # ----------------------------------------------------------------------
 
-def richardson_moment(a, abar, k: int) -> complex:
-    """The Richardson sum with ``a`` and ``abar`` as independent variables.
+def richardson_moments(a, abar, K: int) -> np.ndarray:
+    """M_0..M_K by Richardson's sum, ``a`` and ``abar`` independent variables.
 
     Evaluates  sum (j_0+1) a_{j_0} ... a_{j_k} abar_{j_0+...+j_k+k}
     by collecting the inner products as coefficients of f^k f':
     M_k = sum_j coeff_j(f^k f') abar_j.  Polynomial in both variable sets,
     which is what the Jacobian finite differences rely on.
+
+    One pass over k.  With f = z p and b_q = (q+1) a_q this is
+    M_k = sum_i coeff_i(p^k) C_{k+i},  C_m = sum_q b_q abar_{m+q},
+    so C is formed once and only the L - k lowest coefficients of p^k
+    (L = len(a)) are kept: higher ones never feed back into lower ones.
+    M_k is exactly zero for k > n = L - 1.
     """
     a = np.asarray(a, dtype=complex)
     abar = np.asarray(abar, dtype=complex)
-    n = len(a) - 1
-    b = a * np.arange(1, n + 2)
-    pk = np.array([1.0 + 0.0j])
-    for _ in range(k):
-        pk = np.convolve(pk, a)
-    prod = np.convolve(pk, b)  # coeff of z**(k+i) in f^k f' is prod[i]
-    tot = 0.0 + 0.0j
-    for j in range(min(n, k + len(prod) - 1) + 1):
-        i = j - k
-        if 0 <= i < len(prod):
-            tot += prod[i] * abar[j]
-    return complex(tot)
+    L = len(a)
+    b = a * np.arange(1, L + 1)
+    C = np.convolve(abar[L - 1 :: -1], b)[L - 1 :: -1]
+    out = np.zeros(K + 1, dtype=complex)
+    pk = np.ones(1, dtype=complex)
+    for k in range(min(K, L - 1) + 1):
+        if k > 0:
+            pk = np.convolve(pk, a)[: L - k]
+        out[k] = pk @ C[k : k + len(pk)]
+    return out
+
+
+def richardson_moment(a, abar, k: int) -> complex:
+    """M_k alone; see :func:`richardson_moments`."""
+    return complex(richardson_moments(a, abar, k)[k])
 
 
 def moments_richardson(m, K: int | None = None) -> MomentVector:
@@ -159,29 +169,37 @@ def moments_richardson(m, K: int | None = None) -> MomentVector:
     if K is None:
         K = default_moment_count(m)
     a = np.asarray(m.coeffs, dtype=complex)
-    abar = np.conj(a)
-    vals = [richardson_moment(a, abar, k) for k in range(K + 1)]
-    return MomentVector.from_values(vals)
+    return MomentVector.from_values(richardson_moments(a, np.conj(a), K))
 
 
 # ----------------------------------------------------------------------
 # residues of f^k f* f'
 # ----------------------------------------------------------------------
 
-def _interior_singularities(m: AnalyticMap) -> list:
-    pts = [0.0 + 0.0j]
+def _reflected_poles(m: AnalyticMap) -> list:
+    """The poles q = 1/conj(p) of f* in the disk, one per pole p of f."""
+    pts = []
     for p in m.finite_poles():
-        q = 1.0 / np.conj(p)
+        q = complex(1.0 / np.conj(p))
         if abs(abs(q) - 1.0) < 1e-9:
             raise ResidueError(f"singularity of f* at {q} sits on the unit circle")
         if abs(q) < 1.0:
-            pts.append(complex(q))
+            pts.append(q)
+    if len(set(pts)) < len(pts):
+        raise ResidueError("f has a repeated pole; only simple poles are supported")
     return pts
 
 
 def moments_residue(m: AnalyticMap, K: int | None = None,
                     tol: Tolerances = DEFAULT) -> MomentVector:
-    """Moments as sums of residues of f^k f* f' over singularities in the disk."""
+    """Moments as sums of residues of f^k f* f' over singularities in the disk.
+
+    At the origin the residue comes from the Laurent data of f^k f* f'.  At
+    a simple pole q of f* in the disk, f and f' are analytic, so the residue
+    is f(q)^k f'(q) Res_q f*.  Taken factor by factor it stays accurate when
+    f'(q) = 0 cancels the pole; the expanded product f^k f* f' loses digits
+    there like a k-th power.
+    """
     if K is None:
         K = default_moment_count(m)
     r = m.rational()
@@ -189,14 +207,16 @@ def moments_residue(m: AnalyticMap, K: int | None = None,
     fp = r.derivative()
     if np.min(np.abs(fp(grid.nodes))) < tol.cusp_min_derivative:
         raise CuspError("f' vanishes on the unit circle; boundary form invalid")
-    base = r.reflect() * fp
-    pts = _interior_singularities(m)
+    fstar = r.reflect()
+    pts = _reflected_poles(m)
+    weights = np.array([fp(q) * fstar.residue(q, order=1) for q in pts], dtype=complex)
+    images = np.array([r(q) for q in pts], dtype=complex)
     vals = []
-    integrand = base
+    integrand = fstar * fp
     for k in range(K + 1):
         if k > 0:
             integrand = integrand * r
-        vals.append(sum(integrand.residue(p) for p in pts))
+        vals.append(integrand.residue(0j) + np.sum(weights * images**k))
     return MomentVector.from_values(vals)
 
 

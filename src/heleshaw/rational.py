@@ -221,9 +221,13 @@ class RationalFunction:
 
     # -- Laurent data ----------------------------------------------------
 
-    def pole_order(self, z0, max_order: int = 32, rel_tol: float = 1e-10) -> int:
+    def pole_order(self, z0, max_order: int | None = None,
+                   rel_tol: float = 1e-10) -> int:
         """Multiplicity of z0 as a root of the denominator, minus numerator
-        cancellation.  Returns 0 when the function is regular at z0."""
+        cancellation.  Returns 0 when the function is regular at z0.
+        ``max_order`` defaults to the degree of the denominator."""
+        if max_order is None:
+            max_order = len(self.den) - 1
         md = _root_multiplicity(self.den, z0, max_order, rel_tol)
         if md == 0:
             return 0
@@ -234,10 +238,16 @@ class RationalFunction:
         """Residue at an isolated pole ``z0`` by exact Laurent division.
 
         ``order`` is the multiplicity of z0 in the denominator; it is
-        estimated by synthetic-division deflation when not supplied.
+        estimated by synthetic-division deflation when not supplied.  A pole
+        at the origin held as exact leading zeros of the denominator (the
+        form :meth:`reflect` produces) is read from
+        :meth:`principal_part_at_zero` instead.
         """
+        if z0 == 0 and self.den[0] == 0:
+            coeffs, s = self.principal_part_at_zero()
+            return complex(coeffs[0]) if s else 0.0 + 0.0j
         if order is None:
-            order = _root_multiplicity(self.den, z0, 32, 1e-8)
+            order = _root_multiplicity(self.den, z0, len(self.den) - 1, 1e-8)
         if order == 0:
             return 0.0 + 0.0j
         den = self.den

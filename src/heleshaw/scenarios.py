@@ -241,32 +241,36 @@ def initial_map(spec: ScenarioSpec):
 
     Polynomial shapes evolve in the fixed-degree polynomial mode; rational
     and explicit series shapes evolve in truncated-series (fixed branch
-    point) mode.
+    point) mode.  Parameters a map constructor rejects raise
+    :class:`ConfigError`.
     """
     p = spec.params
     fam = spec.family
-    if fam == "disk":
-        _need(p, fam, optional=("a0",))
-        a0 = float(p.get("a0", 1.0))
-        return PolynomialMap((a0,)), "polynomial"
-    if fam == "polynomial":
-        _need(p, fam, "coeffs")
-        return PolynomialMap(tuple(p["coeffs"])), "polynomial"
-    if fam == "example_abc":
-        _need(p, fam, "a", "b", "c_magnitude")
-        m, _ = make_example_abc(p["a"], p["b"], float(p["c_magnitude"]))
-        return m, "taylor"
-    if fam == "subcase1":
-        _need(p, fam, "M0", "B1")
-        return make_subcase1(float(p["M0"]), p["B1"]), "taylor"
-    if fam == "subcase2":
-        _need(p, fam, "M0", "B1")
-        return make_subcase2(float(p["M0"]), p["B1"]), "taylor"
-    if fam == "taylor":
-        _need(p, fam, "coeffs")
-        coeffs = list(p["coeffs"])
-        coeffs += [0.0] * (spec.taylor_order - len(coeffs))
-        return TaylorMap(tuple(coeffs[: spec.taylor_order])), "taylor"
+    try:
+        if fam == "disk":
+            _need(p, fam, optional=("a0",))
+            a0 = float(p.get("a0", 1.0))
+            return PolynomialMap((a0,)), "polynomial"
+        if fam == "polynomial":
+            _need(p, fam, "coeffs")
+            return PolynomialMap(tuple(p["coeffs"])), "polynomial"
+        if fam == "example_abc":
+            _need(p, fam, "a", "b", "c_magnitude")
+            m, _ = make_example_abc(p["a"], p["b"], float(p["c_magnitude"]))
+            return m, "taylor"
+        if fam == "subcase1":
+            _need(p, fam, "M0", "B1")
+            return make_subcase1(float(p["M0"]), p["B1"]), "taylor"
+        if fam == "subcase2":
+            _need(p, fam, "M0", "B1")
+            return make_subcase2(float(p["M0"]), p["B1"]), "taylor"
+        if fam == "taylor":
+            _need(p, fam, "coeffs")
+            coeffs = list(p["coeffs"])
+            coeffs += [0.0] * (spec.taylor_order - len(coeffs))
+            return TaylorMap(tuple(coeffs[: spec.taylor_order])), "taylor"
+    except ValueError as exc:  # a map constructor rejected the parameters
+        raise ConfigError(f"family '{fam}': {exc}") from None
     raise ConfigError(f"unknown family '{fam}'")
 
 

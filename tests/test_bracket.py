@@ -10,6 +10,7 @@ from heleshaw.bracket import (
     derivative_reflection_resultant,
     finite_difference_jacobian,
     jacobian_identity_report,
+    log_rel_error,
     meromorphic_resultant,
     moment_power_matrix,
     solve_string_system,
@@ -291,6 +292,91 @@ def test_finite_difference_entrywise_up_to_n3():
         sys = bracket_system(m)
         fd = finite_difference_jacobian(m, 1e-5)
         assert np.max(np.abs(sys.jacobian - fd)) < 1e-6
+
+
+def decaying_map(rng, n, a0=1.0):
+    """a_0 = a0 and |a_j| <= 0.3 a0 / (j+1)^2 with uniform phases."""
+    j = np.arange(1, n + 1)
+    mag = 0.3 * a0 / (j + 1) ** 2 * rng.uniform(0.0, 1.0, n)
+    return PolynomialMap(tuple(
+        np.concatenate([[a0], mag * np.exp(2j * np.pi * rng.uniform(size=n))])))
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_finite_difference_entrywise_large_n(n):
+    m = decaying_map(np.random.default_rng(100 + n), n)
+    fd = finite_difference_jacobian(m, 1e-5)
+    assert np.max(np.abs(bracket_system(m).jacobian - fd)) < 1e-6
+
+
+@pytest.mark.parametrize("a0, log_rhs_real", [(2.0, 777.6), (0.5, -776.4)])
+def test_jacobian_identity_n32_outside_float_range(a0, log_rhs_real):
+    # |det(V U)| ~ a0^1153 overflows (a0 = 2) or underflows (a0 = 0.5) a
+    # double; the log-space comparison still resolves both sides
+    m = decaying_map(np.random.default_rng(3), 32, a0)
+    rep = jacobian_identity_report(m, fd_step=None)
+    assert np.isfinite(rep.log_rhs) and np.isfinite(rep.log_det_vu)
+    assert abs(rep.log_rhs.real - log_rhs_real) < 1.0
+    assert rep.rel_error < 1e-10
+    assert rep.ok
+
+
+def test_log_rel_error_resolves_tiny_and_huge_values():
+    # the old linear comparison read 0 for two underflowed sides
+    for mag in (-900.0, 0.0, 900.0):
+        assert abs(log_rel_error(mag + 0j, mag + np.log(2.0)) - 0.5) < 1e-12
+        assert log_rel_error(complex(mag, 0.5), complex(mag, 0.5 + 2 * np.pi)) < 1e-14
+        assert abs(log_rel_error(complex(mag, np.pi), complex(mag, 0.0)) - 2.0) < 1e-12
+
+
+def test_jacobian_identity_degenerate_map_raises():
+    # Res(f', f'*) = 0: both sides vanish, which used to report rel_error 0
+    with pytest.raises(DegenerateResultantError):
+        jacobian_identity_report(PolynomialMap((1.0, 0.5)))
+
+
+def _mp_det(M):
+    """Determinant by Gaussian elimination with partial pivoting in mpmath."""
+    import mpmath
+
+    A = [[mpmath.mpc(complex(x)) for x in row] for row in M]
+    N = len(A)
+    det = mpmath.mpc(1)
+    for k in range(N):
+        p = max(range(k, N), key=lambda i: abs(A[i][k]))
+        if p != k:
+            A[k], A[p] = A[p], A[k]
+            det = -det
+        piv = A[k][k]
+        det *= piv
+        cols = [j for j in range(k + 1, N) if A[k][j] != 0]
+        for i in range(k + 1, N):
+            if A[i][k] != 0:
+                f = A[i][k] / piv
+                for j in cols:
+                    A[i][j] -= f * A[k][j]
+    return det
+
+
+@pytest.mark.parametrize("a0", [2.0, 0.5])
+def test_jacobian_identity_n32_against_50_digit_oracle(a0):
+    # the float matrices are exact inputs; only the determinants are taken
+    # at 50 digits.  det is multiplicative, so det(V U) = det V det U.
+    import mpmath
+
+    n = 32
+    m = decaying_map(np.random.default_rng(3), n, a0)
+    rep = jacobian_identity_report(m, fd_step=None)
+    sys = bracket_system(m)
+    b = m.derivative_coeffs()
+    with mpmath.workdps(50):
+        a0 = mpmath.mpf(m.a0)
+        det_vu = _mp_det(sys.power) * _mp_det(sys.bracket)
+        rhs = 2 * a0 ** (n * n + 3 * n + 1) * _mp_det(
+            sylvester_matrix(b, np.conj(b)[::-1])) / a0 ** (2 * n)
+        assert abs(complex(mpmath.log(det_vu)) - rep.log_det_vu) < 1e-11
+        assert abs(complex(mpmath.log(rhs)) - rep.log_rhs) < 1e-11
+        assert abs(det_vu / rhs - 1) < 1e-40
 
 
 def test_conjugate_moment_map_consistency():

@@ -281,6 +281,34 @@ def test_cli_help_option_set(command, options, capsys):
     assert shown == options | {"--help"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "polynomial", "--coeffs=-1,0.3"],
+    ["evolve", "--family", "disk", "--output-times", "x"],
+    ["moments", "--coeffs=-1,0.3"],
+    ["bracket-check", "--coeffs=-1,0.3"],
+    ["jacobian", "--coeffs=-1,0.3"],
+])
+def test_cli_rejected_value_exits_2(argv, capsys):
+    # a ValueError from a map constructor or from --output-times is a
+    # configuration error, not a traceback
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_jacobian_n32_far_from_unit_a0(capsys):
+    # det(V U) ~ 2^1153 is outside the double range; the identity is still
+    # checked and printed in mantissa-exponent form
+    coeffs = ",".join(["2"] + ["0.001"] * 32)
+    code = main(["--json", "jacobian", "--coeffs", coeffs, "--no-fd"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 0
+    assert {c["name"]: c["status"] for c in checks} == {
+        "jacobian_identity": "pass", "det_v_closed_form": "pass",
+        "det_u_resultant_form": "pass", "det_u_sylvester_form": "pass"}
+    main(["jacobian", "--coeffs", coeffs, "--no-fd"])
+    assert re.search(r"det\(V U\) += \([^)]+\)e\+3\d\d\n", capsys.readouterr().out)
+
+
 def test_cli_config_validation_error(tmp_path):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("family = subcase2\nM0 = 1.0\nB1 = 3.0\n")

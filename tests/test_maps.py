@@ -123,6 +123,18 @@ def test_rational_map_consistency_check():
         RationalMap((1.0, 0.1), (0.5,))
 
 
+def test_rational_map_finite_poles_are_denominator_roots():
+    # poles sit at 1/pole_reflections[j]; the conjugate is a different point
+    # unless the reflection is real
+    from heleshaw.scenarios import subcase2_from_omega
+
+    m = subcase2_from_omega(0.6 * np.exp(0.7j), 1.0)
+    den = m.rational().den
+    (p,) = m.finite_poles()
+    assert abs(pval(den, p)) < 1e-14
+    assert abs(p - 1.0 / np.conj(0.6 * np.exp(0.7j))) < 1e-14
+
+
 # ----------------------------------------------------------------------
 # derivative
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heleshaw.errors import UncancelledPoleError
-from heleshaw.maps import AbcRationalMap, PolynomialMap
+from heleshaw.errors import ResidueError, UncancelledPoleError
+from heleshaw.maps import AbcRationalMap, PolynomialMap, RationalMap
 from heleshaw.moments import (
     MomentVector,
     QuadratureData,
@@ -18,8 +18,15 @@ from heleshaw.moments import (
     quadrature_check,
     quadrature_coeffs,
     richardson_moment,
+    richardson_moments,
 )
-from heleshaw.scenarios import make_example_abc, make_subcase1, subcase2_from_omega
+from heleshaw.rational import deflate, series_div, taylor_shift
+from heleshaw.scenarios import (
+    make_example_abc,
+    make_subcase1,
+    make_subcase2,
+    subcase2_from_omega,
+)
 
 CARDIOID = PolynomialMap((1.0, 0.3))
 ABC = AbcRationalMap(0.4, 2.0, 2.0)
@@ -90,6 +97,56 @@ def test_richardson_vanishes_beyond_support():
         assert mv[k] == 0.0
 
 
+def per_k_richardson(a, abar, k):
+    """The per-k loop richardson_moments replaced: the full power f^k f'
+    for every k, then a Python sum against abar."""
+    a = np.asarray(a, dtype=complex)
+    n = len(a) - 1
+    b = a * np.arange(1, n + 2)
+    pk = np.array([1.0 + 0.0j])
+    for _ in range(k):
+        pk = np.convolve(pk, a)
+    prod = np.convolve(pk, b)  # coeff of z**(k+i) in f^k f' is prod[i]
+    tot = 0.0 + 0.0j
+    for j in range(min(n, k + len(prod) - 1) + 1):
+        i = j - k
+        if 0 <= i < len(prod):
+            tot += prod[i] * abar[j]
+    return complex(tot)
+
+
+def _decaying_coeffs(rng, n, a0=1.0):
+    j = np.arange(1, n + 1)
+    mag = 0.3 / (j + 1) ** 2 * rng.uniform(0.0, 1.0, n)
+    return np.concatenate([[a0], mag * np.exp(2j * np.pi * rng.uniform(size=n))])
+
+
+def test_richardson_moments_match_per_k_loop():
+    # independent a and abar; truncated powers and the matrix product only
+    # reorder the same sums, so agreement is at rounding level
+    rng = np.random.default_rng(31)
+    for n in range(33):
+        a = _decaying_coeffs(rng, n, a0=rng.uniform(0.5, 2.0))
+        abar = _decaying_coeffs(rng, n, a0=rng.uniform(0.5, 2.0))
+        K = n + 3
+        got = richardson_moments(a, abar, K)
+        want = np.array([per_k_richardson(a, abar, k) for k in range(K + 1)])
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, n
+        assert np.all(got[n + 1:] == 0.0)
+        assert richardson_moment(a, abar, n) == got[n]
+
+
+def test_richardson_moments_match_literal_sum():
+    rng = np.random.default_rng(32)
+    for n in (0, 1, 2, 3):
+        a = _decaying_coeffs(rng, n, a0=1.2)
+        abar = _decaying_coeffs(rng, n, a0=0.9)
+        got = richardson_moments(a, abar, n + 3)
+        for k in range(n + 4):
+            assert_allclose(got[k], literal_richardson(a, abar, k), rtol=1e-13, atol=1e-15)
+
+
 def test_moment_vector_conjugate_view():
     mv = MomentVector(1.0, (0.5 + 0.25j,))
     assert mv[-1] == np.conj(mv[1])
@@ -129,6 +186,90 @@ def test_residue_agrees_with_richardson_on_polynomials():
     mv_r = moments_richardson(CARDIOID, 4).as_array()
     mv_s = moments_residue(CARDIOID, 4).as_array()
     assert np.max(np.abs(mv_r - mv_s)) < 1e-12
+
+
+def test_residue_matches_richardson_beyond_order_32():
+    # the pole of f^k f* f' at the origin has order n + 1 = 41; a fixed
+    # order cap of 32 used to raise ResidueError here
+    m = PolynomialMap(tuple(_decaying_coeffs(np.random.default_rng(40), 40)))
+    rich = moments_richardson(m).as_array()
+    res = moments_residue(m).as_array()
+    assert len(rich) == 41
+    assert np.max(np.abs(rich - res)) < 1e-10
+
+
+@pytest.mark.parametrize("M0, B1", [
+    (1.0, 0.8), (1.0, 0.85), (1.0, 0.9),
+    # a nearly real branch point with |B1| / sqrt(M0) = 0.561
+    (1.0065927152264202, 0.562986252943482 + 0.00034869479489148665j),
+    (2.0, 0.95 * np.sqrt(2.0) * np.exp(2.1j)),
+])
+def test_subcase2_higher_moments_vanish(M0, B1):
+    # the pole of f* at omega is cancelled by f'(omega) = 0; summed through
+    # the expanded f^k f* f' it left |M_k| up to 1e-3
+    mv = moments_residue(make_subcase2(M0, B1), 6)
+    assert abs(mv[0] - M0) < 1e-12 * M0
+    assert max(abs(mv[k]) for k in range(1, 7)) < 1e-13
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.55 * np.exp(0.3j), 1.8 * np.exp(0.3j)),  # 1/conj(b) close to a
+    (0.4 * np.exp(-1.0j), 1.2 * np.exp(2.0j)),  # |b| close to 1
+])
+def test_example_abc_geometric_progression_hard_draws(a, b):
+    m, data = make_example_abc(a, b, 1.3)
+    mv = moments_residue(m, 6)
+    assert_allclose(mv[0], data.weight_a + data.weight_b, rtol=1e-12)
+    for k in range(1, 7):
+        assert_allclose(mv[k], data.weight_b * data.image_b**k, rtol=1e-12)
+    for k in range(2, 6):
+        assert abs(mv[k + 1] * mv[k - 1] - mv[k] ** 2) <= 1e-12 * abs(mv[k]) ** 2
+
+
+def test_residue_route_rejects_repeated_pole():
+    m = RationalMap((1.0, -0.3), (0.3, 0.3), check=False)
+    with pytest.raises(ResidueError):
+        moments_residue(m, 2)
+
+
+def deflation_residue_at_zero(r):
+    """Residue at the origin by the route off-origin poles take: deflate the
+    denominator by z, Taylor-shift both sides, divide the series."""
+    order = 0
+    den = r.den
+    while den[0] == 0:
+        den, _ = deflate(den, 0.0)
+        order += 1
+    if order == 0:
+        return 0j
+    tn = taylor_shift(r.num, 0.0, order - 1)
+    td = taylor_shift(den, 0.0, order - 1)
+    return complex(series_div(tn, td, order - 1)[order - 1])
+
+
+def _origin_integrands(m, K):
+    r = m.rational()
+    g = m.reflection() * m.derivative_rational()
+    for _ in range(K + 1):
+        yield g
+        g = g * r
+
+
+@pytest.mark.parametrize("m", [
+    PolynomialMap(tuple(_decaying_coeffs(np.random.default_rng(s), n)))
+    for s, n in ((41, 1), (42, 4), (43, 9), (44, 16), (45, 24))
+] + [
+    make_subcase2(1.0, 0.28111),
+    make_subcase2(1.7, 0.5 - 0.3j),
+    make_example_abc(0.4, 2.0, 2.0)[0],
+    make_example_abc(0.2 + 0.1j, 1.7 - 0.4j, 1.3)[0],
+], ids=lambda m: type(m).__name__)
+def test_origin_residue_matches_deflation_route(m):
+    for g in _origin_integrands(m, 6):
+        assert g.den[0] == 0  # the reflection puts the pole in exact zeros
+        want = deflation_residue_at_zero(g)
+        got = g.residue(0.0)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 # ----------------------------------------------------------------------
