@@ -212,38 +212,66 @@ def derivative_reflection_resultant(m: PolynomialMap) -> complex:
 # the string system
 # ----------------------------------------------------------------------
 
-# Relative departure from adot_{-j} = conj(adot_j) above which a solution is
-# rejected as ill-conditioned.
-_SYMMETRY_TOL = 1e-10
+_SQRT2 = np.sqrt(2.0)
+
+
+def _real_bracket_matrix(U: np.ndarray) -> np.ndarray:
+    """W = T^H U T in the unitary basis e_0, (e_j + e_-j)/sqrt2,
+    i(e_j - e_-j)/sqrt2 (j = 1..n), ordered (0, c_1..c_n, s_1..s_n).
+
+    U commutes with v -> conj(v[::-1]), whose fixed vectors are exactly the
+    real combinations of T's columns, so W is real and has U's singular
+    values and determinant.  Row 0 is Re of U's row 0; rows c_i and s_i are
+    sqrt2 Re and sqrt2 Im of U's row i, since a fixed vector w has
+    coordinates (w_0, sqrt2 Re w_i, sqrt2 Im w_i).
+    """
+    n = (len(U) - 1) // 2
+    top = U[n:]  # rows i = 0..n
+    pos, neg = top[:, n + 1 :], top[:, :n][:, ::-1]  # columns j and -j
+    s, d = pos + neg, pos - neg  # i d has real part -Im d, imaginary part Re d
+    W = np.concatenate(
+        [
+            np.concatenate([top[:, n : n + 1].real, s.real, -d.imag], axis=1),
+            np.concatenate([top[1:, n : n + 1].imag, s[1:].imag, d[1:].real], axis=1),
+        ]
+    )
+    W[0, 1:] /= _SQRT2
+    W[1:, 0] *= _SQRT2
+    return W
 
 
 def solve_string_system(m: PolynomialMap, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Coefficient velocities adot with U adot = e_0 (logical index -n..n).
 
     These are exactly the derivatives da_j / dM_0 at fixed higher moments.
-    Raises :class:`DegenerateResultantError` when U is numerically singular,
-    which happens exactly when Res(f', f'*) ~ 0.
+    The solution is conjugate-symmetric, adot_{-j} = conj(adot_j), so the
+    system is solved in real arithmetic as W x = e_0 with W the real form of
+    U (see :func:`_real_bracket_matrix`) and x = (adot_0, sqrt2 Re adot_j,
+    sqrt2 Im adot_j); the returned vector is symmetric exactly.
+
+    Raises :class:`DegenerateResultantError` when U is numerically singular
+    (Res(f', f'*) ~ 0): when the Frobenius condition number |W|_F |W^-1|_F
+    exceeds 1 / ``tol.singular_ratio``.  It bounds sigma_max / sigma_min
+    from above, so the gate rejects every system that a singular-value test
+    at the same ratio rejects.
     """
-    U = bracket_matrix(m)
-    sv = np.linalg.svd(U, compute_uv=False)
-    if sv[-1] < tol.singular_ratio * sv[0]:
+    W = _real_bracket_matrix(bracket_matrix(m))
+    try:
+        Winv = np.linalg.inv(W)
+        # False as well for an inverse holding inf or nan
+        ok = np.linalg.norm(W) * np.linalg.norm(Winv) * tol.singular_ratio <= 1.0
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
         res = derivative_reflection_resultant(m)
         raise DegenerateResultantError(
             f"string system singular: Res(f', f'*) = {res:.3e}; f' and f'* "
             "share a zero (or nearly so), the string equation cannot hold"
         )
     n = m.degree_plus
-    rhs = np.zeros(2 * n + 1, dtype=complex)
-    rhs[n] = 1.0
-    v = np.linalg.solve(U, rhs)
-    flipped = np.conj(v[::-1])
-    scale = max(float(np.max(np.abs(v))), 1e-300)
-    if float(np.max(np.abs(v - flipped))) > _SYMMETRY_TOL * scale:
-        raise DegenerateResultantError(
-            "solution violates conjugate symmetry; system is ill-conditioned"
-        )
-    v = 0.5 * (v + flipped)  # exact conjugate symmetry, Im adot_0 = 0
-    return v
+    x = Winv[:, 0]
+    vp = (x[1 : n + 1] + 1j * x[n + 1 :]) / _SQRT2
+    return np.concatenate([np.conj(vp[::-1]), [x[0] + 0j], vp])
 
 
 def velocities_positive(v: np.ndarray) -> np.ndarray:
@@ -326,6 +354,8 @@ class JacobianReport:
     log_resultant: complex
     fd_max_abs_err: float | None
     fd_step: float | None
+    #: max(1, max |V U|): the finite-difference error is judged relative to it
+    fd_scale: float | None
 
     @property
     def rel_error(self) -> float:
@@ -375,10 +405,11 @@ def jacobian_identity_report(
         log_det_s = _log_det(sylvester_matrix(b, np.conj(b)[::-1]))
         log_res = log_det_s - 2 * n * log_a0
     log_2 = np.log(2.0)
-    fd_err = None
+    fd_err = fd_scale = None
     if fd_step is not None:
         fd = finite_difference_jacobian(m, fd_step)
         fd_err = float(np.max(np.abs(sys.jacobian - fd)))
+        fd_scale = max(1.0, float(np.max(np.abs(sys.jacobian))))
     return JacobianReport(
         n=n,
         log_det_vu=_log_det(sys.jacobian),
@@ -391,4 +422,5 @@ def jacobian_identity_report(
         log_resultant=log_res,
         fd_max_abs_err=fd_err,
         fd_step=fd_step,
+        fd_scale=fd_scale,
     )

@@ -296,9 +296,11 @@ def _cmd_jacobian(args, report: RunReport, say):
         ds = log_rel_error(np.log(2.0 * m.a0) + rep.log_det_sylvester, rep.log_det_u)
         report.add("det_u_sylvester_form", ds < 1e-10, ds)
     if rep.fd_max_abs_err is not None:
+        # relative to the entries of V U, which grow like a0^|k| with n
+        bound = 1e-6 * rep.fd_scale
         say(f"max |V U - finite differences| = {fmt(rep.fd_max_abs_err)}")
-        report.add("jacobian_finite_difference", rep.fd_max_abs_err < 1e-6,
-                   rep.fd_max_abs_err, step=rep.fd_step)
+        report.add("jacobian_finite_difference", rep.fd_max_abs_err < bound,
+                   rep.fd_max_abs_err, step=rep.fd_step, threshold=bound)
 
 
 def _cmd_quadrature_check(args, report: RunReport, say):

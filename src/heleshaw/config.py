@@ -25,7 +25,9 @@ class Tolerances:
     branch_boundary_margin: float = 1e-6
     #: |f''| below this at a zero of f' counts as a multiple zero
     branch_simple_min: float = 1e-8
-    #: smallest/largest singular value ratio below which a system is singular
+    #: the string system is singular when its Frobenius condition number
+    #: |W|_F |W^-1|_F exceeds 1 / singular_ratio (an upper bound on
+    #: sigma_max / sigma_min, so at least as strict as the singular values)
     singular_ratio: float = 1e-10
     #: |Im a0| above this after a step aborts; below it is zeroed
     normalization_drift: float = 1e-13

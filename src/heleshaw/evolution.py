@@ -32,7 +32,7 @@ not converge, falls back to companion-matrix roots for that snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,6 +203,9 @@ class EvolutionState:
     t: float
     map: AnalyticMap
     diagnostics: StepDiagnostics | None = None
+    #: Res(f', f'*) of ``map`` once a polynomial step has computed it, so the
+    #: next step does not compute it again
+    resultant: complex | None = field(default=None, compare=False, repr=False)
 
 
 def _rk4(a: np.ndarray, dt: float, deriv) -> np.ndarray:
@@ -235,6 +238,8 @@ def step_polynomial(
     vanishes like sqrt(t* - t) at the blow-up time, so a fixed step can jump
     across the singular set without ever landing on it.  A step that moves
     the resultant by more than its own magnitude is rejected as degenerate.
+    The new state carries its resultant, so a run computes it once per
+    accepted map.
     """
     m = state.map
     if not isinstance(m, PolynomialMap):
@@ -250,7 +255,9 @@ def step_polynomial(
         return velocities_positive(solve_string_system(cur, tol=tol))
 
     a = np.asarray(m.coeffs, dtype=complex)
-    res0 = derivative_reflection_resultant(m)
+    res0 = state.resultant
+    if res0 is None:
+        res0 = derivative_reflection_resultant(m)
     anew = _enforce_normalization(_rk4(a, dt, deriv), tol)
     newmap = PolynomialMap(tuple(anew))
     res1 = derivative_reflection_resultant(newmap)
@@ -259,7 +266,7 @@ def step_polynomial(
             f"Res(f', f'*) jumped from {res0:.3e} to {res1:.3e} in one step; "
             "the flow crossed or skirted the degenerate shell"
         )
-    return EvolutionState(state.t + dt, newmap)
+    return EvolutionState(state.t + dt, newmap, resultant=res1)
 
 
 def step_taylor_fixed_branch(
@@ -420,7 +427,7 @@ def run_evolution(spec) -> EvolutionResult:
                 state = step_taylor_fixed_branch(state, spec.dt, grid=grid, tol=tol)
             else:
                 state = step_polynomial(state, spec.dt, tol=tol)
-            state = EvolutionState(round(k * spec.dt, 12), state.map)
+            state = replace(state, t=round(k * spec.dt, 12))
             if k in out_steps:
                 states.append(annotate(state, spec.dt))
         except HeleShawError as exc:

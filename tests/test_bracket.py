@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from heleshaw.bracket import (
+    _real_bracket_matrix,
     bracket_matrix,
     bracket_samples,
     bracket_system,
@@ -19,6 +22,7 @@ from heleshaw.bracket import (
     sylvester_resultant,
     velocities_positive,
 )
+from heleshaw.config import DEFAULT
 from heleshaw.errors import DegenerateResultantError
 from heleshaw.maps import (
     AbcRationalMap,
@@ -406,13 +410,141 @@ def test_string_system_degeneracy_raised():
         solve_string_system(PolynomialMap((1.0, 0.5 - 1e-13)))
 
 
+@pytest.mark.parametrize("a1", [np.nan, np.inf, 1e200])
+def test_string_system_non_finite_raises_typed(a1):
+    # nan, inf and overflowing coefficients give a non-finite inverse or
+    # norm, which the gate reports as the typed error, not as LinAlgError
+    with np.errstate(all="ignore"), pytest.raises(DegenerateResultantError):
+        solve_string_system(PolynomialMap((1.0, a1)))
+
+
 def test_string_system_conjugate_symmetry():
+    # the real solve builds adot_{-j} from adot_j, so the symmetry is exact
     rng = np.random.default_rng(19)
-    for n in (1, 2, 3):
-        m = random_map(rng, n)
+    for n in (1, 2, 3, 8, 16, 32):
+        m = random_map(rng, n) if n <= 3 else decaying_map(rng, n)
         v = solve_string_system(m)
-        assert np.max(np.abs(v - np.conj(v[::-1]))) < 1e-12
+        assert np.array_equal(v, np.conj(v[::-1]))
         assert v[n].imag == 0.0
+
+
+def _basis(n):
+    """Columns e_0, (e_j + e_-j)/sqrt2, i(e_j - e_-j)/sqrt2 (logical -n..n)."""
+    T = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    T[n, 0] = 1.0
+    for j in range(1, n + 1):
+        T[n + j, j] = T[n - j, j] = 1 / np.sqrt(2)
+        T[n + j, n + j] = 1j / np.sqrt(2)
+        T[n - j, n + j] = -1j / np.sqrt(2)
+    return T
+
+
+@pytest.mark.parametrize("n", range(33))
+def test_real_bracket_matrix_is_unitary_transform_of_u(n):
+    # W = T^H U T is real with U's singular values and determinant
+    rng = np.random.default_rng(500 + n)
+    for m in (decaying_map(rng, n), decaying_map(rng, n, a0=1.3)):
+        U = bracket_matrix(m)
+        W = _real_bracket_matrix(U)
+        T = _basis(n)
+        assert W.dtype == np.float64
+        assert_allclose(W, T.conj().T @ U @ T, rtol=0, atol=1e-15 * np.max(np.abs(U)))
+        su = np.linalg.svd(U, compute_uv=False)
+        sw = np.linalg.svd(W, compute_uv=False)
+        assert np.max(np.abs(sw - su)) <= 1e-13 * su[0]
+        det_u = np.linalg.det(U)
+        assert abs(np.linalg.det(W) - det_u) <= 1e-13 * abs(det_u)
+
+
+@pytest.mark.parametrize("n", range(33))
+def test_real_solve_matches_complex_solve(n):
+    # oracle: the full complex system U adot = e_0
+    rng = np.random.default_rng(600 + n)
+    for m in (decaying_map(rng, n), random_map(rng, n, scale=0.1 / max(n, 1))):
+        rhs = np.zeros(2 * n + 1, dtype=complex)
+        rhs[n] = 1.0
+        want = np.linalg.solve(bracket_matrix(m), rhs)
+        got = solve_string_system(m)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _svd_gate_rejects(m):
+    """The singular-value test the real solve's gate must cover."""
+    sv = np.linalg.svd(bracket_matrix(m), compute_uv=False)
+    return bool(sv[-1] < DEFAULT.singular_ratio * sv[0])
+
+
+def _raises(m):
+    try:
+        solve_string_system(m)
+    except DegenerateResultantError:
+        return True
+    return False
+
+
+def _shell_scale(a):
+    """Largest s with every zero of f' outside the disk for a_j -> s a_j."""
+    def zeros_inside(s):
+        b = np.arange(1, len(a) + 1) * np.concatenate([[a[0]], s * a[1:]])
+        return int(np.sum(np.abs(np.roots(b[::-1])) < 1.0))
+
+    lo, hi = 0.0, 1.0
+    while zeros_inside(hi) == 0:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if zeros_inside(mid) == 0 else (lo, mid)
+    return lo
+
+
+EPS_SWEEP = [10.0 ** -k for k in np.arange(1.0, 16.5, 0.5)] + [0.0]
+
+
+def test_gate_covers_svd_test_on_cardioid_sweep():
+    # a1 = 0.5 - eps runs into the Res = 0 shell at eps = 0
+    rejected = 0
+    for eps in EPS_SWEEP:
+        m = PolynomialMap((1.0, 0.5 - eps))
+        if _svd_gate_rejects(m):
+            rejected += 1
+            assert _raises(m), eps
+    assert rejected >= 3
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_gate_covers_svd_test_toward_shell(n):
+    rng = np.random.default_rng(700 + n)
+    for _ in range(2):
+        a = np.asarray(decaying_map(rng, n).coeffs)
+        s = _shell_scale(a)
+        rejected = 0
+        for eps in EPS_SWEEP:
+            m = PolynomialMap(tuple(np.concatenate([[1.0], s * (1 - eps) * a[1:]])))
+            if _svd_gate_rejects(m):
+                rejected += 1
+                assert _raises(m), eps
+        assert rejected >= 3
+
+
+def test_gate_covers_svd_test_on_acceptance_corpus():
+    for a1 in (0.5, 0.5j, 0.5 * np.exp(0.3j)):
+        m = PolynomialMap((1.0, a1))
+        assert _svd_gate_rejects(m) and _raises(m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 24), data=st.data())
+def test_string_solution_properties(n, data):
+    # |a_j| <= 0.3 / (j+1)^2 keeps sum (j+1)|a_j| < 1, so f' has no zero in
+    # the closed disk and the system is well away from the Res = 0 shell
+    mags = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    phases = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n))
+    j = np.arange(1, n + 1)
+    a = 0.3 / (j + 1) ** 2 * np.asarray(mags) * np.exp(1j * np.asarray(phases))
+    m = PolynomialMap(tuple(np.concatenate([[1.0], a])))
+    v = solve_string_system(m)
+    assert np.array_equal(v, np.conj(v[::-1]))
+    assert string_residual(m, velocities_positive(v), GRID) < 1e-8
 
 
 def test_string_residual_end_to_end():

@@ -309,6 +309,31 @@ def test_cli_jacobian_n32_far_from_unit_a0(capsys):
     assert re.search(r"det\(V U\) += \([^)]+\)e\+3\d\d\n", capsys.readouterr().out)
 
 
+def test_cli_jacobian_finite_difference_bound_is_relative(capsys):
+    # seeded n = 32 map with a0 = 2: max |V U| ~ 8.6e9 and the finite
+    # differences miss by 0.06, a relative error of about 7e-12
+    rng = np.random.default_rng(3)
+    j = np.arange(1, 33)
+    mag = 0.6 / (j + 1) ** 2 * rng.uniform(0.0, 1.0, 32)
+    a = np.concatenate([[2.0], mag * np.exp(2j * np.pi * rng.uniform(size=32))])
+    coeffs = ",".join(str(complex(c)).strip("()") for c in a)
+    code = main(["--json", "jacobian", "--coeffs", coeffs])
+    fd = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    fd = fd["jacobian_finite_difference"]
+    assert code == 0
+    assert fd["status"] == "pass"
+    assert 1e-2 < fd["residual"] < fd["threshold"]
+    assert 1e3 < fd["threshold"] < 1e4  # 1e-6 max |V U|
+
+
+def test_cli_jacobian_finite_difference_bound_floor(capsys):
+    # with |V U| <= 1 the bound stays the absolute 1e-6
+    main(["--json", "jacobian", "--coeffs", "0.5,0.05"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    fd = next(c for c in checks if c["name"] == "jacobian_finite_difference")
+    assert fd["threshold"] == 1e-6
+
+
 def test_cli_config_validation_error(tmp_path):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("family = subcase2\nM0 = 1.0\nB1 = 3.0\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from heleshaw import maps
+from heleshaw import evolution, maps
 
 from heleshaw.errors import (
     ConfigError,
@@ -320,6 +320,25 @@ def test_series_run_finds_roots_only_on_the_exact_map(monkeypatch):
     assert len(res.states) == 2
     assert res.states[-1].diagnostics.max_branch_drift < 1e-12
     assert degrees == [2]
+
+
+def test_polynomial_run_computes_each_resultant_once(monkeypatch):
+    # each accepted map's Res(f', f'*) is carried to the next step, so k
+    # steps take k + 1 resultants: the initial map's and one per new map
+    calls = []
+    real = evolution.derivative_reflection_resultant
+
+    def counted(m):
+        calls.append(m.coeffs)
+        return real(m)
+
+    monkeypatch.setattr(evolution, "derivative_reflection_resultant", counted)
+    spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3, 0.05j)},
+                        horizon=0.012, dt=1e-3, output_times=(0.005,))
+    res = run_evolution(spec)
+    assert res.completed
+    assert len(calls) == 13
+    assert len(set(calls)) == 13
 
 
 def test_negative_dt_rejected_at_spec_level():
