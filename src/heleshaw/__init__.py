@@ -12,12 +12,9 @@ from .maps import (
     AbcRationalMap,
     AnalyticMap,
     CircleGrid,
-    LaurentSlice,
     PolynomialMap,
     RationalMap,
     TaylorMap,
-    eval_map,
-    laurent_slice,
     polynomial_roots,
     winding_number,
 )
@@ -33,21 +30,15 @@ from .moments import (
     quadrature_coeffs,
 )
 from .bracket import (
-    BracketSystem,
     bracket_matrix,
     bracket_samples,
-    bracket_system,
     jacobian_identity_report,
-    meromorphic_resultant,
     moment_power_matrix,
     solve_string_system,
     string_residual,
-    sylvester_resultant,
 )
 from .evolution import (
-    BranchPointSet,
     EvolutionState,
-    HerglotzFunction,
     branch_points,
     poisson_schwarz,
     run_evolution,
@@ -68,12 +59,8 @@ __all__ = [
     "Tolerances",
     "AbcRationalMap",
     "AnalyticMap",
-    "BracketSystem",
-    "BranchPointSet",
     "CircleGrid",
     "EvolutionState",
-    "HerglotzFunction",
-    "LaurentSlice",
     "MomentVector",
     "PolynomialMap",
     "QuadratureData",
@@ -84,15 +71,11 @@ __all__ = [
     "branch_points",
     "bracket_matrix",
     "bracket_samples",
-    "bracket_system",
     "coeffs_to_moments",
-    "eval_map",
     "jacobian_identity_report",
-    "laurent_slice",
     "make_example_abc",
     "make_subcase1",
     "make_subcase2",
-    "meromorphic_resultant",
     "moment_power_matrix",
     "moments_area_oracle",
     "moments_residue",
@@ -107,7 +90,6 @@ __all__ = [
     "step_polynomial",
     "step_taylor_fixed_branch",
     "string_residual",
-    "sylvester_resultant",
     "verify_scenario",
     "winding_number",
 ]

@@ -19,8 +19,8 @@ array - n).  Closed forms:
     det U = 2 b0 det S = 2 b0^{2n+1} Res(f', f'*)
     det(V U) = 2 a0^{n^2+3n+1} Res(f', f'*)
 
-Sign convention.  ``sylvester_resultant`` is the classical Sylvester
-determinant with the first argument's coefficient rows on top, so
+Sign convention.  ``sylvester_matrix`` is the classical Sylvester matrix
+with the first argument's coefficient rows on top, so its determinant
 Res_pol(z - alpha, z - beta) = alpha - beta.  The meromorphic resultant is
 defined through it:
 
@@ -30,6 +30,8 @@ for g = sum_0^n b_j z^j, h = sum_0^n c_k z^{-k}.  This equals (-1)^n times
 the divisor product prod_i h(omega_i) / h(inf)^n over the zeros of g; the
 Sylvester-based sign is the one under which the determinant identities above
 hold uniformly in n (checked against finite differences of the moment map).
+The package needs it only for g = f', h = f'*, which
+:func:`derivative_reflection_resultant` computes.
 """
 
 from __future__ import annotations
@@ -45,14 +47,10 @@ from .moments import richardson_moments
 from .rational import trim
 
 __all__ = [
-    "BracketSystem",
     "moment_power_matrix",
     "bracket_matrix",
-    "bracket_system",
     "bracket_samples",
     "sylvester_matrix",
-    "sylvester_resultant",
-    "meromorphic_resultant",
     "derivative_reflection_resultant",
     "solve_string_system",
     "velocities_positive",
@@ -107,24 +105,6 @@ def bracket_matrix(m: PolynomialMap) -> np.ndarray:
     return U
 
 
-@dataclass(frozen=True)
-class BracketSystem:
-    """V and U for one polynomial map, logical indices -n..n."""
-
-    n: int
-    power: np.ndarray
-    bracket: np.ndarray
-
-    @property
-    def jacobian(self) -> np.ndarray:
-        """V U = the matrix of partial derivatives dM_k / da_j."""
-        return self.power @ self.bracket
-
-
-def bracket_system(m: PolynomialMap) -> BracketSystem:
-    return BracketSystem(m.degree_plus, moment_power_matrix(m), bracket_matrix(m))
-
-
 # ----------------------------------------------------------------------
 # bracket samples on the circle
 # ----------------------------------------------------------------------
@@ -170,42 +150,20 @@ def sylvester_matrix(p, q) -> np.ndarray:
     return S
 
 
-def sylvester_resultant(p, q) -> complex:
-    """det of the Sylvester matrix: Res_pol(z - alpha, z - beta) = alpha - beta."""
-    return complex(np.linalg.det(sylvester_matrix(p, q)))
+def derivative_reflection_resultant(m: PolynomialMap) -> complex:
+    """Res(f', f'*) = det S / (b0^n conj(b0)^n), S the Sylvester matrix of
+    f' and z^n f'*; 1 for n = 0 and 0 for an exactly singular S.
 
-
-def meromorphic_resultant(g, h) -> complex:
-    """Res(g, h) for g = sum_0^n b_j z^j and h = sum_0^n c_k z^{-k}.
-
-    ``h`` is passed as the coefficient array (c_0, c_1, ..., c_n) of the
-    nonpositive powers.  Defined as
-    Res_pol(g(z), z^n h(z)) / (b0^n c0^n); see the module header for the
-    relation to the divisor product over g's zeros.  Degenerate data (a pole
-    of h at a zero of g, i.e. both constant terms vanishing) is reported as
-    an error; h(inf) = c_0 = 0 likewise.
+    It vanishes exactly when f' has two zeros reflected in the unit circle
+    (the degeneracy where the string equation cannot hold).
     """
-    b = trim(g)
-    c = np.asarray(h, dtype=complex)
+    b = m.derivative_coeffs()
     n = len(b) - 1
-    if len(c) - 1 != n:
-        raise ValueError("g and h must have matching order n")
     if n == 0:
         return 1.0 + 0.0j
-    if c[0] == 0:
-        raise ValueError("h(inf) = c_0 vanishes; resultant undefined")
-    if b[0] == 0:
-        raise ValueError("g(0) = b_0 vanishes: h's pole sits on a zero of g")
-    # z^n h(z) has ascending coefficients (c_n, ..., c_1, c_0)
-    znh = c[::-1]
-    return sylvester_resultant(b, znh) / (b[0] ** n * c[0] ** n)
-
-
-def derivative_reflection_resultant(m: PolynomialMap) -> complex:
-    """Res(f', f'*): vanishes exactly when f' has two zeros reflected in the
-    unit circle (the degeneracy where the string equation cannot hold)."""
-    b = m.derivative_coeffs()
-    return meromorphic_resultant(b, np.conj(b))
+    bc = np.conj(b)
+    det_s = complex(np.linalg.det(sylvester_matrix(b, bc[::-1])))
+    return det_s / (b[0] ** n * bc[0] ** n)
 
 
 # ----------------------------------------------------------------------
@@ -316,15 +274,26 @@ def finite_difference_jacobian(m: PolynomialMap, step: float = 1e-5) -> np.ndarr
 def _log_det(M: np.ndarray) -> complex:
     """log det M = log|det M| + i arg det M, from ``slogdet``.
 
-    Never overflows or underflows.  A singular or non-finite determinant
-    raises :class:`DegenerateResultantError`, so no identity is ever
-    compared between two zeros.
+    The rows and then the columns are first scaled by powers of two to a
+    largest modulus in [1/2, 1).  The scaling is exact, and its exponents
+    are added back as a multiple of log 2.  It keeps matrices whose rows
+    differ in scale by a0^|k|, like V U at n = 64, from losing digits to
+    their condition number.  Never overflows or underflows.  A singular or
+    non-finite determinant raises :class:`DegenerateResultantError`, so no
+    identity is ever compared between two zeros.
     """
-    sign, logabs = np.linalg.slogdet(M)
+    # viewed as (real, imag) pairs, so that ldexp scales both parts
+    x = np.array(M, dtype=complex, order="C").view(float)
+    _, row_exp = np.frexp(np.max(np.abs(x.view(complex)), axis=1))
+    x = np.ldexp(x, -row_exp[:, None])
+    _, col_exp = np.frexp(np.max(np.abs(x.view(complex)), axis=0))
+    x = np.ldexp(x, -np.repeat(col_exp, 2))
+    sign, logabs = np.linalg.slogdet(x.view(complex))
     if sign == 0 or not np.isfinite(logabs):
         raise DegenerateResultantError(
             f"determinant is zero or not finite (log|det| = {logabs})"
         )
+    logabs += int(row_exp.sum() + col_exp.sum()) * np.log(2.0)
     return complex(logabs, np.angle(sign))
 
 
@@ -390,13 +359,15 @@ def jacobian_identity_report(
     """Check det(V U) = 2 a0^{n^2+3n+1} Res(f', f'*) and the helpers.
 
     Both sides are compared in log space:  log det(V U) from ``slogdet``
-    against  log 2 + (n^2+3n+1) log a0 + log Res,  with
-    Res = det S / a0^{2n} for the Sylvester matrix S of (f', z^n f'*).
+    (see :func:`_log_det`) against  log 2 + (n^2+3n+1) log a0 + log Res,
+    with Res = det S / a0^{2n} for the Sylvester matrix S of (f', z^n f'*).
     Also validates V U entrywise against finite differences of the moment
     map when ``fd_step`` is given (pass None to skip).
     """
-    sys = bracket_system(m)
-    n = sys.n
+    n = m.degree_plus
+    V = moment_power_matrix(m)
+    U = bracket_matrix(m)
+    VU = V @ U
     log_a0 = np.log(m.a0)
     b = m.derivative_coeffs()
     log_det_s = None
@@ -408,15 +379,15 @@ def jacobian_identity_report(
     fd_err = fd_scale = None
     if fd_step is not None:
         fd = finite_difference_jacobian(m, fd_step)
-        fd_err = float(np.max(np.abs(sys.jacobian - fd)))
-        fd_scale = max(1.0, float(np.max(np.abs(sys.jacobian))))
+        fd_err = float(np.max(np.abs(VU - fd)))
+        fd_scale = max(1.0, float(np.max(np.abs(VU))))
     return JacobianReport(
         n=n,
-        log_det_vu=_log_det(sys.jacobian),
+        log_det_vu=_log_det(VU),
         log_rhs=complex(log_2 + (n * n + 3 * n + 1) * log_a0 + log_res),
-        log_det_v=_log_det(sys.power),
+        log_det_v=_log_det(V),
         log_det_v_closed=complex(n * (n + 1) * log_a0),
-        log_det_u=_log_det(sys.bracket),
+        log_det_u=_log_det(U),
         log_det_u_closed=complex(log_2 + (2 * n + 1) * log_a0 + log_res),
         log_det_sylvester=log_det_s,
         log_resultant=log_res,

@@ -8,7 +8,7 @@ defaults are the values the test suite is written against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class Tolerances:
     cusp_min_derivative: float = 1e-6
     #: residual above which an "exactly cancelled" pole counts as uncancelled
     pole_cancel: float = 1e-8
-
-    def override(self, **kwargs) -> "Tolerances":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 DEFAULT = Tolerances()

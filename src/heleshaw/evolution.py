@@ -51,20 +51,18 @@ from .maps import (
     CircleGrid,
     PolynomialMap,
     TaylorMap,
-    circle_values,
     simple_derivative_zeros_in_disk,
 )
 from .moments import moments_richardson
 from .rational import RationalFunction, pder, pmul, psub
 from .bracket import (
-    bracket_samples,
     derivative_reflection_resultant,
     solve_string_system,
+    string_residual,
     velocities_positive,
 )
 
 __all__ = [
-    "HerglotzFunction",
     "poisson_schwarz",
     "BranchPointSet",
     "branch_points",
@@ -72,7 +70,6 @@ __all__ = [
     "StepDiagnostics",
     "step_polynomial",
     "step_taylor_fixed_branch",
-    "step_error_estimate",
     "EvolutionResult",
     "run_evolution",
 ]
@@ -82,27 +79,14 @@ __all__ = [
 # Poisson-Schwarz integral
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HerglotzFunction:
-    """Analytic P(z) = p_0 + p_1 z + ... on the disk with Im p_0 = 0.
-
-    Constructed so that Re P on the unit circle matches prescribed (positive)
-    boundary data.
-    """
-
-    coeffs: tuple
-
-    def real_part_on(self, grid: CircleGrid) -> np.ndarray:
-        return np.real(circle_values(self.coeffs, grid))
-
-
 def poisson_schwarz(
     m: AnalyticMap,
     grid: CircleGrid,
     n_modes: int | None = None,
     tol: Tolerances = DEFAULT,
-) -> HerglotzFunction:
-    """Analytic extension P of the boundary data 1/(2 |f'|^2).
+) -> np.ndarray:
+    """Coefficients p_0, p_1, ... of the analytic extension P of the
+    boundary data 1/(2 |f'|^2): Re P = 1/(2 |f'|^2) on the unit circle.
 
     P(z) = (1/2 pi) int rho(theta) (w + z)/(w - z) dtheta with w = e^{i theta}
     and rho = 1/(2|f'|^2); in Fourier terms p_0 = rho_hat_0 (real) and
@@ -121,7 +105,7 @@ def poisson_schwarz(
     coeffs = np.zeros(n_modes + 1, dtype=complex)
     coeffs[0] = hat[0].real
     coeffs[1:] = 2.0 * hat[1 : n_modes + 1]
-    return HerglotzFunction(tuple(coeffs))
+    return coeffs
 
 
 # ----------------------------------------------------------------------
@@ -139,9 +123,7 @@ class BranchPointSet:
         return len(self.omegas)
 
 
-def branch_points(
-    m: AnalyticMap, near=None, tol: Tolerances = DEFAULT, cross_check: bool = True
-) -> BranchPointSet:
+def branch_points(m: AnalyticMap, near=None, tol: Tolerances = DEFAULT) -> BranchPointSet:
     """Branch points of the map: simple zeros of f' inside the unit disk.
 
     Each image is computed both directly as f(omega_j) and as the residue of
@@ -155,23 +137,22 @@ def branch_points(
         return BranchPointSet(omegas, np.zeros(0, dtype=complex))
     r = m.rational()
     direct = np.asarray([r(w) for w in omegas], dtype=complex)
-    if cross_check:
-        # f = P/Q, f' = N1/Q**2 and f'' = M2/Q**3, so f f''/f' = P M2/(Q**2 N1)
-        # in lowest terms.  Forming it as (f * f'') / f' instead leaves extra
-        # powers of Q in numerator and denominator: a cluster of uncancelled
-        # zeros at the poles of f that ruins the residue near |omega| = 1.
-        P, Q = r.num, r.den
-        N1 = psub(pmul(pder(P), Q), pmul(P, pder(Q)))
-        M2 = psub(pmul(pder(N1), Q), 2.0 * pmul(N1, pder(Q)))
-        integrand = RationalFunction(pmul(P, M2), pmul(pmul(Q, Q), N1))
-        scale = max(float(np.max(np.abs(direct))), 1.0)
-        for w, bv in zip(omegas, direct):
-            res = integrand.residue(w, order=1)
-            if abs(res - bv) > 1e-9 * scale:
-                raise BranchPointError(
-                    f"branch value mismatch at {w}: f(omega) = {bv}, "
-                    f"residue = {res}"
-                )
+    # f = P/Q, f' = N1/Q**2 and f'' = M2/Q**3, so f f''/f' = P M2/(Q**2 N1)
+    # in lowest terms.  Forming it as (f * f'') / f' instead leaves extra
+    # powers of Q in numerator and denominator: a cluster of uncancelled
+    # zeros at the poles of f that ruins the residue near |omega| = 1.
+    P, Q = r.num, r.den
+    N1 = psub(pmul(pder(P), Q), pmul(P, pder(Q)))
+    M2 = psub(pmul(pder(N1), Q), 2.0 * pmul(N1, pder(Q)))
+    integrand = RationalFunction(pmul(P, M2), pmul(pmul(Q, Q), N1))
+    scale = max(float(np.max(np.abs(direct))), 1.0)
+    for w, bv in zip(omegas, direct):
+        res = integrand.residue(w, order=1)
+        if abs(res - bv) > 1e-9 * scale:
+            raise BranchPointError(
+                f"branch value mismatch at {w}: f(omega) = {bv}, "
+                f"residue = {res}"
+            )
     return BranchPointSet(omegas, direct)
 
 
@@ -311,23 +292,7 @@ def series_velocity(
     that many modes and the product is an exact convolution of coefficients.
     """
     p = poisson_schwarz(m, grid, n_modes=m.order - 1, tol=tol)
-    return np.convolve(m.derivative_coeffs(), np.asarray(p.coeffs))[: m.order]
-
-
-def step_error_estimate(state: EvolutionState, dt: float, stepper, **kwargs) -> float:
-    """A-posteriori step error: one full step against two half steps.
-
-    Returns the max coefficient difference, which scales like dt^5 for the
-    RK4 steppers and serves as a cheap accuracy probe for a chosen dt.
-    """
-    full = stepper(state, dt, **kwargs)
-    half = stepper(stepper(state, 0.5 * dt, **kwargs), 0.5 * dt, **kwargs)
-    a1 = np.asarray(full.map.coeffs, dtype=complex)
-    a2 = np.asarray(half.map.coeffs, dtype=complex)
-    n = max(len(a1), len(a2))
-    a1 = np.pad(a1, (0, n - len(a1)))
-    a2 = np.pad(a2, (0, n - len(a2)))
-    return float(np.max(np.abs(a1 - a2)))
+    return np.convolve(m.derivative_coeffs(), p)[: m.order]
 
 
 # ----------------------------------------------------------------------
@@ -358,10 +323,12 @@ def _steps_for(t: float, dt: float, what: str) -> int:
 def run_evolution(spec) -> EvolutionResult:
     """Run the scenario's evolution, collecting snapshots and diagnostics.
 
-    Accepts a :class:`heleshaw.scenarios.ScenarioSpec`.  Any typed failure
-    (degeneracy, cusp, truncation, branch trouble) stops the run cleanly; the
-    exception class name becomes the stop reason and the snapshots collected
-    so far are returned.
+    Accepts a :class:`heleshaw.scenarios.ScenarioSpec`.  A typed failure
+    (degeneracy, cusp, truncation, branch trouble) at the initial map (its
+    series truncation, base moments, branch points or first snapshot)
+    raises.  One in a step, or in the snapshot after it, stops the run
+    cleanly: the exception class name and message become the stop reason
+    and the snapshots collected so far are returned.
     """
     m, mode = spec.initial
     tol = spec.tolerances
@@ -406,7 +373,7 @@ def run_evolution(spec) -> EvolutionResult:
         else:
             bdrift = np.zeros(0)
             vel = velocities_positive(solve_string_system(state.map, tol=tol))
-        sres = float(np.max(np.abs(bracket_samples(state.map, vel, grid) - 1.0)))
+        sres = string_residual(state.map, vel, grid)
         return EvolutionState(
             state.t,
             state.map,

@@ -34,21 +34,18 @@ from .rational import RationalFunction, pder, pmul, pval, trim
 
 __all__ = [
     "CircleGrid",
-    "LaurentSlice",
-    "laurent_slice",
     "AnalyticMap",
     "PolynomialMap",
     "RationalMap",
     "AbcRationalMap",
     "TaylorMap",
-    "eval_map",
     "polynomial_roots",
     "winding_number",
 ]
 
 
 # ----------------------------------------------------------------------
-# grids and Laurent slices
+# circle grids
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -80,24 +77,6 @@ class CircleGrid:
         return np.exp(1j * self.theta)
 
 
-@dataclass(frozen=True)
-class LaurentSlice:
-    """Laurent coefficients c_i for min_exp <= i <= max_exp."""
-
-    min_exp: int
-    max_exp: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.max_exp - self.min_exp + 1:
-            raise ValueError("coefficient array length does not match exponent range")
-
-    def __getitem__(self, i: int) -> complex:
-        if not (self.min_exp <= i <= self.max_exp):
-            raise IndexError(f"exponent {i} outside [{self.min_exp}, {self.max_exp}]")
-        return complex(self.coeffs[i - self.min_exp])
-
-
 def circle_values(coeffs, grid: CircleGrid) -> np.ndarray:
     """Values of sum_j coeffs[j] z**j at the grid nodes, by one inverse FFT.
 
@@ -108,21 +87,6 @@ def circle_values(coeffs, grid: CircleGrid) -> np.ndarray:
     n = grid.size
     folded = np.pad(c, (0, -len(c) % n)).reshape(-1, n).sum(axis=0)
     return n * np.fft.ifft(folded)
-
-
-def laurent_slice(samples, min_exp: int, max_exp: int) -> LaurentSlice:
-    """Project circle samples onto Laurent coefficients by FFT.
-
-    ``samples[k]`` must be the function value at exp(2*pi*i*k/N).  Exact for
-    functions whose spectrum lies within one alias band of the grid.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    n = len(samples)
-    if max_exp - min_exp + 1 > n:
-        raise ValueError("requested slice wider than the grid resolves")
-    hat = np.fft.fft(samples) / n
-    coeffs = np.array([hat[i % n] for i in range(min_exp, max_exp + 1)])
-    return LaurentSlice(min_exp, max_exp, coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -370,13 +334,11 @@ def eval_map(m: AnalyticMap, z, tol: Tolerances = DEFAULT):
     return m.rational()(z)
 
 
-def polynomial_roots(coeffs, near=None) -> np.ndarray:
+def polynomial_roots(coeffs) -> np.ndarray:
     """All roots of the polynomial with ascending ``coeffs``.
 
-    Companion-matrix eigenvalues with one Newton polish step.  Standalone
-    calls order roots by modulus then argument; pass the previous root set as
-    ``near`` to instead match each old root to its nearest successor
-    (continuation mode, keeps root trajectories continuous).
+    Companion-matrix eigenvalues with one Newton polish step, ordered by
+    modulus then argument.
     """
     c = trim(coeffs)
     if len(c) < 2:
@@ -389,10 +351,6 @@ def polynomial_roots(coeffs, near=None) -> np.ndarray:
     step = np.zeros_like(roots)
     step[ok] = pv[ok] / dv[ok]
     roots = roots - step
-    if near is not None:
-        near = np.asarray(near, dtype=complex)
-        if len(near) == len(roots):
-            return _match_previous(roots, near)
     order = np.lexsort((np.angle(roots), np.abs(roots)))
     return roots[order]
 

@@ -15,7 +15,6 @@ from .errors import PoleProximityError, ResidueError
 
 __all__ = [
     "trim",
-    "padd",
     "psub",
     "pmul",
     "pder",
@@ -36,23 +35,11 @@ def trim(c) -> np.ndarray:
     return c[: nz[-1] + 1]
 
 
-def _pad(p, q):
-    n = max(len(p), len(q))
-    pp = np.zeros(n, dtype=complex)
-    qq = np.zeros(n, dtype=complex)
-    pp[: len(p)] = p
-    qq[: len(q)] = q
-    return pp, qq
-
-
-def padd(p, q) -> np.ndarray:
-    pp, qq = _pad(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex))
-    return pp + qq
-
-
 def psub(p, q) -> np.ndarray:
-    pp, qq = _pad(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex))
-    return pp - qq
+    out = np.zeros(max(len(p), len(q)), dtype=complex)
+    out[: len(p)] = p
+    out[: len(q)] -= np.asarray(q, dtype=complex)
+    return out
 
 
 def pmul(p, q) -> np.ndarray:
@@ -171,18 +158,6 @@ class RationalFunction:
         return RationalFunction(pmul(self.num, other.num), pmul(self.den, other.den))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(pmul(self.num, other.den), pmul(self.den, other.num))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return RationalFunction(self.den, self.num) ** (-k)
-        out = RationalFunction([1.0])
-        for _ in range(k):
-            out = out * self
-        return out
 
     @staticmethod
     def _coerce(x) -> "RationalFunction":

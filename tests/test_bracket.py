@@ -8,18 +8,15 @@ from heleshaw.bracket import (
     _real_bracket_matrix,
     bracket_matrix,
     bracket_samples,
-    bracket_system,
     conjugate_moment_map,
     derivative_reflection_resultant,
     finite_difference_jacobian,
     jacobian_identity_report,
     log_rel_error,
-    meromorphic_resultant,
     moment_power_matrix,
     solve_string_system,
     string_residual,
     sylvester_matrix,
-    sylvester_resultant,
     velocities_positive,
 )
 from heleshaw.config import DEFAULT
@@ -28,7 +25,6 @@ from heleshaw.maps import (
     AbcRationalMap,
     CircleGrid,
     PolynomialMap,
-    laurent_slice,
     polynomial_roots,
 )
 
@@ -43,6 +39,27 @@ def random_map(rng, n, scale=0.25):
     if coeffs[-1] == 0:
         coeffs[-1] = scale
     return PolynomialMap(tuple(coeffs))
+
+
+def jacobian(m):
+    """V U, the matrix of partial derivatives dM_k / da_j."""
+    return moment_power_matrix(m) @ bracket_matrix(m)
+
+
+def sylvester_resultant(p, q):
+    """Res_pol(p, q): the determinant of the Sylvester matrix."""
+    return complex(np.linalg.det(sylvester_matrix(p, q)))
+
+
+def meromorphic_resultant(g, h):
+    """Res(g, h) = Res_pol(g(z), z^n h(z)) / (b0^n c0^n) for general
+    g = sum_0^n b_j z^j and h = sum_0^n c_k z^{-k} (``h`` as c_0..c_n)."""
+    b = np.asarray(g, dtype=complex)
+    c = np.asarray(h, dtype=complex)
+    n = len(b) - 1
+    if n == 0:
+        return 1.0 + 0.0j
+    return sylvester_resultant(b, c[::-1]) / (b[0] ** n * c[0] ** n)
 
 
 # ----------------------------------------------------------------------
@@ -219,11 +236,25 @@ def test_sylvester_cardioid_2x2():
 
 def test_sylvester_degenerate_input():
     with pytest.raises(ValueError):
-        sylvester_resultant([1.0], [1.0, 2.0])
+        sylvester_matrix([1.0], [1.0, 2.0])
 
 
 def test_meromorphic_resultant_constants():
+    # n = 0: the empty resultant is 1
+    assert derivative_reflection_resultant(PolynomialMap((2.0,))) == 1.0
     assert meromorphic_resultant([2.0], [3.0]) == 1.0
+
+
+def test_derivative_reflection_resultant_matches_general_form_bitwise():
+    # Res(f', f'*) is the general meromorphic resultant at g = f', h = f'*,
+    # with the same arithmetic, so step decisions do not move
+    rng = np.random.default_rng(21)
+    for n in range(1, 17):
+        m = decaying_map(rng, n, a0=0.6 + 0.1 * n)
+        b = m.derivative_coeffs()
+        assert derivative_reflection_resultant(m) == meromorphic_resultant(b, np.conj(b))
+    # an exactly singular Sylvester matrix gives exactly 0
+    assert derivative_reflection_resultant(PolynomialMap((1.0, 0.5))) == 0j
 
 
 def test_meromorphic_resultant_cardioid_closed_form():
@@ -253,13 +284,6 @@ def test_meromorphic_resultant_against_divisor_product():
         prod = np.prod([np.sum(np.conj(b) * w ** (-np.arange(n + 1)))
                         for w in roots]) / np.conj(b[0]) ** n
         assert_allclose(res, (-1.0) ** n * prod, rtol=1e-9)
-
-
-def test_meromorphic_resultant_degenerate_inputs():
-    with pytest.raises(ValueError):
-        meromorphic_resultant([1.0, 1.0], [0.0, 1.0])  # h(inf) = 0
-    with pytest.raises(ValueError):
-        meromorphic_resultant([0.0, 1.0], [1.0, 1.0])  # pole of h on zero of g
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +317,8 @@ def test_finite_difference_entrywise_up_to_n3():
     rng = np.random.default_rng(14)
     for n in (1, 2, 3):
         m = random_map(rng, n)
-        sys = bracket_system(m)
         fd = finite_difference_jacobian(m, 1e-5)
-        assert np.max(np.abs(sys.jacobian - fd)) < 1e-6
+        assert np.max(np.abs(jacobian(m) - fd)) < 1e-6
 
 
 def decaying_map(rng, n, a0=1.0):
@@ -310,7 +333,7 @@ def decaying_map(rng, n, a0=1.0):
 def test_finite_difference_entrywise_large_n(n):
     m = decaying_map(np.random.default_rng(100 + n), n)
     fd = finite_difference_jacobian(m, 1e-5)
-    assert np.max(np.abs(bracket_system(m).jacobian - fd)) < 1e-6
+    assert np.max(np.abs(jacobian(m) - fd)) < 1e-6
 
 
 @pytest.mark.parametrize("a0, log_rhs_real", [(2.0, 777.6), (0.5, -776.4)])
@@ -362,25 +385,67 @@ def _mp_det(M):
     return det
 
 
-@pytest.mark.parametrize("a0", [2.0, 0.5])
-def test_jacobian_identity_n32_against_50_digit_oracle(a0):
+def _check_against_50_digit_oracle(n, a0):
     # the float matrices are exact inputs; only the determinants are taken
     # at 50 digits.  det is multiplicative, so det(V U) = det V det U.
     import mpmath
 
-    n = 32
     m = decaying_map(np.random.default_rng(3), n, a0)
     rep = jacobian_identity_report(m, fd_step=None)
-    sys = bracket_system(m)
     b = m.derivative_coeffs()
     with mpmath.workdps(50):
         a0 = mpmath.mpf(m.a0)
-        det_vu = _mp_det(sys.power) * _mp_det(sys.bracket)
+        det_vu = _mp_det(moment_power_matrix(m)) * _mp_det(bracket_matrix(m))
         rhs = 2 * a0 ** (n * n + 3 * n + 1) * _mp_det(
             sylvester_matrix(b, np.conj(b)[::-1])) / a0 ** (2 * n)
         assert abs(complex(mpmath.log(det_vu)) - rep.log_det_vu) < 1e-11
         assert abs(complex(mpmath.log(rhs)) - rep.log_rhs) < 1e-11
         assert abs(det_vu / rhs - 1) < 1e-40
+
+
+@pytest.mark.parametrize("a0", [2.0, 0.5])
+def test_jacobian_identity_n32_against_50_digit_oracle(a0):
+    _check_against_50_digit_oracle(32, a0)
+
+
+def test_jacobian_identity_n64_against_50_digit_oracle():
+    # cond(V U) ~ 1e19 here before the power-of-two equilibration
+    _check_against_50_digit_oracle(64, 2.0)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("a0", [0.5, 1.0, 2.0])
+def test_jacobian_identity_n64(a0, seed):
+    # V U's rows scale like a0^|k|; without equilibration slogdet lost up
+    # to 6 digits here at a0 = 2
+    rep = jacobian_identity_report(decaying_map(np.random.default_rng(seed), 64, a0),
+                                   fd_step=None)
+    assert rep.rel_error < 1e-10
+    assert abs(rep.log_det_u - rep.log_det_u_closed) < 1e-10
+    assert abs(rep.log_det_v - rep.log_det_v_closed) < 1e-10
+
+
+def test_log_det_equilibration_is_exact():
+    from heleshaw.bracket import _log_det
+
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    d = np.linalg.det(A)
+    # power-of-two row and column factors change log det by exact multiples
+    # of log 2 and leave the phase alone
+    r, c = np.arange(-3, 3), np.array([40, -40, 0, 7, -7, 1])
+    B = A * 2.0 ** r[:, None] * 2.0 ** c[None, :]
+    want = np.log(d) + (r.sum() + c.sum()) * np.log(2.0)
+    assert abs(_log_det(A) - np.log(d)) < 1e-13
+    assert abs(_log_det(B) - want) < 1e-13
+    # far outside the float range of the determinant itself
+    huge = np.diag([2.0**1000] * 4 + [1j]).astype(complex)
+    assert_allclose(_log_det(huge), complex(4000 * np.log(2.0), np.pi / 2), rtol=1e-15)
+    for zero in (np.zeros((3, 3)), np.eye(3) * [1, 0, 1], (np.eye(3) * [1, 0, 1]).T):
+        with pytest.raises(DegenerateResultantError):
+            _log_det(zero)
+    with pytest.raises(DegenerateResultantError), np.errstate(invalid="ignore"):
+        _log_det(np.array([[np.inf, 1.0], [1.0, 1.0]]))
 
 
 def test_conjugate_moment_map_consistency():
@@ -608,10 +673,9 @@ def test_bracket_coefficient_slice_symmetry():
     # for any conjugate-symmetric velocity vector
     m = PolynomialMap((1.0, 0.2 + 0.1j, 0.1))
     vel = np.array([0.4, 0.1 - 0.2j, 0.05j])
-    s = bracket_samples(m, vel, GRID)
-    sl = laurent_slice(s, -2, 2)
+    hat = np.fft.fft(bracket_samples(m, vel, GRID)) / GRID.size
     for i in (1, 2):
-        assert_allclose(sl[-i], np.conj(sl[i]), atol=1e-13)
+        assert_allclose(hat[-i], np.conj(hat[i]), atol=1e-13)
 
 
 # ----------------------------------------------------------------------

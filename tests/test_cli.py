@@ -334,6 +334,18 @@ def test_cli_jacobian_finite_difference_bound_floor(capsys):
     assert fd["threshold"] == 1e-6
 
 
+def test_cli_evolve_degenerate_initial_map_exits_1(capsys):
+    # run_evolution raises at the initial map; the CLI reports it in "run"
+    code = main(["--json", "evolve", "--family", "polynomial", "--coeffs", "1,0.5",
+                 "--horizon", "0.01", "--dt", "0.001"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    (check,) = payload["checks"]
+    assert check["name"] == "run" and check["status"] == "fail"
+    assert check["error"].startswith("DegenerateResultantError: ")
+
+
 def test_cli_config_validation_error(tmp_path):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("family = subcase2\nM0 = 1.0\nB1 = 3.0\n")
