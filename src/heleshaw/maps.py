@@ -77,16 +77,23 @@ class CircleGrid:
         return np.exp(1j * self.theta)
 
 
-def circle_values(coeffs, grid: CircleGrid) -> np.ndarray:
+def circle_values(coeffs, grid: CircleGrid, radii=None) -> np.ndarray:
     """Values of sum_j coeffs[j] z**j at the grid nodes, by one inverse FFT.
 
     z_k**j depends on j only mod N, so the coefficients are folded mod N
-    first; the values are exact (to rounding) for any degree.
+    first; the values are exact (to rounding) for any degree.  With
+    ``radii`` the values are taken on the rings radii[i] * nodes instead,
+    one row per ring, from the coefficients scaled by radii[i]**j.
     """
     c = np.asarray(coeffs, dtype=complex)
     n = grid.size
-    folded = np.pad(c, (0, -len(c) % n)).reshape(-1, n).sum(axis=0)
-    return n * np.fft.ifft(folded)
+    if radii is not None:
+        c = c * np.asarray(radii, dtype=float)[:, None] ** np.arange(len(c))
+    folded = np.zeros(c.shape[:-1] + (n,), dtype=complex)
+    for start in range(0, c.shape[-1], n):
+        chunk = c[..., start : start + n]
+        folded[..., : chunk.shape[-1]] += chunk
+    return n * np.fft.ifft(folded, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +363,7 @@ def polynomial_roots(coeffs) -> np.ndarray:
 
 
 def _match_previous(roots, near):
-    out = np.zeros_like(near)
+    out = np.zeros(len(near), dtype=complex)
     avail = list(range(len(roots)))
     for i, p in enumerate(near):
         k = min(avail, key=lambda j: abs(roots[j] - p))

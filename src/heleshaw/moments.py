@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import CuspError, QuadratureError, ResidueError, UncancelledPoleError
-from .maps import AnalyticMap, CircleGrid, PolynomialMap, TaylorMap
+from .maps import AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, circle_values
 from .rational import pval
 
 __all__ = [
@@ -224,24 +225,32 @@ def moments_residue(m: AnalyticMap, K: int | None = None,
 # area quadrature oracle
 # ----------------------------------------------------------------------
 
-def moments_area_oracle(
-    m: AnalyticMap,
-    K: int | None = None,
-    resolution: tuple = (96, 256),
-    target: float | None = None,
-):
+#: radial and angular nodes of the base disk grid; polynomial and series
+#: maps always use it, maps with poles refine the angle (:func:`_angular_nodes`)
+_RADIAL_NODES = 96
+_ANGULAR_NODES = 256
+#: the trapezoid rule on a ring aliases like |p|**-nt for the nearest pole p
+#: of f; nt is chosen to push that factor below this bound
+_ALIAS_BOUND = 1e-12
+#: no disk grid gets more angular nodes than this
+_MAX_ANGULAR_NODES = 8192
+
+
+def moments_area_oracle(m: AnalyticMap, K: int | None = None,
+                        target: float | None = None):
     """Moments by polar tensor quadrature over the unit disk.
 
     Gauss-Legendre radially, trapezoid in the angle (spectrally accurate for
     the periodic direction).  Returns ``(MomentVector, error_estimate)``
     where the estimate is the max moment change under one refinement level.
-    Raises :class:`QuadratureError` if ``target`` is given and not met.
+    Raises :class:`QuadratureError` if ``target`` is given and not met, or
+    if the poles of f need more angular nodes than the grid may have.
     """
     if K is None:
         K = default_moment_count(m)
-    nr, nt = resolution
-    coarse = _disk_quadrature(m, K, nr, nt)
-    fine = _disk_quadrature(m, K, 2 * nr, 2 * nt)
+    nt = _angular_nodes(m, refine=2)
+    coarse = _disk_quadrature(m, K, _RADIAL_NODES, nt)
+    fine = _disk_quadrature(m, K, 2 * _RADIAL_NODES, 2 * nt)
     err = float(np.max(np.abs(fine - coarse)))
     if target is not None and err > target:
         raise QuadratureError(
@@ -250,35 +259,83 @@ def moments_area_oracle(
     return MomentVector.from_values(fine), err
 
 
-def _disk_grid(nr: int, nt: int):
-    """Polar tensor nodes (nr x nt) on the unit disk and their radial weights.
+def _angular_nodes(m: AnalyticMap, refine: int = 1) -> int:
+    """Angular nodes of the coarsest disk grid the map needs.
 
-    Gauss-Legendre radially, trapezoid in the angle; :func:`_disk_mean`
-    turns values at the nodes into (1/pi) times the area integral.
+    ``_ANGULAR_NODES``, raised to the power of two that brings the alias
+    factor |p|**-nt of the nearest finite pole p below ``_ALIAS_BOUND``.
+    Raises :class:`QuadratureError` if the finest grid, ``refine`` times
+    finer, would exceed ``_MAX_ANGULAR_NODES``.
+    """
+    nt = _ANGULAR_NODES
+    poles = m.finite_poles()
+    if poles.size:
+        rho = float(np.min(np.abs(poles)))
+        need = math.ceil(math.log(1.0 / _ALIAS_BOUND) / math.log(rho))
+        nt = max(nt, 1 << (need - 1).bit_length())
+        if refine * nt > _MAX_ANGULAR_NODES:
+            raise QuadratureError(
+                f"a pole at distance {rho - 1.0:.3e} from the unit circle needs "
+                f"{refine * nt} angular nodes, above the cap {_MAX_ANGULAR_NODES}"
+            )
+    return nt
+
+
+@lru_cache(maxsize=4)
+def _disk_grid(nr: int, nt: int):
+    """Polar tensor nodes (nr x nt) on the unit disk and their weights.
+
+    Gauss-Legendre radially, trapezoid in the angle.  The weight of a node
+    depends only on its ring, so it is stored per ring: the sum of
+    h * weights[:, None] over the nodes is (1/pi) times the area integral
+    of h.  The first column holds the radii (angle 0).  Both arrays are
+    cached and read-only.
     """
     x, w = np.polynomial.legendre.leggauss(nr)
     rr = 0.5 * (x + 1.0)
     th = 2.0 * np.pi * np.arange(nt) / nt
-    return rr[:, None] * np.exp(1j * th)[None, :], 0.5 * w * rr
+    zgrid = rr[:, None] * np.exp(1j * th)[None, :]
+    weights = w * rr / nt
+    zgrid.flags.writeable = False
+    weights.flags.writeable = False
+    return zgrid, weights
 
 
-def _disk_mean(values: np.ndarray, weights: np.ndarray) -> complex:
-    """(1/pi) int_D h dA from h at the :func:`_disk_grid` nodes."""
-    ang = np.sum(values, axis=1) * (2.0 * np.pi / values.shape[1])
-    return np.sum(weights * ang) / np.pi
+def _on_disk(m: AnalyticMap, zgrid: np.ndarray, derivative: bool = False):
+    """f, or f', at the disk grid nodes.
+
+    Polynomial and series maps are evaluated ring by ring with one inverse
+    FFT of their coefficients (:func:`circle_values`); other maps through
+    their rational representation.
+    """
+    if isinstance(m, (PolynomialMap, TaylorMap)):
+        c = m.derivative_coeffs() if derivative else m.rational().num
+        return _ring_values(c, zgrid)
+    r = m.derivative_rational() if derivative else m.rational()
+    return r(zgrid)
+
+
+def _ring_values(coeffs, zgrid: np.ndarray) -> np.ndarray:
+    """The polynomial ``coeffs`` at the :func:`_disk_grid` nodes."""
+    return circle_values(coeffs, CircleGrid(zgrid.shape[1]), zgrid[:, 0].real)
+
+
+def _weighted_density(m: AnalyticMap, zgrid, weights) -> np.ndarray:
+    """|f'|**2 times the node weights: summed against h over the grid it
+    gives (1/pi) int_D h |f'|**2 dA."""
+    fp = _on_disk(m, zgrid, derivative=True)
+    return (fp.real**2 + fp.imag**2) * weights[:, None]
 
 
 def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int) -> np.ndarray:
     zgrid, weights = _disk_grid(nr, nt)
-    r = m.rational()
-    fv = r(zgrid)
-    dens = np.abs(r.derivative()(zgrid)) ** 2
-    out = np.zeros(K + 1, dtype=complex)
-    powk = np.ones_like(fv)
-    for k in range(K + 1):
-        if k > 0:
-            powk = powk * fv
-        out[k] = _disk_mean(powk * dens, weights)
+    term = _weighted_density(m, zgrid, weights).astype(complex)
+    fv = _on_disk(m, zgrid)
+    out = np.empty(K + 1, dtype=complex)
+    out[0] = term.sum()
+    for k in range(1, K + 1):
+        term *= fv
+        out[k] = term.sum()
     return out
 
 
@@ -350,23 +407,19 @@ def moments_to_coeffs(mv: MomentVector, m: AnalyticMap) -> QuadratureData:
     return QuadratureData(c=tuple(c))
 
 
-def quadrature_check(
-    m: AnalyticMap,
-    data: QuadratureData,
-    testfns,
-    resolution: tuple = (96, 256),
-) -> list:
+def quadrature_check(m: AnalyticMap, data: QuadratureData, testfns) -> list:
     """Residuals |area integral - quadrature side| per test polynomial.
 
     Test functions are polynomial coefficient arrays (ascending powers of the
-    disk variable), so their derivatives at the node are exact.
+    disk variable), so their derivatives at the node are exact.  The area
+    integral uses the grid of :func:`moments_area_oracle`'s coarse level.
     """
-    zgrid, weights = _disk_grid(*resolution)
-    dens = np.abs(m.rational().derivative()(zgrid)) ** 2
+    zgrid, weights = _disk_grid(_RADIAL_NODES, _angular_nodes(m))
+    dens = _weighted_density(m, zgrid, weights)
     out = []
     for g in testfns:
         g = np.asarray(g, dtype=complex)
-        area = _disk_mean(pval(g, zgrid) * dens, weights)
+        area = np.sum(_ring_values(g, zgrid) * dens)
         if data.is_two_point:
             side = data.weight_a * pval(g, np.array([0.0 + 0j]))[0]
             side += data.weight_b * pval(g, np.array([data.node_b]))[0]

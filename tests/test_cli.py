@@ -214,6 +214,23 @@ def test_cli_scenario_subcase2():
     assert main(["scenario", "subcase2", "--M0", "1", "--B1", "0.28111"]) == 0
 
 
+@pytest.mark.parametrize("ratio", [0.95, 0.98])
+def test_cli_scenario_subcase2_edge_of_range(ratio, capsys):
+    b1 = repr(complex(ratio * np.exp(0.7j)))
+    code = main(["--json", "scenario", "subcase2", "--M0", "1", f"--B1={b1}"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert all(c["status"] == "pass" for c in payload["checks"])
+
+
+def test_cli_scenario_unresolvable_pole_exits_1(capsys):
+    # |B1| = 0.995 sqrt(M0) puts the pole 1.7e-3 from the circle
+    code = main(["--json", "scenario", "subcase2", "--M0", "1", "--B1", "0.995"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["checks"][-1]["error"].startswith("QuadratureError")
+
+
 def test_cli_scenario_json_schema(capsys):
     code = main(["--json", "scenario", "subcase2", "--M0", "1", "--B1", "0.28111"])
     out = capsys.readouterr().out

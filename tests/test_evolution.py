@@ -145,7 +145,7 @@ def test_branch_residue_cross_check_near_the_circle(modulus, phase):
     assert abs(bp.values[0] - b1) < 1e-10
 
 
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@settings(max_examples=8)
 @given(
     m0=st.floats(0.5, 2.0),
     ratio=st.floats(0.05, 0.8),

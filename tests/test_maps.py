@@ -244,6 +244,14 @@ def test_roots_continuation_matching():
     assert abs(roots[1] + 0.51) < 0.05
 
 
+def test_roots_matching_keeps_complex_roots_for_real_seeds():
+    near = np.array([0.5, -0.5])
+    roots = np.array([-0.51 - 0.02j, 0.49 + 0.01j])
+    out = maps._match_previous(roots, near)
+    assert out.dtype == complex
+    assert_allclose(out, [0.49 + 0.01j, -0.51 - 0.02j], rtol=0, atol=0)
+
+
 def test_roots_modulus_then_argument_order():
     roots = polynomial_roots(np.poly([-0.5, 0.5j, 0.5])[::-1])
     mods = np.abs(roots)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heleshaw.errors import ResidueError, UncancelledPoleError
-from heleshaw.maps import AbcRationalMap, PolynomialMap, RationalMap
+from heleshaw import moments
+from heleshaw.errors import QuadratureError, ResidueError, UncancelledPoleError
+from heleshaw.maps import AbcRationalMap, PolynomialMap, RationalMap, TaylorMap
 from heleshaw.moments import (
     MomentVector,
     QuadratureData,
@@ -20,7 +21,7 @@ from heleshaw.moments import (
     richardson_moment,
     richardson_moments,
 )
-from heleshaw.rational import deflate, series_div, taylor_shift
+from heleshaw.rational import deflate, pval, series_div, taylor_shift
 from heleshaw.scenarios import (
     make_example_abc,
     make_subcase1,
@@ -292,6 +293,97 @@ def test_area_oracle_subcase2_roundtrip():
     m = subcase2_from_omega(0.6, 1.0)
     mv, _ = moments_area_oracle(m, 2)
     assert abs(mv[0] - 1.0) < 1e-6
+
+
+def reference_disk_quadrature(m, K, nr, nt):
+    """The disk quadrature written out plainly: Gauss-Legendre nodes built
+    afresh, Horner evaluation of f and f', one weighted mean per moment."""
+    x, w = np.polynomial.legendre.leggauss(nr)
+    rr = 0.5 * (x + 1.0)
+    th = 2.0 * np.pi * np.arange(nt) / nt
+    zgrid = rr[:, None] * np.exp(1j * th)[None, :]
+    weights = 0.5 * w * rr
+    r = m.rational()
+    fv = r(zgrid)
+    dens = np.abs(r.derivative()(zgrid)) ** 2
+    out = np.zeros(K + 1, dtype=complex)
+    powk = np.ones_like(fv)
+    for k in range(K + 1):
+        if k > 0:
+            powk = powk * fv
+        ang = np.sum(powk * dens, axis=1) * (2.0 * np.pi / nt)
+        out[k] = np.sum(weights * ang) / np.pi
+    return out
+
+
+def test_area_oracle_matches_reference_quadrature():
+    # polynomial maps keep the (96, 256) / (192, 512) grids
+    rng = np.random.default_rng(29)
+    for n in range(1, 33):
+        j = np.arange(1, n + 1)
+        a = 0.3 / (j + 1) * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+        m = PolynomialMap(tuple(np.concatenate([[1.0], a])))
+        mv, err = moments_area_oracle(m, n)
+        coarse = reference_disk_quadrature(m, n, 96, 256)
+        fine = reference_disk_quadrature(m, n, 192, 512)
+        scale = np.max(np.abs(fine))
+        assert np.max(np.abs(mv.as_array() - fine)) < 1e-12 * scale
+        assert abs(err - np.max(np.abs(fine - coarse))) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("degree", [7, 40])
+def test_ring_values_match_horner(degree):
+    # degree 40 > nt = 16 exercises the folding of coefficients mod nt
+    rng = np.random.default_rng(degree)
+    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    zgrid, _ = moments._disk_grid(8, 16)
+    exact = pval(c, zgrid)
+    err = np.max(np.abs(moments._ring_values(c, zgrid) - exact))
+    assert err < 1e-13 * np.max(np.abs(c))
+
+
+def test_disk_values_agree_across_map_kinds():
+    zgrid, _ = moments._disk_grid(12, 32)
+    for m in (PolynomialMap((1.0, 0.2 - 0.1j, 0.05)), TaylorMap((1.0, 0.3, 0.0, 0.01j))):
+        r = m.rational()
+        assert_allclose(moments._on_disk(m, zgrid), r(zgrid), rtol=0, atol=1e-14)
+        assert_allclose(moments._on_disk(m, zgrid, derivative=True),
+                        r.derivative()(zgrid), rtol=0, atol=1e-14)
+
+
+def test_disk_grid_cached_read_only():
+    zgrid, weights = moments._disk_grid(96, 256)
+    again = moments._disk_grid(96, 256)
+    assert again[0] is zgrid and again[1] is weights
+    with pytest.raises(ValueError):
+        zgrid[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    # the weights integrate 1 over the disk to (1/pi) * area = 1
+    assert abs(np.sum(weights) * zgrid.shape[1] - 1.0) < 1e-14
+
+
+def test_angular_nodes_from_nearest_pole():
+    assert moments._angular_nodes(CARDIOID) == 256
+    # the benchmark's ranges: |B1| <= 0.6 sqrt(M0) and |b| >= 1.5
+    assert moments._angular_nodes(make_subcase2(1.0, 0.6)) == 256
+    assert moments._angular_nodes(make_example_abc(0.3, 1.5, 1.0)[0]) == 256
+    # |p| = 1.0174: log(1e12) / log|p| = 1602 nodes
+    assert moments._angular_nodes(make_subcase2(1.0, 0.95)) == 2048
+    assert moments._angular_nodes(make_subcase2(1.0, 0.98)) == 4096
+    # one grid of 8192 angular nodes fits under the cap, its refinement not
+    near = AbcRationalMap(0.4, 1.005, 2.0)
+    assert moments._angular_nodes(near) == 8192
+    with pytest.raises(QuadratureError):
+        moments._angular_nodes(near, refine=2)
+
+
+def test_pole_near_circle_raises_quadrature_error():
+    m = AbcRationalMap(0.4, 1.001, 2.0)
+    with pytest.raises(QuadratureError):
+        moments_area_oracle(m, 2)
+    with pytest.raises(QuadratureError):
+        quadrature_check(m, QuadratureData(c=(1.0,)), [[1.0]])
 
 
 def test_three_way_agreement_random_polynomials():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heleshaw.errors import ConfigError
+from heleshaw.errors import ConfigError, QuadratureError
 from heleshaw.maps import CircleGrid, PolynomialMap, winding_number
 from heleshaw.moments import moments_residue
 from heleshaw.scenarios import (
@@ -226,6 +226,20 @@ def test_verify_subcase1():
 def test_verify_subcase2():
     rep = verify_scenario(make_subcase2(1.0, B1_SUB2), "subcase2")
     assert rep.all_passed
+
+
+@pytest.mark.parametrize("ratio", [0.9, 0.95, 0.98])
+@pytest.mark.parametrize("M0", [0.5, 2.0])
+def test_verify_subcase2_edge_of_range(ratio, M0):
+    # the pole of f nears the circle as |B1| -> sqrt(M0); the quadrature
+    # check must resolve it or refuse, never report an unresolved residual
+    for phase in (0.0, 0.7, 2.9):
+        m = make_subcase2(M0, ratio * np.sqrt(M0) * np.exp(1j * phase))
+        try:
+            rep = verify_scenario(m, "subcase2")
+        except QuadratureError:
+            continue
+        assert rep.all_passed, [c for c in rep if not c.passed]
 
 
 # ----------------------------------------------------------------------
