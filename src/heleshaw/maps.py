@@ -77,23 +77,20 @@ class CircleGrid:
         return np.exp(1j * self.theta)
 
 
-def circle_values(coeffs, grid: CircleGrid, radii=None) -> np.ndarray:
+def circle_values(coeffs, grid: CircleGrid) -> np.ndarray:
     """Values of sum_j coeffs[j] z**j at the grid nodes, by one inverse FFT.
 
     z_k**j depends on j only mod N, so the coefficients are folded mod N
-    first; the values are exact (to rounding) for any degree.  With
-    ``radii`` the values are taken on the rings radii[i] * nodes instead,
-    one row per ring, from the coefficients scaled by radii[i]**j.
+    first; the values are exact (to rounding) for any degree.  A 2-D
+    ``coeffs`` holds one polynomial per row and gives one row of values each.
     """
     c = np.asarray(coeffs, dtype=complex)
     n = grid.size
-    if radii is not None:
-        c = c * np.asarray(radii, dtype=float)[:, None] ** np.arange(len(c))
     folded = np.zeros(c.shape[:-1] + (n,), dtype=complex)
     for start in range(0, c.shape[-1], n):
         chunk = c[..., start : start + n]
         folded[..., : chunk.shape[-1]] += chunk
-    return n * np.fft.ifft(folded, axis=-1)
+    return n * np.fft.ifft(folded)
 
 
 # ----------------------------------------------------------------------

@@ -283,54 +283,51 @@ def _angular_nodes(m: AnalyticMap, refine: int = 1) -> int:
 
 @lru_cache(maxsize=4)
 def _disk_grid(nr: int, nt: int):
-    """Polar tensor nodes (nr x nt) on the unit disk and their weights.
+    """Radii of the polar tensor grid (nr rings x nt angles) on the unit
+    disk and the weight of each ring's nodes.
 
-    Gauss-Legendre radially, trapezoid in the angle.  The weight of a node
-    depends only on its ring, so it is stored per ring: the sum of
+    Gauss-Legendre radially, trapezoid in the angle: the sum of
     h * weights[:, None] over the nodes is (1/pi) times the area integral
-    of h.  The first column holds the radii (angle 0).  Both arrays are
-    cached and read-only.
+    of h.  Both arrays are cached and read-only.
     """
     x, w = np.polynomial.legendre.leggauss(nr)
-    rr = 0.5 * (x + 1.0)
-    th = 2.0 * np.pi * np.arange(nt) / nt
-    zgrid = rr[:, None] * np.exp(1j * th)[None, :]
-    weights = w * rr / nt
-    zgrid.flags.writeable = False
+    radii = 0.5 * (x + 1.0)
+    weights = w * radii / nt
+    radii.flags.writeable = False
     weights.flags.writeable = False
-    return zgrid, weights
+    return radii, weights
 
 
-def _on_disk(m: AnalyticMap, zgrid: np.ndarray, derivative: bool = False):
-    """f, or f', at the disk grid nodes.
+def _ring_values(coeffs, radii: np.ndarray, nt: int) -> np.ndarray:
+    """The polynomial ``coeffs`` at the nt equispaced nodes of each ring,
+    one row per radius, by one inverse FFT of the r**j-scaled coefficients
+    (:func:`circle_values`)."""
+    c = np.asarray(coeffs, dtype=complex)
+    return circle_values(c * radii[:, None] ** np.arange(len(c)), CircleGrid(nt))
 
-    Polynomial and series maps are evaluated ring by ring with one inverse
-    FFT of their coefficients (:func:`circle_values`); other maps through
-    their rational representation.
-    """
-    if isinstance(m, (PolynomialMap, TaylorMap)):
-        c = m.derivative_coeffs() if derivative else m.rational().num
-        return _ring_values(c, zgrid)
+
+def _on_disk(m: AnalyticMap, radii: np.ndarray, nt: int,
+             derivative: bool = False) -> np.ndarray:
+    """f, or f', at the disk grid nodes, as the ring values of its
+    numerator over those of its denominator; a constant denominator (a
+    polynomial or series map) is divided into the numerator's coefficients."""
     r = m.derivative_rational() if derivative else m.rational()
-    return r(zgrid)
+    if len(r.den) == 1:
+        return _ring_values(r.num / r.den[0], radii, nt)
+    return _ring_values(r.num, radii, nt) / _ring_values(r.den, radii, nt)
 
 
-def _ring_values(coeffs, zgrid: np.ndarray) -> np.ndarray:
-    """The polynomial ``coeffs`` at the :func:`_disk_grid` nodes."""
-    return circle_values(coeffs, CircleGrid(zgrid.shape[1]), zgrid[:, 0].real)
-
-
-def _weighted_density(m: AnalyticMap, zgrid, weights) -> np.ndarray:
+def _weighted_density(m: AnalyticMap, radii, weights, nt: int) -> np.ndarray:
     """|f'|**2 times the node weights: summed against h over the grid it
     gives (1/pi) int_D h |f'|**2 dA."""
-    fp = _on_disk(m, zgrid, derivative=True)
+    fp = _on_disk(m, radii, nt, derivative=True)
     return (fp.real**2 + fp.imag**2) * weights[:, None]
 
 
 def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int) -> np.ndarray:
-    zgrid, weights = _disk_grid(nr, nt)
-    term = _weighted_density(m, zgrid, weights).astype(complex)
-    fv = _on_disk(m, zgrid)
+    radii, weights = _disk_grid(nr, nt)
+    term = _weighted_density(m, radii, weights, nt).astype(complex)
+    fv = _on_disk(m, radii, nt)
     out = np.empty(K + 1, dtype=complex)
     out[0] = term.sum()
     for k in range(1, K + 1):
@@ -414,12 +411,13 @@ def quadrature_check(m: AnalyticMap, data: QuadratureData, testfns) -> list:
     disk variable), so their derivatives at the node are exact.  The area
     integral uses the grid of :func:`moments_area_oracle`'s coarse level.
     """
-    zgrid, weights = _disk_grid(_RADIAL_NODES, _angular_nodes(m))
-    dens = _weighted_density(m, zgrid, weights)
+    nt = _angular_nodes(m)
+    radii, weights = _disk_grid(_RADIAL_NODES, nt)
+    dens = _weighted_density(m, radii, weights, nt)
     out = []
     for g in testfns:
         g = np.asarray(g, dtype=complex)
-        area = np.sum(_ring_values(g, zgrid) * dens)
+        area = np.sum(_ring_values(g, radii, nt) * dens)
         if data.is_two_point:
             side = data.weight_a * pval(g, np.array([0.0 + 0j]))[0]
             side += data.weight_b * pval(g, np.array([data.node_b]))[0]

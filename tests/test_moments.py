@@ -331,36 +331,45 @@ def test_area_oracle_matches_reference_quadrature():
         assert abs(err - np.max(np.abs(fine - coarse))) < 1e-12 * scale
 
 
+def _disk_nodes(nr, nt):
+    radii, _ = moments._disk_grid(nr, nt)
+    return radii[:, None] * np.exp(2j * np.pi * np.arange(nt) / nt)[None, :]
+
+
 @pytest.mark.parametrize("degree", [7, 40])
 def test_ring_values_match_horner(degree):
     # degree 40 > nt = 16 exercises the folding of coefficients mod nt
     rng = np.random.default_rng(degree)
     c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    zgrid, _ = moments._disk_grid(8, 16)
-    exact = pval(c, zgrid)
-    err = np.max(np.abs(moments._ring_values(c, zgrid) - exact))
+    radii, _ = moments._disk_grid(8, 16)
+    exact = pval(c, _disk_nodes(8, 16))
+    err = np.max(np.abs(moments._ring_values(c, radii, 16) - exact))
     assert err < 1e-13 * np.max(np.abs(c))
 
 
 def test_disk_values_agree_across_map_kinds():
-    zgrid, _ = moments._disk_grid(12, 32)
-    for m in (PolynomialMap((1.0, 0.2 - 0.1j, 0.05)), TaylorMap((1.0, 0.3, 0.0, 0.01j))):
+    radii, _ = moments._disk_grid(12, 32)
+    zgrid = _disk_nodes(12, 32)
+    for m in (PolynomialMap((1.0, 0.2 - 0.1j, 0.05)),
+              TaylorMap((1.0, 0.3, 0.0, 0.01j)),
+              AbcRationalMap(0.4j, 1.5j, 2.0),
+              make_subcase2(1.0, 0.6j)):
         r = m.rational()
-        assert_allclose(moments._on_disk(m, zgrid), r(zgrid), rtol=0, atol=1e-14)
-        assert_allclose(moments._on_disk(m, zgrid, derivative=True),
-                        r.derivative()(zgrid), rtol=0, atol=1e-14)
+        assert_allclose(moments._on_disk(m, radii, 32), r(zgrid), rtol=0, atol=1e-13)
+        assert_allclose(moments._on_disk(m, radii, 32, derivative=True),
+                        r.derivative()(zgrid), rtol=0, atol=1e-13)
 
 
 def test_disk_grid_cached_read_only():
-    zgrid, weights = moments._disk_grid(96, 256)
+    radii, weights = moments._disk_grid(96, 256)
     again = moments._disk_grid(96, 256)
-    assert again[0] is zgrid and again[1] is weights
+    assert again[0] is radii and again[1] is weights
     with pytest.raises(ValueError):
-        zgrid[0, 0] = 0.0
+        radii[0] = 0.0
     with pytest.raises(ValueError):
         weights[0] = 0.0
     # the weights integrate 1 over the disk to (1/pi) * area = 1
-    assert abs(np.sum(weights) * zgrid.shape[1] - 1.0) < 1e-14
+    assert abs(np.sum(weights) * 256 - 1.0) < 1e-14
 
 
 def test_angular_nodes_from_nearest_pole():

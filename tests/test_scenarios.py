@@ -231,15 +231,22 @@ def test_verify_subcase2():
 @pytest.mark.parametrize("ratio", [0.9, 0.95, 0.98])
 @pytest.mark.parametrize("M0", [0.5, 2.0])
 def test_verify_subcase2_edge_of_range(ratio, M0):
-    # the pole of f nears the circle as |B1| -> sqrt(M0); the quadrature
-    # check must resolve it or refuse, never report an unresolved residual
+    # the pole of f nears the circle as |B1| -> sqrt(M0); up to 0.98 sqrt(M0)
+    # the disk grid is refined enough to resolve it and every check passes
     for phase in (0.0, 0.7, 2.9):
         m = make_subcase2(M0, ratio * np.sqrt(M0) * np.exp(1j * phase))
-        try:
-            rep = verify_scenario(m, "subcase2")
-        except QuadratureError:
-            continue
+        rep = verify_scenario(m, "subcase2")
         assert rep.all_passed, [c for c in rep if not c.passed]
+
+
+@pytest.mark.parametrize("M0", [0.5, 2.0])
+def test_verify_subcase2_pole_beyond_grid_cap_refuses(M0):
+    # at 0.99 sqrt(M0) the pole is 3.4e-3 from the circle: the grid it needs
+    # exceeds the angular cap, so the check refuses rather than reports
+    for phase in (0.0, 0.7, 2.9):
+        m = make_subcase2(M0, 0.99 * np.sqrt(M0) * np.exp(1j * phase))
+        with pytest.raises(QuadratureError):
+            verify_scenario(m, "subcase2")
 
 
 # ----------------------------------------------------------------------
