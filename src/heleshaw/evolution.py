@@ -18,7 +18,7 @@ Two steppers, both fixed-step RK4:
   and reported, never enforced.
 
 Series mode works on the circle grid: f' is sampled by one inverse FFT of
-its coefficients (:func:`heleshaw.maps.circle_values`), P comes from the FFT
+its coefficients (:func:`heleshaw.maps.ring_values`), P comes from the FFT
 of 1/(2 |f'|^2), and :func:`series_velocity` is the one velocity function,
 shared by the RK4 stages and the snapshot diagnostics.  Branch points are
 found once, from the exact map before truncation, and then continued: at

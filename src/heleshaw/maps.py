@@ -8,9 +8,10 @@ closed unit disk, normalized by f(0) = 0 and f'(0) > 0:
 * :class:`AbcRationalMap`     f = c z (z - a) / (z - b),  0 < |a| < 1 < |b|
 * :class:`TaylorMap`          truncated power series (evolution work state)
 
-Every class exposes its exact rational representation, so evaluation,
-differentiation, holomorphic reflection f*(z) = conj(f(1/conj z)) and
-residues all route through :mod:`heleshaw.rational`.
+Every class exposes its exact rational representation, so differentiation,
+holomorphic reflection f*(z) = conj(f(1/conj z)) and residues all route
+through :mod:`heleshaw.rational`.  Points are evaluated by Horner's rule
+(:func:`~heleshaw.rational.pval`), grids by FFT (:func:`ring_values`).
 
 All operations are pure functions on immutable values; nothing here mutates
 shared state, so concurrent use is safe.
@@ -93,6 +94,24 @@ def circle_values(coeffs, grid: CircleGrid) -> np.ndarray:
     return n * np.fft.ifft(folded)
 
 
+def ring_values(r: RationalFunction, radii, grid: CircleGrid) -> np.ndarray:
+    """``r`` at radius * z_k for the grid nodes z_k: one row per radius, or
+    one circle for a scalar radius.  :func:`circle_values` of the r**j-scaled
+    numerator over that of the denominator, or of the numerator over a
+    constant one.  Raises :class:`PoleProximityError` where a node is exactly a pole."""
+    radii = np.asarray(radii, dtype=float)
+
+    def values(c):
+        return circle_values(c * radii[..., None] ** np.arange(len(c)), grid)
+
+    if len(r.den) == 1:
+        return values(r.num / r.den[0])
+    dv = values(r.den)
+    if np.any(dv == 0):
+        raise PoleProximityError("evaluation exactly on a pole")
+    return values(r.num) / dv
+
+
 # ----------------------------------------------------------------------
 # map classes
 # ----------------------------------------------------------------------
@@ -136,11 +155,11 @@ class AnalyticMap:
         return t[1:]
 
     def boundary_values(self, grid: CircleGrid) -> np.ndarray:
-        return self.rational()(grid.nodes)
+        return ring_values(self.rational(), 1.0, grid)
 
     def derivative_on(self, grid: CircleGrid) -> np.ndarray:
         """f' at the grid nodes."""
-        return self.derivative_rational()(grid.nodes)
+        return ring_values(self.derivative_rational(), 1.0, grid)
 
 
 @dataclass(frozen=True)
@@ -175,9 +194,6 @@ class PolynomialMap(AnalyticMap):
         """b_j = (j+1) a_j, the coefficients of f'."""
         a = np.asarray(self.coeffs, dtype=complex)
         return a * np.arange(1, len(a) + 1)
-
-    def derivative_on(self, grid: CircleGrid) -> np.ndarray:
-        return circle_values(self.derivative_coeffs(), grid)
 
 
 @dataclass(frozen=True)
@@ -306,9 +322,6 @@ class TaylorMap(AnalyticMap):
     def derivative_coeffs(self) -> np.ndarray:
         a = np.asarray(self.coeffs, dtype=complex)
         return a * np.arange(1, len(a) + 1)
-
-    def derivative_on(self, grid: CircleGrid) -> np.ndarray:
-        return circle_values(self.derivative_coeffs(), grid)
 
     def tail_energy(self, tail: int | None = None) -> float:
         """Relative coefficient energy in the last ``tail`` slots."""
@@ -470,13 +483,11 @@ def _continued_zeros(num, near: np.ndarray, tol: Tolerances):
     # twice the usual 4x-degree grid: truncated series gather spurious zeros
     # just outside the circle, and each adds (1/|z|)**N to the residual
     grid = CircleGrid(max(64, 1 << (8 * len(num) - 1).bit_length()))
-    powers = np.arange(len(num))
+    circles = ring_values(RationalFunction(num), [1.0 - margin, 1.0 + margin], grid)
     counts = []
-    for radius in (1.0 - margin, 1.0 + margin):
+    for values in circles:
         try:
-            idx, residual = winding_number(
-                circle_values(num * radius**powers, grid), 0.0, tol
-            )
+            idx, residual = winding_number(values, 0.0, tol)
         except (PoleProximityError, UnderResolvedError):
             return None
         if residual > _BRANCH_COUNT_RESIDUAL:

@@ -35,8 +35,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import CuspError, QuadratureError, ResidueError, UncancelledPoleError
-from .maps import AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, circle_values
-from .rational import pval
+from .maps import AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, ring_values
+from .rational import RationalFunction, pval
 
 __all__ = [
     "MomentVector",
@@ -204,9 +204,8 @@ def moments_residue(m: AnalyticMap, K: int | None = None,
     if K is None:
         K = default_moment_count(m)
     r = m.rational()
-    grid = CircleGrid(256)
     fp = r.derivative()
-    if np.min(np.abs(fp(grid.nodes))) < tol.cusp_min_derivative:
+    if np.min(np.abs(ring_values(fp, 1.0, CircleGrid(256)))) < tol.cusp_min_derivative:
         raise CuspError("f' vanishes on the unit circle; boundary form invalid")
     fstar = r.reflect()
     pts = _reflected_poles(m)
@@ -234,6 +233,9 @@ _ANGULAR_NODES = 256
 _ALIAS_BOUND = 1e-12
 #: no disk grid gets more angular nodes than this
 _MAX_ANGULAR_NODES = 8192
+#: disk grids are evaluated and summed in blocks of rings of at most this many
+#: nodes, 2 MB per complex array (16 rings at the angular cap)
+_BLOCK_NODES = 1 << 17
 
 
 def moments_area_oracle(m: AnalyticMap, K: int | None = None,
@@ -298,41 +300,32 @@ def _disk_grid(nr: int, nt: int):
     return radii, weights
 
 
-def _ring_values(coeffs, radii: np.ndarray, nt: int) -> np.ndarray:
-    """The polynomial ``coeffs`` at the nt equispaced nodes of each ring,
-    one row per radius, by one inverse FFT of the r**j-scaled coefficients
-    (:func:`circle_values`)."""
-    c = np.asarray(coeffs, dtype=complex)
-    return circle_values(c * radii[:, None] ** np.arange(len(c)), CircleGrid(nt))
-
-
-def _on_disk(m: AnalyticMap, radii: np.ndarray, nt: int,
-             derivative: bool = False) -> np.ndarray:
-    """f, or f', at the disk grid nodes, as the ring values of its
-    numerator over those of its denominator; a constant denominator (a
-    polynomial or series map) is divided into the numerator's coefficients."""
-    r = m.derivative_rational() if derivative else m.rational()
-    if len(r.den) == 1:
-        return _ring_values(r.num / r.den[0], radii, nt)
-    return _ring_values(r.num, radii, nt) / _ring_values(r.den, radii, nt)
-
-
-def _weighted_density(m: AnalyticMap, radii, weights, nt: int) -> np.ndarray:
-    """|f'|**2 times the node weights: summed against h over the grid it
-    gives (1/pi) int_D h |f'|**2 dA."""
-    fp = _on_disk(m, radii, nt, derivative=True)
-    return (fp.real**2 + fp.imag**2) * weights[:, None]
+def _density_blocks(m: AnalyticMap, nr: int, nt: int):
+    """The (nr, nt) disk grid in blocks of at most ``_BLOCK_NODES`` nodes: the
+    block's radii, the angular grid and |f'|**2 times the node weights (complex,
+    the caller's to overwrite), which summed against h over all blocks gives
+    (1/pi) int_D h |f'|**2 dA."""
+    radii, weights = _disk_grid(nr, nt)
+    grid = CircleGrid(nt)
+    fp = m.derivative_rational()
+    step = max(_BLOCK_NODES // nt, 1)
+    for block in (slice(s, s + step) for s in range(0, nr, step)):
+        v = ring_values(fp, radii[block], grid)
+        dens = ((v.real**2 + v.imag**2) * weights[block, None]).astype(complex)
+        del v  # at most one block's arrays are alive at a time
+        yield radii[block], grid, dens
 
 
 def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int) -> np.ndarray:
-    radii, weights = _disk_grid(nr, nt)
-    term = _weighted_density(m, radii, weights, nt).astype(complex)
-    fv = _on_disk(m, radii, nt)
-    out = np.empty(K + 1, dtype=complex)
-    out[0] = term.sum()
-    for k in range(1, K + 1):
-        term *= fv
-        out[k] = term.sum()
+    f = m.rational()
+    out = np.zeros(K + 1, dtype=complex)
+    for radii, grid, term in _density_blocks(m, nr, nt):
+        fv = ring_values(f, radii, grid)
+        out[0] += term.sum()
+        for k in range(1, K + 1):
+            term *= fv
+            out[k] += term.sum()
+        del term, fv  # before the next block is built
     return out
 
 
@@ -411,16 +404,15 @@ def quadrature_check(m: AnalyticMap, data: QuadratureData, testfns) -> list:
     disk variable), so their derivatives at the node are exact.  The area
     integral uses the grid of :func:`moments_area_oracle`'s coarse level.
     """
-    nt = _angular_nodes(m)
-    radii, weights = _disk_grid(_RADIAL_NODES, nt)
-    dens = _weighted_density(m, radii, weights, nt)
+    gs = [np.asarray(g, dtype=complex) for g in testfns]
+    areas = np.zeros(len(gs), dtype=complex)
+    for radii, grid, dens in _density_blocks(m, _RADIAL_NODES, _angular_nodes(m)):
+        areas += [np.sum(ring_values(RationalFunction(g), radii, grid) * dens)
+                  for g in gs]
     out = []
-    for g in testfns:
-        g = np.asarray(g, dtype=complex)
-        area = np.sum(_ring_values(g, radii, nt) * dens)
+    for g, area in zip(gs, areas):
         if data.is_two_point:
-            side = data.weight_a * pval(g, np.array([0.0 + 0j]))[0]
-            side += data.weight_b * pval(g, np.array([data.node_b]))[0]
+            side = data.weight_a * pval(g, 0.0) + data.weight_b * pval(g, data.node_b)
         else:
             side = sum(
                 data.c[j] * math.factorial(j) * (g[j] if j < len(g) else 0.0)

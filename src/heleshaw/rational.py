@@ -2,9 +2,9 @@
 
 Coefficients are ascending (``c[j]`` multiplies ``z**j``).  Everything the
 package evaluates (maps, their derivatives, reflections, moment integrands)
-is a ratio of two such polynomials, so this module is the single engine for
-evaluation, differentiation, holomorphic reflection in the unit circle and
-exact residues via Laurent division.
+is a ratio of two such polynomials; this module evaluates them at points
+(grids: :func:`heleshaw.maps.ring_values`), differentiates, reflects them in
+the unit circle and takes exact residues by Laurent division.
 """
 
 from __future__ import annotations
@@ -142,14 +142,10 @@ class RationalFunction:
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
         dv = pval(self.den, z)
-        if np.any(np.abs(dv) == 0.0):
+        if np.any(dv == 0):
             raise PoleProximityError("evaluation exactly on a pole")
-        out = pval(self.num, z) / dv
-        return complex(out[0]) if scalar else out
+        return pval(self.num, z) / dv
 
     # -- algebra -------------------------------------------------------
 

@@ -320,7 +320,7 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> ScenarioRe
     """
     grid = CircleGrid(grid_n)
     checks = []
-    fp_min = float(np.min(np.abs(m.derivative_rational()(grid.nodes))))
+    fp_min = float(np.min(np.abs(m.derivative_on(grid))))
     checks.append(
         ScenarioCheck("fprime_nonzero_on_circle", fp_min > 1e-6, fp_min,
                       "min |f'| on the unit circle")

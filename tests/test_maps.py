@@ -20,6 +20,7 @@ from heleshaw.maps import (
     circle_values,
     eval_map,
     polynomial_roots,
+    ring_values,
     simple_derivative_zeros_in_disk,
     winding_number,
 )
@@ -50,6 +51,16 @@ def test_circle_values_match_horner(degree):
     exact = pval(c, g.nodes)
     err = np.max(np.abs(circle_values(c, g) - exact))
     assert err < 1e-12 * np.max(np.abs(exact))
+
+
+def test_ring_values_reject_exact_pole():
+    # 1/(z - 1) has its pole at the grid node z = 1: on the unit circle, and
+    # on the outer ring of the two
+    r = RationalFunction([1.0], [-1.0, 1.0])
+    for radii in (1.0, [0.5, 1.0]):
+        with pytest.raises(PoleProximityError):
+            ring_values(r, radii, CircleGrid(8))
+    assert ring_values(r, [0.5, 0.75], CircleGrid(8)).shape == (2, 8)
 
 
 def test_derivative_on_grid_agrees_across_map_kinds():

@@ -6,7 +6,14 @@ from numpy.testing import assert_allclose
 
 from heleshaw import moments
 from heleshaw.errors import QuadratureError, ResidueError, UncancelledPoleError
-from heleshaw.maps import AbcRationalMap, PolynomialMap, RationalMap, TaylorMap
+from heleshaw.maps import (
+    AbcRationalMap,
+    CircleGrid,
+    PolynomialMap,
+    RationalMap,
+    TaylorMap,
+    ring_values,
+)
 from heleshaw.moments import (
     MomentVector,
     QuadratureData,
@@ -21,7 +28,7 @@ from heleshaw.moments import (
     richardson_moment,
     richardson_moments,
 )
-from heleshaw.rational import deflate, pval, series_div, taylor_shift
+from heleshaw.rational import RationalFunction, deflate, pval, series_div, taylor_shift
 from heleshaw.scenarios import (
     make_example_abc,
     make_subcase1,
@@ -343,21 +350,26 @@ def test_ring_values_match_horner(degree):
     c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     radii, _ = moments._disk_grid(8, 16)
     exact = pval(c, _disk_nodes(8, 16))
-    err = np.max(np.abs(moments._ring_values(c, radii, 16) - exact))
+    err = np.max(np.abs(ring_values(RationalFunction(c), radii, CircleGrid(16)) - exact))
     assert err < 1e-13 * np.max(np.abs(c))
 
 
 def test_disk_values_agree_across_map_kinds():
+    # ring and circle values by FFT against Horner at the same nodes
     radii, _ = moments._disk_grid(12, 32)
     zgrid = _disk_nodes(12, 32)
+    g = CircleGrid(32)
     for m in (PolynomialMap((1.0, 0.2 - 0.1j, 0.05)),
               TaylorMap((1.0, 0.3, 0.0, 0.01j)),
               AbcRationalMap(0.4j, 1.5j, 2.0),
               make_subcase2(1.0, 0.6j)):
         r = m.rational()
-        assert_allclose(moments._on_disk(m, radii, 32), r(zgrid), rtol=0, atol=1e-13)
-        assert_allclose(moments._on_disk(m, radii, 32, derivative=True),
+        assert_allclose(ring_values(r, radii, g), r(zgrid), rtol=0, atol=1e-13)
+        assert_allclose(ring_values(m.derivative_rational(), radii, g),
                         r.derivative()(zgrid), rtol=0, atol=1e-13)
+        assert_allclose(m.boundary_values(g), r(g.nodes), rtol=0, atol=1e-13)
+        assert_allclose(m.derivative_on(g), r.derivative()(g.nodes),
+                        rtol=0, atol=1e-13)
 
 
 def test_disk_grid_cached_read_only():
@@ -385,6 +397,35 @@ def test_angular_nodes_from_nearest_pole():
     assert moments._angular_nodes(near) == 8192
     with pytest.raises(QuadratureError):
         moments._angular_nodes(near, refine=2)
+
+
+def test_ring_blocks_do_not_change_the_quadrature(monkeypatch):
+    # polynomial grids are one block; 8 rings per block must agree with it
+    m = PolynomialMap((1.0, 0.3 - 0.1j, 0.05j, -0.02))
+    data = quadrature_coeffs(m)
+    tests = [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
+    whole = moments._disk_quadrature(m, 4, 96, 256)
+    checks = quadrature_check(m, data, tests)
+    monkeypatch.setattr(moments, "_BLOCK_NODES", 8 * 256)
+    assert_allclose(moments._disk_quadrature(m, 4, 96, 256), whole,
+                    rtol=0, atol=1e-14 * np.max(np.abs(whole)))
+    assert_allclose(quadrature_check(m, data, tests), checks, rtol=0, atol=1e-14)
+
+
+def test_area_oracle_memory_is_bounded_near_the_cap():
+    # subcase2 at |B1| = 0.98 sqrt(M0) needs 192 x 8192 nodes on the fine
+    # level; evaluated whole, that level peaked at 96 MB of arrays
+    import tracemalloc
+
+    m = make_subcase2(1.0, 0.98)
+    tracemalloc.start()
+    try:
+        _, err = moments_area_oracle(m, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err < 1e-12
+    assert peak < 16 * 2**20
 
 
 def test_pole_near_circle_raises_quadrature_error():

@@ -22,6 +22,20 @@ def test_pval_scalar_matches_array_path():
         assert_allclose(pval(p, z), pval(p, np.array([z]))[0], rtol=1e-15)
         assert isinstance(pval(p, z), complex)
 
+
+def test_scalar_call_is_pval_quotient():
+    # a point takes pval's scalar path: bitwise its quotient, a Python complex
+    rng = np.random.default_rng(5)
+    r = RationalFunction(rng.standard_normal(257) + 1j * rng.standard_normal(257),
+                         [2.0, -0.5j, 0.25])
+    for z in (0.0, 0.3 - 0.7j, np.complex128(-0.9j), np.asarray(0.5 + 0.5j)):
+        v = r(z)
+        assert isinstance(v, complex)
+        assert v == pval(r.num, z) / pval(r.den, z)
+    with pytest.raises(PoleProximityError):
+        RationalFunction([1.0], [-1.0, 1.0])(1.0)
+
+
 def test_trim_drops_exact_trailing_zeros():
     assert_allclose(trim([1.0, 2.0, 0.0, 0.0]), [1.0, 2.0])
     assert_allclose(trim([0.0, 0.0]), [0.0])
