@@ -7,7 +7,6 @@ Hele-Shaw (Laplacian-growth) evolution with fixed branch points for a class
 of rational maps.
 """
 
-from .config import DEFAULT, Tolerances
 from .maps import (
     AbcRationalMap,
     AnalyticMap,
@@ -55,8 +54,6 @@ from .scenarios import (
 )
 
 __all__ = [
-    "DEFAULT",
-    "Tolerances",
     "AbcRationalMap",
     "AnalyticMap",
     "CircleGrid",

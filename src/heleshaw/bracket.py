@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import DegenerateResultantError
 from .maps import AnalyticMap, CircleGrid, PolynomialMap, circle_values
 from .moments import richardson_moments
@@ -198,7 +198,7 @@ def _real_bracket_matrix(U: np.ndarray) -> np.ndarray:
     return W
 
 
-def solve_string_system(m: PolynomialMap, tol: Tolerances = DEFAULT) -> np.ndarray:
+def solve_string_system(m: PolynomialMap) -> np.ndarray:
     """Coefficient velocities adot with U adot = e_0 (logical index -n..n).
 
     These are exactly the derivatives da_j / dM_0 at fixed higher moments.
@@ -209,7 +209,7 @@ def solve_string_system(m: PolynomialMap, tol: Tolerances = DEFAULT) -> np.ndarr
 
     Raises :class:`DegenerateResultantError` when U is numerically singular
     (Res(f', f'*) ~ 0): when the Frobenius condition number |W|_F |W^-1|_F
-    exceeds 1 / ``tol.singular_ratio``.  It bounds sigma_max / sigma_min
+    exceeds 1 / ``DEFAULT.singular_ratio``.  It bounds sigma_max / sigma_min
     from above, so the gate rejects every system that a singular-value test
     at the same ratio rejects.
     """
@@ -217,7 +217,7 @@ def solve_string_system(m: PolynomialMap, tol: Tolerances = DEFAULT) -> np.ndarr
     try:
         Winv = np.linalg.inv(W)
         # False as well for an inverse holding inf or nan
-        ok = np.linalg.norm(W) * np.linalg.norm(Winv) * tol.singular_ratio <= 1.0
+        ok = np.linalg.norm(W) * np.linalg.norm(Winv) * DEFAULT.singular_ratio <= 1.0
     except np.linalg.LinAlgError:
         ok = False
     if not ok:

@@ -1,9 +1,12 @@
 """The gates at which the solvers raise a typed error.
 
-Solvers, steppers and root finders take these thresholds from one
-:class:`Tolerances` record, so a scenario can tighten or loosen them in one
-place.  The bounds of reported checks sit next to the checks instead.  The
-defaults are the values the test suite is written against.
+Each field of :class:`Tolerances` names one gate of the solvers, steppers
+and root finders.  Every gate reads its threshold from :data:`DEFAULT`
+where the check is made, as ``DEFAULT.<field>``; no function takes a
+tolerance argument.  A test that needs another threshold substitutes the
+module's ``DEFAULT`` (``monkeypatch.setattr(maps, "DEFAULT", ...)``).  The
+bounds of reported checks sit next to the checks instead.  The values are
+the ones the test suite is written against.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     BranchPointError,
     ConfigError,
@@ -83,7 +83,6 @@ def poisson_schwarz(
     m: AnalyticMap,
     grid: CircleGrid,
     n_modes: int | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> np.ndarray:
     """Coefficients p_0, p_1, ... of the analytic extension P of the
     boundary data 1/(2 |f'|^2): Re P = 1/(2 |f'|^2) on the unit circle.
@@ -95,7 +94,7 @@ def poisson_schwarz(
     """
     fpv = m.derivative_on(grid)
     small = float(np.min(np.abs(fpv)))
-    if small < tol.cusp_min_derivative:
+    if small < DEFAULT.cusp_min_derivative:
         raise CuspError(f"min |f'| = {small:.3e} on the circle (cusp forming)")
     rho = 1.0 / (2.0 * np.abs(fpv) ** 2)
     hat = np.fft.rfft(rho) / grid.size
@@ -123,7 +122,7 @@ class BranchPointSet:
         return len(self.omegas)
 
 
-def branch_points(m: AnalyticMap, near=None, tol: Tolerances = DEFAULT) -> BranchPointSet:
+def branch_points(m: AnalyticMap, near=None) -> BranchPointSet:
     """Branch points of the map: simple zeros of f' inside the unit disk.
 
     Each image is computed both directly as f(omega_j) and as the residue of
@@ -132,7 +131,7 @@ def branch_points(m: AnalyticMap, near=None, tol: Tolerances = DEFAULT) -> Branc
     continue them along an evolution (see
     :func:`heleshaw.maps.simple_derivative_zeros_in_disk`).
     """
-    omegas = simple_derivative_zeros_in_disk(m, near=near, tol=tol)
+    omegas = simple_derivative_zeros_in_disk(m, near=near)
     if omegas.size == 0:
         return BranchPointSet(omegas, np.zeros(0, dtype=complex))
     r = m.rational()
@@ -197,9 +196,9 @@ def _rk4(a: np.ndarray, dt: float, deriv) -> np.ndarray:
     return a + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _enforce_normalization(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _enforce_normalization(a: np.ndarray) -> np.ndarray:
     drift = abs(a[0].imag)
-    if drift > tol.normalization_drift:
+    if drift > DEFAULT.normalization_drift:
         raise NormalizationError(
             f"Im a0 = {drift:.3e} after step; the exact flow preserves "
             "normalization, so this indicates a broken step"
@@ -209,9 +208,7 @@ def _enforce_normalization(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     return a
 
 
-def step_polynomial(
-    state: EvolutionState, dt: float, tol: Tolerances = DEFAULT
-) -> EvolutionState:
+def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
     """One RK4 step of the fixed-degree polynomial string flow.
 
     Besides the conditioning check inside the linear solve, the step guards
@@ -233,13 +230,13 @@ def step_polynomial(
             raise NormalizationError(
                 f"stage left the admissible coefficient cone: {exc}"
             ) from exc
-        return velocities_positive(solve_string_system(cur, tol=tol))
+        return velocities_positive(solve_string_system(cur))
 
     a = np.asarray(m.coeffs, dtype=complex)
     res0 = state.resultant
     if res0 is None:
         res0 = derivative_reflection_resultant(m)
-    anew = _enforce_normalization(_rk4(a, dt, deriv), tol)
+    anew = _enforce_normalization(_rk4(a, dt, deriv))
     newmap = PolynomialMap(tuple(anew))
     res1 = derivative_reflection_resultant(newmap)
     if abs(res1 - res0) > 0.5 * (abs(res0) + abs(res1)):
@@ -251,10 +248,7 @@ def step_polynomial(
 
 
 def step_taylor_fixed_branch(
-    state: EvolutionState,
-    dt: float,
-    grid: CircleGrid | None = None,
-    tol: Tolerances = DEFAULT,
+    state: EvolutionState, dt: float, grid: CircleGrid
 ) -> EvolutionState:
     """One RK4 step of the fixed-branch-point flow in series space.
 
@@ -265,33 +259,29 @@ def step_taylor_fixed_branch(
     m = state.map
     if not isinstance(m, TaylorMap):
         raise TypeError("series stepper needs a TaylorMap state")
-    if grid is None:
-        grid = CircleGrid(1024)
 
     def deriv(a):
-        return series_velocity(TaylorMap(tuple(a)), grid, tol=tol)
+        return series_velocity(TaylorMap(tuple(a)), grid)
 
     a = np.asarray(m.coeffs, dtype=complex)
-    anew = _enforce_normalization(_rk4(a, dt, deriv), tol)
+    anew = _enforce_normalization(_rk4(a, dt, deriv))
     newmap = TaylorMap(tuple(anew))
     tail = newmap.tail_energy()
-    if tail > tol.tail_energy:
+    if tail > DEFAULT.tail_energy:
         raise TruncationError(
-            f"relative tail energy {tail:.3e} exceeds {tol.tail_energy}; "
+            f"relative tail energy {tail:.3e} exceeds {DEFAULT.tail_energy}; "
             "increase the series order"
         )
     return EvolutionState(state.t + dt, newmap)
 
 
-def series_velocity(
-    m: TaylorMap, grid: CircleGrid, tol: Tolerances = DEFAULT
-) -> np.ndarray:
+def series_velocity(m: TaylorMap, grid: CircleGrid) -> np.ndarray:
     """Coefficient velocities adot_j of fdot = z f' P, truncated to the order.
 
     Only p_0..p_{order-1} reach the kept coefficients, so P is built with
     that many modes and the product is an exact convolution of coefficients.
     """
-    p = poisson_schwarz(m, grid, n_modes=m.order - 1, tol=tol)
+    p = poisson_schwarz(m, grid, n_modes=m.order - 1)
     return np.convolve(m.derivative_coeffs(), p)[: m.order]
 
 
@@ -331,24 +321,23 @@ def run_evolution(spec) -> EvolutionResult:
     and the snapshots collected so far are returned.
     """
     m, mode = spec.initial
-    tol = spec.tolerances
     grid = CircleGrid(spec.grid_n)
     seeds = None
     if mode == "taylor" and not isinstance(m, TaylorMap):
         # the exact map's f' has a low-degree numerator, so its zeros seed
         # the continuation on the truncated series cheaply
-        seeds = simple_derivative_zeros_in_disk(m, tol=tol)
+        seeds = simple_derivative_zeros_in_disk(m)
         m = TaylorMap(tuple(m.power_series(spec.taylor_order)))
         tail = m.tail_energy()
-        if tail > tol.tail_energy:
+        if tail > DEFAULT.tail_energy:
             raise TruncationError(
-                f"initial series tail energy {tail:.3e} exceeds {tol.tail_energy}"
+                f"initial series tail energy {tail:.3e} exceeds {DEFAULT.tail_energy}"
             )
 
     K = max(spec.diagnostic_moments, 1)
     base = moments_richardson(m, K).as_array()
     if mode == "taylor":
-        bp = branch_points(m, near=seeds, tol=tol)
+        bp = branch_points(m, near=seeds)
         base_branch = bp.values
         prev_omegas = bp.omegas
     else:
@@ -362,17 +351,17 @@ def run_evolution(spec) -> EvolutionResult:
         expected[0] += state.t
         drift = np.abs(mv - expected)
         if mode == "taylor":
-            bpt = branch_points(state.map, near=prev_omegas, tol=tol)
+            bpt = branch_points(state.map, near=prev_omegas)
             prev_omegas = bpt.omegas
             bdrift = (
                 np.abs(bpt.values - base_branch)
                 if len(bpt) == len(base_branch)
                 else np.full(max(len(base_branch), 1), np.inf)
             )
-            vel = series_velocity(state.map, grid, tol=tol)
+            vel = series_velocity(state.map, grid)
         else:
             bdrift = np.zeros(0)
-            vel = velocities_positive(solve_string_system(state.map, tol=tol))
+            vel = velocities_positive(solve_string_system(state.map))
         sres = string_residual(state.map, vel, grid)
         return EvolutionState(
             state.t,
@@ -391,9 +380,9 @@ def run_evolution(spec) -> EvolutionResult:
     for k in range(1, n_steps + 1):
         try:
             if mode == "taylor":
-                state = step_taylor_fixed_branch(state, spec.dt, grid=grid, tol=tol)
+                state = step_taylor_fixed_branch(state, spec.dt, grid=grid)
             else:
-                state = step_polynomial(state, spec.dt, tol=tol)
+                state = step_polynomial(state, spec.dt)
             state = replace(state, t=round(k * spec.dt, 12))
             if k in out_steps:
                 states.append(annotate(state, spec.dt))

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     BranchPointError,
     PoleProximityError,
@@ -116,9 +116,9 @@ def ring_values(r: RationalFunction, radii, grid: CircleGrid) -> np.ndarray:
 # map classes
 # ----------------------------------------------------------------------
 
-def _coerce_a0(a0, tol=1e-12) -> float:
+def _coerce_a0(a0) -> float:
     a0 = complex(a0)
-    if abs(a0.imag) > tol * max(abs(a0), 1.0):
+    if abs(a0.imag) > 1e-12 * max(abs(a0), 1.0):
         raise ValueError(f"a0 must be real, got {a0}")
     if a0.real <= 0:
         raise ValueError(f"a0 must be positive, got {a0}")
@@ -223,14 +223,14 @@ class RationalMap(AnalyticMap):
         if self.check:
             self.validate()
 
-    def validate(self, tol: float = 1e-8):
+    def validate(self):
         """Check f'(omega_j) = 0 for every stored pole reflection."""
         fp = self.derivative_rational()
         scale = max(np.max(np.abs(fp.num)), 1.0)
         for wb in self.pole_reflections:
             w = np.conj(wb)
             val = pval(fp.num, w)
-            if abs(val) > tol * scale:
+            if abs(val) > 1e-8 * scale:
                 raise ValueError(
                     f"inconsistent rational map: f'({w}) = {val}, not a zero"
                 )
@@ -323,11 +323,10 @@ class TaylorMap(AnalyticMap):
         a = np.asarray(self.coeffs, dtype=complex)
         return a * np.arange(1, len(a) + 1)
 
-    def tail_energy(self, tail: int | None = None) -> float:
-        """Relative coefficient energy in the last ``tail`` slots."""
+    def tail_energy(self) -> float:
+        """Relative coefficient energy in the last eighth (at least 2) of the slots."""
         a = np.abs(np.asarray(self.coeffs))
-        if tail is None:
-            tail = max(len(a) // 8, 2)
+        tail = max(len(a) // 8, 2)
         total = float(np.sum(a**2))
         if total == 0.0:
             return 0.0
@@ -338,13 +337,13 @@ class TaylorMap(AnalyticMap):
 # operations
 # ----------------------------------------------------------------------
 
-def eval_map(m: AnalyticMap, z, tol: Tolerances = DEFAULT):
+def eval_map(m: AnalyticMap, z):
     """Evaluate the map; rejects points within tolerance of a pole."""
     z = np.asarray(z, dtype=complex)
     poles = m.finite_poles()
     if poles.size:
         d = np.min(np.abs(z[..., None] - poles[None, :]))
-        if d < tol.pole_proximity:
+        if d < DEFAULT.pole_proximity:
             raise PoleProximityError(
                 f"evaluation point within {d:.2e} of a pole"
             )
@@ -382,7 +381,7 @@ def _match_previous(roots, near):
     return out
 
 
-def winding_number(samples, z, tol: Tolerances = DEFAULT):
+def winding_number(samples, z):
     """Index of the sampled closed curve about ``z``.
 
     ``samples[k]`` must be curve values at the uniform circle grid.  The
@@ -402,17 +401,15 @@ def winding_number(samples, z, tol: Tolerances = DEFAULT):
     val = np.sum(dw / (w - z)) / (1j * n)
     idx = int(round(val.real))
     residual = abs(val - idx)
-    if residual > tol.winding_residual_max:
+    if residual > DEFAULT.winding_residual_max:
         raise UnderResolvedError(
-            f"winding residual {residual:.3g} exceeds {tol.winding_residual_max}; "
+            f"winding residual {residual:.3g} exceeds {DEFAULT.winding_residual_max}; "
             "refine the grid"
         )
     return idx, residual
 
 
-def simple_derivative_zeros_in_disk(
-    m: AnalyticMap, near=None, tol: Tolerances = DEFAULT
-) -> np.ndarray:
+def simple_derivative_zeros_in_disk(m: AnalyticMap, near=None) -> np.ndarray:
     """Zeros of f' strictly inside the unit disk, required simple.
 
     Pass the previous zeros as ``near`` to continue them: each is polished by
@@ -431,27 +428,28 @@ def simple_derivative_zeros_in_disk(
         return np.zeros(0, dtype=complex)
     inside = None
     if near is not None:
-        inside = _continued_zeros(num, np.asarray(near, dtype=complex), tol)
+        inside = _continued_zeros(num, np.asarray(near, dtype=complex))
     if inside is None:
-        inside = _companion_zeros(num, near, tol)
-    if _min_gap(inside) < 1e-8:
+        inside = _companion_zeros(num, near)
+    if _min_gap(inside) < _MULTIPLE_ZERO_GAP:
         raise BranchPointError("multiple zero of f' detected in the disk")
     fpp = fp.derivative()
     for r in inside:
-        if abs(fpp(r)) < tol.branch_simple_min:
+        if abs(fpp(r)) < DEFAULT.branch_simple_min:
             raise BranchPointError(f"zero of f' at {r} is not simple")
     return inside
 
 
-def _companion_zeros(num, near, tol: Tolerances) -> np.ndarray:
+def _companion_zeros(num, near) -> np.ndarray:
     """Zeros of ``num`` inside the disk, from all of its roots."""
+    margin = DEFAULT.branch_boundary_margin
     inside = []
     for r in polynomial_roots(num):
-        if abs(r) < 1.0 - tol.branch_boundary_margin:
+        if abs(r) < 1.0 - margin:
             inside.append(r)
-        elif abs(abs(r) - 1.0) <= tol.branch_boundary_margin:
+        elif abs(abs(r) - 1.0) <= margin:
             raise BranchPointError(
-                f"zero of f' at {r} lies within {tol.branch_boundary_margin} "
+                f"zero of f' at {r} lies within {margin} "
                 "of the unit circle"
             )
     inside = np.asarray(inside, dtype=complex)
@@ -467,8 +465,11 @@ def _companion_zeros(num, near, tol: Tolerances) -> np.ndarray:
 # that error is negligible.
 _BRANCH_COUNT_RESIDUAL = 1e-6
 
+# Zeros of f' closer together than this count as one multiple zero.
+_MULTIPLE_ZERO_GAP = 1e-8
 
-def _continued_zeros(num, near: np.ndarray, tol: Tolerances):
+
+def _continued_zeros(num, near: np.ndarray):
     """Zeros of ``num`` inside the disk, continued from ``near``.
 
     The zero count is the winding number of ``num`` on the circles of radius
@@ -479,7 +480,7 @@ def _continued_zeros(num, near: np.ndarray, tol: Tolerances):
     ``len(near)``, or Newton's method does not converge to distinct zeros
     inside the disk.
     """
-    margin = tol.branch_boundary_margin
+    margin = DEFAULT.branch_boundary_margin
     # twice the usual 4x-degree grid: truncated series gather spurious zeros
     # just outside the circle, and each adds (1/|z|)**N to the residual
     grid = CircleGrid(max(64, 1 << (8 * len(num) - 1).bit_length()))
@@ -487,7 +488,7 @@ def _continued_zeros(num, near: np.ndarray, tol: Tolerances):
     counts = []
     for values in circles:
         try:
-            idx, residual = winding_number(values, 0.0, tol)
+            idx, residual = winding_number(values, 0.0)
         except (PoleProximityError, UnderResolvedError):
             return None
         if residual > _BRANCH_COUNT_RESIDUAL:
@@ -503,11 +504,11 @@ def _continued_zeros(num, near: np.ndarray, tol: Tolerances):
     if not len(near):
         return near
     dnum = pder(num)
-    w = [_newton_zero(num, dnum, complex(z), tol) for z in near]
+    w = [_newton_zero(num, dnum, complex(z)) for z in near]
     if None in w:
         return None
     w = np.asarray(w)
-    if np.max(np.abs(w)) >= 1.0 - margin or _min_gap(w) < 1e-8:
+    if np.max(np.abs(w)) >= 1.0 - margin or _min_gap(w) < _MULTIPLE_ZERO_GAP:
         return None
     return w
 
@@ -521,14 +522,14 @@ def _min_gap(points: np.ndarray) -> float:
     return float(np.min(d))
 
 
-def _newton_zero(c, dc, w: complex, tol: Tolerances):
+def _newton_zero(c, dc, w: complex):
     """Newton's method on the polynomial ``c`` from ``w``; None if it stalls.
 
     Stops with one more step once |c(w)| counts as a root (``root_residual``
     relative to the coefficient scale); quadratic convergence makes that
     last step reach rounding level.
     """
-    small = tol.root_residual * float(np.max(np.abs(c)))
+    small = DEFAULT.root_residual * float(np.max(np.abs(c)))
     for _ in range(50):
         v = pval(c, w)
         d = pval(dc, w)

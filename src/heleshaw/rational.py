@@ -192,13 +192,12 @@ class RationalFunction:
 
     # -- Laurent data ----------------------------------------------------
 
-    def pole_order(self, z0, max_order: int | None = None,
-                   rel_tol: float = 1e-10) -> int:
+    def pole_order(self, z0, rel_tol: float) -> int:
         """Multiplicity of z0 as a root of the denominator, minus numerator
-        cancellation.  Returns 0 when the function is regular at z0.
-        ``max_order`` defaults to the degree of the denominator."""
-        if max_order is None:
-            max_order = len(self.den) - 1
+        cancellation, at most the degree of the denominator.  A deflation
+        remainder within ``rel_tol`` of the coefficient scale counts as a
+        root.  Returns 0 when the function is regular at z0."""
+        max_order = len(self.den) - 1
         md = _root_multiplicity(self.den, z0, max_order, rel_tol)
         if md == 0:
             return 0

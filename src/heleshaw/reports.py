@@ -131,7 +131,7 @@ def export_trajectory(result: EvolutionResult, path) -> None:
 # SVG boundary snapshots
 # ----------------------------------------------------------------------
 
-def render_boundary_svg(source, path, grid_n: int = 512, size: int = 640) -> None:
+def render_boundary_svg(source, path) -> None:
     """Static SVG 1.1 with one polyline per boundary curve f(bd D).
 
     ``source`` is a map, a list of maps, or an :class:`EvolutionResult`
@@ -143,13 +143,14 @@ def render_boundary_svg(source, path, grid_n: int = 512, size: int = 640) -> Non
     else:
         maps = [source] if isinstance(source, AnalyticMap) else list(source)
         labels = [f"curve{idx}" for idx in range(len(maps))]
-    grid = CircleGrid(grid_n)
+    grid = CircleGrid(512)
     curves = [m.boundary_values(grid) for m in maps]
     allpts = np.concatenate(curves)
     lo = min(allpts.real.min(), allpts.imag.min())
     hi = max(allpts.real.max(), allpts.imag.max())
     pad = 0.05 * max(hi - lo, 1e-12)
     lo, hi = lo - pad, hi + pad
+    size = 640
     scale = size / (hi - lo)
 
     def xy(zv: complex):

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import ConfigError
 from .maps import (
     AbcRationalMap,
@@ -86,7 +85,6 @@ class ScenarioSpec:
     grid_n: int = 1024
     taylor_order: int = 64
     diagnostic_moments: int = 4
-    tolerances: Tolerances = DEFAULT
     csv_path: str | None = None
     svg_path: str | None = None
     json_path: str | None = None

@@ -158,7 +158,7 @@ def test_svg_subcase1_polyline_self_overlaps(tmp_path):
 
     m = make_subcase1(2.0, 7.0 - 4.0 * np.sqrt(3.0))
     path = tmp_path / "sub1.svg"
-    render_boundary_svg(m, path, grid_n=512)
+    render_boundary_svg(m, path)
     assert path.exists()
     w = m.boundary_values(CircleGrid(512))
     # both halves lie exactly on the circle of radius sqrt(M0/2) = 1 ...

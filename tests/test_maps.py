@@ -294,15 +294,14 @@ def test_winding_residual_spectral():
     assert res < 1e-6
 
 
-def test_winding_under_resolution_raises():
-    from heleshaw.config import DEFAULT
+def test_winding_under_resolution_raises(monkeypatch):
     from heleshaw.errors import UnderResolvedError
 
     # tighten the residual bound to force the diagnostic path
+    monkeypatch.setattr(maps, "DEFAULT", replace(DEFAULT, winding_residual_max=1e-18))
     m = PolynomialMap((1.0, 0.2, 0.05j))
     with pytest.raises(UnderResolvedError):
-        winding_number(m.boundary_values(CircleGrid(16)), 0.3 + 0.3j,
-                       tol=replace(DEFAULT, winding_residual_max=1e-18))
+        winding_number(m.boundary_values(CircleGrid(16)), 0.3 + 0.3j)
 
 
 # ----------------------------------------------------------------------
@@ -346,10 +345,11 @@ def test_continuation_raises_for_zero_within_margin(monkeypatch):
     # wide margin both argument-principle counts are resolved, they differ,
     # and the continuation raises without any companion-matrix roots.
     m = PolynomialMap((1.0, -0.5, -2.0 / 3.0))
-    tol = replace(DEFAULT, branch_boundary_margin=0.3)
     calls = _counted_roots(monkeypatch)
-    with pytest.raises(BranchPointError, match="within 0.3"):
-        simple_derivative_zeros_in_disk(m, near=[0.5], tol=tol)
+    with monkeypatch.context() as wide:
+        wide.setattr(maps, "DEFAULT", replace(DEFAULT, branch_boundary_margin=0.3))
+        with pytest.raises(BranchPointError, match="within 0.3"):
+            simple_derivative_zeros_in_disk(m, near=[0.5])
     assert calls == []
     # at the default margin the counts are not resolved; the companion
     # fallback rejects the zero on the circle just the same

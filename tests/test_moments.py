@@ -557,13 +557,6 @@ def test_residue_moments_reject_boundary_singularity():
         moments_residue(m, 2)
 
 
-def test_area_oracle_convergence_target():
-    from heleshaw.errors import QuadratureError
-
-    with pytest.raises(QuadratureError):
-        moments_area_oracle(CARDIOID, 2, target=1e-30)
-
-
 def test_default_moment_count():
     assert default_moment_count(CARDIOID) == 2
     assert default_moment_count(PolynomialMap((1.0, 0.1, 0.1, 0.1, 0.05))) == 4

@@ -1,13 +1,19 @@
 """The public surface resolves: every exported name and every layer function
-the benchmark tracer wraps still exists."""
+the benchmark tracer wraps still exists, and the gates are read from
+``heleshaw.config.DEFAULT`` rather than passed as parameters."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import heleshaw
+from heleshaw.config import Tolerances
+from heleshaw.scenarios import ScenarioSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(heleshaw.__file__).resolve().parent
 MODULES = [importlib.import_module(f"heleshaw.{info.name}")
            for info in pkgutil.iter_modules(heleshaw.__path__)]
 
@@ -27,3 +33,33 @@ def test_tracer_targets_resolve(monkeypatch):
     for target in tracing.TARGETS:
         _, _, fn = tracing._resolve(target)
         assert callable(fn), target
+
+
+def _public_functions():
+    """Every function and method reachable from a module's ``__all__``."""
+    for module in [heleshaw, *MODULES]:
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                for klass in obj.__mro__:
+                    if klass.__module__.startswith("heleshaw"):
+                        for attr, member in vars(klass).items():
+                            member = getattr(member, "__func__", member)
+                            if inspect.isfunction(member):
+                                yield f"{klass.__name__}.{attr}", member
+            elif inspect.isfunction(obj):
+                yield name, obj
+
+
+def test_gates_are_not_parameters():
+    with_tol = sorted({name for name, fn in _public_functions()
+                       if "tol" in inspect.signature(fn).parameters})
+    assert not with_tol, f"functions taking a tol parameter: {with_tol}"
+    assert "tolerances" not in {f.name for f in dataclasses.fields(ScenarioSpec)}
+
+
+def test_every_tolerance_is_read_by_a_gate():
+    source = "".join(p.read_text() for p in SRC.glob("*.py"))
+    unread = [f.name for f in dataclasses.fields(Tolerances)
+              if f"DEFAULT.{f.name}" not in source]
+    assert not unread, f"Tolerances fields no gate reads: {unread}"
