@@ -79,11 +79,8 @@ __all__ = [
 # Poisson-Schwarz integral
 # ----------------------------------------------------------------------
 
-def poisson_schwarz(
-    m: AnalyticMap,
-    grid: CircleGrid,
-    n_modes: int | None = None,
-) -> np.ndarray:
+def poisson_schwarz(m: AnalyticMap, grid: CircleGrid,
+                    n_modes: int | None = None) -> np.ndarray:
     """Coefficients p_0, p_1, ... of the analytic extension P of the
     boundary data 1/(2 |f'|^2): Re P = 1/(2 |f'|^2) on the unit circle.
 
@@ -247,9 +244,8 @@ def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
     return EvolutionState(state.t + dt, newmap, resultant=res1)
 
 
-def step_taylor_fixed_branch(
-    state: EvolutionState, dt: float, grid: CircleGrid
-) -> EvolutionState:
+def step_taylor_fixed_branch(state: EvolutionState, dt: float,
+                             grid: CircleGrid) -> EvolutionState:
     """One RK4 step of the fixed-branch-point flow in series space.
 
     The velocity is the truncation of fdot = z f' P to the series order.
