@@ -30,13 +30,17 @@ for g = sum_0^n b_j z^j, h = sum_0^n c_k z^{-k}.  This equals (-1)^n times
 the divisor product prod_i h(omega_i) / h(inf)^n over the zeros of g; the
 Sylvester-based sign is the one under which the determinant identities above
 hold uniformly in n (checked against finite differences of the moment map).
-The package needs it only for g = f', h = f'*, which
-:func:`derivative_reflection_resultant` computes.
+The package needs it only for g = f', h = f'*.  The Jacobian report
+computes it by the Sylvester determinant
+(:func:`derivative_reflection_resultant`); the evolution reads it from
+the real string matrix W of :func:`solve_string_system`, which has U's
+determinant, as det W = 2 b0^{2n+1} Res(f', f'*).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -173,29 +177,113 @@ def derivative_reflection_resultant(m: PolynomialMap) -> complex:
 _SQRT2 = np.sqrt(2.0)
 
 
-def _real_bracket_matrix(U: np.ndarray) -> np.ndarray:
-    """W = T^H U T in the unitary basis e_0, (e_j + e_-j)/sqrt2,
-    i(e_j - e_-j)/sqrt2 (j = 1..n), ordered (0, c_1..c_n, s_1..s_n).
+@lru_cache(maxsize=8)
+def _string_matrix_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of h_ij = b_(i+j) and t_ij = b_(j-i) for i = 0..n, j = 1..n,
+    pointing at a zero appended after b_n where i + j > n or j < i."""
+    i = np.arange(n + 1)[:, None]
+    j = np.arange(1, n + 1)[None, :]
+    return np.where(i + j <= n, i + j, n + 1), np.where(j >= i, j - i, n + 1)
+
+
+def _string_matrix(b: np.ndarray) -> np.ndarray:
+    """W = T^H U T for f' = sum b_j z^j, in the unitary basis e_0,
+    (e_j + e_-j)/sqrt2, i(e_j - e_-j)/sqrt2 (j = 1..n), ordered
+    (0, c_1..c_n, s_1..s_n).
 
     U commutes with v -> conj(v[::-1]), whose fixed vectors are exactly the
     real combinations of T's columns, so W is real and has U's singular
-    values and determinant.  Row 0 is Re of U's row 0; rows c_i and s_i are
-    sqrt2 Re and sqrt2 Im of U's row i, since a fixed vector w has
-    coordinates (w_0, sqrt2 Re w_i, sqrt2 Im w_i).
+    values and determinant.  Row i >= 0 of U holds conj(b_i) in column 0
+    (2 b0 at i = 0), conj(h_ij) in column j and t_ij in column -j.  Pairing
+    columns j and -j into their sum (c_j) and i times their difference
+    (s_j), W's row i is Re of U's row i and its row s_i is Im, with column 0
+    scaled by sqrt2 and row 0 by 1/sqrt2.  W is gathered straight from b in
+    the floating-point operations of that fold of :func:`bracket_matrix`,
+    so the two agree bitwise.
     """
-    n = (len(U) - 1) // 2
-    top = U[n:]  # rows i = 0..n
-    pos, neg = top[:, n + 1 :], top[:, :n][:, ::-1]  # columns j and -j
-    s, d = pos + neg, pos - neg  # i d has real part -Im d, imaginary part Re d
-    W = np.concatenate(
-        [
-            np.concatenate([top[:, n : n + 1].real, s.real, -d.imag], axis=1),
-            np.concatenate([top[1:, n : n + 1].imag, s[1:].imag, d[1:].real], axis=1),
-        ]
-    )
+    n = len(b) - 1
+    h, t = _string_matrix_indices(n)
+    # Im conj(b) is padded with +0 like Im b, as U's zeros are, so that
+    # the signed zeros of W match the fold's
+    re = np.append(b.real, 0.0)
+    im = np.append(b.imag, 0.0)
+    im_conj = np.append(-b.imag, 0.0)
+    hr, hi, tr, ti = re[h], im_conj[h], re[t], im[t]
+    W = np.empty((2 * n + 1, 2 * n + 1))
+    W[: n + 1, 0] = re[: n + 1]
+    W[0, 0] += re[0]
+    W[1 : n + 1, 0] *= _SQRT2
+    W[: n + 1, 1 : n + 1] = hr + tr
+    W[: n + 1, n + 1 :] = -(hi - ti)
+    W[n + 1 :, 0] = im_conj[1 : n + 1] * _SQRT2
+    W[n + 1 :, 1 : n + 1] = (hi + ti)[1:]
+    W[n + 1 :, n + 1 :] = (hr - tr)[1:]
     W[0, 1:] /= _SQRT2
-    W[1:, 0] *= _SQRT2
     return W
+
+
+@dataclass(frozen=True, eq=False)
+class _StringSolve:
+    """One polynomial map's real string matrix W, solved once.
+
+    ``velocities`` is the full -n..n solution of U adot = e_0, or None when
+    the gate rejects W; ``cond`` is |W|_F |W^-1|_F (inf when W is exactly
+    singular).  Res(f', f'*) is read from det W on first use.
+    """
+
+    W: np.ndarray
+    velocities: np.ndarray | None
+    cond: float
+
+    @cached_property
+    def log_resultant(self) -> complex:
+        """log Res(f', f'*) = log det W - log 2 - (2n+1) log b0, from
+        ``slogdet``, since det W = det U = 2 b0^(2n+1) Res.  The imaginary
+        part is 0 or pi (Res is real); -inf for a singular W.  Never
+        overflows.  0 for n = 0, where the empty resultant is 1.
+        """
+        n = (len(self.W) - 1) // 2
+        if n == 0:
+            return 0j
+        sign, logabs = np.linalg.slogdet(self.W)
+        log_b0 = np.log(0.5 * self.W[0, 0])
+        return complex(logabs - np.log(2.0) - (2 * n + 1) * log_b0,
+                       np.pi if sign < 0 else 0.0)
+
+    @property
+    def resultant(self) -> float:
+        """Res(f', f'*) itself (inf past the floating-point range)."""
+        lr = self.log_resultant
+        return float(np.exp(lr.real)) * (-1.0 if lr.imag else 1.0)
+
+    def gated(self) -> np.ndarray:
+        """The velocities, or :class:`DegenerateResultantError` when the gate
+        rejected W."""
+        if self.velocities is None:
+            raise DegenerateResultantError(
+                f"string system singular: Res(f', f'*) = {self.resultant:.3e}; "
+                "f' and f'* share a zero (or nearly so), the string equation "
+                "cannot hold"
+            )
+        return self.velocities
+
+
+def _string_solve(m: PolynomialMap) -> _StringSolve:
+    """Build W from f' and invert it once; see :func:`solve_string_system`."""
+    W = _string_matrix(m.derivative_coeffs())
+    try:
+        Winv = np.linalg.inv(W)
+    except np.linalg.LinAlgError:
+        return _StringSolve(W, None, np.inf)
+    cond = float(np.linalg.norm(W) * np.linalg.norm(Winv))
+    # False as well for an inverse holding inf or nan
+    if not cond * DEFAULT.singular_ratio <= 1.0:
+        return _StringSolve(W, None, cond)
+    n = m.degree_plus
+    x = Winv[:, 0]
+    vp = (x[1 : n + 1] + 1j * x[n + 1 :]) / _SQRT2
+    v = np.concatenate([np.conj(vp[::-1]), [x[0] + 0j], vp])
+    return _StringSolve(W, v, cond)
 
 
 def solve_string_system(m: PolynomialMap) -> np.ndarray:
@@ -204,32 +292,18 @@ def solve_string_system(m: PolynomialMap) -> np.ndarray:
     These are exactly the derivatives da_j / dM_0 at fixed higher moments.
     The solution is conjugate-symmetric, adot_{-j} = conj(adot_j), so the
     system is solved in real arithmetic as W x = e_0 with W the real form of
-    U (see :func:`_real_bracket_matrix`) and x = (adot_0, sqrt2 Re adot_j,
-    sqrt2 Im adot_j); the returned vector is symmetric exactly.
+    U, built straight from f' (see :func:`_string_matrix`), and
+    x = (adot_0, sqrt2 Re adot_j, sqrt2 Im adot_j); the returned vector is
+    symmetric exactly.
 
     Raises :class:`DegenerateResultantError` when U is numerically singular
     (Res(f', f'*) ~ 0): when the Frobenius condition number |W|_F |W^-1|_F
     exceeds 1 / ``DEFAULT.singular_ratio``.  It bounds sigma_max / sigma_min
     from above, so the gate rejects every system that a singular-value test
-    at the same ratio rejects.
+    at the same ratio rejects.  The message quotes Res(f', f'*), read from
+    det W.
     """
-    W = _real_bracket_matrix(bracket_matrix(m))
-    try:
-        Winv = np.linalg.inv(W)
-        # False as well for an inverse holding inf or nan
-        ok = np.linalg.norm(W) * np.linalg.norm(Winv) * DEFAULT.singular_ratio <= 1.0
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        res = derivative_reflection_resultant(m)
-        raise DegenerateResultantError(
-            f"string system singular: Res(f', f'*) = {res:.3e}; f' and f'* "
-            "share a zero (or nearly so), the string equation cannot hold"
-        )
-    n = m.degree_plus
-    x = Winv[:, 0]
-    vp = (x[1 : n + 1] + 1j * x[n + 1 :]) / _SQRT2
-    return np.concatenate([np.conj(vp[::-1]), [x[0] + 0j], vp])
+    return _string_solve(m).gated()
 
 
 def velocities_positive(v: np.ndarray) -> np.ndarray:

@@ -56,7 +56,8 @@ from .maps import (
 from .moments import moments_richardson
 from .rational import RationalFunction, pder, pmul, psub
 from .bracket import (
-    derivative_reflection_resultant,
+    _string_solve,
+    _StringSolve,
     solve_string_system,
     string_residual,
     velocities_positive,
@@ -177,16 +178,23 @@ class StepDiagnostics:
 
 @dataclass(frozen=True)
 class EvolutionState:
+    """A map at time t, with its snapshot diagnostics once annotated.
+
+    In polynomial mode ``resultant`` carries the string solve of ``map``
+    (its velocities, Res(f', f'*) and |W|_F |W^-1|_F) once a step or a
+    snapshot has made it, so the map is solved once: its velocities serve
+    both the snapshot and the next step's first RK4 stage, and its
+    resultant the next step's jump test.  A carried solve has passed the
+    gate of :func:`heleshaw.bracket.solve_string_system`.
+    """
+
     t: float
     map: AnalyticMap
     diagnostics: StepDiagnostics | None = None
-    #: Res(f', f'*) of ``map`` once a polynomial step has computed it, so the
-    #: next step does not compute it again
-    resultant: complex | None = field(default=None, compare=False, repr=False)
+    resultant: _StringSolve | None = field(default=None, compare=False, repr=False)
 
 
-def _rk4(a: np.ndarray, dt: float, deriv) -> np.ndarray:
-    k1 = deriv(a)
+def _rk4(a: np.ndarray, dt: float, deriv, k1: np.ndarray) -> np.ndarray:
     k2 = deriv(a + 0.5 * dt * k1)
     k3 = deriv(a + 0.5 * dt * k2)
     k4 = deriv(a + dt * k3)
@@ -205,6 +213,16 @@ def _enforce_normalization(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _solved(state: EvolutionState) -> _StringSolve:
+    """The string solve a polynomial state carries, or a new one that has
+    passed the gate."""
+    if state.resultant is not None:
+        return state.resultant
+    solve = _string_solve(state.map)
+    solve.gated()
+    return solve
+
+
 def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
     """One RK4 step of the fixed-degree polynomial string flow.
 
@@ -213,8 +231,14 @@ def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
     vanishes like sqrt(t* - t) at the blow-up time, so a fixed step can jump
     across the singular set without ever landing on it.  A step that moves
     the resultant by more than its own magnitude is rejected as degenerate.
-    The new state carries its resultant, so a run computes it once per
-    accepted map.
+
+    The end map is solved once, at the end of the step: its det W gives the
+    resultant for that jump test, which runs first, and then its solve
+    must pass the gate of :func:`heleshaw.bracket.solve_string_system`, so
+    a step raises :class:`DegenerateResultantError` when its end map fails
+    the gate.  The new state carries that solve, whose velocities are the
+    next step's first stage; an input state without one is solved (and
+    gated) first.
     """
     m = state.map
     if not isinstance(m, PolynomialMap):
@@ -230,18 +254,21 @@ def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
         return velocities_positive(solve_string_system(cur))
 
     a = np.asarray(m.coeffs, dtype=complex)
-    res0 = state.resultant
-    if res0 is None:
-        res0 = derivative_reflection_resultant(m)
-    anew = _enforce_normalization(_rk4(a, dt, deriv))
+    solve0 = _solved(state)
+    k1 = velocities_positive(solve0.velocities)
+    anew = _enforce_normalization(_rk4(a, dt, deriv, k1))
     newmap = PolynomialMap(tuple(anew))
-    res1 = derivative_reflection_resultant(newmap)
-    if abs(res1 - res0) > 0.5 * (abs(res0) + abs(res1)):
+    solve1 = _string_solve(newmap)
+    # |Res1 - Res0| > (|Res0| + |Res1|) / 2, divided by |Res0|
+    ratio = np.exp(solve1.log_resultant - solve0.log_resultant)
+    if abs(ratio - 1.0) > 0.5 * (1.0 + abs(ratio)):
         raise DegenerateResultantError(
-            f"Res(f', f'*) jumped from {res0:.3e} to {res1:.3e} in one step; "
+            f"Res(f', f'*) jumped from {solve0.resultant:.3e} to "
+            f"{solve1.resultant:.3e} in one step; "
             "the flow crossed or skirted the degenerate shell"
         )
-    return EvolutionState(state.t + dt, newmap, resultant=res1)
+    solve1.gated()
+    return EvolutionState(state.t + dt, newmap, resultant=solve1)
 
 
 def step_taylor_fixed_branch(state: EvolutionState, dt: float,
@@ -260,7 +287,7 @@ def step_taylor_fixed_branch(state: EvolutionState, dt: float,
         return series_velocity(TaylorMap(tuple(a)), grid)
 
     a = np.asarray(m.coeffs, dtype=complex)
-    anew = _enforce_normalization(_rk4(a, dt, deriv))
+    anew = _enforce_normalization(_rk4(a, dt, deriv, deriv(a)))
     newmap = TaylorMap(tuple(anew))
     tail = newmap.tail_energy()
     if tail > DEFAULT.tail_energy:
@@ -355,14 +382,17 @@ def run_evolution(spec) -> EvolutionResult:
                 else np.full(max(len(base_branch), 1), np.inf)
             )
             vel = series_velocity(state.map, grid)
+            solve = None
         else:
             bdrift = np.zeros(0)
-            vel = velocities_positive(solve_string_system(state.map))
+            solve = _solved(state)
+            vel = velocities_positive(solve.velocities)
         sres = string_residual(state.map, vel, grid)
         return EvolutionState(
             state.t,
             state.map,
             StepDiagnostics(mv, drift, bdrift, sres, dt),
+            resultant=solve,
         )
 
     n_steps = _steps_for(spec.horizon, spec.dt, "horizon")
@@ -370,8 +400,8 @@ def run_evolution(spec) -> EvolutionResult:
     if out_steps and max(out_steps) > n_steps:
         raise ConfigError("output time beyond the horizon")
     out_steps |= {0, n_steps}
-    state = EvolutionState(0.0, m)
-    states = [annotate(state, spec.dt)]
+    state = annotate(EvolutionState(0.0, m), spec.dt)
+    states = [state]
     stop = "completed"
     for k in range(1, n_steps + 1):
         try:

@@ -195,6 +195,9 @@ class PolynomialMap(AnalyticMap):
         a = np.asarray(self.coeffs, dtype=complex)
         return a * np.arange(1, len(a) + 1)
 
+    def derivative_rational(self) -> RationalFunction:
+        return RationalFunction(self.derivative_coeffs())
+
 
 @dataclass(frozen=True)
 class RationalMap(AnalyticMap):
@@ -322,6 +325,9 @@ class TaylorMap(AnalyticMap):
     def derivative_coeffs(self) -> np.ndarray:
         a = np.asarray(self.coeffs, dtype=complex)
         return a * np.arange(1, len(a) + 1)
+
+    def derivative_rational(self) -> RationalFunction:
+        return RationalFunction(self.derivative_coeffs())
 
     def tail_energy(self) -> float:
         """Relative coefficient energy in the last eighth (at least 2) of the slots."""

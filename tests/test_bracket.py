@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from heleshaw.bracket import (
-    _real_bracket_matrix,
+    _string_matrix,
+    _string_solve,
     bracket_matrix,
     bracket_samples,
     conjugate_moment_map,
@@ -242,6 +243,8 @@ def test_sylvester_degenerate_input():
 def test_meromorphic_resultant_constants():
     # n = 0: the empty resultant is 1
     assert derivative_reflection_resultant(PolynomialMap((2.0,))) == 1.0
+    assert _string_solve(PolynomialMap((2.0,))).resultant == 1.0
+    assert _string_solve(PolynomialMap((0.8,))).log_resultant == 0.0
     assert meromorphic_resultant([2.0], [3.0]) == 1.0
 
 
@@ -259,11 +262,25 @@ def test_derivative_reflection_resultant_matches_general_form_bitwise():
 
 def test_meromorphic_resultant_cardioid_closed_form():
     # |Res| = 1 - 4|a1|^2; the Sylvester-based convention makes the n=1
-    # value come out as 4|a1|^2 - 1 (module header documents the sign)
-    for a1 in (0.3, 0.2 + 0.1j):
+    # value come out as 4|a1|^2 - 1 (module header documents the sign).
+    # det W = det U = 2 b0^3 Res gives the same value, sign included
+    for a1 in (0.3, 0.2 + 0.1j, 0.6):
         m = PolynomialMap((1.0, a1))
         res = derivative_reflection_resultant(m)
         assert_allclose(res, 4.0 * abs(a1) ** 2 - 1.0, rtol=1e-13)
+        assert_allclose(_string_solve(m).resultant, 4.0 * abs(a1) ** 2 - 1.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("a0", [0.5, 2.0])
+def test_resultant_from_det_w_n64_log_space(a0):
+    # log Res from slogdet(W) against the scaled Sylvester determinant of
+    # the Jacobian report; neither side leaves log space
+    for seed in (3, 4):
+        m = decaying_map(np.random.default_rng(seed), 64, a0=a0)
+        got = _string_solve(m).log_resultant
+        want = jacobian_identity_report(m, fd_step=None).log_resultant
+        assert np.isfinite(got.real)
+        assert log_rel_error(got, want) < 1e-12
 
 
 def test_meromorphic_resultant_vanishes_at_half():
@@ -506,15 +523,40 @@ def _basis(n):
     return T
 
 
-@pytest.mark.parametrize("n", range(33))
+def _fold(U):
+    """W = T^H U T from U's rows i >= 0: row 0 is Re of U's row 0, rows c_i
+    and s_i are sqrt2 Re and sqrt2 Im of U's row i, columns pair j with -j."""
+    n = (len(U) - 1) // 2
+    top = U[n:]  # rows i = 0..n
+    pos, neg = top[:, n + 1 :], top[:, :n][:, ::-1]  # columns j and -j
+    s, d = pos + neg, pos - neg  # i d has real part -Im d, imaginary part Re d
+    W = np.concatenate(
+        [
+            np.concatenate([top[:, n : n + 1].real, s.real, -d.imag], axis=1),
+            np.concatenate([top[1:, n : n + 1].imag, s[1:].imag, d[1:].real], axis=1),
+        ]
+    )
+    W[0, 1:] /= np.sqrt(2.0)
+    W[1:, 0] *= np.sqrt(2.0)
+    return W
+
+
+@pytest.mark.parametrize("n", list(range(33)) + [64])
 def test_real_bracket_matrix_is_unitary_transform_of_u(n):
-    # W = T^H U T is real with U's singular values and determinant
+    # W = T^H U T is real with U's singular values and determinant.  W is
+    # gathered from f', and it is U folded to the bit (signed zeros
+    # included), so velocities and gate decisions are those of the fold
     rng = np.random.default_rng(500 + n)
-    for m in (decaying_map(rng, n), decaying_map(rng, n, a0=1.3)):
+    maps = [decaying_map(rng, n), decaying_map(rng, n, a0=1.3),
+            decaying_map(rng, n, a0=0.5), decaying_map(rng, n, a0=2.0),
+            random_map(rng, n, scale=0.1 / max(n, 1)),
+            PolynomialMap((0.8,) + tuple(0.3 * rng.uniform(0.1, 1.0, n) / (n + 1)))]
+    for m in maps:
         U = bracket_matrix(m)
-        W = _real_bracket_matrix(U)
+        W = _string_matrix(m.derivative_coeffs())
         T = _basis(n)
         assert W.dtype == np.float64
+        assert W.tobytes() == _fold(U).tobytes()
         assert_allclose(W, T.conj().T @ U @ T, rtol=0, atol=1e-15 * np.max(np.abs(U)))
         su = np.linalg.svd(U, compute_uv=False)
         sw = np.linalg.svd(W, compute_uv=False)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from heleshaw import evolution, maps
+from heleshaw import bracket, evolution, maps
 
 from heleshaw.errors import (
     ConfigError,
@@ -31,6 +32,7 @@ from heleshaw.maps import (
 )
 from heleshaw.moments import moments_richardson
 from heleshaw.scenarios import ScenarioSpec, make_subcase2, subcase2_from_omega
+from test_bracket import _shell_scale, decaying_map
 
 CARDIOID = PolynomialMap((1.0, 0.3))
 
@@ -329,22 +331,87 @@ def test_series_run_finds_roots_only_on_the_exact_map(monkeypatch):
 
 
 def test_polynomial_run_computes_each_resultant_once(monkeypatch):
-    # each accepted map's Res(f', f'*) is carried to the next step, so k
-    # steps take k + 1 resultants: the initial map's and one per new map
-    calls = []
-    real = evolution.derivative_reflection_resultant
+    # each accepted map is solved once, by one real string matrix W: at the
+    # end of the step that makes it (the initial map at its snapshot).  Its
+    # det W gives Res(f', f'*) for the jump test and its velocities serve
+    # the snapshot and the next step's first stage, so k steps take 4k + 1
+    # real solves, and no Sylvester determinant or complex U
+    solved = []
+    real = bracket._string_matrix
 
-    def counted(m):
-        calls.append(m.coeffs)
-        return real(m)
+    def counted(b):
+        solved.append(tuple(b))
+        return real(b)
 
-    monkeypatch.setattr(evolution, "derivative_reflection_resultant", counted)
-    spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3, 0.05j)},
-                        horizon=0.012, dt=1e-3, output_times=(0.005,))
-    res = run_evolution(spec)
-    assert res.completed
-    assert len(calls) == 13
-    assert len(set(calls)) == 13
+    monkeypatch.setattr(bracket, "_string_matrix", counted)
+    for name in ("sylvester_matrix", "derivative_reflection_resultant", "bracket_matrix"):
+        monkeypatch.setattr(bracket, name, mock.Mock(side_effect=AssertionError(name)))
+    every_step = tuple(round(k * 1e-3, 12) for k in range(1, 13))
+    for output_times in ((0.005,), every_step):
+        solved.clear()
+        spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3, 0.05j)},
+                            horizon=0.012, dt=1e-3, output_times=output_times)
+        res = run_evolution(spec)
+        assert res.completed
+        assert len(solved) == 4 * 12 + 1
+    accepted = [tuple(s.map.derivative_coeffs()) for s in res.states]
+    assert len(set(accepted)) == 13
+    assert all(solved.count(b) == 1 for b in accepted)
+
+
+def test_step_raises_when_its_end_map_fails_the_gate(monkeypatch):
+    # the end map's solve is the one made in the step (the input state
+    # carries its own); rejected there, it raises from this step once the
+    # jump test has passed, not from the next step's first stage
+    state = EvolutionState(0.0, CARDIOID, resultant=bracket._string_solve(CARDIOID))
+    assert step_polynomial(state, 1e-3).resultant.velocities is not None
+
+    def rejected(m):
+        return replace(bracket._string_solve(m), velocities=None)
+
+    monkeypatch.setattr(evolution, "_string_solve", rejected)
+    with pytest.raises(DegenerateResultantError, match="string system singular"):
+        step_polynomial(state, 1e-3)
+
+
+# Stop outcomes of 20 steps (dt = 1e-3, a snapshot after each) from
+# (1 - eps) of the shell scale: (n = 1 outcome, n = 4 outcome), each the
+# stop class and the snapshot count.  Read on the implementation that took
+# Res(f', f'*) from a Sylvester determinant and folded the complex U.
+NEAR_SHELL_STOPS = {
+    1e-1: (("completed", 21), ("completed", 21)),
+    3e-2: (("completed", 21), ("completed", 21)),
+    1e-2: (("completed", 21), ("DegenerateResultantError", 1)),
+    3e-3: (("DegenerateResultantError", 1), ("DegenerateResultantError", 1)),
+    1e-3: (("DegenerateResultantError", 1), ("DegenerateResultantError", 1)),
+    3e-4: (("DegenerateResultantError", 1), ("DegenerateResultantError", 1)),
+    1e-4: (("DegenerateResultantError", 1), ("DegenerateResultantError", 1)),
+}
+
+
+def test_near_shell_stop_outcomes_are_pinned():
+    a4 = np.asarray(decaying_map(np.random.default_rng(704), 4).coeffs)
+    s4 = _shell_scale(a4)
+    every_step = tuple(round(k * 1e-3, 12) for k in range(1, 21))
+    for eps, want in NEAR_SHELL_STOPS.items():
+        starts = ((1.0, 0.5 - eps), tuple(np.concatenate([[1.0], s4 * (1 - eps) * a4[1:]])))
+        for coeffs, (stop, count) in zip(starts, want):
+            spec = ScenarioSpec(family="polynomial", params={"coeffs": coeffs},
+                                horizon=0.02, dt=1e-3, output_times=every_step)
+            res = run_evolution(spec)
+            assert res.stop_reason.split(":")[0] == stop, (eps, coeffs)
+            assert len(res.states) == count, (eps, coeffs)
+
+
+def test_backward_run_stops_at_the_pinned_step():
+    # suction from (1, 0.3) runs into the shell near t* = -0.1129; the step
+    # from t = -0.112 is the first to fail, on a resultant jump
+    state = EvolutionState(0.0, CARDIOID)
+    for _ in range(112):
+        state = step_polynomial(state, -1e-3)
+    with pytest.raises(DegenerateResultantError, match="jumped"):
+        step_polynomial(state, -1e-3)
+    assert_allclose(state.t, -0.112, rtol=0, atol=1e-12)
 
 
 def test_negative_dt_rejected_at_spec_level():

@@ -64,11 +64,17 @@ def test_ring_values_reject_exact_pole():
 
 
 def test_derivative_on_grid_agrees_across_map_kinds():
-    g = CircleGrid(256)
-    for m in (PolynomialMap((1.0, 0.2 - 0.1j, 0.05)),
-              TaylorMap((1.0, 0.3, 0.0, 0.01j))):
+    # f' built from derivative_coeffs gives the values of the differentiated
+    # rational form bitwise
+    rng = np.random.default_rng(11)
+    series = TaylorMap((1.0,) + tuple(0.3 * rng.standard_normal(255) / np.arange(2, 257) ** 2))
+    for m, g in ((PolynomialMap((1.0, 0.2 - 0.1j, 0.05)), CircleGrid(256)),
+                 (TaylorMap((1.0, 0.3, 0.0, 0.01j, 0.0)), CircleGrid(256)),
+                 (series, CircleGrid(4096))):
         assert_allclose(m.derivative_on(g), m.derivative_rational()(g.nodes),
                         rtol=0, atol=1e-14)
+        via_rational = ring_values(m.rational().derivative(), 1.0, g)
+        assert m.derivative_on(g).tobytes() == via_rational.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heleshaw.bracket import _string_solve, derivative_reflection_resultant
 from heleshaw.maps import CircleGrid, PolynomialMap
 from heleshaw.moments import (
     coeffs_to_moments,
@@ -68,3 +69,11 @@ def test_reflection_is_an_involution(m, r, t):
     z = r * np.exp(1j * t)
     assert abs(back(z) - R(z)) < 1e-12 * max(1.0, abs(R(z)))
     assert np.array_equal(back.num, R.num) and np.array_equal(back.den, R.den)
+
+
+@settings(max_examples=40)
+@given(m=polynomial_maps())
+def test_resultant_from_det_w_matches_sylvester(m):
+    # det W = 2 b0^(2n+1) Res(f', f'*), against the Sylvester determinant
+    want = derivative_reflection_resultant(m)
+    assert abs(_string_solve(m).resultant - want) <= 1e-12 * abs(want)
