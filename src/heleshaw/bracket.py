@@ -33,7 +33,7 @@ hold uniformly in n (checked against finite differences of the moment map).
 The package needs it only for g = f', h = f'*.  The Jacobian report
 computes it by the Sylvester determinant
 (:func:`derivative_reflection_resultant`); the evolution reads it from
-the real string matrix W of :func:`solve_string_system`, which has U's
+the real string matrix W of :func:`_string_solve`, which has U's
 determinant, as det W = 2 b0^{2n+1} Res(f', f'*).
 """
 
@@ -203,11 +203,12 @@ def _string_matrix(b: np.ndarray) -> np.ndarray:
     """
     n = len(b) - 1
     h, t = _string_matrix_indices(n)
-    # Im conj(b) is padded with +0 like Im b, as U's zeros are, so that
-    # the signed zeros of W match the fold's
-    re = np.append(b.real, 0.0)
-    im = np.append(b.imag, 0.0)
-    im_conj = np.append(-b.imag, 0.0)
+    # Re b, Im b and Im conj(b), each padded with +0 as U's zeros are, so
+    # that the signed zeros of W match the fold's
+    re, im, im_conj = np.zeros((3, n + 2))
+    re[: n + 1] = b.real
+    im[: n + 1] = b.imag
+    im_conj[: n + 1] = -b.imag
     hr, hi, tr, ti = re[h], im_conj[h], re[t], im[t]
     W = np.empty((2 * n + 1, 2 * n + 1))
     W[: n + 1, 0] = re[: n + 1]
@@ -268,9 +269,10 @@ class _StringSolve:
         return self.velocities
 
 
-def _string_solve(m: PolynomialMap) -> _StringSolve:
-    """Build W from f' and invert it once; see :func:`solve_string_system`."""
-    W = _string_matrix(m.derivative_coeffs())
+def _string_solve(b: np.ndarray) -> _StringSolve:
+    """Build W from f' = sum b_j z^j and invert it once: the string solve
+    of :func:`solve_string_system` and of every polynomial RK4 stage."""
+    W = _string_matrix(b)
     try:
         Winv = np.linalg.inv(W)
     except np.linalg.LinAlgError:
@@ -279,7 +281,7 @@ def _string_solve(m: PolynomialMap) -> _StringSolve:
     # False as well for an inverse holding inf or nan
     if not cond * DEFAULT.singular_ratio <= 1.0:
         return _StringSolve(W, None, cond)
-    n = m.degree_plus
+    n = len(b) - 1
     x = Winv[:, 0]
     vp = (x[1 : n + 1] + 1j * x[n + 1 :]) / _SQRT2
     v = np.concatenate([np.conj(vp[::-1]), [x[0] + 0j], vp])
@@ -303,7 +305,7 @@ def solve_string_system(m: PolynomialMap) -> np.ndarray:
     at the same ratio rejects.  The message quotes Res(f', f'*), read from
     det W.
     """
-    return _string_solve(m).gated()
+    return _string_solve(m.derivative_coeffs()).gated()
 
 
 def velocities_positive(v: np.ndarray) -> np.ndarray:

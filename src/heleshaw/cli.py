@@ -145,6 +145,27 @@ def _coeffs_arg(raw: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad coefficient list {raw!r}: {exc}")
 
 
+def _grid_arg(raw: str) -> int:
+    try:
+        return CircleGrid(int(raw)).size
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _positive_float(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heleshaw",
@@ -157,18 +178,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="harmonic moments by three methods")
     p.add_argument("--coeffs", type=_coeffs_arg, required=True,
                    help="polynomial coefficients a_0,a_1,... (a_j multiplies z^{j+1})")
-    p.add_argument("--K", type=int, default=None, help="highest moment index")
+    p.add_argument("--K", type=_nonnegative_int, default=None,
+                   help="highest moment index")
 
     p = sub.add_parser("bracket-check", help="solve the string system, check {f,f*}=1")
     p.add_argument("--coeffs", type=_coeffs_arg, required=True)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=_grid_arg, default=1024)
     p.add_argument("--threshold", type=float, default=1e-8)
 
     p = sub.add_parser("jacobian", help="both sides of the Jacobian determinant identity")
     p.add_argument("--coeffs", type=_coeffs_arg, required=True)
     p.add_argument("--degree", type=int, default=None,
                    help="expected n (validates len(coeffs) == n+1)")
-    p.add_argument("--fd-step", type=float, default=1e-5)
+    p.add_argument("--fd-step", type=_positive_float, default=1e-5)
     p.add_argument("--no-fd", action="store_true",
                    help="skip the finite-difference cross-check")
 
@@ -185,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quadrature identity residuals")
     p.add_argument("--family", choices=("example_abc", "subcase1", "subcase2"),
                    default=None, help="without it, --coeffs is a polynomial map")
-    p.add_argument("--max-power", type=int, default=2,
+    p.add_argument("--max-power", type=_nonnegative_int, default=2,
                    help="test functions z^0..z^max_power")
 
     p = sub.add_parser("scenario", parents=[family_params],

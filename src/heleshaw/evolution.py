@@ -51,17 +51,12 @@ from .maps import (
     CircleGrid,
     PolynomialMap,
     TaylorMap,
+    _polynomial_cone,
     simple_derivative_zeros_in_disk,
 )
 from .moments import moments_richardson
 from .rational import RationalFunction, pder, pmul, psub
-from .bracket import (
-    _string_solve,
-    _StringSolve,
-    solve_string_system,
-    string_residual,
-    velocities_positive,
-)
+from .bracket import _string_solve, _StringSolve, string_residual, velocities_positive
 
 __all__ = [
     "poisson_schwarz",
@@ -185,7 +180,8 @@ class EvolutionState:
     snapshot has made it, so the map is solved once: its velocities serve
     both the snapshot and the next step's first RK4 stage, and its
     resultant the next step's jump test.  A carried solve has passed the
-    gate of :func:`heleshaw.bracket.solve_string_system`.
+    gate of :func:`heleshaw.bracket.solve_string_system`; a state without
+    one is solved from ``map.derivative_coeffs()`` and gated on first use.
     """
 
     t: float
@@ -201,30 +197,35 @@ def _rk4(a: np.ndarray, dt: float, deriv, k1: np.ndarray) -> np.ndarray:
     return a + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _enforce_normalization(a: np.ndarray) -> np.ndarray:
+def _normalization_checked(a: np.ndarray) -> np.ndarray:
+    """``a``, if Im a0 is within rounding; the map built from it then makes
+    a0 exactly real (:func:`heleshaw.maps._normalized`)."""
     drift = abs(a[0].imag)
     if drift > DEFAULT.normalization_drift:
         raise NormalizationError(
             f"Im a0 = {drift:.3e} after step; the exact flow preserves "
             "normalization, so this indicates a broken step"
         )
-    a = a.copy()
-    a[0] = a[0].real
     return a
 
 
-def _solved(state: EvolutionState) -> _StringSolve:
-    """The string solve a polynomial state carries, or a new one that has
-    passed the gate."""
-    if state.resultant is not None:
-        return state.resultant
-    solve = _string_solve(state.map)
-    solve.gated()
-    return solve
+def _admissible(make, a):
+    """``make(a)`` for the coefficients of an RK4 stage or of the step's end;
+    coefficients outside the admissible cone raise NormalizationError."""
+    try:
+        return make(a)
+    except ValueError as exc:
+        raise NormalizationError(
+            f"stage left the admissible coefficient cone: {exc}"
+        ) from exc
 
 
 def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
     """One RK4 step of the fixed-degree polynomial string flow.
+
+    A stage works on the coefficient array: the cone check of
+    :class:`PolynomialMap`, b_j = (j+1) a_j, then one gated real solve
+    (:func:`heleshaw.bracket._string_solve`).  Only the end map is built.
 
     Besides the conditioning check inside the linear solve, the step guards
     against tunneling through the Res(f', f'*) = 0 shell: the resultant
@@ -234,31 +235,25 @@ def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
 
     The end map is solved once, at the end of the step: its det W gives the
     resultant for that jump test, which runs first, and then its solve
-    must pass the gate of :func:`heleshaw.bracket.solve_string_system`, so
-    a step raises :class:`DegenerateResultantError` when its end map fails
-    the gate.  The new state carries that solve, whose velocities are the
-    next step's first stage; an input state without one is solved (and
-    gated) first.
+    must pass the gate, so a step raises :class:`DegenerateResultantError`
+    when its end map fails the gate.  The new state carries that solve,
+    whose velocities are the next step's first stage.
     """
     m = state.map
     if not isinstance(m, PolynomialMap):
         raise TypeError("polynomial stepper needs a PolynomialMap state")
+    n = m.degree_plus
+    weights = np.arange(1, n + 2)
 
     def deriv(a):
-        try:
-            cur = PolynomialMap(tuple(a))
-        except ValueError as exc:
-            raise NormalizationError(
-                f"stage left the admissible coefficient cone: {exc}"
-            ) from exc
-        return velocities_positive(solve_string_system(cur))
+        return _string_solve(_admissible(_polynomial_cone, a) * weights).gated()[n:]
 
     a = np.asarray(m.coeffs, dtype=complex)
-    solve0 = _solved(state)
-    k1 = velocities_positive(solve0.velocities)
-    anew = _enforce_normalization(_rk4(a, dt, deriv, k1))
-    newmap = PolynomialMap(tuple(anew))
-    solve1 = _string_solve(newmap)
+    solve0 = state.resultant or _string_solve(m.derivative_coeffs())
+    k1 = solve0.gated()[n:]
+    anew = _normalization_checked(_rk4(a, dt, deriv, k1))
+    newmap = _admissible(PolynomialMap, anew)
+    solve1 = _string_solve(newmap.derivative_coeffs())
     # |Res1 - Res0| > (|Res0| + |Res1|) / 2, divided by |Res0|
     ratio = np.exp(solve1.log_resultant - solve0.log_resultant)
     if abs(ratio - 1.0) > 0.5 * (1.0 + abs(ratio)):
@@ -284,11 +279,11 @@ def step_taylor_fixed_branch(state: EvolutionState, dt: float,
         raise TypeError("series stepper needs a TaylorMap state")
 
     def deriv(a):
-        return series_velocity(TaylorMap(tuple(a)), grid)
+        return series_velocity(_admissible(TaylorMap, a), grid)
 
     a = np.asarray(m.coeffs, dtype=complex)
-    anew = _enforce_normalization(_rk4(a, dt, deriv, deriv(a)))
-    newmap = TaylorMap(tuple(anew))
+    anew = _normalization_checked(_rk4(a, dt, deriv, deriv(a)))
+    newmap = _admissible(TaylorMap, anew)
     tail = newmap.tail_energy()
     if tail > DEFAULT.tail_energy:
         raise TruncationError(
@@ -385,8 +380,8 @@ def run_evolution(spec) -> EvolutionResult:
             solve = None
         else:
             bdrift = np.zeros(0)
-            solve = _solved(state)
-            vel = velocities_positive(solve.velocities)
+            solve = state.resultant or _string_solve(state.map.derivative_coeffs())
+            vel = velocities_positive(solve.gated())
         sres = string_residual(state.map, vel, grid)
         return EvolutionState(
             state.t,
@@ -397,8 +392,8 @@ def run_evolution(spec) -> EvolutionResult:
 
     n_steps = _steps_for(spec.horizon, spec.dt, "horizon")
     out_steps = {_steps_for(t, spec.dt, "output time") for t in spec.output_times}
-    if out_steps and max(out_steps) > n_steps:
-        raise ConfigError("output time beyond the horizon")
+    if not all(0 <= k <= n_steps for k in out_steps):
+        raise ConfigError("output time outside [0, horizon]")
     out_steps |= {0, n_steps}
     state = annotate(EvolutionState(0.0, m), spec.dt)
     states = [state]

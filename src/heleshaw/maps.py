@@ -8,6 +8,10 @@ closed unit disk, normalized by f(0) = 0 and f'(0) > 0:
 * :class:`AbcRationalMap`     f = c z (z - a) / (z - b),  0 < |a| < 1 < |b|
 * :class:`TaylorMap`          truncated power series (evolution work state)
 
+Every class keeps a0 real and positive (:func:`_normalized`); the cone of
+:class:`PolynomialMap` (:func:`_polynomial_cone`) is also what each
+polynomial RK4 stage checks on its bare coefficient array.
+
 Every class exposes its exact rational representation, so differentiation,
 holomorphic reflection f*(z) = conj(f(1/conj z)) and residues all route
 through :mod:`heleshaw.rational`.  Points are evaluated by Horner's rule
@@ -116,13 +120,28 @@ def ring_values(r: RationalFunction, radii, grid: CircleGrid) -> np.ndarray:
 # map classes
 # ----------------------------------------------------------------------
 
-def _coerce_a0(a0) -> float:
-    a0 = complex(a0)
+def _normalized(coeffs) -> np.ndarray:
+    """A fresh complex array of ``coeffs``; ValueError unless a0 is real to
+    1e-12 max(|a0|, 1), when it is made exactly real, and positive."""
+    a = np.array(coeffs, dtype=complex)
+    if not a.size:
+        raise ValueError("need at least one coefficient")
+    a0 = complex(a[0])
     if abs(a0.imag) > 1e-12 * max(abs(a0), 1.0):
         raise ValueError(f"a0 must be real, got {a0}")
     if a0.real <= 0:
         raise ValueError(f"a0 must be positive, got {a0}")
-    return a0.real
+    a[0] = a0.real
+    return a
+
+
+def _polynomial_cone(coeffs) -> np.ndarray:
+    """:func:`_normalized` and a_n != 0 for n > 0: the admissible cone of
+    :class:`PolynomialMap` and of the polynomial RK4 stages."""
+    a = _normalized(coeffs)
+    if len(a) > 1 and a[-1] == 0:
+        raise ValueError("leading coefficient a_n must be nonzero for n > 0")
+    return a
 
 
 class AnalyticMap:
@@ -163,25 +182,10 @@ class AnalyticMap:
 
 
 @dataclass(frozen=True)
-class PolynomialMap(AnalyticMap):
-    """f = sum_{j=0}^{n} coeffs[j] * z**(j+1), coeffs[0] real positive."""
+class _CoefficientMap(AnalyticMap):
+    """A map stored as its coefficients: f = sum_j coeffs[j] * z**(j+1)."""
 
     coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(complex(x) for x in self.coeffs)
-        if not c:
-            raise ValueError("need at least one coefficient")
-        a0 = _coerce_a0(c[0])
-        c = (complex(a0),) + c[1:]
-        if len(c) > 1 and c[-1] == 0:
-            raise ValueError("leading coefficient a_n must be nonzero for n > 0")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree_plus(self) -> int:
-        """n: the map is a polynomial of degree n + 1."""
-        return len(self.coeffs) - 1
 
     @property
     def a0(self) -> float:
@@ -200,6 +204,20 @@ class PolynomialMap(AnalyticMap):
 
 
 @dataclass(frozen=True)
+class PolynomialMap(_CoefficientMap):
+    """f = sum_{j=0}^{n} coeffs[j] * z**(j+1), coeffs[0] real positive and
+    coeffs[n] nonzero (see :func:`_polynomial_cone`)."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(_polynomial_cone(self.coeffs).tolist()))
+
+    @property
+    def degree_plus(self) -> int:
+        """n: the map is a polynomial of degree n + 1."""
+        return len(self.coeffs) - 1
+
+
+@dataclass(frozen=True)
 class RationalMap(AnalyticMap):
     """f = (sum_j a_j z**(j+1)) / prod_j (1 - pole_reflections[j] * z).
 
@@ -214,10 +232,8 @@ class RationalMap(AnalyticMap):
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        c = tuple(complex(x) for x in self.numer_coeffs)
+        c = tuple(_normalized(self.numer_coeffs).tolist())
         w = tuple(complex(x) for x in self.pole_reflections)
-        a0 = _coerce_a0(c[0])
-        c = (complex(a0),) + c[1:]
         object.__setattr__(self, "numer_coeffs", c)
         object.__setattr__(self, "pole_reflections", w)
         for wb in w:
@@ -296,7 +312,7 @@ class AbcRationalMap(AnalyticMap):
 
 
 @dataclass(frozen=True)
-class TaylorMap(AnalyticMap):
+class TaylorMap(_CoefficientMap):
     """Truncated power series f = sum_{j<order} coeffs[j] z**(j+1).
 
     The working representation for fixed-branch-point evolution.  Unlike
@@ -304,30 +320,12 @@ class TaylorMap(AnalyticMap):
     trailing coefficients are expected to decay.
     """
 
-    coeffs: tuple
-
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex).tolist()
-        a0 = _coerce_a0(c[0])
-        object.__setattr__(self, "coeffs", (complex(a0),) + tuple(c[1:]))
+        object.__setattr__(self, "coeffs", tuple(_normalized(self.coeffs).tolist()))
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def a0(self) -> float:
-        return self.coeffs[0].real
-
-    def rational(self) -> RationalFunction:
-        return RationalFunction(np.concatenate([[0.0], self.coeffs]))
-
-    def derivative_coeffs(self) -> np.ndarray:
-        a = np.asarray(self.coeffs, dtype=complex)
-        return a * np.arange(1, len(a) + 1)
-
-    def derivative_rational(self) -> RationalFunction:
-        return RationalFunction(self.derivative_coeffs())
 
     def tail_energy(self) -> float:
         """Relative coefficient energy in the last eighth (at least 2) of the slots."""

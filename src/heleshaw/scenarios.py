@@ -96,10 +96,16 @@ class ScenarioSpec:
             raise ConfigError(
                 f"unknown family '{self.family}'; expected one of {FAMILIES}"
             )
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.horizon < np.inf:
+            raise ConfigError(f"horizon must be finite and >= 0, got {self.horizon}")
+        if self.taylor_order < 1:
+            raise ConfigError(f"taylor_order must be positive, got {self.taylor_order}")
+        try:
+            CircleGrid(self.grid_n)
+        except ValueError as exc:
+            raise ConfigError(f"grid_n: {exc}") from None
         # parameter validation happens at parse time
         object.__setattr__(self, "initial", initial_map(self))
 

@@ -312,6 +312,42 @@ def test_cli_rejected_value_exits_2(argv, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+_GRID_RULE = "grid size must be a power of two >= 4, got 100"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bracket-check", "--coeffs", "1,0.3", "--grid", "100"],
+     f"argument --grid: {_GRID_RULE}"),
+    (["scenario", "disk", "--grid", "100"], f"config error: grid_n: {_GRID_RULE}"),
+    (["moments", "--coeffs", "1,0.3", "--K", "-1"],
+     "argument --K: must be nonnegative, got -1"),
+    # without the check, z^0..z^-1 is no test at all: "0/0 checks passed"
+    (["quadrature-check", "--coeffs", "1,0.3", "--max-power", "-1"],
+     "argument --max-power: must be nonnegative, got -1"),
+    (["jacobian", "--coeffs", "1,0.3", "--fd-step", "0"],
+     "argument --fd-step: must be positive and finite, got 0"),
+])
+def test_cli_out_of_range_option_exits_2(argv, message, capsys):
+    # a usage or config error naming the rule, not a traceback or a run
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid_n = 100", "grid_n: grid size must be a power of two >= 4, got 100"),
+    ("taylor_order = 0", "taylor_order must be positive, got 0"),
+    ("dt = nan", "dt must be positive and finite, got nan"),
+    ("horizon = inf", "horizon must be finite and >= 0, got inf"),
+    # a snapshot time before t = 0 would never be written
+    ("output_times = -0.001", "output time outside [0, horizon]"),
+])
+def test_cli_out_of_range_config_exits_2(tmp_path, line, message, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"family = subcase2\nM0 = 1.0\nB1 = 0.28111\n{line}\n")
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_cli_jacobian_n32_far_from_unit_a0(capsys):
     # det(V U) ~ 2^1153 is outside the double range; the identity is still
     # checked and printed in mantissa-exponent form

@@ -13,6 +13,7 @@ from heleshaw.errors import (
     ConfigError,
     CuspError,
     DegenerateResultantError,
+    NormalizationError,
     TruncationError,
 )
 from heleshaw.evolution import (
@@ -362,16 +363,68 @@ def test_polynomial_run_computes_each_resultant_once(monkeypatch):
 def test_step_raises_when_its_end_map_fails_the_gate(monkeypatch):
     # the end map's solve is the one made in the step (the input state
     # carries its own); rejected there, it raises from this step once the
-    # jump test has passed, not from the next step's first stage
-    state = EvolutionState(0.0, CARDIOID, resultant=bracket._string_solve(CARDIOID))
+    # jump test has passed, not from the next step's first stage.  The
+    # three inner stages are the step's first three solves
+    carried = bracket._string_solve(CARDIOID.derivative_coeffs())
+    state = EvolutionState(0.0, CARDIOID, resultant=carried)
     assert step_polynomial(state, 1e-3).resultant.velocities is not None
+    solved = []
 
-    def rejected(m):
-        return replace(bracket._string_solve(m), velocities=None)
+    def rejected(b):
+        solved.append(b)
+        solve = bracket._string_solve(b)
+        return replace(solve, velocities=None) if len(solved) == 4 else solve
 
     monkeypatch.setattr(evolution, "_string_solve", rejected)
     with pytest.raises(DegenerateResultantError, match="string system singular"):
         step_polynomial(state, 1e-3)
+    assert len(solved) == 4
+
+
+def test_polynomial_stages_build_no_map(monkeypatch):
+    # the RK4 stages solve coefficient arrays: a k-step run builds k + 1
+    # PolynomialMaps (the initial map and each step's end map) and still
+    # 4k + 1 string matrices
+    built, real_init = [], PolynomialMap.__post_init__
+    solved, real_matrix = [], bracket._string_matrix
+
+    def counted_init(self):
+        built.append(self)
+        real_init(self)
+
+    def counted_matrix(b):
+        solved.append(b)
+        return real_matrix(b)
+
+    monkeypatch.setattr(PolynomialMap, "__post_init__", counted_init)
+    monkeypatch.setattr(bracket, "_string_matrix", counted_matrix)
+    spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3, 0.05j)},
+                        horizon=0.012, dt=1e-3)
+    assert run_evolution(spec).completed
+    assert len(built) == 12 + 1
+    assert len(solved) == 4 * 12 + 1
+
+
+CONE = "stage left the admissible coefficient cone: "
+
+
+def test_polynomial_step_leaving_the_cone_is_a_normalization_error():
+    # at dt = -5 the second stage leaves the cone; at dt = -1.05 every stage
+    # stays inside and only the end map leaves it
+    state = EvolutionState(0.0, PolynomialMap((1.0,)))
+    with pytest.raises(NormalizationError) as err:
+        step_polynomial(state, -5.0)
+    assert str(err.value) == CONE + "a0 must be positive, got (-0.25+0j)"
+    with pytest.raises(NormalizationError, match=f"^{CONE}a0 must be positive, got "):
+        step_polynomial(state, -1.05)
+
+
+@pytest.mark.parametrize("dt", [-5.0, -0.6])
+def test_series_step_leaving_the_cone_is_a_normalization_error(dt):
+    # a stage leaves the cone at dt = -5, the end map at dt = -0.6
+    state = EvolutionState(0.0, TaylorMap((1.0, 0.1) + (0.0,) * 14))
+    with pytest.raises(NormalizationError, match=f"^{CONE}a0 must be positive, got "):
+        step_taylor_fixed_branch(state, dt, CircleGrid(256))
 
 
 # Stop outcomes of 20 steps (dt = 1e-3, a snapshot after each) from
