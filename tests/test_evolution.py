@@ -336,25 +336,34 @@ def test_polynomial_run_computes_each_resultant_once(monkeypatch):
     # end of the step that makes it (the initial map at its snapshot).  Its
     # det W gives Res(f', f'*) for the jump test and its velocities serve
     # the snapshot and the next step's first stage, so k steps take 4k + 1
-    # real solves, and no Sylvester determinant or complex U
-    solved = []
-    real = bracket._string_matrix
+    # real solves, and no Sylvester determinant or complex U.  The RK4
+    # stages solve bare coefficient arrays: only the initial map and each
+    # step's end map are built as PolynomialMaps, k + 1 of them
+    solved, built = [], []
+    real, real_init = bracket._string_matrix, PolynomialMap.__post_init__
 
     def counted(b):
         solved.append(tuple(b))
         return real(b)
 
+    def counted_init(self):
+        built.append(self)
+        real_init(self)
+
     monkeypatch.setattr(bracket, "_string_matrix", counted)
+    monkeypatch.setattr(PolynomialMap, "__post_init__", counted_init)
     for name in ("sylvester_matrix", "derivative_reflection_resultant", "bracket_matrix"):
         monkeypatch.setattr(bracket, name, mock.Mock(side_effect=AssertionError(name)))
     every_step = tuple(round(k * 1e-3, 12) for k in range(1, 13))
     for output_times in ((0.005,), every_step):
         solved.clear()
+        built.clear()
         spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3, 0.05j)},
                             horizon=0.012, dt=1e-3, output_times=output_times)
         res = run_evolution(spec)
         assert res.completed
         assert len(solved) == 4 * 12 + 1
+        assert len(built) == 12 + 1
     accepted = [tuple(s.map.derivative_coeffs()) for s in res.states]
     assert len(set(accepted)) == 13
     assert all(solved.count(b) == 1 for b in accepted)
@@ -379,30 +388,6 @@ def test_step_raises_when_its_end_map_fails_the_gate(monkeypatch):
     with pytest.raises(DegenerateResultantError, match="string system singular"):
         step_polynomial(state, 1e-3)
     assert len(solved) == 4
-
-
-def test_polynomial_stages_build_no_map(monkeypatch):
-    # the RK4 stages solve coefficient arrays: a k-step run builds k + 1
-    # PolynomialMaps (the initial map and each step's end map) and still
-    # 4k + 1 string matrices
-    built, real_init = [], PolynomialMap.__post_init__
-    solved, real_matrix = [], bracket._string_matrix
-
-    def counted_init(self):
-        built.append(self)
-        real_init(self)
-
-    def counted_matrix(b):
-        solved.append(b)
-        return real_matrix(b)
-
-    monkeypatch.setattr(PolynomialMap, "__post_init__", counted_init)
-    monkeypatch.setattr(bracket, "_string_matrix", counted_matrix)
-    spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3, 0.05j)},
-                        horizon=0.012, dt=1e-3)
-    assert run_evolution(spec).completed
-    assert len(built) == 12 + 1
-    assert len(solved) == 4 * 12 + 1
 
 
 CONE = "stage left the admissible coefficient cone: "
