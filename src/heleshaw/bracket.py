@@ -30,11 +30,12 @@ for g = sum_0^n b_j z^j, h = sum_0^n c_k z^{-k}.  This equals (-1)^n times
 the divisor product prod_i h(omega_i) / h(inf)^n over the zeros of g; the
 Sylvester-based sign is the one under which the determinant identities above
 hold uniformly in n (checked against finite differences of the moment map).
-The package needs it only for g = f', h = f'*.  The Jacobian report
-computes it by the Sylvester determinant
-(:func:`derivative_reflection_resultant`); the evolution reads it from
-the real string matrix W of :func:`_string_solve`, which has U's
-determinant, as det W = 2 b0^{2n+1} Res(f', f'*).
+The package needs it only for g = f', h = f'*.  The evolution reads it
+from det W = det U = 2 b0^{2n+1} Res(f', f'*), W the real string matrix of
+:func:`_string_solve`.  The Jacobian report takes det(V U) as det V det U
+(the product is far worse conditioned than either factor) and checks det U
+against Res from det W (``det_u_resultant_form``) and against 2 b0 det S
+(``det_u_sylvester_form``); its right-hand side reads Res from S.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .config import DEFAULT
 from .errors import DegenerateResultantError
 from .maps import AnalyticMap, CircleGrid, PolynomialMap, circle_values
-from .moments import richardson_moments
+from .moments import _power_rows, richardson_moments
 from .rational import trim
 
 __all__ = [
@@ -75,18 +76,15 @@ def moment_power_matrix(m: PolynomialMap) -> np.ndarray:
     """The (2n+1) x (2n+1) matrix V of Laurent coefficients of powers of f.
 
     Block upper/lower triangular with diagonal a0^{|k|}; det V = a0^{n(n+1)}.
-    Row k > 0 holds coeff_i(f^k) = coeff_{i-k}(p^k) for f = z p, i = k..n.
+    The lower-right block holds coeff_i(f^k) for 0 <= k <= i <= n, the power
+    rows of :func:`heleshaw.moments._power_rows`; the upper-left block is
+    their conjugate, flipped in both indices.
     """
-    a = np.asarray(m.coeffs, dtype=complex)
-    n = len(a) - 1
+    P = _power_rows(m.coeffs)
+    n = len(P) - 1
     V = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    V[n, n] = 1.0
-    pk = np.array([1.0 + 0.0j])
-    for k in range(1, n + 1):
-        pk = np.convolve(pk, a)
-        row = pk[: n - k + 1]
-        V[n + k, n + k :] = row
-        V[n - k, : n - k + 1] = np.conj(row[::-1])
+    V[n:, n:] = P
+    V[: n + 1, : n + 1] = np.conj(P[::-1, ::-1])
     return V
 
 
@@ -353,7 +351,7 @@ def _log_det(M: np.ndarray) -> complex:
     The rows and then the columns are first scaled by powers of two to a
     largest modulus in [1/2, 1).  The scaling is exact, and its exponents
     are added back as a multiple of log 2.  It keeps matrices whose rows
-    differ in scale by a0^|k|, like V U at n = 64, from losing digits to
+    differ in scale by a0^|k|, like V at n = 64, from losing digits to
     their condition number.  Never overflows or underflows.  A singular or
     non-finite determinant raises :class:`DegenerateResultantError`, so no
     identity is ever compared between two zeros.
@@ -392,8 +390,10 @@ class JacobianReport:
     log_det_v: complex
     log_det_v_closed: complex
     log_det_u: complex
+    #: det U's closed forms 2 b0^(2n+1) Res with Res from det W, and 2 b0 det S
     log_det_u_closed: complex
-    log_det_sylvester: complex | None
+    log_det_u_sylvester: complex
+    #: log Res(f', f'*) from the Sylvester matrix S
     log_resultant: complex
     fd_max_abs_err: float | None
     fd_step: float | None
@@ -405,50 +405,46 @@ class JacobianReport:
         """|det(V U) / rhs - 1|."""
         return log_rel_error(self.log_det_vu, self.log_rhs)
 
-    @property
-    def ok(self) -> bool:
-        return self.rel_error < 1e-10
-
-
 
 def jacobian_identity_report(
     m: PolynomialMap, fd_step: float | None = 1e-5
 ) -> JacobianReport:
     """Check det(V U) = 2 a0^{n^2+3n+1} Res(f', f'*) and the helpers.
 
-    Both sides are compared in log space:  log det(V U) from ``slogdet``
-    (see :func:`_log_det`) against  log 2 + (n^2+3n+1) log a0 + log Res,
-    with Res = det S / a0^{2n} for the Sylvester matrix S of (f', z^n f'*).
-    Also validates V U entrywise against finite differences of the moment
-    map when ``fd_step`` is given (pass None to skip).
+    Both sides are compared in log space:  log det V + log det U from
+    ``slogdet`` (see :func:`_log_det`) against  log 2 + (n^2+3n+1) log a0 +
+    log Res, with Res = det S / a0^{2n} for the Sylvester matrix S of
+    (f', z^n f'*).  Also validates V U entrywise against finite differences
+    of the moment map when ``fd_step`` is given (pass None to skip).
     """
     n = m.degree_plus
     V = moment_power_matrix(m)
     U = bracket_matrix(m)
-    VU = V @ U
     log_a0 = np.log(m.a0)
-    b = m.derivative_coeffs()
-    log_det_s = None
-    log_res = 0j  # n = 0: the empty resultant is 1
-    if n >= 1:
-        log_det_s = _log_det(sylvester_matrix(b, np.conj(b)[::-1]))
-        log_res = log_det_s - 2 * n * log_a0
     log_2 = np.log(2.0)
+    b = m.derivative_coeffs()
+    # n = 0: S is empty and the resultant is 1
+    log_det_s = _log_det(sylvester_matrix(b, np.conj(b)[::-1])) if n else 0j
+    log_res = log_det_s - 2 * n * log_a0
+    log_det_v = _log_det(V)
+    log_det_u = _log_det(U)
     fd_err = fd_scale = None
     if fd_step is not None:
+        VU = V @ U
         fd = finite_difference_jacobian(m, fd_step)
         fd_err = float(np.max(np.abs(VU - fd)))
         fd_scale = max(1.0, float(np.max(np.abs(VU))))
     return JacobianReport(
         n=n,
-        log_det_vu=_log_det(VU),
+        log_det_vu=log_det_v + log_det_u,
         log_rhs=complex(log_2 + (n * n + 3 * n + 1) * log_a0 + log_res),
-        log_det_v=_log_det(V),
+        log_det_v=log_det_v,
         log_det_v_closed=complex(n * (n + 1) * log_a0),
-        log_det_u=_log_det(U),
-        log_det_u_closed=complex(log_2 + (2 * n + 1) * log_a0 + log_res),
-        log_det_sylvester=log_det_s,
-        log_resultant=log_res,
+        log_det_u=log_det_u,
+        log_det_u_closed=complex(
+            log_2 + (2 * n + 1) * log_a0 + _string_solve(b).log_resultant),
+        log_det_u_sylvester=complex(np.log(2.0 * m.a0) + log_det_s),
+        log_resultant=complex(log_res),
         fd_max_abs_err=fd_err,
         fd_step=fd_step,
         fd_scale=fd_scale,

@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket-check", help="solve the string system, check {f,f*}=1")
     p.add_argument("--coeffs", type=_coeffs_arg, required=True)
     p.add_argument("--grid", type=_grid_arg, default=1024)
-    p.add_argument("--threshold", type=float, default=1e-8)
+    p.add_argument("--threshold", type=_positive_float, default=1e-8)
 
     p = sub.add_parser("jacobian", help="both sides of the Jacobian determinant identity")
     p.add_argument("--coeffs", type=_coeffs_arg, required=True)
@@ -309,14 +309,16 @@ def _cmd_jacobian(args, report: RunReport, say):
     say(f"relative error                = {fmt(rep.rel_error)}")
     say(f"det V = {_fmt_log(rep.log_det_v)}   closed form {_fmt_log(rep.log_det_v_closed)}")
     say(f"det U = {_fmt_log(rep.log_det_u)}   closed form {_fmt_log(rep.log_det_u_closed)}")
-    report.add("jacobian_identity", rep.rel_error < 1e-10, rep.rel_error)
-    dv = log_rel_error(rep.log_det_v, rep.log_det_v_closed)
-    du = log_rel_error(rep.log_det_u, rep.log_det_u_closed)
-    report.add("det_v_closed_form", dv < 1e-10, dv)
-    report.add("det_u_resultant_form", du < 1e-10, du)
-    if rep.log_det_sylvester is not None:
-        ds = log_rel_error(np.log(2.0 * m.a0) + rep.log_det_sylvester, rep.log_det_u)
-        report.add("det_u_sylvester_form", ds < 1e-10, ds)
+    checks = [
+        ("jacobian_identity", rep.log_det_vu, rep.log_rhs),
+        ("det_v_closed_form", rep.log_det_v, rep.log_det_v_closed),
+        # det U against Res read from det W, then against 2 b0 det S (n >= 1)
+        ("det_u_resultant_form", rep.log_det_u, rep.log_det_u_closed),
+        ("det_u_sylvester_form", rep.log_det_u_sylvester, rep.log_det_u),
+    ]
+    for name, got, want in checks if rep.n else checks[:3]:
+        err = log_rel_error(got, want)
+        report.add(name, err < 1e-10, err)
     if rep.fd_max_abs_err is not None:
         # relative to the entries of V U, which grow like a0^|k| with n
         bound = 1e-6 * rep.fd_scale

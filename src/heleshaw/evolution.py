@@ -352,7 +352,7 @@ def run_evolution(spec) -> EvolutionResult:
                 f"initial series tail energy {tail:.3e} exceeds {DEFAULT.tail_energy}"
             )
 
-    K = max(spec.diagnostic_moments, 1)
+    K = spec.diagnostic_moments
     base = moments_richardson(m, K).as_array()
     if mode == "taylor":
         bp = branch_points(m, near=seeds)

@@ -130,6 +130,24 @@ def default_moment_count(m: AnalyticMap) -> int:
 # Richardson's coefficient sum
 # ----------------------------------------------------------------------
 
+def _power_rows(a, K: int | None = None) -> np.ndarray:
+    """P[k, j] = coeff_j(f^k) = coeff_{j-k}(p^k) for f = z p = sum a_j z^(j+1),
+    rows k <= min(K, n), columns j <= n = len(a) - 1: the one truncated power
+    recurrence behind V, Richardson's sum and the c <-> M triangle.  p^k keeps
+    its n + 1 - k lowest coefficients, as higher ones never feed back into
+    lower ones, and is built from the equally long head of ``a``."""
+    a = np.asarray(a, dtype=complex)
+    L = len(a)
+    rows = L if K is None else min(K, L - 1) + 1
+    P = np.zeros((rows, L), dtype=complex)
+    P[0, 0] = 1.0
+    pk = P[0, :1]
+    for k in range(1, rows):
+        pk = np.convolve(pk, a[: L - k + 1])[: L - k]
+        P[k, k:] = pk
+    return P
+
+
 def richardson_moments(a, abar, K: int) -> np.ndarray:
     """M_0..M_K by Richardson's sum, ``a`` and ``abar`` independent variables.
 
@@ -138,24 +156,18 @@ def richardson_moments(a, abar, K: int) -> np.ndarray:
     M_k = sum_j coeff_j(f^k f') abar_j.  Polynomial in both variable sets,
     which is what the Jacobian finite differences rely on.
 
-    One pass over k.  With f = z p and b_q = (q+1) a_q this is
+    With f = z p and b_q = (q+1) a_q this is
     M_k = sum_i coeff_i(p^k) C_{k+i},  C_m = sum_q b_q abar_{m+q},
-    so C is formed once and only the L - k lowest coefficients of p^k
-    (L = len(a)) are kept: higher ones never feed back into lower ones.
-    M_k is exactly zero for k > n = L - 1.
+    so C is formed once and M = P C for the power rows P of
+    :func:`_power_rows`.  M_k is exactly zero for k > n = len(a) - 1.
     """
     a = np.asarray(a, dtype=complex)
     abar = np.asarray(abar, dtype=complex)
     L = len(a)
     b = a * np.arange(1, L + 1)
     C = np.convolve(abar[L - 1 :: -1], b)[L - 1 :: -1]
-    out = np.zeros(K + 1, dtype=complex)
-    pk = np.ones(1, dtype=complex)
-    for k in range(min(K, L - 1) + 1):
-        if k > 0:
-            pk = np.convolve(pk, a)[: L - k]
-        out[k] = pk @ C[k : k + len(pk)]
-    return out
+    P = _power_rows(a, K)
+    return np.pad(P @ C, (0, K + 1 - len(P)))
 
 
 def richardson_moment(a, abar, k: int) -> complex:
@@ -357,38 +369,22 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
 
 def _power_coeff_triangle(m: AnalyticMap, K: int) -> np.ndarray:
     """T[k, j] = j! coeff_j(f^k) for 0 <= k, j <= K; upper triangular."""
-    series = m.power_series(K + 1)
-    p = np.concatenate([[0.0], series[:K]])  # f as a series in z, degree K
-    T = np.zeros((K + 1, K + 1), dtype=complex)
-    pk = np.zeros(K + 1, dtype=complex)
-    pk[0] = 1.0
+    if m.a0 <= 0:
+        raise ValueError("map normalization requires a0 > 0")
     fact = np.array([math.factorial(j) for j in range(K + 1)], dtype=float)
-    T[0] = pk * fact
-    for k in range(1, K + 1):
-        pk = np.convolve(pk, p)[: K + 1]
-        T[k] = pk * fact
-    return T
+    return _power_rows(m.power_series(K + 1), K) * fact
 
 
 def coeffs_to_moments(data: QuadratureData, m: AnalyticMap) -> MomentVector:
     """M_k = sum_j c_j (f^k)^(j)(0); triangular with diagonal k! a0^k c_k."""
-    if m.a0 <= 0:
-        raise ValueError("map normalization requires a0 > 0")
-    K = data.n
-    T = _power_coeff_triangle(m, K)
-    vals = T @ np.asarray(data.c, dtype=complex)
-    return MomentVector.from_values(vals)
+    T = _power_coeff_triangle(m, data.n)
+    return MomentVector.from_values(T @ np.asarray(data.c, dtype=complex))
 
 
 def moments_to_coeffs(mv: MomentVector, m: AnalyticMap) -> QuadratureData:
     """Invert the triangular correspondence to recover the c_j."""
-    if m.a0 <= 0:
-        raise ValueError("map normalization requires a0 > 0")
-    K = mv.K
-    T = _power_coeff_triangle(m, K)
-    c = np.linalg.solve(T, mv.as_array())
-    c0 = complex(c[0])
-    c[0] = c0.real
+    c = np.linalg.solve(_power_coeff_triangle(m, mv.K), mv.as_array())
+    c[0] = c[0].real
     return QuadratureData(c=tuple(c))
 
 

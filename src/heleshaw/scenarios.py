@@ -100,8 +100,9 @@ class ScenarioSpec:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.horizon < np.inf:
             raise ConfigError(f"horizon must be finite and >= 0, got {self.horizon}")
-        if self.taylor_order < 1:
-            raise ConfigError(f"taylor_order must be positive, got {self.taylor_order}")
+        for key in ("taylor_order", "diagnostic_moments"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         try:
             CircleGrid(self.grid_n)
         except ValueError as exc:

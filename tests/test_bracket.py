@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from heleshaw.bracket import (
     sylvester_matrix,
     velocities_positive,
 )
+from heleshaw.cli import main
 from heleshaw.config import DEFAULT
 from heleshaw.errors import DegenerateResultantError
 from heleshaw.maps import (
@@ -365,7 +368,71 @@ def test_jacobian_identity_n32_outside_float_range(a0, log_rhs_real):
     assert np.isfinite(rep.log_rhs) and np.isfinite(rep.log_det_vu)
     assert abs(rep.log_rhs.real - log_rhs_real) < 1.0
     assert rep.rel_error < 1e-10
-    assert rep.ok
+
+
+# Maps drawn by the verify-sweep workload (seed 107 op 19, seed 1022 op 43,
+# |a_j| <= 0.3 / (j+1)) on which the determinant of the formed product V U
+# missed the identity by 1.73e-10 (n = 24) and 4.7e-10 (n = 16): kappa(V U)
+# is about 1e7, and det V + det U reads 1.6e-13 and 3.0e-11
+SWEEP_107_OP19 = (
+    1.0,
+    0.10808521978978848-0.090434544312802304j,
+    -0.005537892712687584-0.0051574772716936656j,
+    -0.024580444562376725-0.049172348061246422j,
+    -1.974486577790309e-05-0.0096285627152194082j,
+    0.02662467955901004-0.01862812528403587j,
+    0.023733068563436772-0.012835992531438434j,
+    -0.018121037612092557+0.018488853399788691j,
+    -0.0010729065029315846+0.0041894454712705304j,
+    -0.017061385758132173-0.014555850961499438j,
+    0.011995406348523982-0.0046449853301969999j,
+    -0.0007817641174586471+0.0013481357716521097j,
+    -0.022428208637544963+0.0028518088345345798j,
+    0.008987700379219804-0.002494719186809706j,
+    -0.005565624232617194+0.0066516828940312543j,
+    -0.01712831967388738-0.0036962823758595596j,
+    0.003475979648416284-0.0016851572521072544j,
+    -0.00719916259256403+0.0016015301102846951j,
+    0.001743070673215014+0.0044437034599031471j,
+    0.007522595672195307-0.0094532255709301322j,
+    -7.001368713465482e-05-0.00092828562327547154j,
+    0.0030999535082386867+0.0048317218445062425j,
+    0.00374021198510972-0.0060351532946460208j,
+    -0.005944425230011616-0.0086686586005503049j,
+    0.0020396936579852713+0.0022392207289294521j,
+)
+
+SWEEP_1022_OP43 = (
+    1.0,
+    0.12777823601521365+0.054483542833798727j,
+    -0.00022071115445034225+0.0052295609796571968j,
+    0.01133046972780792-0.028321158971753586j,
+    0.0290043393683613+0.026180638605261822j,
+    -0.004925191328445649+0.005521315345314603j,
+    -0.027088911734394885+0.032870924008754708j,
+    -0.018088945098093962-0.013189407064654664j,
+    -0.0014070740066994972-0.0022525879382164055j,
+    -0.006621677754843699+0.0083903184304628745j,
+    0.018984966605590365-0.0026453425380415525j,
+    0.0038658856618501527-0.007559432048099138j,
+    0.011189872266526395-0.007513741429902434j,
+    0.0009657888027343925+0.016060980946726127j,
+    0.000957094131109575+0.0028655092385703324j,
+    -0.015774156483945697-0.0061039683359927462j,
+    0.011427665082944643+0.0049866164123545534j,
+)
+
+
+@pytest.mark.parametrize("coeffs", [SWEEP_107_OP19, SWEEP_1022_OP43],
+                         ids=["n24", "n16"])
+def test_jacobian_checks_pass_on_ill_conditioned_sweep_maps(coeffs, capsys):
+    arg = "--coeffs=" + ",".join(repr(complex(c)) for c in coeffs)
+    code = main(["--json", "jacobian", arg])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: c["status"] for c in checks} == dict.fromkeys(
+        ["jacobian_identity", "det_v_closed_form", "det_u_resultant_form",
+         "det_u_sylvester_form", "jacobian_finite_difference"], "pass")
+    assert code == 0
 
 
 def test_log_rel_error_resolves_tiny_and_huge_values():

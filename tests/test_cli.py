@@ -326,6 +326,10 @@ _GRID_RULE = "grid size must be a power of two >= 4, got 100"
      "argument --max-power: must be nonnegative, got -1"),
     (["jacobian", "--coeffs", "1,0.3", "--fd-step", "0"],
      "argument --fd-step: must be positive and finite, got 0"),
+    # --threshold inf passed string_residual whatever the residual
+    *([["bracket-check", "--coeffs", "1,0.4999999", "--threshold", bad],
+       f"argument --threshold: must be positive and finite, got {bad}"]
+      for bad in ("inf", "nan", "0", "-0.5")),
 ])
 def test_cli_out_of_range_option_exits_2(argv, message, capsys):
     # a usage or config error naming the rule, not a traceback or a run
@@ -340,6 +344,9 @@ def test_cli_out_of_range_option_exits_2(argv, message, capsys):
     ("horizon = inf", "horizon must be finite and >= 0, got inf"),
     # a snapshot time before t = 0 would never be written
     ("output_times = -0.001", "output time outside [0, horizon]"),
+    # used to run silently with one diagnostic moment
+    ("diagnostic_moments = -3", "diagnostic_moments must be positive, got -3"),
+    ("diagnostic_moments = 0", "diagnostic_moments must be positive, got 0"),
 ])
 def test_cli_out_of_range_config_exits_2(tmp_path, line, message, capsys):
     cfg = tmp_path / "cfg.txt"

@@ -1,14 +1,17 @@
 """The public surface resolves: every exported name and every layer function
-the benchmark tracer wraps still exists, and the gates are read from
+the benchmark tracer wraps still exists, the CLI reports every check the
+benchmark's gate requires, and the gates are read from
 ``heleshaw.config.DEFAULT`` rather than passed as parameters."""
 
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
 from pathlib import Path
 
 import heleshaw
+from heleshaw.cli import main
 from heleshaw.config import Tolerances
 from heleshaw.scenarios import ScenarioSpec
 
@@ -33,6 +36,26 @@ def test_tracer_targets_resolve(monkeypatch):
     for target in tracing.TARGETS:
         _, _, fn = tracing._resolve(target)
         assert callable(fn), target
+
+
+def test_cli_reports_the_checks_the_benchmark_requires(monkeypatch, capsys):
+    # the benchmark's gate fails an op whose report lacks a named check
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    coeffs = "--coeffs=1,0.1+0.05j,0.02j"
+    calls = [
+        (["moments", coeffs], workloads.MOMENTS_CHECKS),
+        (["jacobian", coeffs], workloads.JACOBIAN_CHECKS),
+        (["bracket-check", coeffs], workloads.BRACKET_CHECKS),
+        (["scenario", "subcase2", "--M0=1.0", "--B1=0.28111"],
+         workloads.SCENARIO_CHECKS["subcase2"]),
+        (["scenario", "example_abc", "--a=0.2", "--b=1.6", "--c-magnitude=1.0"],
+         workloads.SCENARIO_CHECKS["example_abc"]),
+    ]
+    for argv, required in calls:
+        assert main(["--json", *argv]) == 0, argv
+        reported = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert set(required) <= reported, argv
 
 
 def _public_functions():
