@@ -15,16 +15,22 @@ Scenario configs are flat ``key = value`` text::
     output_times = 0.01, 0.03, 0.05
     csv = run.csv
 
-Keys: family, horizon, dt, output_times, grid_n, taylor_order,
-diagnostic_moments, csv, svg, json, plus the family parameters
-(a, b, c_magnitude | M0, B1 | coeffs | a0).  Blank lines and ``#`` comments
-are ignored; unknown keys are rejected by name.
+Keys, with the defaults of :class:`ScenarioSpec`: family, horizon (0),
+dt (1e-3), output_times (none), grid_n (1024), taylor_order (64),
+diagnostic_moments (4), csv, svg, json (artifact paths, none written by
+default), plus the family parameters (a0 | coeffs | a, b, c_magnitude |
+M0, B1).  Blank lines and ``#`` comments are ignored; unknown keys are
+rejected by name.  A key is also a flag, ``--key-name`` for ``key_name``
+and ``--json-path`` for ``json`` (``scenario`` has ``--grid`` for
+grid_n).  Config lines and flags go through one table, :data:`_KEYS`, of
+value parsers, and one function, :func:`_spec`, builds the spec.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import math
 import os
 import sys
@@ -40,7 +46,7 @@ from .bracket import (
     velocities_positive,
 )
 from .errors import ConfigError, HeleShawError
-from .maps import CircleGrid, PolynomialMap
+from .maps import CircleGrid
 from .moments import (
     moments_area_oracle,
     moments_residue,
@@ -55,46 +61,74 @@ __all__ = ["parse_config", "build_parser", "main"]
 
 
 # ----------------------------------------------------------------------
-# config parsing
+# scenario inputs: config lines and flags
 # ----------------------------------------------------------------------
 
-_GLOBAL_KEYS = {
+def _number(cast):
+    return lambda raw: cast(raw.replace(" ", ""))
+
+
+def _numbers(cast):
+    return lambda raw: tuple(cast(tok.replace(" ", "")) for tok in raw.split(",") if tok.strip())
+
+
+#: every config key and the parser of its text; spaces inside numbers are
+#: ignored, lists are comma-separated
+_KEYS = {
     "family": str,
-    "horizon": float,
-    "dt": float,
-    "grid_n": int,
-    "taylor_order": int,
-    "diagnostic_moments": int,
+    "horizon": _number(float),
+    "dt": _number(float),
+    "output_times": _numbers(float),
+    "grid_n": _number(int),
+    "taylor_order": _number(int),
+    "diagnostic_moments": _number(int),
     "csv": str,
     "svg": str,
     "json": str,
+    # the family parameters of scenarios.FAMILY_PARAMS
+    "a0": _number(float),
+    "coeffs": _numbers(complex),
+    "a": _number(complex),
+    "b": _number(complex),
+    "c_magnitude": _number(float),
+    "M0": _number(float),
+    "B1": _number(complex),
 }
-_LIST_KEYS = {"output_times": float, "coeffs": complex}
-# config keys that name a ScenarioSpec field differently
+#: config keys that name a ScenarioSpec field differently
 _SPEC_FIELDS = {"csv": "csv_path", "svg": "svg_path", "json": "json_path"}
-_PARAM_KEYS = {
-    "a": complex,
-    "b": complex,
-    "B1": complex,
-    "M0": float,
-    "c_magnitude": float,
-    "a0": float,
-    "coeffs": None,
+#: the ScenarioSpec fields a key sets; any other key is a family parameter
+_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioSpec) if f.init)
+_HELP = {
+    "coeffs": "polynomial coefficients a_0,a_1,... (a_j multiplies z^{j+1})",
+    "output_times": "comma-separated times",
+    "svg": "write the image boundary as SVG",
+    "json": "write the run report to this file",
 }
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    try:
-        if key in _LIST_KEYS:
-            cast = _LIST_KEYS[key]
-            return tuple(cast(tok.strip().replace(" ", ""))
-                         for tok in raw.split(",") if tok.strip())
-        if key in _GLOBAL_KEYS:
-            return _GLOBAL_KEYS[key](raw)
-        return _PARAM_KEYS[key](raw.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"bad value for '{key}': {raw!r} ({exc})") from None
+def _spec(args=None, **text) -> ScenarioSpec:
+    """The :class:`ScenarioSpec` of config keys given as text.
+
+    ``text`` maps keys to their text; with ``args``, every key flag that was
+    set adds its text under the key.  Each value goes through its key's
+    parser in :data:`_KEYS`; a key that names no spec field is a family
+    parameter.
+    """
+    if args is not None:
+        text = {k: getattr(args, _SPEC_FIELDS.get(k, k), None) for k in _KEYS} | text
+    fields: dict = {}
+    params: dict = {}
+    for key, raw in text.items():
+        if raw is None:
+            continue
+        raw = raw.strip()
+        try:
+            value = _KEYS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for '{key}': {raw!r} ({exc})") from None
+        name = _SPEC_FIELDS.get(key, key)
+        (fields if name in _FIELDS else params)[name] = value
+    return ScenarioSpec(params=params, **fields)
 
 
 def parse_config(source) -> ScenarioSpec:
@@ -110,8 +144,7 @@ def parse_config(source) -> ScenarioSpec:
             raise ConfigError(f"config file not found: {text}")
         with open(text, "r", encoding="utf-8") as fh:
             text = fh.read()
-    fields: dict = {}
-    params: dict = {}
+    values: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -119,31 +152,24 @@ def parse_config(source) -> ScenarioSpec:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key in _GLOBAL_KEYS or key == "output_times":
-            fields[key] = _parse_value(key, raw)
-        elif key in _PARAM_KEYS:
-            params[key] = _parse_value(key, raw)
-        else:
-            known = sorted(set(_GLOBAL_KEYS) | {"output_times"} | set(_PARAM_KEYS))
-            raise ConfigError(f"unknown key '{key}' (line {lineno}); known keys: {known}")
-    if "family" not in fields:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key '{key}' (line {lineno}); known keys: {sorted(_KEYS)}")
+        values[key] = raw
+    if "family" not in values:
         raise ConfigError("config must set 'family'")
-    return ScenarioSpec(
-        params=params, **{_SPEC_FIELDS.get(k, k): v for k, v in fields.items()}
-    )
+    return _spec(**values)
+
+
+def _key_flags(parser, *keys, **kw):
+    """One flag per config key, read as text for :func:`_spec`."""
+    for key in keys:
+        parser.add_argument("--json-path" if key == "json" else "--" + key.replace("_", "-"),
+                            dest=_SPEC_FIELDS.get(key, key), help=_HELP.get(key), **kw)
 
 
 # ----------------------------------------------------------------------
 # argument plumbing
 # ----------------------------------------------------------------------
-
-def _coeffs_arg(raw: str) -> tuple:
-    try:
-        return tuple(complex(tok.strip().replace(" ", ""))
-                     for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad coefficient list {raw!r}: {exc}")
-
 
 def _grid_arg(raw: str) -> int:
     try:
@@ -176,83 +202,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("moments", help="harmonic moments by three methods")
-    p.add_argument("--coeffs", type=_coeffs_arg, required=True,
-                   help="polynomial coefficients a_0,a_1,... (a_j multiplies z^{j+1})")
+    _key_flags(p, "coeffs", required=True)
     p.add_argument("--K", type=_nonnegative_int, default=None,
                    help="highest moment index")
 
     p = sub.add_parser("bracket-check", help="solve the string system, check {f,f*}=1")
-    p.add_argument("--coeffs", type=_coeffs_arg, required=True)
+    _key_flags(p, "coeffs", required=True)
     p.add_argument("--grid", type=_grid_arg, default=1024)
     p.add_argument("--threshold", type=_positive_float, default=1e-8)
 
     p = sub.add_parser("jacobian", help="both sides of the Jacobian determinant identity")
-    p.add_argument("--coeffs", type=_coeffs_arg, required=True)
+    _key_flags(p, "coeffs", required=True)
     p.add_argument("--degree", type=int, default=None,
                    help="expected n (validates len(coeffs) == n+1)")
     p.add_argument("--fd-step", type=_positive_float, default=1e-5)
     p.add_argument("--no-fd", action="store_true",
                    help="skip the finite-difference cross-check")
 
-    family_params = argparse.ArgumentParser(add_help=False)
-    family_params.add_argument("--coeffs", type=_coeffs_arg, default=None,
-                               help="polynomial coefficients a_0,a_1,...")
-    family_params.add_argument("--a", type=complex, default=None)
-    family_params.add_argument("--b", type=complex, default=None)
-    family_params.add_argument("--c-magnitude", type=float, default=None)
-    family_params.add_argument("--M0", type=float, default=None)
-    family_params.add_argument("--B1", type=complex, default=None)
+    # family parameters; a0 is the disk's alone
+    params = argparse.ArgumentParser(add_help=False)
+    _key_flags(params, "coeffs", "a", "b", "c_magnitude", "M0", "B1")
+    shapes = argparse.ArgumentParser(add_help=False, parents=[params])
+    _key_flags(shapes, "a0", "svg")
 
-    p = sub.add_parser("quadrature-check", parents=[family_params],
+    p = sub.add_parser("quadrature-check", parents=[params],
                        help="quadrature identity residuals")
     p.add_argument("--family", choices=("example_abc", "subcase1", "subcase2"),
-                   default=None, help="without it, --coeffs is a polynomial map")
+                   help="without it, --coeffs is a polynomial map")
     p.add_argument("--max-power", type=_nonnegative_int, default=2,
                    help="test functions z^0..z^max_power")
 
-    p = sub.add_parser("scenario", parents=[family_params],
+    p = sub.add_parser("scenario", parents=[shapes],
                        help="construct a scenario map and verify it")
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--svg", type=str, default=None,
-                   help="write the image boundary as SVG")
+    p.add_argument("--grid", dest="grid_n")
 
-    p = sub.add_parser("evolve", parents=[family_params], help="run a Hele-Shaw evolution")
-    p.add_argument("--config", type=str, default=None, help="config file path")
-    p.add_argument("--family", choices=FAMILIES, default=None)
-    p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--output-times", type=str, default=None,
-                   help="comma-separated times")
-    p.add_argument("--csv", type=str, default=None)
-    p.add_argument("--svg", type=str, default=None)
-    p.add_argument("--json-path", type=str, default=None,
-                   help="write the run report to this file")
+    p = sub.add_parser("evolve", parents=[shapes], help="run a Hele-Shaw evolution")
+    p.add_argument("--config", help="config file path")
+    p.add_argument("--family", choices=FAMILIES)
+    _key_flags(p, "horizon", "dt", "output_times", "csv", "json")
     return ap
-
-
-def _collect_params(args) -> dict:
-    """The family parameters given as flags, under their config key names."""
-    out = {}
-    for k in _PARAM_KEYS:
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k] = v
-    return out
 
 
 # ----------------------------------------------------------------------
 # subcommand pipelines
 # ----------------------------------------------------------------------
-
-def _polynomial_map(coeffs) -> PolynomialMap:
-    try:
-        return PolynomialMap(coeffs)
-    except ValueError as exc:
-        raise ConfigError(f"bad --coeffs: {exc}") from None
-
 
 def _fmt_log(log_d: complex) -> str:
     """A number given by its complex log, as ``mantissa e exponent``; the
@@ -263,7 +257,7 @@ def _fmt_log(log_d: complex) -> str:
 
 
 def _cmd_moments(args, report: RunReport, say):
-    m = _polynomial_map(args.coeffs)
+    m, _ = _spec(args, family="polynomial").initial
     rich = moments_richardson(m, args.K)
     K = rich.K
     res = moments_residue(m, K)
@@ -282,7 +276,7 @@ def _cmd_moments(args, report: RunReport, say):
 
 
 def _cmd_bracket_check(args, report: RunReport, say):
-    m = _polynomial_map(args.coeffs)
+    m, _ = _spec(args, family="polynomial").initial
     v = solve_string_system(m)
     grid = CircleGrid(args.grid)
     res = string_residual(m, velocities_positive(v), grid)
@@ -296,12 +290,14 @@ def _cmd_bracket_check(args, report: RunReport, say):
 
 
 def _cmd_jacobian(args, report: RunReport, say):
-    if args.degree is not None and len(args.coeffs) != args.degree + 1:
+    spec = _spec(args, family="polynomial")
+    n_coeffs = len(spec.params["coeffs"])
+    if args.degree is not None and n_coeffs != args.degree + 1:
         raise ConfigError(
             f"--degree {args.degree} expects {args.degree + 1} coefficients, "
-            f"got {len(args.coeffs)}"
+            f"got {n_coeffs}"
         )
-    m = _polynomial_map(args.coeffs)
+    m, _ = spec.initial
     rep = jacobian_identity_report(m, fd_step=None if args.no_fd else args.fd_step)
     say(f"n = {rep.n}")
     say(f"det(V U)                      = {_fmt_log(rep.log_det_vu)}")
@@ -329,8 +325,7 @@ def _cmd_jacobian(args, report: RunReport, say):
 
 def _cmd_quadrature_check(args, report: RunReport, say):
     testfns = [[0.0] * p + [1.0] for p in range(args.max_power + 1)]
-    spec = ScenarioSpec(family=args.family or "polynomial", params=_collect_params(args))
-    m, _ = spec.initial
+    m, _ = _spec(args, family=args.family or "polynomial").initial
     data = quadrature_data(m)
     if data.is_two_point:
         say(f"two-point identity: A = {data.weight_a:.16g}, B = {data.weight_b:.16g}, "
@@ -345,39 +340,26 @@ def _cmd_quadrature_check(args, report: RunReport, say):
 
 
 def _cmd_scenario(args, report: RunReport, say):
-    spec = ScenarioSpec(family=args.family, params=_collect_params(args),
-                        grid_n=args.grid)
+    spec = _spec(args)
     m, mode = spec.initial
-    rep = verify_scenario(m, args.family, grid_n=args.grid)
-    say(f"scenario '{args.family}' ({mode} mode), {len(rep.checks)} checks:")
+    rep = verify_scenario(m, spec.family, grid_n=spec.grid_n)
+    say(f"scenario '{spec.family}' ({mode} mode), {len(rep.checks)} checks:")
     for c in rep:
         say(f"  [{'pass' if c.passed else 'FAIL'}] {c.name}: residual {fmt(c.residual)}")
         report.add(c.name, c.passed, c.residual)
-    if args.svg:
-        render_boundary_svg(m, args.svg)
-        report.artifacts.append(args.svg)
-        say(f"wrote {args.svg}")
+    if spec.svg_path:
+        render_boundary_svg(m, spec.svg_path)
+        report.artifacts.append(spec.svg_path)
+        say(f"wrote {spec.svg_path}")
 
 
 def _cmd_evolve(args, report: RunReport, say):
     if args.config:
         spec = parse_config(args.config)
+    elif args.family is None:
+        raise ConfigError("evolve needs --config or --family plus parameters")
     else:
-        if args.family is None:
-            raise ConfigError("evolve needs --config or --family plus parameters")
-        opts = {"horizon": args.horizon, "dt": args.dt, "csv_path": args.csv,
-                "svg_path": args.svg, "json_path": args.json_path}
-        if args.output_times:
-            try:
-                opts["output_times"] = tuple(
-                    float(tok) for tok in args.output_times.split(",") if tok.strip())
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad --output-times {args.output_times!r}: {exc}") from None
-        spec = ScenarioSpec(
-            family=args.family, params=_collect_params(args),
-            **{k: v for k, v in opts.items() if v is not None},
-        )
+        spec = _spec(args)
     result = run_evolution(spec)
     report.spec["scenario"] = _spec_dict(spec)
     say(f"evolution '{spec.family}': {len(result.states)} snapshots, "
@@ -409,22 +391,18 @@ def _cmd_evolve(args, report: RunReport, say):
 
 
 def _spec_dict(spec: ScenarioSpec) -> dict:
+    """The spec's init fields for the run report, less the artifact paths."""
     def enc(v):
         if isinstance(v, complex):
             return [v.real, v.imag]
         if isinstance(v, (tuple, list)):
             return [enc(x) for x in v]
+        if isinstance(v, dict):
+            return {k: enc(x) for k, x in sorted(v.items())}
         return v
 
-    return {
-        "family": spec.family,
-        "params": {k: enc(v) for k, v in sorted(spec.params.items())},
-        "horizon": spec.horizon,
-        "dt": spec.dt,
-        "output_times": list(spec.output_times),
-        "grid_n": spec.grid_n,
-        "taylor_order": spec.taylor_order,
-    }
+    return {name: enc(getattr(spec, name)) for name in _FIELDS
+            if name not in _SPEC_FIELDS.values()}
 
 
 _COMMANDS = {

@@ -160,7 +160,6 @@ class StepDiagnostics:
     moment_drift: np.ndarray
     branch_drift: np.ndarray
     string_residual: float
-    dt: float
 
     @property
     def max_moment_drift(self) -> float:
@@ -362,7 +361,7 @@ def run_evolution(spec) -> EvolutionResult:
         base_branch = np.zeros(0, dtype=complex)
         prev_omegas = None
 
-    def annotate(state: EvolutionState, dt: float) -> EvolutionState:
+    def annotate(state: EvolutionState) -> EvolutionState:
         nonlocal prev_omegas
         mv = moments_richardson(state.map, K).as_array()
         expected = base.copy()
@@ -386,7 +385,7 @@ def run_evolution(spec) -> EvolutionResult:
         return EvolutionState(
             state.t,
             state.map,
-            StepDiagnostics(mv, drift, bdrift, sres, dt),
+            StepDiagnostics(mv, drift, bdrift, sres),
             resultant=solve,
         )
 
@@ -395,7 +394,7 @@ def run_evolution(spec) -> EvolutionResult:
     if not all(0 <= k <= n_steps for k in out_steps):
         raise ConfigError("output time outside [0, horizon]")
     out_steps |= {0, n_steps}
-    state = annotate(EvolutionState(0.0, m), spec.dt)
+    state = annotate(EvolutionState(0.0, m))
     states = [state]
     stop = "completed"
     for k in range(1, n_steps + 1):
@@ -406,7 +405,7 @@ def run_evolution(spec) -> EvolutionResult:
                 state = step_polynomial(state, spec.dt)
             state = replace(state, t=round(k * spec.dt, 12))
             if k in out_steps:
-                states.append(annotate(state, spec.dt))
+                states.append(annotate(state))
         except HeleShawError as exc:
             stop = f"{type(exc).__name__}: {exc}"
             break

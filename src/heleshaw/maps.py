@@ -23,7 +23,7 @@ shared state, so concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -229,7 +229,6 @@ class RationalMap(AnalyticMap):
 
     numer_coeffs: tuple
     pole_reflections: tuple
-    check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         c = tuple(_normalized(self.numer_coeffs).tolist())
@@ -239,8 +238,7 @@ class RationalMap(AnalyticMap):
         for wb in w:
             if not abs(wb) < 1.0:
                 raise ValueError(f"pole reflection {wb} must lie inside the unit disk")
-        if self.check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         """Check f'(omega_j) = 0 for every stored pole reflection."""

@@ -59,6 +59,7 @@ from .moments import (
 __all__ = [
     "ScenarioSpec",
     "FAMILIES",
+    "FAMILY_PARAMS",
     "make_example_abc",
     "make_subcase1",
     "subcase1_branch_value",
@@ -70,7 +71,16 @@ __all__ = [
     "verify_scenario",
 ]
 
-FAMILIES = ("disk", "polynomial", "example_abc", "subcase1", "subcase2", "taylor")
+#: each family's required and optional parameters
+FAMILY_PARAMS = {
+    "disk": ((), ("a0",)),
+    "polynomial": (("coeffs",), ()),
+    "example_abc": (("a", "b", "c_magnitude"), ()),
+    "subcase1": (("M0", "B1"), ()),
+    "subcase2": (("M0", "B1"), ()),
+    "taylor": (("coeffs",), ()),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -232,15 +242,6 @@ def make_subcase2(M0: float, B1) -> RationalMap:
 # scenario -> initial map
 # ----------------------------------------------------------------------
 
-def _need(params: dict, family: str, *keys, optional=()):
-    for k in keys:
-        if k not in params:
-            raise ConfigError(f"family '{family}' requires parameter '{k}'")
-    extra = set(params) - set(keys) - set(optional)
-    if extra:
-        raise ConfigError(f"unknown parameter(s) for '{family}': {sorted(extra)}")
-
-
 def initial_map(spec: ScenarioSpec):
     """The scenario's starting map and its evolution mode.
 
@@ -251,32 +252,32 @@ def initial_map(spec: ScenarioSpec):
     """
     p = spec.params
     fam = spec.family
+    required, optional = FAMILY_PARAMS[fam]
+    for k in required:
+        if k not in p:
+            raise ConfigError(f"family '{fam}' requires parameter '{k}'")
+    extra = set(p) - set(required) - set(optional)
+    if extra:
+        raise ConfigError(f"unknown parameter(s) for '{fam}': {sorted(extra)}")
     try:
         if fam == "disk":
-            _need(p, fam, optional=("a0",))
             a0 = float(p.get("a0", 1.0))
             return PolynomialMap((a0,)), "polynomial"
         if fam == "polynomial":
-            _need(p, fam, "coeffs")
             return PolynomialMap(tuple(p["coeffs"])), "polynomial"
         if fam == "example_abc":
-            _need(p, fam, "a", "b", "c_magnitude")
             m, _ = make_example_abc(p["a"], p["b"], float(p["c_magnitude"]))
             return m, "taylor"
         if fam == "subcase1":
-            _need(p, fam, "M0", "B1")
             return make_subcase1(float(p["M0"]), p["B1"]), "taylor"
         if fam == "subcase2":
-            _need(p, fam, "M0", "B1")
             return make_subcase2(float(p["M0"]), p["B1"]), "taylor"
-        if fam == "taylor":
-            _need(p, fam, "coeffs")
-            coeffs = list(p["coeffs"])
-            coeffs += [0.0] * (spec.taylor_order - len(coeffs))
-            return TaylorMap(tuple(coeffs[: spec.taylor_order])), "taylor"
+        # taylor, the last family
+        coeffs = list(p["coeffs"])
+        coeffs += [0.0] * (spec.taylor_order - len(coeffs))
+        return TaylorMap(tuple(coeffs[: spec.taylor_order])), "taylor"
     except ValueError as exc:  # a map constructor rejected the parameters
         raise ConfigError(f"family '{fam}': {exc}") from None
-    raise ConfigError(f"unknown family '{fam}'")
 
 
 def quadrature_data(m: AnalyticMap) -> QuadratureData:
@@ -296,7 +297,6 @@ class ScenarioCheck:
     name: str
     passed: bool
     residual: float
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -312,8 +312,8 @@ class ScenarioReport:
         return iter(self.checks)
 
 
-def _check(name, residual, bound, detail=""):
-    return ScenarioCheck(name, bool(residual < bound), float(residual), detail)
+def _check(name, residual, bound):
+    return ScenarioCheck(name, bool(residual < bound), float(residual))
 
 
 def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> ScenarioReport:
@@ -325,11 +325,8 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> ScenarioRe
     """
     grid = CircleGrid(grid_n)
     checks = []
-    fp_min = float(np.min(np.abs(m.derivative_on(grid))))
-    checks.append(
-        ScenarioCheck("fprime_nonzero_on_circle", fp_min > 1e-6, fp_min,
-                      "min |f'| on the unit circle")
-    )
+    fp_min = float(np.min(np.abs(m.derivative_on(grid))))  # min |f'| on the circle
+    checks.append(ScenarioCheck("fprime_nonzero_on_circle", fp_min > 1e-6, fp_min))
     f0 = abs(complex(m.rational()(0.0)))
     checks.append(_check("f_vanishes_at_origin", f0, 1e-14))
 
@@ -401,8 +398,8 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> ScenarioRe
         w = complex(np.conj(m.pole_reflections[0]))
         fp = m.derivative_rational()
         other = 2.0 / np.conj(w) - w
+        # f' vanishes at omega_1 and at 2/conj(omega_1) - omega_1
         resid = max(abs(complex(fp(w))), abs(complex(fp(other))))
-        checks.append(_check("derivative_zero_structure", resid, 1e-9,
-                             "f' vanishes at omega_1 and 2/conj(omega_1) - omega_1"))
+        checks.append(_check("derivative_zero_structure", resid, 1e-9))
 
     return ScenarioReport(kind, tuple(checks))

@@ -6,6 +6,7 @@ import pytest
 
 import jsonschema
 
+from heleshaw import cli
 from heleshaw.cli import main, parse_config
 from heleshaw.errors import ConfigError
 from heleshaw.evolution import run_evolution
@@ -304,12 +305,67 @@ def test_cli_help_option_set(command, options, capsys):
     ["moments", "--coeffs=-1,0.3"],
     ["bracket-check", "--coeffs=-1,0.3"],
     ["jacobian", "--coeffs=-1,0.3"],
+    ["scenario", "subcase2", "--M0", "x", "--B1", "0.3"],
+    ["moments", "--coeffs", "x"],
 ])
 def test_cli_rejected_value_exits_2(argv, capsys):
     # a ValueError from a map constructor or from --output-times is a
     # configuration error, not a traceback
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["scenario", "subcase2", "--M0", "x", "--B1", "0.3"], "M0"),
+    (["quadrature-check", "--family", "example_abc", "--a", "0.2", "--b", "y",
+      "--c-magnitude", "1"], "b"),
+    (["moments", "--coeffs", "x"], "coeffs"),
+    (["jacobian", "--coeffs", "1,,x"], "coeffs"),
+    (["evolve", "--family", "disk", "--output-times", "x"], "output_times"),
+    (["evolve", "--family", "disk", "--dt", "1e-3x"], "dt"),
+    (["evolve", "--config", "family = disk\ndiagnostic_moments = 4.5"],
+     "diagnostic_moments"),
+])
+def test_cli_bad_value_names_its_key(argv, key, capsys):
+    # config lines and flags share one parser per key, and one message
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: bad value for '{key}': ")
+
+
+# (key, text) pairs given once as flags and once as config lines
+_SPEC_INPUTS = [
+    [("family", "subcase2"), ("M0", "1.0"), ("B1", "0.28111 + 0.1j"),
+     ("horizon", "0.05"), ("dt", "0.001"), ("output_times", "0.01, 0.05"),
+     ("csv", "r.csv"), ("svg", "r.svg"), ("json", "r.json")],
+    [("family", "polynomial"), ("coeffs", "1, 0.2-0.1j, 0.05"), ("horizon", "0.002")],
+    [("family", "disk"), ("a0", "1.5"), ("output_times", "0")],
+]
+
+
+@pytest.mark.parametrize("pairs", _SPEC_INPUTS)
+def test_cli_evolve_flags_and_config_build_equal_specs(pairs, monkeypatch):
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "run_evolution", capture)
+    # the flag of key_name is --key-name, of json --json-path
+    flags = [arg for key, text in pairs for arg in (
+        "--json-path" if key == "json" else "--" + key.replace("_", "-"), text)]
+    config = "\n".join(f"{key} = {text}" for key, text in pairs)
+    assert main(["evolve", *flags]) == 2
+    assert main(["evolve", "--config", config]) == 2
+    assert specs[0] == specs[1] == parse_config(config)
+    assert specs[0].family == pairs[0][1]
+
+
+def test_cli_evolve_report_names_diagnostic_moments(tmp_path):
+    rp = tmp_path / "run.json"
+    cfg = f"family = disk\nhorizon = 0.002\ndiagnostic_moments = 6\njson = {rp}"
+    assert main(["evolve", "--config", cfg]) == 0
+    assert json.loads(rp.read_text())["spec"]["scenario"]["diagnostic_moments"] == 6
 
 
 _GRID_RULE = "grid size must be a power of two >= 4, got 100"

@@ -235,8 +235,10 @@ def test_example_abc_geometric_progression_hard_draws(a, b):
 
 
 def test_residue_route_rejects_repeated_pole():
-    m = RationalMap((1.0, -0.3), (0.3, 0.3), check=False)
-    with pytest.raises(ResidueError):
+    # a_1 = -1.09/0.6 puts the zero of f' at omega = 0.3, so the map with
+    # its double pole at 1/0.3 passes validation
+    m = RationalMap((1.0, -1.09 / 0.6), (0.3, 0.3))
+    with pytest.raises(ResidueError, match="repeated pole"):
         moments_residue(m, 2)
 
 

@@ -1,7 +1,8 @@
 """The public surface resolves: every exported name and every layer function
 the benchmark tracer wraps still exists, the CLI reports every check the
-benchmark's gate requires, and the gates are read from
-``heleshaw.config.DEFAULT`` rather than passed as parameters."""
+benchmark's gate requires, its config keys cover the scenario spec, and the
+gates are read from ``heleshaw.config.DEFAULT`` rather than passed as
+parameters."""
 
 import dataclasses
 import importlib
@@ -11,9 +12,10 @@ import pkgutil
 from pathlib import Path
 
 import heleshaw
+from heleshaw import cli
 from heleshaw.cli import main
 from heleshaw.config import Tolerances
-from heleshaw.scenarios import ScenarioSpec
+from heleshaw.scenarios import FAMILY_PARAMS, ScenarioSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(heleshaw.__file__).resolve().parent
@@ -56,6 +58,20 @@ def test_cli_reports_the_checks_the_benchmark_requires(monkeypatch, capsys):
         assert main(["--json", *argv]) == 0, argv
         reported = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"]}
         assert set(required) <= reported, argv
+
+
+def test_config_keys_cover_the_spec():
+    # one key table is the schema of config lines and flags: every spec field
+    # has a key, every key names a field or a family parameter, and the run
+    # report carries every field but the built map and the artifact paths
+    fields = [f.name for f in dataclasses.fields(ScenarioSpec)]
+    inputs = {f.name for f in dataclasses.fields(ScenarioSpec) if f.init} - {"params"}
+    named = {cli._SPEC_FIELDS.get(key, key) for key in cli._KEYS}
+    params = {k for keys in FAMILY_PARAMS.values() for group in keys for k in group}
+    assert inputs <= named
+    assert named - inputs == params
+    reported = set(cli._spec_dict(ScenarioSpec(family="disk")))
+    assert reported == set(fields) - {"initial", "csv_path", "svg_path", "json_path"}
 
 
 def _public_functions():
