@@ -60,7 +60,6 @@ __all__ = [
     "solve_string_system",
     "velocities_positive",
     "string_residual",
-    "conjugate_moment_map",
     "finite_difference_jacobian",
     "log_rel_error",
     "JacobianReport",
@@ -316,33 +315,33 @@ def velocities_positive(v: np.ndarray) -> np.ndarray:
 # the Jacobian identity
 # ----------------------------------------------------------------------
 
-def conjugate_moment_map(x: np.ndarray) -> np.ndarray:
+def _conjugate_moment_map(X: np.ndarray) -> np.ndarray:
     """(M_{-n}, ..., M_n) as a polynomial map of the independent variables
-    x = (abar_n, ..., abar_1, a_0, a_1, ..., a_n) (logical index -n..n)."""
-    x = np.asarray(x, dtype=complex)
-    n = (len(x) - 1) // 2
-    a = x[n:].copy()
-    abar = np.concatenate([[x[n]], x[:n][::-1]])
-    out = np.zeros(2 * n + 1, dtype=complex)
-    out[n:] = richardson_moments(a, abar, n)
-    out[n::-1] = richardson_moments(abar, a, n)
+    x = (abar_n, ..., abar_1, a_0, a_1, ..., a_n) (logical index -n..n),
+    for each row x of X, in one batched Richardson sum."""
+    X = np.asarray(X, dtype=complex)
+    n = (X.shape[1] - 1) // 2
+    a, abar = X[:, n:], X[:, n::-1]
+    M = richardson_moments(np.concatenate([a, abar]), np.concatenate([abar, a]), n)
+    out = np.empty_like(X)
+    out[:, n:] = M[: len(X)]
+    out[:, n::-1] = M[len(X) :]
     return out
 
 
 def finite_difference_jacobian(m: PolynomialMap, step: float = 1e-5) -> np.ndarray:
-    """Central differences of the conjugate-variable moment map."""
+    """Central differences of the conjugate-variable moment map, all 2(2n+1)
+    points x0 +- step e_j evaluated in one batch."""
     a = np.asarray(m.coeffs, dtype=complex)
     n = len(a) - 1
     x0 = np.concatenate([np.conj(a[1:])[::-1], a])
     size = 2 * n + 1
-    J = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[j] += step
-        xm[j] -= step
-        J[:, j] = (conjugate_moment_map(xp) - conjugate_moment_map(xm)) / (2 * step)
-    return J
+    X = np.tile(x0, (2, size, 1))
+    j = np.arange(size)
+    X[0, j, j] += step
+    X[1, j, j] -= step
+    F = _conjugate_moment_map(X.reshape(2 * size, size)).reshape(2, size, size)
+    return (F[0] - F[1]).T / (2 * step)
 
 
 def _log_det(M: np.ndarray) -> complex:

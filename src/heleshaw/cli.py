@@ -160,11 +160,16 @@ def parse_config(source) -> ScenarioSpec:
     return _spec(**values)
 
 
+def _flag(key: str) -> str:
+    """The command-line flag of a config key."""
+    return "--json-path" if key == "json" else "--" + key.replace("_", "-")
+
+
 def _key_flags(parser, *keys, **kw):
     """One flag per config key, read as text for :func:`_spec`."""
     for key in keys:
-        parser.add_argument("--json-path" if key == "json" else "--" + key.replace("_", "-"),
-                            dest=_SPEC_FIELDS.get(key, key), help=_HELP.get(key), **kw)
+        parser.add_argument(_flag(key), dest=_SPEC_FIELDS.get(key, key),
+                            help=_HELP.get(key), **kw)
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +360,10 @@ def _cmd_scenario(args, report: RunReport, say):
 
 def _cmd_evolve(args, report: RunReport, say):
     if args.config:
+        given = [_flag(k) for k in _KEYS
+                 if getattr(args, _SPEC_FIELDS.get(k, k), None) is not None]
+        if given:
+            raise ConfigError(f"--config takes no other scenario flags, got {', '.join(given)}")
         spec = parse_config(args.config)
     elif args.family is None:
         raise ConfigError("evolve needs --config or --family plus parameters")

@@ -52,7 +52,8 @@ class UncancelledPoleError(HeleShawError):
 
 
 class QuadratureError(HeleShawError):
-    """Disk quadrature failed to converge across refinement levels."""
+    """Disk quadrature failed to converge across refinement levels, or the
+    quadrature identity's c_0 is not real positive."""
 
 
 class ConfigError(HeleShawError):

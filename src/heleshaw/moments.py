@@ -130,22 +130,40 @@ def default_moment_count(m: AnalyticMap) -> int:
 # Richardson's coefficient sum
 # ----------------------------------------------------------------------
 
+def _head_product(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """The m lowest coefficients of the polynomial product x y, along axis 0.
+    Further axes are batch axes: a batch loops over the index of ``x`` and
+    is vectorized over length and batch; one pair is ``np.convolve``."""
+    if x.ndim == 1:
+        return np.convolve(x, y)[:m]
+    out = np.zeros((m,) + x.shape[1:], dtype=complex)
+    for i in range(min(m, len(x))):
+        out[i:] += x[i] * y[: m - i]
+    return out
+
+
 def _power_rows(a, K: int | None = None) -> np.ndarray:
-    """P[k, j] = coeff_j(f^k) = coeff_{j-k}(p^k) for f = z p = sum a_j z^(j+1),
-    rows k <= min(K, n), columns j <= n = len(a) - 1: the one truncated power
-    recurrence behind V, Richardson's sum and the c <-> M triangle.  p^k keeps
-    its n + 1 - k lowest coefficients, as higher ones never feed back into
-    lower ones, and is built from the equally long head of ``a``."""
+    """P[..., k, j] = coeff_j(f^k) = coeff_{j-k}(p^k) for f = z p =
+    sum a_j z^(j+1), rows k <= min(K, n), columns j <= n = a.shape[-1] - 1:
+    the one truncated power recurrence behind V, Richardson's sum and the
+    c <-> M triangle.  p^k keeps its n + 1 - k lowest coefficients, as
+    higher ones never feed back into lower ones, and is multiplied by the
+    equally long head of ``a``.  ``a`` may carry one leading batch axis,
+    one row per map; a batch's rows equal the single-map rows up to
+    rounding.
+    """
     a = np.asarray(a, dtype=complex)
-    L = len(a)
+    L = a.shape[-1]
     rows = L if K is None else min(K, L - 1) + 1
-    P = np.zeros((rows, L), dtype=complex)
+    # the recurrence runs along the leading axes, a batch axis trails
+    a = a.T
+    P = np.zeros((rows, L) + a.shape[1:], dtype=complex)
     P[0, 0] = 1.0
     pk = P[0, :1]
     for k in range(1, rows):
-        pk = np.convolve(pk, a[: L - k + 1])[: L - k]
+        pk = _head_product(pk, a[: L - k + 1], L - k)
         P[k, k:] = pk
-    return P
+    return P.T.swapaxes(-1, -2)
 
 
 def richardson_moments(a, abar, K: int) -> np.ndarray:
@@ -159,15 +177,25 @@ def richardson_moments(a, abar, K: int) -> np.ndarray:
     With f = z p and b_q = (q+1) a_q this is
     M_k = sum_i coeff_i(p^k) C_{k+i},  C_m = sum_q b_q abar_{m+q},
     so C is formed once and M = P C for the power rows P of
-    :func:`_power_rows`.  M_k is exactly zero for k > n = len(a) - 1.
+    :func:`_power_rows`.  M_k is exactly zero for k > n = a.shape[-1] - 1.
+
+    ``a`` and ``abar`` may carry one leading batch axis, one row per map,
+    for M of shape (B, K + 1); the power rows are then formed once per
+    distinct row of ``a``.
     """
     a = np.asarray(a, dtype=complex)
     abar = np.asarray(abar, dtype=complex)
-    L = len(a)
+    L = a.shape[-1]
     b = a * np.arange(1, L + 1)
-    C = np.convolve(abar[L - 1 :: -1], b)[L - 1 :: -1]
-    P = _power_rows(a, K)
-    return np.pad(P @ C, (0, K + 1 - len(P)))
+    # C reversed is the head of the product of abar reversed with b
+    C = _head_product(abar[..., L - 1 :: -1].T, b.T, L)[::-1]
+    if a.ndim == 1:
+        P = _power_rows(a, K)
+        return np.pad(P @ C, (0, K + 1 - len(P)))
+    distinct, which = np.unique(a, axis=0, return_inverse=True)
+    P = _power_rows(distinct, K)[which]
+    M = (P @ C.T[..., None])[..., 0]
+    return np.pad(M, ((0, 0), (0, K + 1 - P.shape[1])))
 
 
 def richardson_moment(a, abar, k: int) -> complex:
@@ -362,7 +390,7 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
     c = [pp[k] / math.factorial(k) for k in range(s)]
     c0 = c[0]
     if abs(c0.imag) > 1e-9 * max(1.0, abs(c0)) or c0.real <= 0:
-        raise ValueError(f"c_0 must be real positive, got {c0}")
+        raise QuadratureError(f"c_0 must be real positive, got {c0}")
     c[0] = complex(c0.real)
     return QuadratureData(c=tuple(c))
 

@@ -110,6 +110,9 @@ class ScenarioSpec:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.horizon < np.inf:
             raise ConfigError(f"horizon must be finite and >= 0, got {self.horizon}")
+        for t in self.output_times:
+            if not np.isfinite(t):
+                raise ConfigError(f"output times must be finite, got {t}")
         for key in ("taylor_order", "diagnostic_moments"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")

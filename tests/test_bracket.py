@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from heleshaw.bracket import (
+    _conjugate_moment_map,
     _string_matrix,
     _string_solve,
     bracket_matrix,
     bracket_samples,
-    conjugate_moment_map,
     derivative_reflection_resultant,
     finite_difference_jacobian,
     jacobian_identity_report,
@@ -31,6 +31,7 @@ from heleshaw.maps import (
     PolynomialMap,
     polynomial_roots,
 )
+from heleshaw.moments import richardson_moments
 
 CARDIOID = PolynomialMap((1.0, 0.3))
 GRID = CircleGrid(1024)
@@ -344,19 +345,59 @@ def test_finite_difference_entrywise_up_to_n3():
         assert np.max(np.abs(jacobian(m) - fd)) < 1e-6
 
 
-def decaying_map(rng, n, a0=1.0):
-    """a_0 = a0 and |a_j| <= 0.3 a0 / (j+1)^2 with uniform phases."""
+def decaying_map(rng, n, a0=1.0, power=2):
+    """a_0 = a0 and |a_j| <= 0.3 a0 / (j+1)^power with uniform phases."""
     j = np.arange(1, n + 1)
-    mag = 0.3 * a0 / (j + 1) ** 2 * rng.uniform(0.0, 1.0, n)
+    mag = 0.3 * a0 / (j + 1) ** power * rng.uniform(0.0, 1.0, n)
     return PolynomialMap(tuple(
         np.concatenate([[a0], mag * np.exp(2j * np.pi * rng.uniform(size=n))])))
 
 
-@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("n", [16, 24, 32, 48])
 def test_finite_difference_entrywise_large_n(n):
     m = decaying_map(np.random.default_rng(100 + n), n)
     fd = finite_difference_jacobian(m, 1e-5)
     assert np.max(np.abs(jacobian(m) - fd)) < 1e-6
+
+
+def _loop_moment_map(x):
+    """(M_-n..M_n) at one point x = (abar_n..abar_1, a_0..a_n), by two
+    single-map Richardson sums."""
+    n = (len(x) - 1) // 2
+    a, abar = x[n:], x[n::-1]
+    out = np.zeros(2 * n + 1, dtype=complex)
+    out[n:] = richardson_moments(a, abar, n)
+    out[n::-1] = richardson_moments(abar, a, n)
+    return out
+
+
+def _loop_finite_difference_jacobian(m, step):
+    """The central differences column by column, two points per column."""
+    a = np.asarray(m.coeffs, dtype=complex)
+    x0 = np.concatenate([np.conj(a[:0:-1]), a])
+    J = np.zeros((len(x0), len(x0)), dtype=complex)
+    for j in range(len(x0)):
+        xp, xm = x0.copy(), x0.copy()
+        xp[j] += step
+        xm[j] -= step
+        J[:, j] = (_loop_moment_map(xp) - _loop_moment_map(xm)) / (2 * step)
+    return J
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_finite_difference_batch_matches_per_column_loop(power):
+    # the batch evaluates the same points by the same central formula; only
+    # the summation order of the power rows differs.  Every n takes one a0
+    # of 0.5, 1 and 2 in turn.  Entries of V U grow like a0^n, so the bound
+    # is relative to max(1, max |V U|), the scale the report judges the
+    # finite differences by
+    rng = np.random.default_rng(40 + power)
+    for n in range(1, 49):
+        m = decaying_map(rng, n, (0.5, 1.0, 2.0)[n % 3], power)
+        fd = finite_difference_jacobian(m, 1e-5)
+        scale = max(1.0, float(np.max(np.abs(jacobian(m)))))
+        err = np.max(np.abs(fd - _loop_finite_difference_jacobian(m, 1e-5)))
+        assert err <= 1e-10 * scale, (n, err, scale)
 
 
 @pytest.mark.parametrize("a0, log_rhs_real", [(2.0, 777.6), (0.5, -776.4)])
@@ -540,7 +581,7 @@ def test_conjugate_moment_map_consistency():
     # M_{-k} = conj(M_k)
     a = np.array([1.0, 0.2 + 0.1j, -0.05j])
     x = np.concatenate([np.conj(a[1:])[::-1], a])
-    mv = conjugate_moment_map(x)
+    mv = _conjugate_moment_map(x[None])[0]
     assert_allclose(mv[1], np.conj(mv[3]), atol=1e-15)
     assert_allclose(mv[0], np.conj(mv[4]), atol=1e-15)
     assert abs(mv[2].imag) < 1e-15

@@ -263,6 +263,15 @@ def test_cli_quadrature_check_families(argv, capsys):
     assert all(c["status"] == "pass" for c in checks)
 
 
+def test_cli_quadrature_check_underflowing_c0_is_a_failed_run(capsys):
+    # a0^2 underflows, so c_0 = 0: a typed error and a failed "run" check,
+    # where a bare ValueError used to escape with a traceback
+    assert main(["--json", "quadrature-check", "--coeffs=1e-300,1e-300"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [("run", "fail")]
+    assert checks[0]["error"].startswith("QuadratureError: c_0 must be real positive")
+
+
 @pytest.mark.parametrize("argv", [
     ["--family", "subcase2", "--M0", "1"],  # missing --B1
     ["--family", "example_abc", "--a", "0.2", "--b", "1.7"],  # missing --c-magnitude
@@ -361,6 +370,21 @@ def test_cli_evolve_flags_and_config_build_equal_specs(pairs, monkeypatch):
     assert specs[0].family == pairs[0][1]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--horizon", "0.01", "--dt", "0.001"],
+    ["--family", "disk"],
+    ["--a0", "2", "--svg", "r.svg"],
+    ["--output-times", "0.002", "--json-path", "r.json"],
+])
+def test_cli_evolve_config_rejects_other_scenario_flags(flags, capsys):
+    # the flags used to be dropped without a word: the run took the config's
+    # horizon 0 and exited 0
+    assert main(["evolve", "--config", "family = disk", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --config takes no other scenario flags, got ")
+    assert all(flag in err for flag in flags[::2])
+
+
 def test_cli_evolve_report_names_diagnostic_moments(tmp_path):
     rp = tmp_path / "run.json"
     cfg = f"family = disk\nhorizon = 0.002\ndiagnostic_moments = 6\njson = {rp}"
@@ -386,6 +410,12 @@ _GRID_RULE = "grid size must be a power of two >= 4, got 100"
     *([["bracket-check", "--coeffs", "1,0.4999999", "--threshold", bad],
        f"argument --threshold: must be positive and finite, got {bad}"]
       for bad in ("inf", "nan", "0", "-0.5")),
+    # round(t / dt) used to raise a bare OverflowError (inf) or ValueError (nan)
+    *([["evolve", "--family", "disk", "--horizon", "0.01", "--output-times", bad],
+       f"config error: output times must be finite, got {bad}"]
+      for bad in ("inf", "nan")),
+    (["evolve", "--family", "disk", "--horizon", "0.01", "--output-times", "0.005,-inf"],
+     "config error: output times must be finite, got -inf"),
 ])
 def test_cli_out_of_range_option_exits_2(argv, message, capsys):
     # a usage or config error naming the rule, not a traceback or a run
@@ -400,6 +430,8 @@ def test_cli_out_of_range_option_exits_2(argv, message, capsys):
     ("horizon = inf", "horizon must be finite and >= 0, got inf"),
     # a snapshot time before t = 0 would never be written
     ("output_times = -0.001", "output time outside [0, horizon]"),
+    ("output_times = inf", "output times must be finite, got inf"),
+    ("output_times = 0.01, nan", "output times must be finite, got nan"),
     # used to run silently with one diagnostic moment
     ("diagnostic_moments = -3", "diagnostic_moments must be positive, got -3"),
     ("diagnostic_moments = 0", "diagnostic_moments must be positive, got 0"),

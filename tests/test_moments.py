@@ -145,6 +145,30 @@ def test_richardson_moments_match_per_k_loop():
         assert richardson_moment(a, abar, n) == got[n]
 
 
+def test_batched_power_rows_and_moments_match_single_maps():
+    # one leading batch axis: row for row the single-map results, at
+    # rounding level (the batch sums in another order than np.convolve);
+    # repeated rows of a share their power rows
+    rng = np.random.default_rng(33)
+    for n in (0, 1, 2, 5, 16, 33):
+        a = np.array([_decaying_coeffs(rng, n, a0=rng.uniform(0.5, 2.0))
+                      for _ in range(5)])
+        a[3] = a[1]
+        abar = np.array([_decaying_coeffs(rng, n, a0=rng.uniform(0.5, 2.0))
+                         for _ in range(5)])
+        for K in (None, 2, n + 3):
+            P = moments._power_rows(a, K)
+            for row, P1 in zip(a, P):
+                want = moments._power_rows(row, K)
+                assert P1.shape == want.shape
+                assert_allclose(P1, want, rtol=1e-13, atol=1e-16 * np.max(np.abs(want)))
+        M = richardson_moments(a, abar, n + 3)
+        for row, row_bar, M1 in zip(a, abar, M):
+            want = richardson_moments(row, row_bar, n + 3)
+            assert_allclose(M1, want, rtol=1e-13, atol=1e-15 * np.max(np.abs(want)))
+            assert np.all(M1[n + 1:] == 0.0)
+
+
 def test_richardson_moments_match_literal_sum():
     rng = np.random.default_rng(32)
     for n in (0, 1, 2, 3):
