@@ -58,7 +58,6 @@ __all__ = [
     "sylvester_matrix",
     "derivative_reflection_resultant",
     "solve_string_system",
-    "velocities_positive",
     "string_residual",
     "finite_difference_jacobian",
     "log_rel_error",
@@ -303,12 +302,6 @@ def solve_string_system(m: PolynomialMap) -> np.ndarray:
     det W.
     """
     return _string_solve(m.derivative_coeffs()).gated()
-
-
-def velocities_positive(v: np.ndarray) -> np.ndarray:
-    """adot_j for j >= 0 from a full logical -n..n solution vector."""
-    n = (len(v) - 1) // 2
-    return v[n:]
 
 
 # ----------------------------------------------------------------------

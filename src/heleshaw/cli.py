@@ -2,7 +2,8 @@
 
 Subcommands: moments, bracket-check, jacobian, quadrature-check, scenario,
 evolve.  Exit codes: 0 all checks passed, 1 at least one check failed,
-2 usage or configuration error.  ``--json`` switches stdout to the
+2 usage or configuration error; a float overflow or division by zero
+fails the run (exit 1).  ``--json`` switches stdout to the
 machine-readable run report (schema {spec, checks[], artifacts[], timing}).
 
 Scenario configs are flat ``key = value`` text::
@@ -21,9 +22,10 @@ diagnostic_moments (4), csv, svg, json (artifact paths, none written by
 default), plus the family parameters (a0 | coeffs | a, b, c_magnitude |
 M0, B1).  Blank lines and ``#`` comments are ignored; unknown keys are
 rejected by name.  A key is also a flag, ``--key-name`` for ``key_name``
-and ``--json-path`` for ``json`` (``scenario`` has ``--grid`` for
-grid_n).  Config lines and flags go through one table, :data:`_KEYS`, of
-value parsers, and one function, :func:`_spec`, builds the spec.
+and ``--json-path`` for ``json`` (``scenario`` and ``bracket-check``
+have ``--grid`` for grid_n).  Config lines and flags go through one
+table, :data:`_KEYS`, of value parsers, and one function, :func:`_spec`,
+builds the spec.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ from .bracket import (
     log_rel_error,
     solve_string_system,
     string_residual,
-    velocities_positive,
 )
 from .errors import ConfigError, HeleShawError
-from .maps import CircleGrid
+from .maps import CircleGrid, PolynomialMap
 from .moments import (
     moments_area_oracle,
     moments_residue,
@@ -176,13 +177,6 @@ def _key_flags(parser, *keys, **kw):
 # argument plumbing
 # ----------------------------------------------------------------------
 
-def _grid_arg(raw: str) -> int:
-    try:
-        return CircleGrid(int(raw)).size
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _nonnegative_int(raw: str) -> int:
     value = int(raw)
     if value < 0:
@@ -213,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket-check", help="solve the string system, check {f,f*}=1")
     _key_flags(p, "coeffs", required=True)
-    p.add_argument("--grid", type=_grid_arg, default=1024)
+    p.add_argument("--grid", dest="grid_n")
     p.add_argument("--threshold", type=_positive_float, default=1e-8)
 
     p = sub.add_parser("jacobian", help="both sides of the Jacobian determinant identity")
@@ -262,7 +256,7 @@ def _fmt_log(log_d: complex) -> str:
 
 
 def _cmd_moments(args, report: RunReport, say):
-    m, _ = _spec(args, family="polynomial").initial
+    m = _spec(args, family="polynomial").initial
     rich = moments_richardson(m, args.K)
     K = rich.K
     res = moments_residue(m, K)
@@ -273,25 +267,23 @@ def _cmd_moments(args, report: RunReport, say):
         say(f"{k:>3} {rich[k]:>28.16g} {res[k]:>28.16g} {area[k]:>28.16g}")
     d_rr = float(np.max(np.abs(rich.as_array() - res.as_array())))
     d_ra = float(np.max(np.abs(rich.as_array() - area.as_array())))
-    report.add("richardson_vs_residue", d_rr < 1e-10, d_rr)
-    report.add("richardson_vs_area", d_ra < 1e-6, d_ra,
-               quadrature_error_estimate=err_est)
+    report.check("richardson_vs_residue", d_rr, 1e-10)
+    report.check("richardson_vs_area", d_ra, 1e-6, quadrature_error_estimate=err_est)
     say(f"max |Richardson - residues| = {fmt(d_rr)}")
     say(f"max |Richardson - area|     = {fmt(d_ra)}")
 
 
 def _cmd_bracket_check(args, report: RunReport, say):
-    m, _ = _spec(args, family="polynomial").initial
+    spec = _spec(args, family="polynomial")
+    m = spec.initial
     v = solve_string_system(m)
-    grid = CircleGrid(args.grid)
-    res = string_residual(m, velocities_positive(v), grid)
-    say("coefficient velocities da_j/dM_0 (j = -n..n):")
     n = m.degree_plus
+    res = string_residual(m, v[n:], CircleGrid(spec.grid_n))
+    say("coefficient velocities da_j/dM_0 (j = -n..n):")
     for j, vj in zip(range(-n, n + 1), v):
         say(f"  adot_{j:+d} = {vj:.16g}")
-    say(f"max |{{f,f*}}_t - 1| on {args.grid} nodes = {fmt(res)}")
-    report.add("string_residual", res < args.threshold, res,
-               threshold=args.threshold)
+    say(f"max |{{f,f*}}_t - 1| on {spec.grid_n} nodes = {fmt(res)}")
+    report.check("string_residual", res, args.threshold, threshold=args.threshold)
 
 
 def _cmd_jacobian(args, report: RunReport, say):
@@ -302,7 +294,7 @@ def _cmd_jacobian(args, report: RunReport, say):
             f"--degree {args.degree} expects {args.degree + 1} coefficients, "
             f"got {n_coeffs}"
         )
-    m, _ = spec.initial
+    m = spec.initial
     rep = jacobian_identity_report(m, fd_step=None if args.no_fd else args.fd_step)
     say(f"n = {rep.n}")
     say(f"det(V U)                      = {_fmt_log(rep.log_det_vu)}")
@@ -318,19 +310,18 @@ def _cmd_jacobian(args, report: RunReport, say):
         ("det_u_sylvester_form", rep.log_det_u_sylvester, rep.log_det_u),
     ]
     for name, got, want in checks if rep.n else checks[:3]:
-        err = log_rel_error(got, want)
-        report.add(name, err < 1e-10, err)
+        report.check(name, log_rel_error(got, want), 1e-10)
     if rep.fd_max_abs_err is not None:
         # relative to the entries of V U, which grow like a0^|k| with n
         bound = 1e-6 * rep.fd_scale
         say(f"max |V U - finite differences| = {fmt(rep.fd_max_abs_err)}")
-        report.add("jacobian_finite_difference", rep.fd_max_abs_err < bound,
-                   rep.fd_max_abs_err, step=rep.fd_step, threshold=bound)
+        report.check("jacobian_finite_difference", rep.fd_max_abs_err, bound,
+                     step=rep.fd_step, threshold=bound)
 
 
 def _cmd_quadrature_check(args, report: RunReport, say):
     testfns = [[0.0] * p + [1.0] for p in range(args.max_power + 1)]
-    m, _ = _spec(args, family=args.family or "polynomial").initial
+    m = _spec(args, family=args.family or "polynomial").initial
     data = quadrature_data(m)
     if data.is_two_point:
         say(f"two-point identity: A = {data.weight_a:.16g}, B = {data.weight_b:.16g}, "
@@ -341,17 +332,19 @@ def _cmd_quadrature_check(args, report: RunReport, say):
     residuals = quadrature_check(m, data, testfns)
     for p, r in enumerate(residuals):
         say(f"g = z^{p}: residual {fmt(r)}")
-        report.add(f"quadrature_g_power_{p}", r < 1e-6, r)
+        report.check(f"quadrature_g_power_{p}", r, 1e-6)
 
 
 def _cmd_scenario(args, report: RunReport, say):
     spec = _spec(args)
-    m, mode = spec.initial
-    rep = verify_scenario(m, spec.family, grid_n=spec.grid_n)
-    say(f"scenario '{spec.family}' ({mode} mode), {len(rep.checks)} checks:")
-    for c in rep:
-        say(f"  [{'pass' if c.passed else 'FAIL'}] {c.name}: residual {fmt(c.residual)}")
-        report.add(c.name, c.passed, c.residual)
+    m = spec.initial
+    mode = "polynomial" if isinstance(m, PolynomialMap) else "taylor"
+    checks = verify_scenario(m, spec.family, grid_n=spec.grid_n).checks
+    say(f"scenario '{spec.family}' ({mode} mode), {len(checks)} checks:")
+    for c in checks:
+        status = "pass" if c["status"] == "pass" else "FAIL"
+        say(f"  [{status}] {c['name']}: residual {fmt(c['residual'])}")
+    report.checks.extend(checks)
     if spec.svg_path:
         render_boundary_svg(m, spec.svg_path)
         report.artifacts.append(spec.svg_path)
@@ -380,10 +373,10 @@ def _cmd_evolve(args, report: RunReport, say):
     say(f"max branch drift   = {fmt(d.max_branch_drift)}")
     say(f"string residual    = {fmt(d.string_residual)}")
     report.add("completed", result.completed, None, stop_reason=result.stop_reason)
-    report.add("moment_conservation", d.max_moment_drift < 1e-7, d.max_moment_drift)
+    report.check("moment_conservation", d.max_moment_drift, 1e-7)
     if len(result.base_branch_values):
-        report.add("branch_fixed", d.max_branch_drift < 1e-7, d.max_branch_drift)
-    report.add("string_residual", d.string_residual < 1e-8, d.string_residual)
+        report.check("branch_fixed", d.max_branch_drift, 1e-7)
+    report.check("string_residual", d.string_residual, 1e-8)
     if spec.csv_path:
         export_trajectory(result, spec.csv_path)
         report.artifacts.append(spec.csv_path)
@@ -438,11 +431,13 @@ def main(argv=None) -> int:
     say = lines.append
     t0 = time.perf_counter()
     try:
-        _COMMANDS[args.command](args, report, say)
+        # an overflow or x/0 fails the run, not a check fed inf or nan
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _COMMANDS[args.command](args, report, say)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except HeleShawError as exc:
+    except (HeleShawError, ArithmeticError) as exc:
         report.add("run", False, None, error=f"{type(exc).__name__}: {exc}")
         lines.append(f"error: {type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - t0

@@ -56,7 +56,7 @@ from .maps import (
 )
 from .moments import moments_richardson
 from .rational import RationalFunction, pder, pmul, psub
-from .bracket import _string_solve, _StringSolve, string_residual, velocities_positive
+from .bracket import _string_solve, _StringSolve, string_residual
 
 __all__ = [
     "poisson_schwarz",
@@ -174,13 +174,14 @@ class StepDiagnostics:
 class EvolutionState:
     """A map at time t, with its snapshot diagnostics once annotated.
 
-    In polynomial mode ``resultant`` carries the string solve of ``map``
-    (its velocities, Res(f', f'*) and |W|_F |W^-1|_F) once a step or a
-    snapshot has made it, so the map is solved once: its velocities serve
-    both the snapshot and the next step's first RK4 stage, and its
-    resultant the next step's jump test.  A carried solve has passed the
-    gate of :func:`heleshaw.bracket.solve_string_system`; a state without
-    one is solved from ``map.derivative_coeffs()`` and gated on first use.
+    When ``map`` is a :class:`PolynomialMap`, ``resultant`` carries its
+    string solve (its velocities, Res(f', f'*) and |W|_F |W^-1|_F) once a
+    step or a snapshot has made it, so the map is solved once: its
+    velocities serve both the snapshot and the next step's first RK4 stage,
+    and its resultant the next step's jump test.  A carried solve has
+    passed the gate of :func:`heleshaw.bracket.solve_string_system`; a state
+    without one is solved from ``map.derivative_coeffs()`` and gated on
+    first use.
     """
 
     t: float
@@ -330,17 +331,20 @@ def _steps_for(t: float, dt: float, what: str) -> int:
 def run_evolution(spec) -> EvolutionResult:
     """Run the scenario's evolution, collecting snapshots and diagnostics.
 
-    Accepts a :class:`heleshaw.scenarios.ScenarioSpec`.  A typed failure
-    (degeneracy, cusp, truncation, branch trouble) at the initial map (its
-    series truncation, base moments, branch points or first snapshot)
-    raises.  One in a step, or in the snapshot after it, stops the run
+    Accepts a :class:`heleshaw.scenarios.ScenarioSpec`.  A
+    :class:`PolynomialMap` starting map evolves in polynomial mode, any
+    other map in series mode, from its truncation to ``taylor_order``
+    coefficients.  A typed failure (degeneracy, cusp, truncation, branch
+    trouble) at the initial map (its series truncation, base moments,
+    branch points or first snapshot) raises.  One in a step, or in the snapshot after it, stops the run
     cleanly: the exception class name and message become the stop reason
     and the snapshots collected so far are returned.
     """
-    m, mode = spec.initial
+    m = spec.initial
+    series = not isinstance(m, PolynomialMap)
     grid = CircleGrid(spec.grid_n)
     seeds = None
-    if mode == "taylor" and not isinstance(m, TaylorMap):
+    if series and not isinstance(m, TaylorMap):
         # the exact map's f' has a low-degree numerator, so its zeros seed
         # the continuation on the truncated series cheaply
         seeds = simple_derivative_zeros_in_disk(m)
@@ -353,7 +357,7 @@ def run_evolution(spec) -> EvolutionResult:
 
     K = spec.diagnostic_moments
     base = moments_richardson(m, K).as_array()
-    if mode == "taylor":
+    if series:
         bp = branch_points(m, near=seeds)
         base_branch = bp.values
         prev_omegas = bp.omegas
@@ -367,7 +371,7 @@ def run_evolution(spec) -> EvolutionResult:
         expected = base.copy()
         expected[0] += state.t
         drift = np.abs(mv - expected)
-        if mode == "taylor":
+        if series:
             bpt = branch_points(state.map, near=prev_omegas)
             prev_omegas = bpt.omegas
             bdrift = (
@@ -380,7 +384,7 @@ def run_evolution(spec) -> EvolutionResult:
         else:
             bdrift = np.zeros(0)
             solve = state.resultant or _string_solve(state.map.derivative_coeffs())
-            vel = velocities_positive(solve.gated())
+            vel = solve.gated()[state.map.degree_plus:]
         sres = string_residual(state.map, vel, grid)
         return EvolutionState(
             state.t,
@@ -399,7 +403,7 @@ def run_evolution(spec) -> EvolutionResult:
     stop = "completed"
     for k in range(1, n_steps + 1):
         try:
-            if mode == "taylor":
+            if series:
                 state = step_taylor_fixed_branch(state, spec.dt, grid=grid)
             else:
                 state = step_polynomial(state, spec.dt)

@@ -155,7 +155,16 @@ class AnalyticMap:
         return np.zeros(0, dtype=complex)
 
     def __call__(self, z):
-        return eval_map(self, z)
+        """Evaluate the map; rejects points within tolerance of a pole."""
+        z = np.asarray(z, dtype=complex)
+        poles = self.finite_poles()
+        if poles.size:
+            d = np.min(np.abs(z[..., None] - poles[None, :]))
+            if d < DEFAULT.pole_proximity:
+                raise PoleProximityError(
+                    f"evaluation point within {d:.2e} of a pole"
+                )
+        return self.rational()(z)
 
     @property
     def a0(self) -> float:
@@ -338,19 +347,6 @@ class TaylorMap(_CoefficientMap):
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
-
-def eval_map(m: AnalyticMap, z):
-    """Evaluate the map; rejects points within tolerance of a pole."""
-    z = np.asarray(z, dtype=complex)
-    poles = m.finite_poles()
-    if poles.size:
-        d = np.min(np.abs(z[..., None] - poles[None, :]))
-        if d < DEFAULT.pole_proximity:
-            raise PoleProximityError(
-                f"evaluation point within {d:.2e} of a pole"
-            )
-    return m.rational()(z)
-
 
 def polynomial_roots(coeffs) -> np.ndarray:
     """All roots of the polynomial with ascending ``coeffs``.

@@ -74,6 +74,10 @@ class RunReport:
         entry.update(extra)
         self.checks.append(entry)
 
+    def check(self, name: str, residual: float, bound: float, **extra):
+        """Add a check that passes when ``residual < bound``."""
+        self.add(name, residual < bound, residual, **extra)
+
     @property
     def all_passed(self) -> bool:
         return all(c["status"] == "pass" for c in self.checks)

@@ -22,11 +22,11 @@ Two degenerations with M_1 = M_2 = ... = 0 serve as closed-form oracles:
       C = sqrt(M_0) / (|w| sqrt(2 - |w|^2)),       w = omega_1,
       B_1 = w |w| sqrt(M_0) / sqrt(2 - |w|^2),  |B_1| < sqrt(M_0).
 
-Both subcases invert: (M_0, B_1) determine the map.  Subcase 1 is inverted by
-a guarded Newton solve of the branch-point equation in |b| (monotone on the
-admissible branch), seeded with the closed form
-|b| = (q^{1/4} + q^{-1/4})/2, q = 2|B_1|^2/M_0.  Subcase 2 inverts in closed
-form:
+Both subcases invert in closed form: (M_0, B_1) determine the map.  In
+subcase 1 the branch-point equation reads (1 - s)/(1 + s) = q with
+s = sqrt(1 - 1/|b|^2) and q = |B_1| sqrt(2/M_0) < 1, which solves exactly to
+    |b| = (sqrt(q) + 1/sqrt(q))/2.
+In subcase 2
     omega_1 = (B_1/|B_1|) sqrt(-|B_1|^2/(2 M_0)
               + sqrt(|B_1|^4/(4 M_0^2) + 2 |B_1|^2/M_0)).
 """
@@ -55,6 +55,7 @@ from .moments import (
     quadrature_check,
     quadrature_coeffs,
 )
+from .reports import RunReport
 
 __all__ = [
     "ScenarioSpec",
@@ -66,8 +67,6 @@ __all__ = [
     "make_subcase2",
     "subcase2_from_omega",
     "initial_map",
-    "ScenarioCheck",
-    "ScenarioReport",
     "verify_scenario",
 ]
 
@@ -98,8 +97,9 @@ class ScenarioSpec:
     csv_path: str | None = None
     svg_path: str | None = None
     json_path: str | None = None
-    #: (map, mode) from :func:`initial_map`, built once when the spec is made
-    initial: tuple = field(init=False, compare=False, repr=False)
+    #: the starting map from :func:`initial_map`, built once when the spec
+    #: is made; its type is the evolution mode
+    initial: AnalyticMap = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -166,26 +166,6 @@ def subcase1_branch_value(b, M0: float) -> complex:
     return b * abs(b) * np.sqrt(M0 / 2.0) * (1.0 - s) ** 2
 
 
-def _solve_subcase1_modulus(q: float) -> float:
-    """|b| with (1 - s)/(1 + s) = q, s = sqrt(1 - 1/|b|^2); 0 < q < 1.
-
-    Newton on beta -> (1-s)/(1+s) - q starting from the closed form
-    beta = (sqrt(q) + 1/sqrt(q))/2 (monotone decreasing, so the solve is a
-    safety net for the closed form rather than a search).
-    """
-    beta = 0.5 * (np.sqrt(q) + 1.0 / np.sqrt(q))
-    for _ in range(8):
-        s = np.sqrt(1.0 - 1.0 / beta**2)
-        g = (1.0 - s) / (1.0 + s) - q
-        # dg/dbeta = -2/((1+s)^2) * ds/dbeta,  ds/dbeta = 1/(s beta^3)
-        dg = -2.0 / ((1.0 + s) ** 2 * s * beta**3)
-        step = g / dg
-        beta -= step
-        if abs(step) < 1e-15 * beta:
-            break
-    return float(beta)
-
-
 def make_subcase1(M0: float, B1) -> AbcRationalMap:
     """Invert (M_0, B_1) to the subcase-1 map (a = 1/conj(b), c > 0)."""
     B1 = complex(B1)
@@ -199,7 +179,8 @@ def make_subcase1(M0: float, B1) -> AbcRationalMap:
             f"no admissible b: need |B1| < sqrt(M0/2) = {np.sqrt(M0 / 2.0):.6g}, "
             f"got |B1| = {abs(B1):.6g}"
         )
-    beta = _solve_subcase1_modulus(q)
+    r = np.sqrt(q)
+    beta = float(0.5 * (r + 1.0 / r))  # solves (1 - s)/(1 + s) = q exactly
     b = (B1 / abs(B1)) * beta
     c = beta * np.sqrt(M0 / 2.0)
     m = AbcRationalMap(1.0 / np.conj(b), b, c)
@@ -245,12 +226,13 @@ def make_subcase2(M0: float, B1) -> RationalMap:
 # scenario -> initial map
 # ----------------------------------------------------------------------
 
-def initial_map(spec: ScenarioSpec):
-    """The scenario's starting map and its evolution mode.
+def initial_map(spec: ScenarioSpec) -> AnalyticMap:
+    """The scenario's starting map.
 
-    Polynomial shapes evolve in the fixed-degree polynomial mode; rational
-    and explicit series shapes evolve in truncated-series (fixed branch
-    point) mode.  Parameters a map constructor rejects raise
+    Its type is its evolution mode: a :class:`PolynomialMap` (the disk and
+    polynomial families) evolves at fixed degree, any other map as a
+    truncated series with fixed branch points.  Parameters that a map
+    constructor rejects, or on which it overflows or divides by zero, raise
     :class:`ConfigError`.
     """
     p = spec.params
@@ -262,25 +244,31 @@ def initial_map(spec: ScenarioSpec):
     extra = set(p) - set(required) - set(optional)
     if extra:
         raise ConfigError(f"unknown parameter(s) for '{fam}': {sorted(extra)}")
+    for k, v in p.items():
+        if not np.all(np.isfinite(v)):
+            raise ConfigError(f"family '{fam}': {k} must be finite, got {v}")
     try:
-        if fam == "disk":
-            a0 = float(p.get("a0", 1.0))
-            return PolynomialMap((a0,)), "polynomial"
-        if fam == "polynomial":
-            return PolynomialMap(tuple(p["coeffs"])), "polynomial"
-        if fam == "example_abc":
-            m, _ = make_example_abc(p["a"], p["b"], float(p["c_magnitude"]))
-            return m, "taylor"
-        if fam == "subcase1":
-            return make_subcase1(float(p["M0"]), p["B1"]), "taylor"
-        if fam == "subcase2":
-            return make_subcase2(float(p["M0"]), p["B1"]), "taylor"
-        # taylor, the last family
-        coeffs = list(p["coeffs"])
-        coeffs += [0.0] * (spec.taylor_order - len(coeffs))
-        return TaylorMap(tuple(coeffs[: spec.taylor_order])), "taylor"
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if fam == "disk":
+                return PolynomialMap((float(p.get("a0", 1.0)),))
+            if fam == "polynomial":
+                return PolynomialMap(tuple(p["coeffs"]))
+            if fam == "example_abc":
+                return make_example_abc(p["a"], p["b"], float(p["c_magnitude"]))[0]
+            if fam == "subcase1":
+                return make_subcase1(float(p["M0"]), p["B1"])
+            if fam == "subcase2":
+                return make_subcase2(float(p["M0"]), p["B1"])
+            # taylor, the last family
+            coeffs = list(p["coeffs"])
+            coeffs += [0.0] * (spec.taylor_order - len(coeffs))
+            return TaylorMap(tuple(coeffs[: spec.taylor_order]))
     except ValueError as exc:  # a map constructor rejected the parameters
         raise ConfigError(f"family '{fam}': {exc}") from None
+    except ArithmeticError as exc:  # overflow or division by zero
+        raise ConfigError(
+            f"family '{fam}': parameters outside the floating-point range: {exc}"
+        ) from None
 
 
 def quadrature_data(m: AnalyticMap) -> QuadratureData:
@@ -295,31 +283,7 @@ def quadrature_data(m: AnalyticMap) -> QuadratureData:
 # verification report
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScenarioCheck:
-    name: str
-    passed: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class ScenarioReport:
-    family: str
-    checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __iter__(self):
-        return iter(self.checks)
-
-
-def _check(name, residual, bound):
-    return ScenarioCheck(name, bool(residual < bound), float(residual))
-
-
-def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> ScenarioReport:
+def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> RunReport:
     """Bundle the family's identity checks into one pass/fail report.
 
     Which checks run depends on ``kind``; e.g. the vanishing-moment and
@@ -327,82 +291,64 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> ScenarioRe
     skipped (not failed) elsewhere.
     """
     grid = CircleGrid(grid_n)
-    checks = []
+    report = RunReport(spec={"family": kind})
+    check = report.check
     fp_min = float(np.min(np.abs(m.derivative_on(grid))))  # min |f'| on the circle
-    checks.append(ScenarioCheck("fprime_nonzero_on_circle", fp_min > 1e-6, fp_min))
-    f0 = abs(complex(m.rational()(0.0)))
-    checks.append(_check("f_vanishes_at_origin", f0, 1e-14))
+    report.add("fprime_nonzero_on_circle", fp_min > 1e-6, fp_min)
+    check("f_vanishes_at_origin", abs(complex(m.rational()(0.0))), 1e-14)
 
     if kind == "disk":
         mv = moments_residue(m, 4)
-        checks.append(_check("disk_M0", abs(mv[0] - m.a0**2), 1e-12))
+        check("disk_M0", abs(mv[0] - m.a0**2), 1e-12)
         idx, res = winding_number(m.boundary_values(grid), 0.0)
-        checks.append(_check("winding_origin", abs(idx - 1) + res, 1e-6))
+        check("winding_origin", abs(idx - 1) + res, 1e-6)
 
     if kind == "polynomial":
         mv_rich = moments_richardson(m).as_array()
         mv_res = moments_residue(m, len(mv_rich) - 1).as_array()
-        checks.append(
-            _check("richardson_vs_residue",
-                   float(np.max(np.abs(mv_rich - mv_res))), 1e-10)
-        )
+        check("richardson_vs_residue", float(np.max(np.abs(mv_rich - mv_res))), 1e-10)
         mv_area, _ = moments_area_oracle(m, len(mv_rich) - 1)
-        checks.append(
-            _check("richardson_vs_area",
-                   float(np.max(np.abs(mv_rich - mv_area.as_array()))), 1e-6)
-        )
+        check("richardson_vs_area",
+              float(np.max(np.abs(mv_rich - mv_area.as_array()))), 1e-6)
 
     if kind == "example_abc":
         data = quadrature_data(m)
         mv = moments_residue(m, 6)
-        checks.append(
-            _check("M0_equals_A_plus_B",
-                   abs(mv[0] - (data.weight_a + data.weight_b)), 1e-10)
-        )
-        checks.append(
-            _check("M1_equals_B_node",
-                   abs(mv[1] - data.weight_b * data.image_b), 1e-10)
-        )
+        check("M0_equals_A_plus_B", abs(mv[0] - (data.weight_a + data.weight_b)), 1e-10)
+        check("M1_equals_B_node", abs(mv[1] - data.weight_b * data.image_b), 1e-10)
         if abs(mv[1]) > 1e-8:
-            worst = 0.0
-            for k in range(2, 6):
-                worst = max(worst, abs(mv[k + 1] * mv[k - 1] - mv[k] ** 2)
-                            / max(abs(mv[k]) ** 2, 1e-300))
-            checks.append(_check("geometric_progression", worst, 1e-10))
+            worst = max(abs(mv[k + 1] * mv[k - 1] - mv[k] ** 2) / max(abs(mv[k]) ** 2, 1e-300)
+                        for k in range(2, 6))
+            check("geometric_progression", worst, 1e-10)
         qres = quadrature_check(m, data, [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]])
-        checks.append(_check("two_point_quadrature", max(qres), 1e-6))
+        check("two_point_quadrature", max(qres), 1e-6)
 
     if kind == "subcase1":
         mv = moments_residue(m, 6)
         A = abs(m.c) ** 2 / abs(m.b) ** 2
-        checks.append(_check("M0_equals_2A", abs(mv[0] - 2.0 * A), 1e-10))
-        worst = max(abs(mv[k]) for k in range(1, 7))
-        checks.append(_check("higher_moments_vanish", worst, 1e-10))
+        check("M0_equals_2A", abs(mv[0] - 2.0 * A), 1e-10)
+        check("higher_moments_vanish", max(abs(mv[k]) for k in range(1, 7)), 1e-10)
         radius = np.sqrt(mv[0].real / 2.0)
         bd = np.abs(m.boundary_values(grid))
-        checks.append(
-            _check("image_circle_radius", float(np.max(np.abs(bd - radius))), 1e-8)
-        )
+        check("image_circle_radius", float(np.max(np.abs(bd - radius))), 1e-8)
         worst_w = 0.0
         for zpt in (0.01 + 0.0j, 0.3 * radius * np.exp(1j * np.pi / 3)):
             idx, res = winding_number(m.boundary_values(grid), zpt)
             worst_w = max(worst_w, abs(idx - 2) + res)
-        checks.append(_check("double_covering", worst_w, 1e-6))
+        check("double_covering", worst_w, 1e-6)
 
     if kind == "subcase2":
         data = quadrature_data(m)
         mv = moments_residue(m, 6)
-        checks.append(_check("one_point_weight_is_M0",
-                             abs(complex(data.c[0]) - mv[0]), 1e-10))
-        worst = max(abs(mv[k]) for k in range(1, 7))
-        checks.append(_check("higher_moments_vanish", worst, 1e-10))
+        check("one_point_weight_is_M0", abs(complex(data.c[0]) - mv[0]), 1e-10)
+        check("higher_moments_vanish", max(abs(mv[k]) for k in range(1, 7)), 1e-10)
         qres = quadrature_check(m, data, [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]])
-        checks.append(_check("one_point_quadrature", max(qres), 1e-6))
+        check("one_point_quadrature", max(qres), 1e-6)
         w = complex(np.conj(m.pole_reflections[0]))
         fp = m.derivative_rational()
         other = 2.0 / np.conj(w) - w
         # f' vanishes at omega_1 and at 2/conj(omega_1) - omega_1
         resid = max(abs(complex(fp(w))), abs(complex(fp(other))))
-        checks.append(_check("derivative_zero_structure", resid, 1e-9))
+        check("derivative_zero_structure", resid, 1e-9)
 
-    return ScenarioReport(kind, tuple(checks))
+    return report

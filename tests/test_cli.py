@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 
@@ -5,13 +7,15 @@ import numpy as np
 import pytest
 
 import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heleshaw import cli
 from heleshaw.cli import main, parse_config
 from heleshaw.errors import ConfigError
 from heleshaw.evolution import run_evolution
 from heleshaw.reports import REPORT_SCHEMA, RunReport, export_trajectory, fmt, render_boundary_svg
-from heleshaw.scenarios import ScenarioSpec
+from heleshaw.scenarios import FAMILY_PARAMS, ScenarioSpec
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +401,7 @@ _GRID_RULE = "grid size must be a power of two >= 4, got 100"
 
 @pytest.mark.parametrize("argv, message", [
     (["bracket-check", "--coeffs", "1,0.3", "--grid", "100"],
-     f"argument --grid: {_GRID_RULE}"),
+     f"config error: grid_n: {_GRID_RULE}"),
     (["scenario", "disk", "--grid", "100"], f"config error: grid_n: {_GRID_RULE}"),
     (["moments", "--coeffs", "1,0.3", "--K", "-1"],
      "argument --K: must be nonnegative, got -1"),
@@ -532,3 +536,67 @@ def test_cli_determinism_byte_identical(tmp_path, monkeypatch):
         outs.append(((d / "run.csv").read_bytes(), (d / "run.json").read_bytes()))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["subcase2", "--M0=1e308", "--B1=1e-300"],
+    ["example_abc", "--a=1e-12", "--b=1e308", "--c-magnitude=0.999"],
+    ["subcase2", "--M0=1e-300", "--B1=1e-160"],
+    # q underflows to 0; the inversion used to turn it into nan and report
+    # "got |a|=nan"
+    ["subcase1", "--M0=1e308", "--B1=1e-300"],
+])
+def test_cli_family_constructor_overflow_exits_2(argv, capsys):
+    # the constructor overflows or divides by zero: a config error naming
+    # the family, where a bare OverflowError or ZeroDivisionError escaped
+    assert main(["scenario", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: family '{argv[0]}': parameters outside "
+                          "the floating-point range: ")
+
+
+# the text of a family parameter: ordinary, zero, negative, tiny, huge,
+# nan, inf and malformed values
+_VALUE_TEXT = st.sampled_from([
+    "0.3", "1.6", "0.2+0.1j", "1", "0", "-0", "-1", "-0.4j", "1e-300", "-1e-300",
+    "1e-160", "1e308", "-1e308", "1e308j", "nan", "-nan", "inf", "-inf", "nanj",
+    "x", "", "1..2", "1e", "j", "(1)",
+])
+
+
+@st.composite
+def _family_argv(draw):
+    """``scenario`` or ``quadrature-check`` argv with drawn parameter text."""
+    command = draw(st.sampled_from(["scenario", "quadrature-check"]))
+    if command == "scenario":
+        family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+        argv = [command, family]
+    else:
+        family = draw(st.sampled_from(["polynomial", "example_abc", "subcase1", "subcase2"]))
+        argv = [command] + ([] if family == "polynomial" else ["--family", family])
+    required, optional = FAMILY_PARAMS[family]
+    for key in required + tuple(k for k in optional if draw(st.booleans())):
+        if key == "coeffs":
+            text = ",".join(draw(st.lists(_VALUE_TEXT, min_size=1, max_size=4)))
+        else:
+            text = draw(_VALUE_TEXT)
+        argv.append(f"--{key.replace('_', '-')}={text}")
+    return argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200)
+@given(argv=_family_argv())
+def test_cli_family_parameters_keep_the_exit_contract(argv):
+    # 200 derandomized draws, a few seconds: whatever the parameter text,
+    # the command ends in 0, 1 or 2, no exception escapes main, and exit 1
+    # comes with a failed check in the report; numpy warnings are errors
+    # here, so an overflow that only warns fails too
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--json", *argv])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code != 2:
+        checks = json.loads(out.getvalue())["checks"]
+        assert code == any(c["status"] == "fail" for c in checks), argv

@@ -18,7 +18,6 @@ from heleshaw.maps import (
     RationalMap,
     TaylorMap,
     circle_values,
-    eval_map,
     polynomial_roots,
     ring_values,
     simple_derivative_zeros_in_disk,
@@ -82,7 +81,7 @@ def test_derivative_on_grid_agrees_across_map_kinds():
 # ----------------------------------------------------------------------
 
 def test_identity_map_eval():
-    assert_allclose(eval_map(PolynomialMap((1.0,)), 0.5), 0.5)
+    assert_allclose(PolynomialMap((1.0,))(0.5), 0.5)
 
 
 def test_abc_normalization_and_value():
@@ -94,7 +93,7 @@ def test_abc_normalization_and_value():
 
 def test_eval_near_pole_raises():
     with pytest.raises(PoleProximityError):
-        eval_map(ABC, 2.0 + 1e-12)
+        ABC(2.0 + 1e-12)
 
 
 def test_abc_parameter_validation():

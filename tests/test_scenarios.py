@@ -1,11 +1,24 @@
+import json
+
+import jsonschema
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from heleshaw.errors import ConfigError, QuadratureError
-from heleshaw.maps import CircleGrid, PolynomialMap, winding_number
+from heleshaw.maps import (
+    AbcRationalMap,
+    CircleGrid,
+    PolynomialMap,
+    RationalMap,
+    TaylorMap,
+    winding_number,
+)
 from heleshaw.moments import moments_residue
+from heleshaw.reports import REPORT_SCHEMA
 from heleshaw.scenarios import (
+    FAMILY_PARAMS,
     ScenarioSpec,
     initial_map,
     make_example_abc,
@@ -23,6 +36,15 @@ B1_SUB1 = 7.0 - 4.0 * np.sqrt(3.0)
 # B_1 = 0.36 / sqrt(1.64), C = 1 / (0.6 sqrt(1.64))
 B1_SUB2 = 0.36 / np.sqrt(1.64)
 C_SUB2 = 1.0 / (0.6 * np.sqrt(1.64))
+# one admissible parameter set per family
+FAMILY_CASES = {
+    "disk": {"a0": 1.5},
+    "polynomial": {"coeffs": (1.0, 0.3)},
+    "example_abc": {"a": 0.2, "b": 1.6, "c_magnitude": 1.0},
+    "subcase1": {"M0": 2.0, "B1": B1_SUB1},
+    "subcase2": {"M0": 1.0, "B1": B1_SUB2},
+    "taylor": {"coeffs": (1.0, 0.1)},
+}
 
 
 # ----------------------------------------------------------------------
@@ -114,6 +136,23 @@ def test_subcase1_rotated_branch_point():
     assert_allclose(complex(m.rational()(w)), B1, rtol=1e-10)
 
 
+def test_subcase1_modulus_matches_mpmath():
+    # |b| = (sqrt(q) + 1/sqrt(q))/2 with q = |B1| sqrt(2/M0) solves the
+    # branch-point equation (1 - s)/(1 + s) = q exactly; against 50 digits
+    # the closed form is within 1e-15 over q in (0, 1), M0 and arg B1
+    rng = np.random.default_rng(20)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for q in rng.uniform(0.0, 1.0, 300):
+            M0 = float(rng.uniform(0.25, 4.0))
+            B1 = complex(q * np.sqrt(M0 / 2.0) * np.exp(2j * np.pi * rng.uniform()))
+            m = make_subcase1(M0, B1)
+            q_mp = abs(mpmath.mpc(B1)) * mpmath.sqrt(2 / mpmath.mpf(M0))
+            beta = (mpmath.sqrt(q_mp) + 1 / mpmath.sqrt(q_mp)) / 2
+            worst = max(worst, float(abs(abs(mpmath.mpc(m.b)) - beta) / beta))
+    assert worst < 1e-15
+
+
 def test_subcase1_admissibility():
     limit = np.sqrt(2.0 / 2.0)
     with pytest.raises(ConfigError):
@@ -198,6 +237,20 @@ def test_subcase2_derivative_zeros():
 # verify_scenario
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("family", FAMILY_PARAMS)
+def test_verify_scenario_report_schema(family):
+    # the report is the CLI's run report: it validates against the schema,
+    # and each check entry carries only its name, status and residual
+    m = ScenarioSpec(family=family, params=FAMILY_CASES[family]).initial
+    rep = verify_scenario(m, family)
+    payload = json.loads(rep.to_json())
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["spec"] == {"family": family}
+    assert payload["checks"]
+    for c in payload["checks"]:
+        assert set(c) == {"name", "status", "residual"}
+
+
 def test_verify_disk():
     rep = verify_scenario(PolynomialMap((1.0,)), "disk")
     assert rep.all_passed
@@ -212,7 +265,7 @@ def test_verify_example_abc_generic():
     m, _ = make_example_abc(0.4, 2.0, 2.0)
     rep = verify_scenario(m, "example_abc")
     assert rep.all_passed
-    names = [c.name for c in rep]
+    names = [c["name"] for c in rep.checks]
     assert "geometric_progression" in names
     assert "higher_moments_vanish" not in names  # subcase checks skipped
 
@@ -220,7 +273,7 @@ def test_verify_example_abc_generic():
 def test_verify_subcase1():
     rep = verify_scenario(make_subcase1(2.0, B1_SUB1), "subcase1")
     assert rep.all_passed
-    assert "double_covering" in [c.name for c in rep]
+    assert "double_covering" in [c["name"] for c in rep.checks]
 
 
 def test_verify_subcase2():
@@ -236,7 +289,7 @@ def test_verify_subcase2_edge_of_range(ratio, M0):
     for phase in (0.0, 0.7, 2.9):
         m = make_subcase2(M0, ratio * np.sqrt(M0) * np.exp(1j * phase))
         rep = verify_scenario(m, "subcase2")
-        assert rep.all_passed, [c for c in rep if not c.passed]
+        assert rep.all_passed, [c for c in rep.checks if c["status"] != "pass"]
 
 
 @pytest.mark.parametrize("M0", [0.5, 2.0])
@@ -271,12 +324,19 @@ def test_spec_rejects_inadmissible_subcase2():
 
 
 def test_initial_map_modes():
-    m, mode = initial_map(ScenarioSpec(family="disk"))
-    assert mode == "polynomial" and m.a0 == 1.0
-    m, mode = initial_map(
-        ScenarioSpec(family="taylor", params={"coeffs": (1.0, 0.1)})
-    )
-    assert mode == "taylor" and m.order == 64
+    # the map's type is its evolution mode: the disk and polynomial families
+    # build a PolynomialMap (fixed-degree mode), the others a map that
+    # evolves as a truncated series
+    types = {"disk": PolynomialMap, "polynomial": PolynomialMap,
+             "example_abc": AbcRationalMap, "subcase1": AbcRationalMap,
+             "subcase2": RationalMap, "taylor": TaylorMap}
+    for family, params in FAMILY_CASES.items():
+        spec = ScenarioSpec(family=family, params=params)
+        assert type(initial_map(spec)) is types[family], family
+        assert type(spec.initial) is types[family], family
+    assert initial_map(ScenarioSpec(family="disk")).a0 == 1.0
+    spec = ScenarioSpec(family="taylor", params=FAMILY_CASES["taylor"])
+    assert initial_map(spec).order == 64
 
 
 def test_scenario_maps_have_nonvanishing_derivative_on_circle():
