@@ -18,7 +18,6 @@ from .maps import (
     winding_number,
 )
 from .moments import (
-    MomentVector,
     QuadratureData,
     coeffs_to_moments,
     moments_area_oracle,
@@ -58,7 +57,6 @@ __all__ = [
     "AnalyticMap",
     "CircleGrid",
     "EvolutionState",
-    "MomentVector",
     "PolynomialMap",
     "QuadratureData",
     "RationalFunction",

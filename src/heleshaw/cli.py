@@ -2,9 +2,10 @@
 
 Subcommands: moments, bracket-check, jacobian, quadrature-check, scenario,
 evolve.  Exit codes: 0 all checks passed, 1 at least one check failed,
-2 usage or configuration error; a float overflow or division by zero
-fails the run (exit 1).  ``--json`` switches stdout to the
-machine-readable run report (schema {spec, checks[], artifacts[], timing}).
+2 usage or configuration error (an unreadable config file or unwritable
+artifact path too); a float overflow or division by zero fails the run
+(exit 1).  ``--json`` switches stdout to the machine-readable run report
+(schema {spec, checks[], artifacts[], timing}).
 
 Scenario configs are flat ``key = value`` text::
 
@@ -258,15 +259,15 @@ def _fmt_log(log_d: complex) -> str:
 def _cmd_moments(args, report: RunReport, say):
     m = _spec(args, family="polynomial").initial
     rich = moments_richardson(m, args.K)
-    K = rich.K
+    K = len(rich) - 1
     res = moments_residue(m, K)
     area, err_est = moments_area_oracle(m, K)
     say(f"harmonic moments of f, degree n = {m.degree_plus}, K = {K}")
     say(f"{'k':>3} {'Richardson':>28} {'residues':>28} {'area quadrature':>28}")
     for k in range(K + 1):
         say(f"{k:>3} {rich[k]:>28.16g} {res[k]:>28.16g} {area[k]:>28.16g}")
-    d_rr = float(np.max(np.abs(rich.as_array() - res.as_array())))
-    d_ra = float(np.max(np.abs(rich.as_array() - area.as_array())))
+    d_rr = float(np.max(np.abs(rich - res)))
+    d_ra = float(np.max(np.abs(rich - area)))
     report.check("richardson_vs_residue", d_rr, 1e-10)
     report.check("richardson_vs_area", d_ra, 1e-6, quadrature_error_estimate=err_est)
     say(f"max |Richardson - residues| = {fmt(d_rr)}")
@@ -434,7 +435,7 @@ def main(argv=None) -> int:
         # an overflow or x/0 fails the run, not a check fed inf or nan
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _COMMANDS[args.command](args, report, say)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (HeleShawError, ArithmeticError) as exc:

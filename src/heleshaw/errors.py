@@ -15,7 +15,7 @@ class PoleProximityError(HeleShawError):
 
 
 class ResidueError(HeleShawError):
-    """Residue computation failed (bad order estimate, contour collision)."""
+    """Residue computation failed (no simple pole, pole on the unit circle)."""
 
 
 class RootFindingError(HeleShawError):
@@ -52,8 +52,9 @@ class UncancelledPoleError(HeleShawError):
 
 
 class QuadratureError(HeleShawError):
-    """Disk quadrature failed to converge across refinement levels, or the
-    quadrature identity's c_0 is not real positive."""
+    """Disk quadrature failed to converge across refinement levels, the
+    quadrature identity's c_0 is not real positive, or a computed M_0 is not
+    real."""
 
 
 class ConfigError(HeleShawError):

@@ -32,6 +32,7 @@ not converge, falls back to companion-matrix roots for that snapshot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,7 +140,7 @@ def branch_points(m: AnalyticMap, near=None) -> BranchPointSet:
     integrand = RationalFunction(pmul(P, M2), pmul(pmul(Q, Q), N1))
     scale = max(float(np.max(np.abs(direct))), 1.0)
     for w, bv in zip(omegas, direct):
-        res = integrand.residue(w, order=1)
+        res = integrand.residue(w)
         if abs(res - bv) > 1e-9 * scale:
             raise BranchPointError(
                 f"branch value mismatch at {w}: f(omega) = {bv}, "
@@ -322,7 +323,10 @@ class EvolutionResult:
 
 
 def _steps_for(t: float, dt: float, what: str) -> int:
-    k = round(t / dt)
+    ratio = t / dt
+    if not math.isfinite(ratio):
+        raise ConfigError(f"{what} = {t} over dt = {dt} is not a finite step count")
+    k = round(ratio)
     if abs(k * dt - t) > 1e-9:
         raise ConfigError(f"{what} = {t} is not a multiple of dt = {dt}")
     return k
@@ -334,12 +338,19 @@ def run_evolution(spec) -> EvolutionResult:
     Accepts a :class:`heleshaw.scenarios.ScenarioSpec`.  A
     :class:`PolynomialMap` starting map evolves in polynomial mode, any
     other map in series mode, from its truncation to ``taylor_order``
-    coefficients.  A typed failure (degeneracy, cusp, truncation, branch
-    trouble) at the initial map (its series truncation, base moments,
-    branch points or first snapshot) raises.  One in a step, or in the snapshot after it, stops the run
-    cleanly: the exception class name and message become the stop reason
-    and the snapshots collected so far are returned.
+    coefficients.  A horizon or output time that is no whole, finite
+    number of steps raises :class:`ConfigError` before any work.  A typed
+    failure (degeneracy, cusp, truncation, branch trouble) at the initial
+    map (its series truncation, base moments, branch points or first
+    snapshot) raises.  One in a step, or in the snapshot after it, stops
+    the run cleanly: the exception class name and message become the stop
+    reason and the snapshots collected so far are returned.
     """
+    n_steps = _steps_for(spec.horizon, spec.dt, "horizon")
+    out_steps = {_steps_for(t, spec.dt, "output time") for t in spec.output_times}
+    if not all(0 <= k <= n_steps for k in out_steps):
+        raise ConfigError("output time outside [0, horizon]")
+    out_steps |= {0, n_steps}
     m = spec.initial
     series = not isinstance(m, PolynomialMap)
     grid = CircleGrid(spec.grid_n)
@@ -356,7 +367,7 @@ def run_evolution(spec) -> EvolutionResult:
             )
 
     K = spec.diagnostic_moments
-    base = moments_richardson(m, K).as_array()
+    base = moments_richardson(m, K)
     if series:
         bp = branch_points(m, near=seeds)
         base_branch = bp.values
@@ -367,7 +378,7 @@ def run_evolution(spec) -> EvolutionResult:
 
     def annotate(state: EvolutionState) -> EvolutionState:
         nonlocal prev_omegas
-        mv = moments_richardson(state.map, K).as_array()
+        mv = moments_richardson(state.map, K)
         expected = base.copy()
         expected[0] += state.t
         drift = np.abs(mv - expected)
@@ -393,11 +404,6 @@ def run_evolution(spec) -> EvolutionResult:
             resultant=solve,
         )
 
-    n_steps = _steps_for(spec.horizon, spec.dt, "horizon")
-    out_steps = {_steps_for(t, spec.dt, "output time") for t in spec.output_times}
-    if not all(0 <= k <= n_steps for k in out_steps):
-        raise ConfigError("output time outside [0, horizon]")
-    out_steps |= {0, n_steps}
     state = annotate(EvolutionState(0.0, m))
     states = [state]
     stop = "completed"

@@ -21,8 +21,9 @@ the principal part of f* f' at the origin and converts between the c_k and
 the M_k through the triangular correspondence
 M_k = sum_j c_j (f^k)^{(j)}(0).
 
-Moments with negative index follow the convention M_{-k} = conj(M_k); they
-are a view at the point of use, never stored.
+Every route returns the moments as a complex array M_0..M_K with M_0
+exactly real.  Moments with negative index follow the convention
+M_{-k} = conj(M_k); they are left to the point of use, never stored.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ import numpy as np
 from .config import DEFAULT
 from .errors import CuspError, QuadratureError, ResidueError, UncancelledPoleError
 from .maps import AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, ring_values
-from .rational import RationalFunction, pval
+from .rational import RationalFunction, deflate, pval
 
 __all__ = [
-    "MomentVector",
     "QuadratureData",
     "default_moment_count",
     "richardson_moment",
@@ -54,34 +54,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """M_0 (real) together with M_1..M_K; M_{-k} = conj(M_k) on access."""
-
-    M0: float
-    M: tuple
-
-    @classmethod
-    def from_values(cls, values) -> "MomentVector":
-        values = [complex(v) for v in values]
-        m0 = values[0]
-        if abs(m0.imag) > 1e-9 * max(1.0, abs(m0)):
-            raise ValueError(f"M0 must be real, got {m0}")
-        return cls(m0.real, tuple(values[1:]))
-
-    @property
-    def K(self) -> int:
-        return len(self.M)
-
-    def __getitem__(self, k: int) -> complex:
-        if k == 0:
-            return complex(self.M0)
-        if abs(k) > self.K:
-            raise IndexError(f"moment index {k} outside computed range {self.K}")
-        return self.M[k - 1] if k > 0 else np.conj(self.M[-k - 1])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([[self.M0], self.M]).astype(complex)
+def _real_m0(values) -> np.ndarray:
+    """M_0..M_K as a complex array with M_0 made exactly real; raises
+    :class:`QuadratureError` when Im M_0 exceeds 1e-9 max(1, |M_0|)."""
+    M = np.array(values, dtype=complex)
+    m0 = M[0]
+    if abs(m0.imag) > 1e-9 * max(1.0, abs(m0)):
+        raise QuadratureError(f"M0 must be real, got {m0}")
+    M[0] = m0.real
+    return M
 
 
 @dataclass(frozen=True)
@@ -89,7 +70,7 @@ class QuadratureData:
     """Coefficients of the quadrature identity satisfied by the image.
 
     One-point form (polynomial images and their rational generalizations):
-        (1/2 pi i) int_D g |f'|^2 = sum_j c[j] g^(j)(node),   node = 0.
+        (1/2 pi i) int_D g |f'|^2 = sum_j c[j] g^(j)(0).
     Two-point form (the c z (z-a)/(z-b) family):
         ... = weight_a * g(0) + weight_b * g(node_b),
     with ``node_b = 1/conj(b)`` the disk-side node and ``image_b = f(node_b)``
@@ -97,7 +78,6 @@ class QuadratureData:
     """
 
     c: tuple = ()
-    node: complex = 0j
     weight_a: complex | None = None
     weight_b: complex | None = None
     node_b: complex | None = None
@@ -203,14 +183,14 @@ def richardson_moment(a, abar, k: int) -> complex:
     return complex(richardson_moments(a, abar, k)[k])
 
 
-def moments_richardson(m, K: int | None = None) -> MomentVector:
+def moments_richardson(m, K: int | None = None) -> np.ndarray:
     """Moments of a polynomial (or truncated-series) map by Richardson's sum."""
     if not isinstance(m, (PolynomialMap, TaylorMap)):
         raise TypeError("Richardson's sum needs a polynomial or series map")
     if K is None:
         K = default_moment_count(m)
     a = np.asarray(m.coeffs, dtype=complex)
-    return MomentVector.from_values(richardson_moments(a, np.conj(a), K))
+    return _real_m0(richardson_moments(a, np.conj(a), K))
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +211,7 @@ def _reflected_poles(m: AnalyticMap) -> list:
     return pts
 
 
-def moments_residue(m: AnalyticMap, K: int | None = None) -> MomentVector:
+def moments_residue(m: AnalyticMap, K: int | None = None) -> np.ndarray:
     """Moments as sums of residues of f^k f* f' over singularities in the disk.
 
     At the origin the residue comes from the Laurent data of f^k f* f'.  At
@@ -248,7 +228,7 @@ def moments_residue(m: AnalyticMap, K: int | None = None) -> MomentVector:
         raise CuspError("f' vanishes on the unit circle; boundary form invalid")
     fstar = r.reflect()
     pts = _reflected_poles(m)
-    weights = np.array([fp(q) * fstar.residue(q, order=1) for q in pts], dtype=complex)
+    weights = np.array([fp(q) * fstar.residue(q) for q in pts], dtype=complex)
     images = np.array([r(q) for q in pts], dtype=complex)
     vals = []
     integrand = fstar * fp
@@ -256,7 +236,7 @@ def moments_residue(m: AnalyticMap, K: int | None = None) -> MomentVector:
         if k > 0:
             integrand = integrand * r
         vals.append(integrand.residue(0j) + np.sum(weights * images**k))
-    return MomentVector.from_values(vals)
+    return _real_m0(vals)
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +261,7 @@ def moments_area_oracle(m: AnalyticMap, K: int | None = None):
     """Moments by polar tensor quadrature over the unit disk.
 
     Gauss-Legendre radially, trapezoid in the angle (spectrally accurate for
-    the periodic direction).  Returns ``(MomentVector, error_estimate)``
+    the periodic direction).  Returns ``(moments, error_estimate)``
     where the estimate is the max moment change under one refinement level;
     the callers compare it with their own bounds.  Raises
     :class:`QuadratureError` if the poles of f need more angular nodes than
@@ -293,7 +273,7 @@ def moments_area_oracle(m: AnalyticMap, K: int | None = None):
     coarse = _disk_quadrature(m, K, _RADIAL_NODES, nt)
     fine = _disk_quadrature(m, K, 2 * _RADIAL_NODES, 2 * nt)
     err = float(np.max(np.abs(fine - coarse)))
-    return MomentVector.from_values(fine), err
+    return _real_m0(fine), err
 
 
 def _angular_nodes(m: AnalyticMap, refine: int = 1) -> int:
@@ -377,9 +357,10 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
     """
     r = m.rational()
     g = r.reflect() * r.derivative()
-    for p in m.finite_poles():
-        q = complex(1.0 / np.conj(p))
-        if abs(q) < 1.0 and g.pole_order(q, rel_tol=DEFAULT.pole_cancel) > 0:
+    scale = np.max(np.abs(g.num))
+    for q in _reflected_poles(m):
+        # the pole of f* at q is simple: f* f' keeps it unless num(q) = 0
+        if abs(deflate(g.num, q)[1]) > DEFAULT.pole_cancel * scale:
             raise UncancelledPoleError(
                 f"f* f' keeps a pole at {q}; the map does not satisfy a "
                 "one-point quadrature identity"
@@ -397,21 +378,19 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
 
 def _power_coeff_triangle(m: AnalyticMap, K: int) -> np.ndarray:
     """T[k, j] = j! coeff_j(f^k) for 0 <= k, j <= K; upper triangular."""
-    if m.a0 <= 0:
-        raise ValueError("map normalization requires a0 > 0")
     fact = np.array([math.factorial(j) for j in range(K + 1)], dtype=float)
     return _power_rows(m.power_series(K + 1), K) * fact
 
 
-def coeffs_to_moments(data: QuadratureData, m: AnalyticMap) -> MomentVector:
+def coeffs_to_moments(data: QuadratureData, m: AnalyticMap) -> np.ndarray:
     """M_k = sum_j c_j (f^k)^(j)(0); triangular with diagonal k! a0^k c_k."""
     T = _power_coeff_triangle(m, data.n)
-    return MomentVector.from_values(T @ np.asarray(data.c, dtype=complex))
+    return _real_m0(T @ np.asarray(data.c, dtype=complex))
 
 
-def moments_to_coeffs(mv: MomentVector, m: AnalyticMap) -> QuadratureData:
-    """Invert the triangular correspondence to recover the c_j."""
-    c = np.linalg.solve(_power_coeff_triangle(m, mv.K), mv.as_array())
+def moments_to_coeffs(M, m: AnalyticMap) -> QuadratureData:
+    """Invert the triangular correspondence to recover the c_j from M_0..M_K."""
+    c = np.linalg.solve(_power_coeff_triangle(m, len(M) - 1), M)
     c[0] = c[0].real
     return QuadratureData(c=tuple(c))
 

@@ -4,7 +4,8 @@ Coefficients are ascending (``c[j]`` multiplies ``z**j``).  Everything the
 package evaluates (maps, their derivatives, reflections, moment integrands)
 is a ratio of two such polynomials; this module evaluates them at points
 (grids: :func:`heleshaw.maps.ring_values`), differentiates, reflects them in
-the unit circle and takes exact residues by Laurent division.
+the unit circle and takes residues at the origin and at simple poles, the
+only poles the package's maps give rise to.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "pmul",
     "pder",
     "pval",
-    "taylor_shift",
     "series_div",
     "deflate",
     "RationalFunction",
@@ -67,27 +67,6 @@ def pval(p, z):
     out = np.full(z.shape, p[-1], dtype=complex)
     for c in p[-2::-1]:
         out = out * z + c
-    return out
-
-
-def taylor_shift(p, z0, order=None) -> np.ndarray:
-    """Taylor coefficients of the polynomial ``p`` around ``z0``.
-
-    Computed by repeated synthetic division, which is the numerically stable
-    way to read off ``p(z0), p'(z0)/1!, p''(z0)/2!, ...``.
-    """
-    p = np.asarray(p, dtype=complex)
-    deg = len(p) - 1
-    if order is None:
-        order = deg
-    order = min(order, deg)
-    work = p.copy()
-    out = np.zeros(order + 1, dtype=complex)
-    for k in range(order + 1):
-        work, rem = deflate(work, z0)
-        out[k] = rem
-        if len(work) == 1 and work[0] == 0:
-            break
     return out
 
 
@@ -192,49 +171,27 @@ class RationalFunction:
 
     # -- Laurent data ----------------------------------------------------
 
-    def pole_order(self, z0, rel_tol: float) -> int:
-        """Multiplicity of z0 as a root of the denominator, minus numerator
-        cancellation, at most the degree of the denominator.  A deflation
-        remainder within ``rel_tol`` of the coefficient scale counts as a
-        root.  Returns 0 when the function is regular at z0."""
-        max_order = len(self.den) - 1
-        md = _root_multiplicity(self.den, z0, max_order, rel_tol)
-        if md == 0:
-            return 0
-        mn = _root_multiplicity(self.num, z0, max_order, rel_tol)
-        return max(md - mn, 0)
+    def residue(self, z0) -> complex:
+        """Residue at the origin or at a simple pole ``z0``.
 
-    def residue(self, z0, order: int | None = None) -> complex:
-        """Residue at an isolated pole ``z0`` by exact Laurent division.
-
-        ``order`` is the multiplicity of z0 in the denominator; it is
-        estimated by synthetic-division deflation when not supplied.  A pole
-        at the origin held as exact leading zeros of the denominator (the
-        form :meth:`reflect` produces) is read from
-        :meth:`principal_part_at_zero` instead.
+        At the origin the pole is held as exact leading zeros of the
+        denominator (the form :meth:`reflect` produces) and the residue is
+        read from :meth:`principal_part_at_zero` (0 without such zeros).
+        Elsewhere z0 must be a simple root of the denominator: (z - z0) is
+        deflated from it once and the residue is num(z0) / (den / (z - z0))(z0).
+        Raises :class:`ResidueError` when z0 is no root or a multiple one.
         """
-        if z0 == 0 and self.den[0] == 0:
+        if z0 == 0:
             coeffs, s = self.principal_part_at_zero()
             return complex(coeffs[0]) if s else 0.0 + 0.0j
-        if order is None:
-            order = _root_multiplicity(self.den, z0, len(self.den) - 1, 1e-8)
-        if order == 0:
-            return 0.0 + 0.0j
-        den = self.den
-        scale = np.max(np.abs(den))
-        for _ in range(order):
-            den, rem = deflate(den, z0)
-            if abs(rem) > 1e-6 * scale:
-                raise ResidueError(
-                    f"denominator not divisible by (z - {z0}) to order {order}"
-                )
-        dv = pval(den, z0)
-        if abs(dv) == 0.0:
-            raise ResidueError(f"pole order at {z0} exceeds requested order {order}")
-        tn = taylor_shift(self.num, z0, order - 1)
-        td = taylor_shift(den, z0, order - 1)
-        t = series_div(tn, td, order - 1)
-        return complex(t[order - 1])
+        den, rem = deflate(self.den, z0)
+        if abs(rem) > 1e-6 * np.max(np.abs(self.den)):
+            raise ResidueError(f"denominator does not vanish at {z0}")
+        dv = deflate(den, z0)[1]
+        if dv == 0:
+            raise ResidueError(f"not a simple pole at {z0}")
+        # numpy's complex division: the moments are pinned to its rounding
+        return complex(np.complex128(deflate(self.num, z0)[1]) / dv)
 
     def principal_part_at_zero(self):
         """Laurent coefficients of the pole at the origin.
@@ -266,20 +223,3 @@ class RationalFunction:
         """Taylor coefficients at the origin (requires den(0) != 0)."""
         return series_div(self.num, self.den, order)
 
-
-def _root_multiplicity(p, z0, max_order, rel_tol) -> int:
-    p = np.asarray(p, dtype=complex)
-    scale = np.max(np.abs(p))
-    if scale == 0:
-        return 0
-    m = 0
-    work = p
-    while m < max_order and len(work) >= 1:
-        work2, rem = deflate(work, z0)
-        if abs(rem) > rel_tol * scale:
-            break
-        m += 1
-        work = work2
-        if len(work) == 1 and work[0] == 0:
-            break
-    return m

@@ -304,12 +304,11 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> RunReport:
         check("winding_origin", abs(idx - 1) + res, 1e-6)
 
     if kind == "polynomial":
-        mv_rich = moments_richardson(m).as_array()
-        mv_res = moments_residue(m, len(mv_rich) - 1).as_array()
+        mv_rich = moments_richardson(m)
+        mv_res = moments_residue(m, len(mv_rich) - 1)
         check("richardson_vs_residue", float(np.max(np.abs(mv_rich - mv_res))), 1e-10)
         mv_area, _ = moments_area_oracle(m, len(mv_rich) - 1)
-        check("richardson_vs_area",
-              float(np.max(np.abs(mv_rich - mv_area.as_array()))), 1e-6)
+        check("richardson_vs_area", float(np.max(np.abs(mv_rich - mv_area))), 1e-6)
 
     if kind == "example_abc":
         data = quadrature_data(m)

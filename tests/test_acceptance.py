@@ -259,12 +259,12 @@ def test_criterion_9_three_way_moments_scenario_corpus():
     ]
     for m in polys:
         K = default_moment_count(m)
-        rich = moments_richardson(m, K).as_array()
-        resm = moments_residue(m, K).as_array()
+        rich = moments_richardson(m, K)
+        resm = moments_residue(m, K)
         area, _ = moments_area_oracle(m, K)
         scale = max(1.0, float(np.max(np.abs(rich))))
         worst_exact = max(worst_exact, float(np.max(np.abs(rich - resm))) / scale)
-        worst_area = max(worst_area, float(np.max(np.abs(rich - area.as_array()))))
+        worst_area = max(worst_area, float(np.max(np.abs(rich - area))))
     rationals = [
         make_example_abc(0.4, 2.0, 2.0)[0],
         make_subcase1(2.0, B1_SUB1),
@@ -272,9 +272,9 @@ def test_criterion_9_three_way_moments_scenario_corpus():
     ]
     for m in rationals:
         K = default_moment_count(m)
-        resm = moments_residue(m, K).as_array()
+        resm = moments_residue(m, K)
         area, _ = moments_area_oracle(m, K)
-        worst_area = max(worst_area, float(np.max(np.abs(resm - area.as_array()))))
+        worst_area = max(worst_area, float(np.max(np.abs(resm - area))))
     ok = worst_exact < 1e-10 and worst_area < 1e-6
     _report(9, "Richardson / residue / area agreement on the scenario corpus",
             ok, f"exact {worst_exact:.2e}, area {worst_area:.2e}")

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -420,6 +422,16 @@ _GRID_RULE = "grid size must be a power of two >= 4, got 100"
       for bad in ("inf", "nan")),
     (["evolve", "--family", "disk", "--horizon", "0.01", "--output-times", "0.005,-inf"],
      "config error: output times must be finite, got -inf"),
+    # t / dt overflows to inf, and round() of it failed the run (exit 1)
+    (["evolve", "--family", "disk", "--horizon", "1e300", "--dt", "1e-10"],
+     "config error: horizon = 1e+300 over dt = 1e-10 is not a finite step count"),
+    (["evolve", "--family", "disk", "--horizon", "0.01", "--dt", "1e-10",
+      "--output-times", "1e300"],
+     "config error: output time = 1e+300 over dt = 1e-10 is not a finite step count"),
+    # the initial series of this map fails its tail-energy gate (exit 1),
+    # which used to be reported before the config error
+    (["evolve", "--family", "subcase1", "--M0", "2", "--B1", "0.5", "--horizon", "0.0015"],
+     "config error: horizon = 0.0015 is not a multiple of dt = 0.001"),
 ])
 def test_cli_out_of_range_option_exits_2(argv, message, capsys):
     # a usage or config error naming the rule, not a traceback or a run
@@ -439,6 +451,10 @@ def test_cli_out_of_range_option_exits_2(argv, message, capsys):
     # used to run silently with one diagnostic moment
     ("diagnostic_moments = -3", "diagnostic_moments must be positive, got -3"),
     ("diagnostic_moments = 0", "diagnostic_moments must be positive, got 0"),
+    ("dt = 1e-10\nhorizon = 1e300",
+     "horizon = 1e+300 over dt = 1e-10 is not a finite step count"),
+    ("dt = 1e-10\nhorizon = 0.01\noutput_times = 0, 1e300",
+     "output time = 1e+300 over dt = 1e-10 is not a finite step count"),
 ])
 def test_cli_out_of_range_config_exits_2(tmp_path, line, message, capsys):
     cfg = tmp_path / "cfg.txt"
@@ -584,14 +600,9 @@ def _family_argv(draw):
     return argv
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=200)
-@given(argv=_family_argv())
-def test_cli_family_parameters_keep_the_exit_contract(argv):
-    # 200 derandomized draws, a few seconds: whatever the parameter text,
-    # the command ends in 0, 1 or 2, no exception escapes main, and exit 1
-    # comes with a failed check in the report; numpy warnings are errors
-    # here, so an overflow that only warns fails too
+def _assert_exit_contract(argv):
+    """main(argv) ends in 0, 1 or 2 without a traceback, and in 1 exactly
+    when its --json report has a failed check."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--json", *argv])
@@ -600,3 +611,131 @@ def test_cli_family_parameters_keep_the_exit_contract(argv):
     if code != 2:
         checks = json.loads(out.getvalue())["checks"]
         assert code == any(c["status"] == "fail" for c in checks), argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200)
+@given(argv=_family_argv())
+def test_cli_family_parameters_keep_the_exit_contract(argv):
+    # 200 derandomized draws, a few seconds: whatever the parameter text,
+    # the command ends in 0, 1 or 2, no exception escapes main, and exit 1
+    # comes with a failed check in the report; numpy warnings are errors
+    # here, so an overflow that only warns fails too
+    _assert_exit_contract(argv)
+
+
+@pytest.mark.parametrize("key", ["csv", "svg", "json"])
+def test_cli_evolve_unwritable_artifact_path_exits_2(key, tmp_path, capsys):
+    # open() of a path in a missing directory used to escape main as a
+    # FileNotFoundError traceback
+    bad = tmp_path / "missing" / f"run.{key}"
+    assert main(["evolve", "--config", f"family = disk\n{key} = {bad}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: [Errno 2] ")
+
+
+def test_cli_config_path_naming_a_directory_exits_2(tmp_path, capsys):
+    assert main(["evolve", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+# abnormal text of the spec keys: zero, negative, tiny, huge, nan, inf and
+# malformed values; ordinary integers stay small, as a grid of 2**30 nodes
+# is a valid but huge run
+_FLOAT_TEXT = ["0", "-0.001", "1e-300", "1e308", "nan", "inf", "x", ""]
+_INT_TEXT = ["4", "100", "0", "-4", "1e-300", "1e308", "nan", "inf", "x", ""]
+_ABNORMAL_TEXT = {
+    "family": st.sampled_from(["x", "", "Disk"]),
+    "dt": st.sampled_from(_FLOAT_TEXT),
+    "output_times": st.lists(st.sampled_from(_FLOAT_TEXT + ["0.001"]),
+                             min_size=1, max_size=3).map(", ".join),
+    "grid_n": st.sampled_from(_INT_TEXT),
+    "taylor_order": st.sampled_from(_INT_TEXT),
+    "diagnostic_moments": st.sampled_from(_INT_TEXT),
+    "coeffs": st.lists(_VALUE_TEXT, min_size=1, max_size=4).map(",".join),
+    # relative to a scratch directory: empty, a directory, a missing directory
+    "csv": st.sampled_from(["", ".", "missing/run.csv"]),
+    "svg": st.sampled_from(["", ".", "missing/run.svg"]),
+    "json": st.sampled_from(["", ".", "missing/run.json"]),
+}
+#: ordinary text of every key but the horizon; the family parameters make
+#: an admissible map of each family
+_ORDINARY_TEXT = {
+    "dt": "0.001", "output_times": "0.001", "grid_n": "256", "taylor_order": "64",
+    "diagnostic_moments": "4", "csv": "run.csv", "svg": "run.svg", "json": "run.json",
+    "a0": "0.8", "coeffs": "1, 0.2-0.1j", "a": "0.4", "b": "2", "c_magnitude": "1",
+    "M0": "1", "B1": "0.3",
+}
+
+
+@st.composite
+def _evolve_config(draw, root):
+    """``evolve`` config text for a drawn family: up to two keys of
+    ``cli._KEYS`` take abnormal text, the others ordinary text or none.  The
+    horizon is k dt with k <= 3, so a run takes at most three steps."""
+    family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+    required, optional = FAMILY_PARAMS[family]
+    foreign = [k for k in ("a0", "coeffs", "a", "b", "c_magnitude", "M0", "B1")
+               if k not in required + optional]
+    spec_keys = ["dt", "output_times", "grid_n", "taylor_order", "diagnostic_moments",
+                 "csv", "svg", "json"]
+    bad = draw(st.sets(st.sampled_from(["family", *required, *optional, *spec_keys,
+                                        *foreign]), max_size=2))
+    lines = {"family": family}
+    for key in ["family", *required, *optional, *spec_keys, *foreign]:
+        if key in bad:
+            lines[key] = draw(_ABNORMAL_TEXT.get(key, _VALUE_TEXT))
+        elif key in required or (key in _ORDINARY_TEXT and key not in foreign
+                                 and draw(st.booleans())):
+            lines[key] = _ORDINARY_TEXT[key]
+        if key in ("csv", "svg", "json") and key in lines:
+            lines[key] = f"{root}/{lines[key]}" if lines[key] else ""
+    try:
+        dt = float(lines.get("dt", "0.001"))
+    except ValueError:
+        dt = math.nan
+    if 0.0 < dt < math.inf:
+        lines["horizon"] = repr(draw(st.integers(0, 3)) * dt)
+    return "\n".join(f"{key} = {text}" for key, text in lines.items())
+
+
+_NUMBER_FLAG_TEXT = ("1e-08", "0.5", "0", "-1", "1e-300", "1e308", "nan", "inf", "x", "")
+_COUNT_FLAG_TEXT = ("1", "3", "0", "-1", "1e-300", "1e308", "nan", "inf", "x", "")
+
+
+@st.composite
+def _option_argv(draw):
+    """argv of the subcommands other than ``evolve`` with drawn option text."""
+    options = {
+        "moments": {"--K": _COUNT_FLAG_TEXT},
+        "bracket-check": {"--threshold": _NUMBER_FLAG_TEXT,
+                          "--grid": ("64", "100") + _COUNT_FLAG_TEXT},
+        "jacobian": {"--degree": _COUNT_FLAG_TEXT, "--fd-step": _NUMBER_FLAG_TEXT},
+        "quadrature-check": {"--max-power": _COUNT_FLAG_TEXT},
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    argv = [command, "--coeffs=" + draw(st.sampled_from(["1,0.3", "1,0.2-0.1j,0.05", "1"]))]
+    for flag, text in options[command].items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(text))}")
+    return argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150)
+@given(data=st.data())
+def test_cli_evolve_config_keeps_the_exit_contract(data):
+    # 150 derandomized draws of config text over every key; the horizon is
+    # at most three steps of the drawn dt, or a fuzzed dt = 1e-12 with a
+    # horizon of 0.002 asks for 2e9 steps
+    with tempfile.TemporaryDirectory() as root:
+        config = data.draw(_evolve_config(root))
+        _assert_exit_contract(["evolve", "--config", config])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=120)
+@given(argv=_option_argv())
+def test_cli_options_keep_the_exit_contract(argv):
+    # 120 derandomized draws of the options of moments, bracket-check,
+    # jacobian and quadrature-check
+    _assert_exit_contract(argv)

@@ -15,7 +15,6 @@ from heleshaw.maps import (
     ring_values,
 )
 from heleshaw.moments import (
-    MomentVector,
     QuadratureData,
     coeffs_to_moments,
     default_moment_count,
@@ -28,7 +27,7 @@ from heleshaw.moments import (
     richardson_moment,
     richardson_moments,
 )
-from heleshaw.rational import RationalFunction, deflate, pval, series_div, taylor_shift
+from heleshaw.rational import RationalFunction, deflate, pval, series_div
 from heleshaw.scenarios import (
     make_example_abc,
     make_subcase1,
@@ -179,13 +178,12 @@ def test_richardson_moments_match_literal_sum():
             assert_allclose(got[k], literal_richardson(a, abar, k), rtol=1e-13, atol=1e-15)
 
 
-def test_moment_vector_conjugate_view():
-    mv = MomentVector(1.0, (0.5 + 0.25j,))
-    assert mv[-1] == np.conj(mv[1])
-    with pytest.raises(IndexError):
-        mv[2]
-    with pytest.raises(ValueError):
-        MomentVector.from_values([1.0 + 0.5j])
+def test_real_m0_zeroes_rounding_and_rejects_complex_m0():
+    M = moments._real_m0([2.0 + 1e-12j, 0.5 + 0.25j])
+    assert M[0] == 2.0 and M[0].imag == 0.0
+    assert M[1] == 0.5 + 0.25j
+    with pytest.raises(QuadratureError, match="M0 must be real"):
+        moments._real_m0([1.0 + 0.5j, 0.0])
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +213,8 @@ def test_subcase1_moments_vanish():
 
 
 def test_residue_agrees_with_richardson_on_polynomials():
-    mv_r = moments_richardson(CARDIOID, 4).as_array()
-    mv_s = moments_residue(CARDIOID, 4).as_array()
+    mv_r = moments_richardson(CARDIOID, 4)
+    mv_s = moments_residue(CARDIOID, 4)
     assert np.max(np.abs(mv_r - mv_s)) < 1e-12
 
 
@@ -224,8 +222,8 @@ def test_residue_matches_richardson_beyond_order_32():
     # the pole of f^k f* f' at the origin has order n + 1 = 41; a fixed
     # order cap of 32 used to raise ResidueError here
     m = PolynomialMap(tuple(_decaying_coeffs(np.random.default_rng(40), 40)))
-    rich = moments_richardson(m).as_array()
-    res = moments_residue(m).as_array()
+    rich = moments_richardson(m)
+    res = moments_residue(m)
     assert len(rich) == 41
     assert np.max(np.abs(rich - res)) < 1e-10
 
@@ -266,9 +264,19 @@ def test_residue_route_rejects_repeated_pole():
         moments_residue(m, 2)
 
 
+def _taylor_at_zero(p, count):
+    """The first ``count`` Taylor coefficients of the polynomial p at the
+    origin, read off as the remainders of repeated deflation by z."""
+    out = np.zeros(count, dtype=complex)
+    for k in range(count):
+        p, out[k] = deflate(p, 0.0)
+    return out
+
+
 def deflation_residue_at_zero(r):
-    """Residue at the origin by the route off-origin poles take: deflate the
-    denominator by z, Taylor-shift both sides, divide the series."""
+    """Residue at the origin by general Laurent division: deflate the
+    denominator by z to the pole order, Taylor-shift both sides by repeated
+    deflation, divide the series."""
     order = 0
     den = r.den
     while den[0] == 0:
@@ -276,8 +284,8 @@ def deflation_residue_at_zero(r):
         order += 1
     if order == 0:
         return 0j
-    tn = taylor_shift(r.num, 0.0, order - 1)
-    td = taylor_shift(den, 0.0, order - 1)
+    tn = _taylor_at_zero(r.num, order)
+    td = _taylor_at_zero(den, order)
     return complex(series_div(tn, td, order - 1)[order - 1])
 
 
@@ -319,7 +327,7 @@ def test_area_oracle_unit_disk():
 def test_area_oracle_matches_richardson():
     mv, _ = moments_area_oracle(CARDIOID, 3)
     ref = moments_richardson(CARDIOID, 3)
-    assert np.max(np.abs(mv.as_array() - ref.as_array())) < 1e-6
+    assert np.max(np.abs(mv - ref)) < 1e-6
 
 
 def test_area_oracle_subcase2_roundtrip():
@@ -360,7 +368,7 @@ def test_area_oracle_matches_reference_quadrature():
         coarse = reference_disk_quadrature(m, n, 96, 256)
         fine = reference_disk_quadrature(m, n, 192, 512)
         scale = np.max(np.abs(fine))
-        assert np.max(np.abs(mv.as_array() - fine)) < 1e-12 * scale
+        assert np.max(np.abs(mv - fine)) < 1e-12 * scale
         assert abs(err - np.max(np.abs(fine - coarse))) < 1e-12 * scale
 
 
@@ -479,11 +487,11 @@ def test_three_way_agreement_random_polynomials():
         if np.min(np.abs(fp(th))) < 1e-2:
             continue
         K = default_moment_count(m)
-        rich = moments_richardson(m, K).as_array()
-        res = moments_residue(m, K).as_array()
+        rich = moments_richardson(m, K)
+        res = moments_residue(m, K)
         area, _ = moments_area_oracle(m, K)
         assert np.max(np.abs(rich - res)) < 1e-10 * max(1.0, np.max(np.abs(rich)))
-        assert np.max(np.abs(rich - area.as_array())) < 1e-6
+        assert np.max(np.abs(rich - area)) < 1e-6
         done += 1
 
 
@@ -511,12 +519,27 @@ def test_quadrature_coeffs_cardioid_consistent_with_moments():
     data = quadrature_coeffs(CARDIOID)
     mv = coeffs_to_moments(data, CARDIOID)
     ref = moments_richardson(CARDIOID, data.n)
-    assert np.max(np.abs(mv.as_array() - ref.as_array())) < 1e-13
+    assert np.max(np.abs(mv - ref)) < 1e-13
 
 
 def test_quadrature_coeffs_rejects_two_node_map():
     with pytest.raises(UncancelledPoleError):
         quadrature_coeffs(ABC)
+
+
+def test_quadrature_coeffs_pole_cancellation_seeded():
+    # f* f' keeps the simple pole of f* at 1/conj(b) on every two-node map,
+    # and loses it to f'(omega) = 0 on every subcase-2 map
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        a = rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.uniform())
+        b = rng.uniform(1.2, 4.0) * np.exp(2j * np.pi * rng.uniform())
+        m, _ = make_example_abc(a, b, rng.uniform(0.5, 2.0))
+        with pytest.raises(UncancelledPoleError, match="keeps a pole"):
+            quadrature_coeffs(m)
+        M0 = rng.uniform(0.5, 2.0)
+        B1 = rng.uniform(0.2, 0.9) * np.sqrt(M0) * np.exp(2j * np.pi * rng.uniform())
+        assert_allclose(quadrature_coeffs(make_subcase2(M0, B1)).c[0], M0, rtol=1e-10)
 
 
 def test_conversion_n0():

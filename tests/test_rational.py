@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heleshaw.errors import PoleProximityError
+from heleshaw.errors import PoleProximityError, ResidueError
 from heleshaw.rational import (
     RationalFunction,
     deflate,
-    pder,
     pmul,
     pval,
     series_div,
-    taylor_shift,
     trim,
 )
 
@@ -53,15 +51,6 @@ def test_deflate_reconstructs():
     rebuilt = pmul(q, [-0.7, 1.0])
     rebuilt[0] += rem
     assert_allclose(rebuilt, p, atol=1e-14)
-
-
-def test_taylor_shift_against_derivatives():
-    p = np.array([1.0, 2.0, -1.5, 0.25], dtype=complex)
-    z0 = 0.4 - 0.2j
-    t = taylor_shift(p, z0)
-    assert_allclose(t[0], pval(p, z0))
-    assert_allclose(t[1], pval(pder(p), z0))
-    assert_allclose(2.0 * t[2], pval(pder(pder(p)), z0))
 
 
 def test_series_div_geometric():
@@ -119,9 +108,23 @@ def test_reflect_involution_random_rationals():
 def test_residue_simple_and_double_pole():
     assert_allclose(RationalFunction([1.0], [0.0, 1.0]).residue(0.0), 1.0)
     assert_allclose(RationalFunction([1.0], [0.0, 0.0, 1.0]).residue(0.0), 0.0)
-    # (3 + z)/(z - 0.5)^2 has residue 1 at 0.5
+    # off the origin only simple poles are taken: (3 + z)/(z - 0.5)^2 raises
     r = RationalFunction([3.0, 1.0], pmul([-0.5, 1.0], [-0.5, 1.0]))
-    assert_allclose(r.residue(0.5), 1.0)
+    with pytest.raises(ResidueError, match="not a simple pole"):
+        r.residue(0.5)
+
+
+def test_residue_at_simple_pole_matches_closed_form():
+    # (1 + 2z + z^2 z0)/((z - z0)(z - 3)) has residue (1 + 2 z0 + z0^3)/(z0 - 3) at z0
+    for z0 in (0.5, 0.3 - 0.7j, -2.0 + 1.5j):
+        r = RationalFunction([1.0, 2.0, z0], pmul([-z0, 1.0], [-3.0, 1.0]))
+        assert_allclose(r.residue(z0), (1.0 + 2.0 * z0 + z0**3) / (z0 - 3.0), rtol=1e-14)
+
+
+def test_residue_where_the_denominator_does_not_vanish_raises():
+    r = RationalFunction([1.0, 2.0], [-0.5, 1.0])
+    with pytest.raises(ResidueError, match="does not vanish"):
+        r.residue(0.3)
 
 
 def test_residue_with_cancellation():
