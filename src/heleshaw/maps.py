@@ -85,17 +85,21 @@ class CircleGrid:
 def circle_values(coeffs, grid: CircleGrid) -> np.ndarray:
     """Values of sum_j coeffs[j] z**j at the grid nodes, by one inverse FFT.
 
-    z_k**j depends on j only mod N, so the coefficients are folded mod N
-    first; the values are exact (to rounding) for any degree.  A 2-D
+    z_k**j depends on j only mod N, so more than N coefficients are folded
+    mod N first; the values are exact (to rounding) for any degree.  A 2-D
     ``coeffs`` holds one polynomial per row and gives one row of values each.
+    The unscaled ("forward"-normalized) inverse FFT zero-pads up to N itself;
+    N is a power of two, so its values equal N * ifft bit for bit.
     """
     c = np.asarray(coeffs, dtype=complex)
     n = grid.size
-    folded = np.zeros(c.shape[:-1] + (n,), dtype=complex)
-    for start in range(0, c.shape[-1], n):
-        chunk = c[..., start : start + n]
-        folded[..., : chunk.shape[-1]] += chunk
-    return n * np.fft.ifft(folded)
+    if c.shape[-1] > n:
+        folded = np.zeros(c.shape[:-1] + (n,), dtype=complex)
+        for start in range(0, c.shape[-1], n):
+            chunk = c[..., start : start + n]
+            folded[..., : chunk.shape[-1]] += chunk
+        c = folded
+    return np.fft.ifft(c, n=n, norm="forward")
 
 
 def ring_values(r: RationalFunction, radii, grid: CircleGrid) -> np.ndarray:

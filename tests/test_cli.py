@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,6 +15,7 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heleshaw
 from heleshaw import cli
 from heleshaw.cli import main, parse_config
 from heleshaw.errors import ConfigError
@@ -439,6 +443,26 @@ def test_cli_out_of_range_option_exits_2(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon, dt, steps", [
+    ("0.01", "1e-310", "1e+308"),
+    ("0.002", "1e-12", "2e+09"),
+])
+def test_cli_evolve_step_cap_exits_2_within_seconds(horizon, dt, steps):
+    # both used to start an RK4 loop of that many steps that never returned;
+    # a child process, so a regression fails on the timeout instead of hanging
+    src = os.path.dirname(os.path.dirname(heleshaw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heleshaw.cli", "evolve", "--family", "disk",
+         "--horizon", horizon, "--dt", dt],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (f"config error: horizon = {horizon} over dt = {dt} is "
+                           f"{steps} steps, above the cap 10000000\n")
+
+
 @pytest.mark.parametrize("line, message", [
     ("grid_n = 100", "grid_n: grid size must be a power of two >= 4, got 100"),
     ("taylor_order = 0", "taylor_order must be positive, got 0"),
@@ -725,8 +749,8 @@ def _option_argv(draw):
 @given(data=st.data())
 def test_cli_evolve_config_keeps_the_exit_contract(data):
     # 150 derandomized draws of config text over every key; the horizon is
-    # at most three steps of the drawn dt, or a fuzzed dt = 1e-12 with a
-    # horizon of 0.002 asks for 2e9 steps
+    # at most three steps of the drawn dt, since a fuzzed dt = 1e-12 could
+    # otherwise ask for up to the 10**7 steps the cap lets through
     with tempfile.TemporaryDirectory() as root:
         config = data.draw(_evolve_config(root))
         _assert_exit_contract(["evolve", "--config", config])

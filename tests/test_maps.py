@@ -52,6 +52,28 @@ def test_circle_values_match_horner(degree):
     assert err < 1e-12 * np.max(np.abs(exact))
 
 
+def _fold_then_scaled_ifft(c, n):
+    """circle_values written out: fold mod n into a zero buffer, N * ifft."""
+    folded = np.zeros(c.shape[:-1] + (n,), dtype=complex)
+    for start in range(0, c.shape[-1], n):
+        chunk = c[..., start : start + n]
+        folded[..., : chunk.shape[-1]] += chunk
+    return n * np.fft.ifft(folded)
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "2d"])
+@pytest.mark.parametrize("length", ["fewer", "exactly", "more"])
+def test_circle_values_bitwise_equal_to_fold_and_scaled_ifft(n, shape, length):
+    # the unscaled FFT changes no bit of the values, which keeps evolve
+    # artifacts byte-identical
+    count = {"fewer": n // 4 + 1, "exactly": n, "more": 2 * n + n // 2 + 3}[length]
+    rng = np.random.default_rng(n + count)
+    c = rng.standard_normal(shape + (count,)) + 1j * rng.standard_normal(shape + (count,))
+    c /= np.arange(1, count + 1)
+    assert np.array_equal(circle_values(c, CircleGrid(n)), _fold_then_scaled_ifft(c, n))
+
+
 def test_ring_values_reject_exact_pole():
     # 1/(z - 1) has its pole at the grid node z = 1: on the unit circle, and
     # on the outer ring of the two

@@ -434,32 +434,44 @@ def test_angular_nodes_from_nearest_pole():
 
 
 def test_ring_blocks_do_not_change_the_quadrature(monkeypatch):
-    # polynomial grids are one block; 8 rings per block must agree with it
+    # the reference is the whole grid as one block (the fine polynomial grid
+    # has 192 x 512 nodes); the default block and 8 rings per block must
+    # agree with it
     m = PolynomialMap((1.0, 0.3 - 0.1j, 0.05j, -0.02))
     data = quadrature_coeffs(m)
     tests = [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
-    whole = moments._disk_quadrature(m, 4, 96, 256)
-    checks = quadrature_check(m, data, tests)
-    monkeypatch.setattr(moments, "_BLOCK_NODES", 8 * 256)
-    assert_allclose(moments._disk_quadrature(m, 4, 96, 256), whole,
-                    rtol=0, atol=1e-14 * np.max(np.abs(whole)))
-    assert_allclose(quadrature_check(m, data, tests), checks, rtol=0, atol=1e-14)
+    default = moments._BLOCK_NODES
+    with monkeypatch.context() as patch:
+        patch.setattr(moments, "_BLOCK_NODES", 192 * 512)
+        whole = moments._disk_quadrature(m, 4, 192, 512)
+        checks = quadrature_check(m, data, tests)
+    for block in (default, 8 * 512):
+        monkeypatch.setattr(moments, "_BLOCK_NODES", block)
+        assert_allclose(moments._disk_quadrature(m, 4, 192, 512), whole,
+                        rtol=0, atol=1e-14 * np.max(np.abs(whole)))
+        assert_allclose(quadrature_check(m, data, tests), checks, rtol=0, atol=1e-14)
 
 
-def test_area_oracle_memory_is_bounded_near_the_cap():
+@pytest.mark.parametrize("m, K, bound_mb", [
     # subcase2 at |B1| = 0.98 sqrt(M0) needs 192 x 8192 nodes on the fine
     # level; evaluated whole, that level peaked at 96 MB of arrays
+    (make_subcase2(1.0, 0.98), 6, 16),
+    # a degree-24 polynomial's fine level (192 x 512 nodes) as one block
+    # peaked at 4.6 MB
+    (PolynomialMap((1.0,) + tuple(0.3 / (j + 1)**2 * np.exp(1j * j) for j in range(1, 25))),
+     24, 2.5),
+], ids=["subcase2", "polynomial-n24"])
+def test_area_oracle_memory_is_bounded_near_the_cap(m, K, bound_mb):
     import tracemalloc
 
-    m = make_subcase2(1.0, 0.98)
     tracemalloc.start()
     try:
-        _, err = moments_area_oracle(m, 6)
+        _, err = moments_area_oracle(m, K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert err < 1e-12
-    assert peak < 16 * 2**20
+    assert peak < bound_mb * 2**20
 
 
 def test_pole_near_circle_raises_quadrature_error():
