@@ -325,7 +325,7 @@ def _conjugate_moment_map(X: np.ndarray) -> np.ndarray:
 def finite_difference_jacobian(m: PolynomialMap, step: float = 1e-5) -> np.ndarray:
     """Central differences of the conjugate-variable moment map, all 2(2n+1)
     points x0 +- step e_j evaluated in one batch."""
-    a = np.asarray(m.coeffs, dtype=complex)
+    a = m.coeffs
     n = len(a) - 1
     x0 = np.concatenate([np.conj(a[1:])[::-1], a])
     size = 2 * n + 1

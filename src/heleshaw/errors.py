@@ -52,7 +52,7 @@ class UncancelledPoleError(HeleShawError):
 
 
 class QuadratureError(HeleShawError):
-    """Disk quadrature failed to converge across refinement levels, the
+    """The poles of f need more angular nodes than a disk grid may have, the
     quadrature identity's c_0 is not real positive, or a computed M_0 is not
     real."""
 

@@ -17,13 +17,14 @@ Two steppers, both fixed-step RK4:
   branch-point images B_j = f(omega_j) stay fixed; their drift is measured
   and reported, never enforced.
 
+Both form their RK4 stages in :func:`_rk4`, on bare coefficient arrays.
 Series mode works on the circle grid: f' is sampled by one inverse FFT of
-its coefficients (:func:`heleshaw.maps.ring_values`), P comes from the FFT
-of 1/(2 |f'|^2), and :func:`series_velocity` is the one velocity function,
-shared by the RK4 stages and the snapshot diagnostics.  Branch points are
-found once, from the exact map before truncation, and then continued: at
-each snapshot Newton's method polishes the previous omegas on the
-coefficients of f', and the argument principle on the circles of radius
+its coefficients (:func:`heleshaw.maps.circle_values`), :func:`poisson_schwarz`
+takes P from those samples, and :func:`series_velocity` is the one velocity
+function, shared by the RK4 stages and the snapshot diagnostics.  Branch
+points are found once, from the exact map before truncation, and then
+continued: at each snapshot Newton's method polishes the previous omegas on
+the coefficients of f', and the argument principle on the circles of radius
 1 -/+ branch_boundary_margin certifies the zero count.  A count that
 differs between the two circles (a zero at the boundary) raises
 :class:`BranchPointError`; a count that changed, or a Newton run that does
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -52,7 +54,9 @@ from .maps import (
     CircleGrid,
     PolynomialMap,
     TaylorMap,
+    _normalized,
     _polynomial_cone,
+    circle_values,
     simple_derivative_zeros_in_disk,
 )
 from .moments import moments_richardson
@@ -76,25 +80,23 @@ __all__ = [
 # Poisson-Schwarz integral
 # ----------------------------------------------------------------------
 
-def poisson_schwarz(m: AnalyticMap, grid: CircleGrid,
-                    n_modes: int | None = None) -> np.ndarray:
+def poisson_schwarz(fpv: np.ndarray, n_modes: int | None = None) -> np.ndarray:
     """Coefficients p_0, p_1, ... of the analytic extension P of the
     boundary data 1/(2 |f'|^2): Re P = 1/(2 |f'|^2) on the unit circle.
 
+    ``fpv`` holds f' at the N nodes of a :class:`CircleGrid`.
     P(z) = (1/2 pi) int rho(theta) (w + z)/(w - z) dtheta with w = e^{i theta}
     and rho = 1/(2|f'|^2); in Fourier terms p_0 = rho_hat_0 (real) and
-    p_m = 2 rho_hat_m for m >= 1.  Spectrally accurate for f' analytic and
-    zero-free on the circle.
+    p_m = 2 rho_hat_m for 1 <= m < N/2.  Spectrally accurate for f' analytic
+    and zero-free on the circle.
     """
-    fpv = m.derivative_on(grid)
     small = float(np.min(np.abs(fpv)))
     if small < DEFAULT.cusp_min_derivative:
         raise CuspError(f"min |f'| = {small:.3e} on the circle (cusp forming)")
     rho = 1.0 / (2.0 * np.abs(fpv) ** 2)
-    hat = np.fft.rfft(rho) / grid.size
-    if n_modes is None:
-        n_modes = grid.size // 2 - 1
-    n_modes = min(n_modes, grid.size // 2 - 1)
+    hat = np.fft.rfft(rho) / len(fpv)
+    top = len(fpv) // 2 - 1
+    n_modes = top if n_modes is None else min(n_modes, top)
     coeffs = np.zeros(n_modes + 1, dtype=complex)
     coeffs[0] = hat[0].real
     coeffs[1:] = 2.0 * hat[1 : n_modes + 1]
@@ -191,11 +193,19 @@ class EvolutionState:
     resultant: _StringSolve | None = field(default=None, compare=False, repr=False)
 
 
-def _rk4(a: np.ndarray, dt: float, deriv, k1: np.ndarray) -> np.ndarray:
-    k2 = deriv(a + 0.5 * dt * k1)
-    k3 = deriv(a + 0.5 * dt * k2)
-    k4 = deriv(a + dt * k3)
-    return a + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+def _rk4(a: np.ndarray, dt: float, cone, velocity, k1: np.ndarray) -> np.ndarray:
+    """One RK4 step from ``a`` with first stage ``k1``.  Each later stage's
+    coefficients pass ``_admissible(cone, .)`` and give ``velocity(b)`` for
+    b_j = (j+1) a_j; the step's end is :func:`_normalization_checked`."""
+    weights = np.arange(1, len(a) + 1)
+
+    def stage(x):
+        return velocity(_admissible(cone, x) * weights)
+
+    k2 = stage(a + 0.5 * dt * k1)
+    k3 = stage(a + 0.5 * dt * k2)
+    k4 = stage(a + dt * k3)
+    return _normalization_checked(a + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
 def _normalization_checked(a: np.ndarray) -> np.ndarray:
@@ -224,8 +234,8 @@ def _admissible(make, a):
 def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
     """One RK4 step of the fixed-degree polynomial string flow.
 
-    A stage works on the coefficient array: the cone check of
-    :class:`PolynomialMap`, b_j = (j+1) a_j, then one gated real solve
+    A stage (:func:`_rk4`) works on the coefficient array: the cone check
+    of :class:`PolynomialMap`, b_j = (j+1) a_j, then one gated real solve
     (:func:`heleshaw.bracket._string_solve`).  Only the end map is built.
 
     Besides the conditioning check inside the linear solve, the step guards
@@ -244,15 +254,9 @@ def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
     if not isinstance(m, PolynomialMap):
         raise TypeError("polynomial stepper needs a PolynomialMap state")
     n = m.degree_plus
-    weights = np.arange(1, n + 2)
-
-    def deriv(a):
-        return _string_solve(_admissible(_polynomial_cone, a) * weights).gated()[n:]
-
-    a = np.asarray(m.coeffs, dtype=complex)
     solve0 = state.resultant or _string_solve(m.derivative_coeffs())
-    k1 = solve0.gated()[n:]
-    anew = _normalization_checked(_rk4(a, dt, deriv, k1))
+    anew = _rk4(m.coeffs, dt, _polynomial_cone,
+                lambda b: _string_solve(b).gated()[n:], solve0.gated()[n:])
     newmap = _admissible(PolynomialMap, anew)
     solve1 = _string_solve(newmap.derivative_coeffs())
     # |Res1 - Res0| > (|Res0| + |Res1|) / 2, divided by |Res0|
@@ -271,19 +275,16 @@ def step_taylor_fixed_branch(state: EvolutionState, dt: float,
                              grid: CircleGrid) -> EvolutionState:
     """One RK4 step of the fixed-branch-point flow in series space.
 
-    The velocity is the truncation of fdot = z f' P to the series order.
-    The new state is tail-checked: if the relative energy in the trailing
+    The velocity is the truncation of fdot = z f' P to the series order
+    (:func:`series_velocity`); a stage's cone is a0 real positive.  The new
+    state is tail-checked: if the relative energy in the trailing
     coefficients exceeds tolerance the series order is insufficient.
     """
     m = state.map
     if not isinstance(m, TaylorMap):
         raise TypeError("series stepper needs a TaylorMap state")
-
-    def deriv(a):
-        return series_velocity(_admissible(TaylorMap, a), grid)
-
-    a = np.asarray(m.coeffs, dtype=complex)
-    anew = _normalization_checked(_rk4(a, dt, deriv, deriv(a)))
+    velocity = partial(series_velocity, grid=grid)
+    anew = _rk4(m.coeffs, dt, _normalized, velocity, velocity(m.derivative_coeffs()))
     newmap = _admissible(TaylorMap, anew)
     tail = newmap.tail_energy()
     if tail > DEFAULT.tail_energy:
@@ -294,14 +295,16 @@ def step_taylor_fixed_branch(state: EvolutionState, dt: float,
     return EvolutionState(state.t + dt, newmap)
 
 
-def series_velocity(m: TaylorMap, grid: CircleGrid) -> np.ndarray:
-    """Coefficient velocities adot_j of fdot = z f' P, truncated to the order.
+def series_velocity(b: np.ndarray, grid: CircleGrid) -> np.ndarray:
+    """Coefficient velocities adot_j of fdot = z f' P, truncated to the
+    order len(b), from f''s coefficients b_j = (j+1) a_j, sampled on the
+    grid by one :func:`heleshaw.maps.circle_values`.
 
     Only p_0..p_{order-1} reach the kept coefficients, so P is built with
     that many modes and the product is an exact convolution of coefficients.
     """
-    p = poisson_schwarz(m, grid, n_modes=m.order - 1)
-    return np.convolve(m.derivative_coeffs(), p)[: m.order]
+    p = poisson_schwarz(circle_values(b, grid), n_modes=len(b) - 1)
+    return np.convolve(b, p)[: len(b)]
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +372,7 @@ def run_evolution(spec) -> EvolutionResult:
         # the exact map's f' has a low-degree numerator, so its zeros seed
         # the continuation on the truncated series cheaply
         seeds = simple_derivative_zeros_in_disk(m)
-        m = TaylorMap(tuple(m.power_series(spec.taylor_order)))
+        m = TaylorMap(m.power_series(spec.taylor_order))
         tail = m.tail_energy()
         if tail > DEFAULT.tail_energy:
             raise TruncationError(
@@ -400,7 +403,7 @@ def run_evolution(spec) -> EvolutionResult:
                 if len(bpt) == len(base_branch)
                 else np.full(max(len(base_branch), 1), np.inf)
             )
-            vel = series_velocity(state.map, grid)
+            vel = series_velocity(state.map.derivative_coeffs(), grid)
             solve = None
         else:
             bdrift = np.zeros(0)

@@ -8,9 +8,9 @@ closed unit disk, normalized by f(0) = 0 and f'(0) > 0:
 * :class:`AbcRationalMap`     f = c z (z - a) / (z - b),  0 < |a| < 1 < |b|
 * :class:`TaylorMap`          truncated power series (evolution work state)
 
-Every class keeps a0 real and positive (:func:`_normalized`); the cone of
-:class:`PolynomialMap` (:func:`_polynomial_cone`) is also what each
-polynomial RK4 stage checks on its bare coefficient array.
+Every class keeps a0 real and positive (:func:`_normalized`, which also gives
+the read-only coefficient arrays the maps hold); it and :func:`_polynomial_cone`
+are the cones the series and polynomial RK4 stages check on bare arrays.
 
 Every class exposes its exact rational representation, so differentiation,
 holomorphic reflection f*(z) = conj(f(1/conj z)) and residues all route
@@ -125,8 +125,8 @@ def ring_values(r: RationalFunction, radii, grid: CircleGrid) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _normalized(coeffs) -> np.ndarray:
-    """A fresh complex array of ``coeffs``; ValueError unless a0 is real to
-    1e-12 max(|a0|, 1), when it is made exactly real, and positive."""
+    """A fresh read-only complex array of ``coeffs``; ValueError unless a0 is
+    real to 1e-12 max(|a0|, 1), when it is made exactly real, and positive."""
     a = np.array(coeffs, dtype=complex)
     if not a.size:
         raise ValueError("need at least one coefficient")
@@ -136,6 +136,7 @@ def _normalized(coeffs) -> np.ndarray:
     if a0.real <= 0:
         raise ValueError(f"a0 must be positive, got {a0}")
     a[0] = a0.real
+    a.flags.writeable = False
     return a
 
 
@@ -194,35 +195,31 @@ class AnalyticMap:
         return ring_values(self.derivative_rational(), 1.0, grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CoefficientMap(AnalyticMap):
     """A map stored as its coefficients: f = sum_j coeffs[j] * z**(j+1)."""
 
-    coeffs: tuple
+    coeffs: np.ndarray
 
     @property
     def a0(self) -> float:
-        return self.coeffs[0].real
+        return float(self.coeffs[0].real)
 
     def rational(self) -> RationalFunction:
         return RationalFunction(np.concatenate([[0.0], self.coeffs]))
 
     def derivative_coeffs(self) -> np.ndarray:
         """b_j = (j+1) a_j, the coefficients of f'."""
-        a = np.asarray(self.coeffs, dtype=complex)
-        return a * np.arange(1, len(a) + 1)
-
-    def derivative_rational(self) -> RationalFunction:
-        return RationalFunction(self.derivative_coeffs())
+        return self.coeffs * np.arange(1, len(self.coeffs) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolynomialMap(_CoefficientMap):
     """f = sum_{j=0}^{n} coeffs[j] * z**(j+1), coeffs[0] real positive and
     coeffs[n] nonzero (see :func:`_polynomial_cone`)."""
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_polynomial_cone(self.coeffs).tolist()))
+        object.__setattr__(self, "coeffs", _polynomial_cone(self.coeffs))
 
     @property
     def degree_plus(self) -> int:
@@ -230,7 +227,7 @@ class PolynomialMap(_CoefficientMap):
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalMap(AnalyticMap):
     """f = (sum_j a_j z**(j+1)) / prod_j (1 - pole_reflections[j] * z).
 
@@ -240,17 +237,16 @@ class RationalMap(AnalyticMap):
     for the map to be in consistent (quadrature) state.
     """
 
-    numer_coeffs: tuple
-    pole_reflections: tuple
+    numer_coeffs: np.ndarray
+    pole_reflections: np.ndarray
 
     def __post_init__(self):
-        c = tuple(_normalized(self.numer_coeffs).tolist())
-        w = tuple(complex(x) for x in self.pole_reflections)
-        object.__setattr__(self, "numer_coeffs", c)
+        w = np.array(self.pole_reflections, dtype=complex)
+        w.flags.writeable = False
+        object.__setattr__(self, "numer_coeffs", _normalized(self.numer_coeffs))
         object.__setattr__(self, "pole_reflections", w)
-        for wb in w:
-            if not abs(wb) < 1.0:
-                raise ValueError(f"pole reflection {wb} must lie inside the unit disk")
+        if not np.all(np.abs(w) < 1.0):
+            raise ValueError(f"pole reflections {w} must lie inside the unit disk")
         self.validate()
 
     def validate(self):
@@ -267,10 +263,11 @@ class RationalMap(AnalyticMap):
 
     @property
     def a0(self) -> float:
-        return self.numer_coeffs[0].real
+        return float(self.numer_coeffs[0].real)
 
     def finite_poles(self) -> np.ndarray:
-        return np.array([1.0 / w for w in self.pole_reflections])
+        # Python's complex division, to whose rounding the moments are pinned
+        return np.array([1.0 / w for w in self.pole_reflections.tolist()])
 
     def rational(self) -> RationalFunction:
         num = np.concatenate([[0.0], self.numer_coeffs])
@@ -322,7 +319,7 @@ class AbcRationalMap(AnalyticMap):
         return complex(self.rational()(zb))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorMap(_CoefficientMap):
     """Truncated power series f = sum_{j<order} coeffs[j] z**(j+1).
 
@@ -332,7 +329,7 @@ class TaylorMap(_CoefficientMap):
     """
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_normalized(self.coeffs).tolist()))
+        object.__setattr__(self, "coeffs", _normalized(self.coeffs))
 
     @property
     def order(self) -> int:
@@ -340,7 +337,7 @@ class TaylorMap(_CoefficientMap):
 
     def tail_energy(self) -> float:
         """Relative coefficient energy in the last eighth (at least 2) of the slots."""
-        a = np.abs(np.asarray(self.coeffs))
+        a = np.abs(self.coeffs)
         tail = max(len(a) // 8, 2)
         total = float(np.sum(a**2))
         if total == 0.0:

@@ -189,8 +189,7 @@ def moments_richardson(m, K: int | None = None) -> np.ndarray:
         raise TypeError("Richardson's sum needs a polynomial or series map")
     if K is None:
         K = default_moment_count(m)
-    a = np.asarray(m.coeffs, dtype=complex)
-    return _real_m0(richardson_moments(a, np.conj(a), K))
+    return _real_m0(richardson_moments(m.coeffs, np.conj(m.coeffs), K))
 
 
 # ----------------------------------------------------------------------
@@ -264,11 +263,11 @@ def moments_area_oracle(m: AnalyticMap, K: int | None = None):
     """Moments by polar tensor quadrature over the unit disk.
 
     Gauss-Legendre radially, trapezoid in the angle (spectrally accurate for
-    the periodic direction).  Returns ``(moments, error_estimate)``
-    where the estimate is the max moment change under one refinement level;
-    the callers compare it with their own bounds.  Raises
-    :class:`QuadratureError` if the poles of f need more angular nodes than
-    the grid may have.
+    the periodic direction).  Returns ``(moments, error_estimate)``: the
+    fine (192, 2 nt) grid's moments and max |fine - coarse|, which measures
+    the coarse (96, nt) level and can far overstate the fine one's error at
+    high K.  Raises :class:`QuadratureError` if the poles of f need more
+    angular nodes than the grid may have.
     """
     if K is None:
         K = default_moment_count(m)
@@ -374,8 +373,14 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
     pp, s = g.principal_part_at_zero()
     if s == 0:
         raise UncancelledPoleError("f* f' has no pole at the origin")
-    c = [pp[k] / math.factorial(k) for k in range(s)]
-    c0 = c[0]
+    return _one_point_data([pp[k] / math.factorial(k) for k in range(s)])
+
+
+def _one_point_data(c) -> QuadratureData:
+    """The one-point identity with coefficients ``c``, c_0 made exactly real;
+    :class:`QuadratureError` unless c_0 is real to 1e-9 max(1, |c_0|) and
+    positive."""
+    c0 = complex(c[0])
     if abs(c0.imag) > 1e-9 * max(1.0, abs(c0)) or c0.real <= 0:
         raise QuadratureError(f"c_0 must be real positive, got {c0}")
     c[0] = complex(c0.real)
@@ -395,10 +400,9 @@ def coeffs_to_moments(data: QuadratureData, m: AnalyticMap) -> np.ndarray:
 
 
 def moments_to_coeffs(M, m: AnalyticMap) -> QuadratureData:
-    """Invert the triangular correspondence to recover the c_j from M_0..M_K."""
-    c = np.linalg.solve(_power_coeff_triangle(m, len(M) - 1), M)
-    c[0] = c[0].real
-    return QuadratureData(c=tuple(c))
+    """Invert the triangular correspondence to recover the c_j from M_0..M_K;
+    c_0 = M_0 must be real positive (:func:`_one_point_data`)."""
+    return _one_point_data(np.linalg.solve(_power_coeff_triangle(m, len(M) - 1), M))
 
 
 def quadrature_check(m: AnalyticMap, data: QuadratureData, testfns) -> list:

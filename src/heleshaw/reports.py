@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import EvolutionResult
-from .maps import AnalyticMap, CircleGrid
+from .maps import CircleGrid
 
 __all__ = [
     "fmt",
@@ -118,12 +118,9 @@ def export_trajectory(result: EvolutionResult, path) -> None:
     lines = [",".join(header)]
     for s in states:
         row = [fmt(s.t)]
-        coeffs = list(s.map.coeffs) + [0.0] * (ncoef - len(s.map.coeffs))
-        for c in coeffs:
-            c = complex(c)
+        for c in np.pad(s.map.coeffs, (0, ncoef - len(s.map.coeffs))):
             row += [fmt(c.real), fmt(c.imag)]
         for mk in s.diagnostics.moments:
-            mk = complex(mk)
             row += [fmt(mk.real), fmt(mk.imag)]
         row += [fmt(s.diagnostics.string_residual), fmt(s.diagnostics.max_branch_drift)]
         lines.append(",".join(row))
@@ -138,15 +135,14 @@ def export_trajectory(result: EvolutionResult, path) -> None:
 def render_boundary_svg(source, path) -> None:
     """Static SVG 1.1 with one polyline per boundary curve f(bd D).
 
-    ``source`` is a map, a list of maps, or an :class:`EvolutionResult`
-    (whose snapshots become time-labeled layers).
+    ``source`` is a map (one layer, ``curve0``) or an
+    :class:`EvolutionResult` (whose snapshots become time-labeled layers).
     """
     if isinstance(source, EvolutionResult):
         maps = [s.map for s in source.states]
         labels = [f"t={fmt(s.t)}" for s in source.states]
     else:
-        maps = [source] if isinstance(source, AnalyticMap) else list(source)
-        labels = [f"curve{idx}" for idx in range(len(maps))]
+        maps, labels = [source], ["curve0"]
     grid = CircleGrid(512)
     curves = [m.boundary_values(grid) for m in maps]
     allpts = np.concatenate(curves)

@@ -120,7 +120,6 @@ class ScenarioSpec:
             CircleGrid(self.grid_n)
         except ValueError as exc:
             raise ConfigError(f"grid_n: {exc}") from None
-        # parameter validation happens at parse time
         object.__setattr__(self, "initial", initial_map(self))
 
 
@@ -252,7 +251,7 @@ def initial_map(spec: ScenarioSpec) -> AnalyticMap:
             if fam == "disk":
                 return PolynomialMap((float(p.get("a0", 1.0)),))
             if fam == "polynomial":
-                return PolynomialMap(tuple(p["coeffs"]))
+                return PolynomialMap(p["coeffs"])
             if fam == "example_abc":
                 return make_example_abc(p["a"], p["b"], float(p["c_magnitude"]))[0]
             if fam == "subcase1":
@@ -262,7 +261,7 @@ def initial_map(spec: ScenarioSpec) -> AnalyticMap:
             # taylor, the last family
             coeffs = list(p["coeffs"])
             coeffs += [0.0] * (spec.taylor_order - len(coeffs))
-            return TaylorMap(tuple(coeffs[: spec.taylor_order]))
+            return TaylorMap(coeffs[: spec.taylor_order])
     except ValueError as exc:  # a map constructor rejected the parameters
         raise ConfigError(f"family '{fam}': {exc}") from None
     except ArithmeticError as exc:  # overflow or division by zero

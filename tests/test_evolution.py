@@ -48,7 +48,7 @@ B1_SUB2 = 0.2811127713994909
 
 def test_herglotz_identity_map():
     g = CircleGrid(256)
-    P = poisson_schwarz(PolynomialMap((1.0,)), g)
+    P = poisson_schwarz(PolynomialMap((1.0,)).derivative_on(g))
     assert_allclose(P[0], 0.5, atol=1e-14)
     assert np.max(np.abs(P[1:])) < 1e-14
 
@@ -56,13 +56,13 @@ def test_herglotz_identity_map():
 def test_herglotz_scaled_disk():
     g = CircleGrid(256)
     r = 0.7
-    P = poisson_schwarz(PolynomialMap((r,)), g)
+    P = poisson_schwarz(PolynomialMap((r,)).derivative_on(g))
     assert_allclose(P[0], 1.0 / (2.0 * r**2), atol=1e-14)
 
 
 def test_herglotz_boundary_match_cardioid():
     g = CircleGrid(256)
-    P = poisson_schwarz(CARDIOID, g)
+    P = poisson_schwarz(CARDIOID.derivative_on(g))
     target = 1.0 / (2.0 * np.abs(CARDIOID.derivative_rational()(g.nodes)) ** 2)
     assert np.max(np.absolute(np.real(circle_values(P, g)) - target)) < 1e-10
     assert P[0].imag == 0.0
@@ -72,7 +72,7 @@ def test_herglotz_spectral_convergence():
     e = []
     for n in (128, 256):
         g = CircleGrid(n)
-        P = poisson_schwarz(CARDIOID, g)
+        P = poisson_schwarz(CARDIOID.derivative_on(g))
         target = 1.0 / (2.0 * np.abs(CARDIOID.derivative_rational()(g.nodes)) ** 2)
         e.append(np.max(np.abs(np.real(circle_values(P, g)) - target)))
     assert e[1] <= e[0]
@@ -81,7 +81,7 @@ def test_herglotz_spectral_convergence():
 
 def test_herglotz_positive_real_part():
     g = CircleGrid(256)
-    P = poisson_schwarz(CARDIOID, g)
+    P = poisson_schwarz(CARDIOID.derivative_on(g))
     assert np.min(np.real(circle_values(P, g))) > 0.0
 
 
@@ -97,7 +97,7 @@ def test_herglotz_boundary_match_all_scenario_maps():
         subcase2_from_omega(0.6, 1.0),
     ]
     for m in maps:
-        P = poisson_schwarz(m, g)
+        P = poisson_schwarz(m.derivative_on(g))
         target = 1.0 / (2.0 * np.abs(m.derivative_rational()(g.nodes)) ** 2)
         assert np.max(np.abs(np.real(circle_values(P, g)) - target)) < 1e-10
 
@@ -106,7 +106,7 @@ def test_cusp_detected():
     g = CircleGrid(256)
     # |a1| = 1/2 puts a zero of f' on the unit circle
     with pytest.raises(CuspError):
-        poisson_schwarz(PolynomialMap((1.0, 0.5)), g)
+        poisson_schwarz(PolynomialMap((1.0, 0.5)).derivative_on(g))
 
 
 # ----------------------------------------------------------------------

@@ -154,6 +154,45 @@ def test_rational_map_finite_poles_are_denominator_roots():
     assert abs(p - 1.0 / np.conj(0.6 * np.exp(0.7j))) < 1e-14
 
 
+@pytest.mark.parametrize("kind", ["polynomial", "taylor", "rational"])
+def test_map_coefficients_are_read_only_arrays(kind):
+    # the map keeps its own read-only complex array: neither writing to it
+    # nor mutating the caller's input afterwards changes the map
+    if kind == "rational":
+        from heleshaw.scenarios import subcase2_from_omega
+
+        ref = subcase2_from_omega(0.6 * np.exp(0.7j), 1.0)
+        inputs = (np.array(ref.numer_coeffs), np.array(ref.pole_reflections))
+        m = RationalMap(*inputs)
+        stored = (m.numer_coeffs, m.pole_reflections)
+    else:
+        inputs = (np.array([1.0, 0.3 - 0.1j, 0.05j]),)
+        m = (PolynomialMap if kind == "polynomial" else TaylorMap)(*inputs)
+        stored = (m.coeffs,)
+    before = [a.copy() for a in stored]
+    for x, a in zip(inputs, stored):
+        assert isinstance(a, np.ndarray) and a.dtype == complex
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 2.0
+        x[...] = 0.123
+    for b, a in zip(before, stored):
+        assert np.array_equal(a, b)
+    assert type(m.a0) is float
+
+
+def test_derivative_coeffs_on_circle_equal_derivative_on():
+    # series_velocity samples f' by circle_values of its coefficients,
+    # string_residual through derivative_on: the two agree exactly
+    rng = np.random.default_rng(5)
+    tail = 0.3 * (rng.standard_normal(255) + 1j * rng.standard_normal(255))
+    series = TaylorMap(np.concatenate([[1.0], tail / np.arange(2, 257) ** 2]))
+    for m, g in ((series, CircleGrid(4096)),
+                 (PolynomialMap((1.0, 0.2 - 0.1j, 0.05)), CircleGrid(256))):
+        sampled = circle_values(m.derivative_coeffs(), g)
+        assert np.array_equal(sampled, m.derivative_on(g))
+
+
 # ----------------------------------------------------------------------
 # derivative
 # ----------------------------------------------------------------------

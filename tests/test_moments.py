@@ -574,6 +574,17 @@ def test_conversion_roundtrip_random_degree3():
         assert_allclose(back.c, data.c, rtol=1e-12, atol=1e-14)
 
 
+def test_moments_to_coeffs_rejects_complex_or_nonpositive_m0():
+    # c_0 = M_0, held to the rule of quadrature_coeffs: real and positive
+    m = PolynomialMap((1.0, 0.3))
+    mv = moments_richardson(m)
+    for m0 in (mv[0] + 0.5j, -3.0):
+        bad = mv.copy()
+        bad[0] = m0
+        with pytest.raises(QuadratureError):
+            moments_to_coeffs(bad, m)
+
+
 def test_conversion_degree1_diagonal():
     m = PolynomialMap((0.9, 0.2 + 0.1j))
     data = quadrature_coeffs(m)
