@@ -389,7 +389,8 @@ class JacobianReport:
     log_resultant: complex
     fd_max_abs_err: float | None
     fd_step: float | None
-    #: max(1, max |V U|): the finite-difference error is judged relative to it
+    #: max |V U| >= (V U)[0, 0] = 2 a0: the finite-difference error is judged
+    #: relative to it, with no absolute floor for a small map to pass under
     fd_scale: float | None
 
     @property
@@ -425,7 +426,7 @@ def jacobian_identity_report(
         VU = V @ U
         fd = finite_difference_jacobian(m, fd_step)
         fd_err = float(np.max(np.abs(VU - fd)))
-        fd_scale = max(1.0, float(np.max(np.abs(VU))))
+        fd_scale = float(np.max(np.abs(VU)))
     return JacobianReport(
         n=n,
         log_det_vu=log_det_v + log_det_u,

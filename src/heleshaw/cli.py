@@ -321,7 +321,6 @@ def _cmd_jacobian(args, report: RunReport, say):
 
 
 def _cmd_quadrature_check(args, report: RunReport, say):
-    testfns = [[0.0] * p + [1.0] for p in range(args.max_power + 1)]
     m = _spec(args, family=args.family or "polynomial").initial
     data = quadrature_data(m)
     if data.is_two_point:
@@ -330,7 +329,7 @@ def _cmd_quadrature_check(args, report: RunReport, say):
     else:
         say("one-point identity coefficients c_j: "
             + ", ".join(f"{c:.16g}" for c in data.c))
-    residuals = quadrature_check(m, data, testfns)
+    residuals = quadrature_check(m, data, args.max_power)
     for p, r in enumerate(residuals):
         say(f"g = z^{p}: residual {fmt(r)}")
         report.check(f"quadrature_g_power_{p}", r, 1e-6)

@@ -125,8 +125,8 @@ def ring_values(r: RationalFunction, radii, grid: CircleGrid) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _normalized(coeffs) -> np.ndarray:
-    """A fresh read-only complex array of ``coeffs``; ValueError unless a0 is
-    real to 1e-12 max(|a0|, 1), when it is made exactly real, and positive."""
+    """A read-only complex copy of ``coeffs`` (:func:`_frozen`); ValueError
+    unless a0 is real to 1e-12 max(|a0|, 1), then made exactly real, and > 0."""
     a = np.array(coeffs, dtype=complex)
     if not a.size:
         raise ValueError("need at least one coefficient")
@@ -136,8 +136,12 @@ def _normalized(coeffs) -> np.ndarray:
     if a0.real <= 0:
         raise ValueError(f"a0 must be positive, got {a0}")
     a[0] = a0.real
-    a.flags.writeable = False
-    return a
+    return _frozen(a)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A 1-D copy of ``a`` on immutable bytes: no flag makes it writeable."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype)
 
 
 def _polynomial_cone(coeffs) -> np.ndarray:
@@ -241,8 +245,7 @@ class RationalMap(AnalyticMap):
     pole_reflections: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.pole_reflections, dtype=complex)
-        w.flags.writeable = False
+        w = _frozen(np.array(self.pole_reflections, dtype=complex))
         object.__setattr__(self, "numer_coeffs", _normalized(self.numer_coeffs))
         object.__setattr__(self, "pole_reflections", w)
         if not np.all(np.abs(w) < 1.0):

@@ -16,6 +16,9 @@ with f* the holomorphic reflection.  The three routes implemented here:
 * ``moments_area_oracle`` direct two-dimensional quadrature over the disk
   (slow, fully independent; used as the numerical oracle).
 
+One disk integrator, (1/pi) int_D h^k |f'|^2 dA, serves the area oracle
+(h = f) and the area side of ``quadrature_check`` (h = z, g = z^p).
+
 The module also extracts one-point quadrature-identity coefficients c_k from
 the principal part of f* f' at the origin and converts between the c_k and
 the M_k through the triangular correspondence
@@ -36,8 +39,8 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import CuspError, QuadratureError, ResidueError, UncancelledPoleError
-from .maps import AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, ring_values
-from .rational import RationalFunction, deflate, pval
+from .maps import AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, _frozen, ring_values
+from .rational import RationalFunction, deflate
 
 __all__ = [
     "QuadratureData",
@@ -307,45 +310,37 @@ def _disk_grid(nr: int, nt: int):
 
     Gauss-Legendre radially, trapezoid in the angle: the sum of
     h * weights[:, None] over the nodes is (1/pi) times the area integral
-    of h.  Both arrays are cached and read-only.
+    of h.  Both arrays are cached and read-only (:func:`_frozen`).
     """
     x, w = np.polynomial.legendre.leggauss(nr)
     radii = 0.5 * (x + 1.0)
     weights = w * radii / nt
-    radii.flags.writeable = False
-    weights.flags.writeable = False
-    return radii, weights
+    return _frozen(radii), _frozen(weights)
 
 
-def _density_blocks(m: AnalyticMap, nr: int, nt: int):
-    """The (nr, nt) disk grid in blocks of at most ``_BLOCK_NODES`` nodes: the
-    block's radii, the angular grid and the real |f'|**2 times the node
-    weights, which summed against h over all blocks gives
-    (1/pi) int_D h |f'|**2 dA."""
+def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int, h=None) -> np.ndarray:
+    """(1/pi) int_D h^k |f'|**2 dA for k = 0..K on the (nr, nt) disk grid, h = f
+    by default; summed in blocks of at most ``_BLOCK_NODES`` nodes, with the
+    density |f'|**2 times the node weights real and h^k a running product."""
     radii, weights = _disk_grid(nr, nt)
     grid = CircleGrid(nt)
     fp = m.derivative_rational()
+    h = m.rational() if h is None else h
+    out = np.zeros(K + 1, dtype=complex)
     step = max(_BLOCK_NODES // nt, 1)
     for block in (slice(s, s + step) for s in range(0, nr, step)):
         v = ring_values(fp, radii[block], grid)
         dens = (v.real**2 + v.imag**2) * weights[block, None]
         del v  # at most one block's arrays are alive at a time
-        yield radii[block], grid, dens
-
-
-def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int) -> np.ndarray:
-    f = m.rational()
-    out = np.zeros(K + 1, dtype=complex)
-    for radii, grid, dens in _density_blocks(m, nr, nt):
         out[0] += dens.sum()
         if K:
-            fv = ring_values(f, radii, grid)
-            term = dens * fv
+            hv = ring_values(h, radii[block], grid)
+            term = dens * hv
             out[1] += term.sum()
             for k in range(2, K + 1):
-                term *= fv
+                term *= hv
                 out[k] += term.sum()
-            del term, fv  # before the next block is built
+            del term, hv  # before the next block is built
     return out
 
 
@@ -405,26 +400,22 @@ def moments_to_coeffs(M, m: AnalyticMap) -> QuadratureData:
     return _one_point_data(np.linalg.solve(_power_coeff_triangle(m, len(M) - 1), M))
 
 
-def quadrature_check(m: AnalyticMap, data: QuadratureData, testfns) -> list:
-    """Residuals |area integral - quadrature side| per test polynomial.
+def quadrature_check(m: AnalyticMap, data: QuadratureData, max_power: int) -> list:
+    """Residuals |area integral - quadrature side| for g = z^0..z^max_power.
 
-    Test functions are polynomial coefficient arrays (ascending powers of the
-    disk variable), so their derivatives at the node are exact.  The area
-    integral uses the grid of :func:`moments_area_oracle`'s coarse level.
+    The area integrals (1/pi) int_D z^p |f'|^2 dA are one call of
+    :func:`_disk_quadrature` with h = z, on the grid of
+    :func:`moments_area_oracle`'s coarse level.  The quadrature side of z^p
+    is c_p p! (0 for p > n) for a one-point identity, and
+    A [p = 0] + B node_b^p for a two-point identity.
     """
-    gs = [np.asarray(g, dtype=complex) for g in testfns]
-    areas = np.zeros(len(gs), dtype=complex)
-    for radii, grid, dens in _density_blocks(m, _RADIAL_NODES, _angular_nodes(m)):
-        areas += [np.sum(ring_values(RationalFunction(g), radii, grid) * dens)
-                  for g in gs]
+    z = RationalFunction([0.0, 1.0])
+    areas = _disk_quadrature(m, max_power, _RADIAL_NODES, _angular_nodes(m), z)
     out = []
-    for g, area in zip(gs, areas):
+    for p, area in enumerate(areas):
         if data.is_two_point:
-            side = data.weight_a * pval(g, 0.0) + data.weight_b * pval(g, data.node_b)
+            side = data.weight_a * (p == 0) + data.weight_b * data.node_b**p
         else:
-            side = sum(
-                data.c[j] * math.factorial(j) * (g[j] if j < len(g) else 0.0)
-                for j in range(len(data.c))
-            )
+            side = data.c[p] * math.factorial(p) if p < len(data.c) else 0.0
         out.append(float(abs(area - side)))
     return out

@@ -128,10 +128,10 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 
 def make_example_abc(a, b, c_magnitude: float):
-    """Map of the two-node family plus its quadrature data.
+    """Map of the two-node family and its :func:`quadrature_data`.
 
     The argument of c is fixed by the normalization a c / b > 0; only |c| is
-    free.  Weights A and B come from the closed forms above.
+    free.
     """
     a = complex(a)
     b = complex(b)
@@ -141,21 +141,29 @@ def make_example_abc(a, b, c_magnitude: float):
         raise ConfigError(f"need 0 < |a| < 1 < |b|, got |a|={abs(a)}, |b|={abs(b)}")
     c = c_magnitude * np.exp(1j * (np.angle(b) - np.angle(a)))
     m = AbcRationalMap(a, b, c)
-    A = abs(c) ** 2 * a / b
+    return m, quadrature_data(m)
+
+
+def quadrature_data(m: AnalyticMap) -> QuadratureData:
+    """The quadrature identity of a scenario map: one-point (from f* f')
+    unless m is of the c z (z-a)/(z-b) family, whose two-point weights A and
+    B come from the closed forms above."""
+    if not isinstance(m, AbcRationalMap):
+        return quadrature_coeffs(m)
+    a, b, c2 = m.a, m.b, abs(m.c) ** 2
     bb = np.conj(b)
     B = (
-        abs(c) ** 2
+        c2
         * (np.conj(a) - bb)
         * (1.0 - 2.0 * abs(b) ** 2 + a * bb * abs(b) ** 2)
         / (bb * (1.0 - abs(b) ** 2) ** 2)
     )
-    data = QuadratureData(
-        weight_a=complex(A),
+    return QuadratureData(
+        weight_a=complex(c2 * a / b),
         weight_b=complex(B),
         node_b=complex(1.0 / bb),
         image_b=m.node(),
     )
-    return m, data
 
 
 def subcase1_branch_value(b, M0: float) -> complex:
@@ -270,14 +278,6 @@ def initial_map(spec: ScenarioSpec) -> AnalyticMap:
         ) from None
 
 
-def quadrature_data(m: AnalyticMap) -> QuadratureData:
-    """The quadrature identity of a scenario map: two-point for the
-    c z (z-a)/(z-b) family, one-point (from f* f') otherwise."""
-    if isinstance(m, AbcRationalMap):
-        return make_example_abc(m.a, m.b, abs(m.c))[1]
-    return quadrature_coeffs(m)
-
-
 # ----------------------------------------------------------------------
 # verification report
 # ----------------------------------------------------------------------
@@ -318,7 +318,7 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> RunReport:
             worst = max(abs(mv[k + 1] * mv[k - 1] - mv[k] ** 2) / max(abs(mv[k]) ** 2, 1e-300)
                         for k in range(2, 6))
             check("geometric_progression", worst, 1e-10)
-        qres = quadrature_check(m, data, [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]])
+        qres = quadrature_check(m, data, 2)
         check("two_point_quadrature", max(qres), 1e-6)
 
     if kind == "subcase1":
@@ -340,7 +340,7 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> RunReport:
         mv = moments_residue(m, 6)
         check("one_point_weight_is_M0", abs(complex(data.c[0]) - mv[0]), 1e-10)
         check("higher_moments_vanish", max(abs(mv[k]) for k in range(1, 7)), 1e-10)
-        qres = quadrature_check(m, data, [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]])
+        qres = quadrature_check(m, data, 2)
         check("one_point_quadrature", max(qres), 1e-6)
         w = complex(np.conj(m.pole_reflections[0]))
         fp = m.derivative_rational()

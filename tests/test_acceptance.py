@@ -207,7 +207,7 @@ def test_criterion_7_example_family():
 
     m2 = make_subcase2(1.0, B1_SUB2)
     data2 = quadrature_coeffs(m2)
-    qres = quadrature_check(m2, data2, [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]])
+    qres = quadrature_check(m2, data2, 2)
     ok = ok and max(qres) < 1e-6
     _report(7, "two-node family: weights, progression, subcases", ok,
             f"A/B errs {errA:.1e}/{errB:.1e}, geo {worst_geo:.1e}, "

@@ -526,6 +526,17 @@ def test_cli_jacobian_finite_difference_bound_floor(capsys):
     assert fd["threshold"] == 1e-6
 
 
+def test_cli_jacobian_finite_difference_fails_at_small_scale(capsys):
+    # a0 = 1e-100: the finite differences miss V U entirely (error 2e-100,
+    # the size of V U itself), which an absolute 1e-6 floor would pass
+    code = main(["--json", "jacobian", "--coeffs=1e-100,3e-101,1e-101,2e-102"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    fd = next(c for c in checks if c["name"] == "jacobian_finite_difference")
+    assert code == 1
+    assert fd["status"] == "fail"
+    assert fd["threshold"] < 1e-104
+
+
 def test_cli_evolve_degenerate_initial_map_exits_1(capsys):
     # run_evolution raises at the initial map; the CLI reports it in "run"
     code = main(["--json", "evolve", "--family", "polynomial", "--coeffs", "1,0.5",

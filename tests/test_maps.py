@@ -181,6 +181,21 @@ def test_map_coefficients_are_read_only_arrays(kind):
     assert type(m.a0) is float
 
 
+def test_read_only_arrays_cannot_be_made_writeable():
+    # each array is backed by immutable bytes: neither it nor its base can
+    # have its writeable flag switched back on
+    from heleshaw.scenarios import subcase2_from_omega
+
+    r = subcase2_from_omega(0.6 * np.exp(0.7j), 1.0)
+    arrays = (PolynomialMap((1.0, 0.3)).coeffs, TaylorMap((1.0, 0.2j)).coeffs,
+              r.numer_coeffs, r.pole_reflections)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+        assert not isinstance(a.base, np.ndarray)
+        assert not a.flags.writeable
+
+
 def test_derivative_coeffs_on_circle_equal_derivative_on():
     # series_velocity samples f' by circle_values of its coefficients,
     # string_residual through derivative_on: the two agree exactly
