@@ -23,7 +23,6 @@ from .moments import (
     moments_area_oracle,
     moments_residue,
     moments_richardson,
-    moments_to_coeffs,
     quadrature_check,
     quadrature_coeffs,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "moments_area_oracle",
     "moments_residue",
     "moments_richardson",
-    "moments_to_coeffs",
     "poisson_schwarz",
     "polynomial_roots",
     "quadrature_check",

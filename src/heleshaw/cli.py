@@ -323,12 +323,9 @@ def _cmd_jacobian(args, report: RunReport, say):
 def _cmd_quadrature_check(args, report: RunReport, say):
     m = _spec(args, family=args.family or "polynomial").initial
     data = quadrature_data(m)
-    if data.is_two_point:
-        say(f"two-point identity: A = {data.weight_a:.16g}, B = {data.weight_b:.16g}, "
-            f"node 1/conj(b) = {data.node_b:.16g}")
-    else:
-        say("one-point identity coefficients c_j: "
-            + ", ".join(f"{c:.16g}" for c in data.c))
+    say("identity coefficients c_j at the origin: " + ", ".join(f"{c:.16g}" for c in data.c))
+    for z, w in data.nodes:
+        say(f"node z = {z:.16g}: weight w = {w:.16g}")
     residuals = quadrature_check(m, data, args.max_power)
     for p, r in enumerate(residuals):
         say(f"g = z^{p}: residual {fmt(r)}")

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default numerical thresholds used across the package."""
+    """Default numerical thresholds, one field per gate.  An RK4 step needs no
+    normalization gate: both velocity functions keep Im a0 exactly 0."""
 
     #: minimum distance from an evaluation point to a pole of a rational map
     pole_proximity: float = 1e-9
@@ -32,8 +33,6 @@ class Tolerances:
     #: |W|_F |W^-1|_F exceeds 1 / singular_ratio (an upper bound on
     #: sigma_max / sigma_min, so at least as strict as the singular values)
     singular_ratio: float = 1e-10
-    #: |Im a0| above this after a step aborts; below it is zeroed
-    normalization_drift: float = 1e-13
     #: relative tail energy of a truncated power series above this aborts
     tail_energy: float = 1e-10
     #: minimum |f'| on the unit circle (cusp detection)

@@ -16,13 +16,17 @@ with f* the holomorphic reflection.  The three routes implemented here:
 * ``moments_area_oracle`` direct two-dimensional quadrature over the disk
   (slow, fully independent; used as the numerical oracle).
 
-One disk integrator, (1/pi) int_D h^k |f'|^2 dA, serves the area oracle
-(h = f) and the area side of ``quadrature_check`` (h = z, g = z^p).
+The image's quadrature identity (:class:`QuadratureData`) reads
 
-The module also extracts one-point quadrature-identity coefficients c_k from
-the principal part of f* f' at the origin and converts between the c_k and
-the M_k through the triangular correspondence
-M_k = sum_j c_j (f^k)^{(j)}(0).
+    (1/pi) int_D g |f'|^2 dA = sum_j c_j g^(j)(0) + sum_i w_i g(z_i),
+
+origin weights c_j plus point nodes z_i with weights w_i.  Both of its sides
+are integrals of h^k, k = 0..K, for one function h with h(0) = 0: the disk
+side is ``_disk_quadrature`` and the point side ``_identity_side``.
+``quadrature_check`` compares the two with h = z (g = z^p), and
+``coeffs_to_moments`` is the point side with h = f, the moments the identity
+predicts.  ``quadrature_coeffs`` reads the one-point c_j off the principal
+part of f* f' at the origin.
 
 Every route returns the moments as a complex array M_0..M_K with M_0
 exactly real.  Moments with negative index follow the convention
@@ -52,7 +56,6 @@ __all__ = [
     "moments_area_oracle",
     "quadrature_coeffs",
     "coeffs_to_moments",
-    "moments_to_coeffs",
     "quadrature_check",
 ]
 
@@ -70,29 +73,21 @@ def _real_m0(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureData:
-    """Coefficients of the quadrature identity satisfied by the image.
+    """The quadrature identity satisfied by the image:
 
-    One-point form (polynomial images and their rational generalizations):
-        (1/2 pi i) int_D g |f'|^2 = sum_j c[j] g^(j)(0).
-    Two-point form (the c z (z-a)/(z-b) family):
-        ... = weight_a * g(0) + weight_b * g(node_b),
-    with ``node_b = 1/conj(b)`` the disk-side node and ``image_b = f(node_b)``
-    its image, the ratio of the geometric moment progression.
+        (1/pi) int_D g |f'|^2 dA = sum_j c[j] g^(j)(0) + sum_i w_i g(z_i)
+
+    for ``nodes`` the pairs (z_i, w_i).  Polynomial images and subcase 2
+    have no nodes; the c z (z-a)/(z-b) family has c = (A,) and the one node
+    (1/conj(b), B).
     """
 
     c: tuple = ()
-    weight_a: complex | None = None
-    weight_b: complex | None = None
-    node_b: complex | None = None
-    image_b: complex | None = None
-
-    @property
-    def is_two_point(self) -> bool:
-        return self.weight_b is not None
+    nodes: tuple = ()
 
     @property
     def n(self) -> int:
-        """Highest derivative order in the one-point identity."""
+        """Highest derivative order at the origin."""
         return len(self.c) - 1
 
 
@@ -129,11 +124,11 @@ def _power_rows(a, K: int | None = None) -> np.ndarray:
     """P[..., k, j] = coeff_j(f^k) = coeff_{j-k}(p^k) for f = z p =
     sum a_j z^(j+1), rows k <= min(K, n), columns j <= n = a.shape[-1] - 1:
     the one truncated power recurrence behind V, Richardson's sum and the
-    c <-> M triangle.  p^k keeps its n + 1 - k lowest coefficients, as
-    higher ones never feed back into lower ones, and is multiplied by the
-    equally long head of ``a``.  ``a`` may carry one leading batch axis,
-    one row per map; a batch's rows equal the single-map rows up to
-    rounding.
+    point side of the quadrature identity.  p^k keeps its n + 1 - k lowest
+    coefficients, as higher ones never feed back into lower ones, and is
+    multiplied by the equally long head of ``a``.  ``a`` may carry one
+    leading batch axis, one row per map; a batch's rows equal the single-map
+    rows up to rounding.
     """
     a = np.asarray(a, dtype=complex)
     L = a.shape[-1]
@@ -164,7 +159,7 @@ def richardson_moments(a, abar, K: int) -> np.ndarray:
 
     ``a`` and ``abar`` may carry one leading batch axis, one row per map,
     for M of shape (B, K + 1); the power rows are then formed once per
-    distinct row of ``a``.
+    distinct row of ``a`` and contracted one k at a time.
     """
     a = np.asarray(a, dtype=complex)
     abar = np.asarray(abar, dtype=complex)
@@ -176,9 +171,11 @@ def richardson_moments(a, abar, K: int) -> np.ndarray:
         P = _power_rows(a, K)
         return np.pad(P @ C, (0, K + 1 - len(P)))
     distinct, which = np.unique(a, axis=0, return_inverse=True)
-    P = _power_rows(distinct, K)[which]
-    M = (P @ C.T[..., None])[..., 0]
-    return np.pad(M, ((0, 0), (0, K + 1 - P.shape[1])))
+    P = _power_rows(distinct, K)
+    M = np.zeros((len(a), K + 1), dtype=complex)
+    for k in range(P.shape[1]):
+        M[:, k] = np.einsum("bj,bj->b", P[which, k], C.T)
+    return M
 
 
 def richardson_moment(a, abar, k: int) -> complex:
@@ -345,7 +342,7 @@ def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int, h=None) -> np.nda
 
 
 # ----------------------------------------------------------------------
-# quadrature identity coefficients and the c <-> M correspondence
+# the quadrature identity
 # ----------------------------------------------------------------------
 
 def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
@@ -353,7 +350,9 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
 
     Requires every pole of f* in the punctured disk to be cancelled by a zero
     of f' (the one-point quadrature case).  An uncancelled pole raises
-    :class:`UncancelledPoleError`, signalling the two-point route.
+    :class:`UncancelledPoleError`, signalling the two-point route.  c_0 is
+    made exactly real; :class:`QuadratureError` unless it is real to
+    1e-9 max(1, |c_0|) and positive.
     """
     r = m.rational()
     g = r.reflect() * r.derivative()
@@ -368,13 +367,7 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
     pp, s = g.principal_part_at_zero()
     if s == 0:
         raise UncancelledPoleError("f* f' has no pole at the origin")
-    return _one_point_data([pp[k] / math.factorial(k) for k in range(s)])
-
-
-def _one_point_data(c) -> QuadratureData:
-    """The one-point identity with coefficients ``c``, c_0 made exactly real;
-    :class:`QuadratureError` unless c_0 is real to 1e-9 max(1, |c_0|) and
-    positive."""
+    c = [pp[k] / math.factorial(k) for k in range(s)]
     c0 = complex(c[0])
     if abs(c0.imag) > 1e-9 * max(1.0, abs(c0)) or c0.real <= 0:
         raise QuadratureError(f"c_0 must be real positive, got {c0}")
@@ -382,40 +375,35 @@ def _one_point_data(c) -> QuadratureData:
     return QuadratureData(c=tuple(c))
 
 
-def _power_coeff_triangle(m: AnalyticMap, K: int) -> np.ndarray:
-    """T[k, j] = j! coeff_j(f^k) for 0 <= k, j <= K; upper triangular."""
-    fact = np.array([math.factorial(j) for j in range(K + 1)], dtype=float)
-    return _power_rows(m.power_series(K + 1), K) * fact
+def _identity_side(data: QuadratureData, h: RationalFunction, K: int) -> np.ndarray:
+    """The point side of the identity for g = h^k, k = 0..K (h(0) = 0):
+    sum_j c_j (h^k)^(j)(0) + sum_i w_i h(z_i)^k.  The twin of
+    :func:`_disk_quadrature`; (h^k)^(j)(0) = j! coeff_j(h^k) is a power row
+    of :func:`_power_rows`, zero for j < k."""
+    L = len(data.c)
+    fact = np.array([math.factorial(j) for j in range(L)], dtype=float)
+    P = _power_rows(h.taylor(L)[1:], K)
+    out = np.zeros(K + 1, dtype=complex)
+    out[: len(P)] = P @ (fact * np.asarray(data.c, dtype=complex))
+    for z, w in data.nodes:
+        out += w * complex(h(z)) ** np.arange(K + 1)
+    return out
 
 
-def coeffs_to_moments(data: QuadratureData, m: AnalyticMap) -> np.ndarray:
-    """M_k = sum_j c_j (f^k)^(j)(0); triangular with diagonal k! a0^k c_k."""
-    T = _power_coeff_triangle(m, data.n)
-    return _real_m0(T @ np.asarray(data.c, dtype=complex))
-
-
-def moments_to_coeffs(M, m: AnalyticMap) -> QuadratureData:
-    """Invert the triangular correspondence to recover the c_j from M_0..M_K;
-    c_0 = M_0 must be real positive (:func:`_one_point_data`)."""
-    return _one_point_data(np.linalg.solve(_power_coeff_triangle(m, len(M) - 1), M))
+def coeffs_to_moments(data: QuadratureData, m, K: int | None = None) -> np.ndarray:
+    """M_0..M_K as the identity predicts them, M_k = sum_j c_j (f^k)^(j)(0)
+    + sum_i w_i f(z_i)^k: the point side with h = f.  K defaults to
+    ``data.n``; with no nodes M_k = 0 for k > n."""
+    return _real_m0(_identity_side(data, m.rational(), data.n if K is None else K))
 
 
 def quadrature_check(m: AnalyticMap, data: QuadratureData, max_power: int) -> list:
-    """Residuals |area integral - quadrature side| for g = z^0..z^max_power.
+    """Residuals |disk side - point side| of the identity for g = z^0..z^max_power.
 
-    The area integrals (1/pi) int_D z^p |f'|^2 dA are one call of
-    :func:`_disk_quadrature` with h = z, on the grid of
-    :func:`moments_area_oracle`'s coarse level.  The quadrature side of z^p
-    is c_p p! (0 for p > n) for a one-point identity, and
-    A [p = 0] + B node_b^p for a two-point identity.
+    Both sides take h = z: the disk side is :func:`_disk_quadrature` on the
+    grid of :func:`moments_area_oracle`'s coarse level, the point side
+    :func:`_identity_side`, c_p p! + sum_i w_i z_i^p.
     """
     z = RationalFunction([0.0, 1.0])
     areas = _disk_quadrature(m, max_power, _RADIAL_NODES, _angular_nodes(m), z)
-    out = []
-    for p, area in enumerate(areas):
-        if data.is_two_point:
-            side = data.weight_a * (p == 0) + data.weight_b * data.node_b**p
-        else:
-            side = data.c[p] * math.factorial(p) if p < len(data.c) else 0.0
-        out.append(float(abs(area - side)))
-    return out
+    return np.abs(areas - _identity_side(data, z, max_power)).tolist()

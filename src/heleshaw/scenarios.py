@@ -49,6 +49,7 @@ from .maps import (
 )
 from .moments import (
     QuadratureData,
+    coeffs_to_moments,
     moments_area_oracle,
     moments_residue,
     moments_richardson,
@@ -146,8 +147,8 @@ def make_example_abc(a, b, c_magnitude: float):
 
 def quadrature_data(m: AnalyticMap) -> QuadratureData:
     """The quadrature identity of a scenario map: one-point (from f* f')
-    unless m is of the c z (z-a)/(z-b) family, whose two-point weights A and
-    B come from the closed forms above."""
+    unless m is of the c z (z-a)/(z-b) family, whose weights A at the
+    origin and B at the node 1/conj(b) come from the closed forms above."""
     if not isinstance(m, AbcRationalMap):
         return quadrature_coeffs(m)
     a, b, c2 = m.a, m.b, abs(m.c) ** 2
@@ -158,12 +159,7 @@ def quadrature_data(m: AnalyticMap) -> QuadratureData:
         * (1.0 - 2.0 * abs(b) ** 2 + a * bb * abs(b) ** 2)
         / (bb * (1.0 - abs(b) ** 2) ** 2)
     )
-    return QuadratureData(
-        weight_a=complex(c2 * a / b),
-        weight_b=complex(B),
-        node_b=complex(1.0 / bb),
-        image_b=m.node(),
-    )
+    return QuadratureData(c=(complex(c2 * a / b),), nodes=((complex(1.0 / bb), complex(B)),))
 
 
 def subcase1_branch_value(b, M0: float) -> complex:
@@ -312,8 +308,9 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> RunReport:
     if kind == "example_abc":
         data = quadrature_data(m)
         mv = moments_residue(m, 6)
-        check("M0_equals_A_plus_B", abs(mv[0] - (data.weight_a + data.weight_b)), 1e-10)
-        check("M1_equals_B_node", abs(mv[1] - data.weight_b * data.image_b), 1e-10)
+        predicted = coeffs_to_moments(data, m, 1)
+        check("M0_equals_A_plus_B", abs(mv[0] - predicted[0]), 1e-10)
+        check("M1_equals_B_node", abs(mv[1] - predicted[1]), 1e-10)
         if abs(mv[1]) > 1e-8:
             worst = max(abs(mv[k + 1] * mv[k - 1] - mv[k] ** 2) / max(abs(mv[k]) ** 2, 1e-300)
                         for k in range(2, 6))
@@ -338,7 +335,7 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> RunReport:
     if kind == "subcase2":
         data = quadrature_data(m)
         mv = moments_residue(m, 6)
-        check("one_point_weight_is_M0", abs(complex(data.c[0]) - mv[0]), 1e-10)
+        check("one_point_weight_is_M0", abs(coeffs_to_moments(data, m, 0)[0] - mv[0]), 1e-10)
         check("higher_moments_vanish", max(abs(mv[k]) for k in range(1, 7)), 1e-10)
         qres = quadrature_check(m, data, 2)
         check("one_point_quadrature", max(qres), 1e-6)

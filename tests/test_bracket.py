@@ -399,6 +399,21 @@ def test_finite_difference_batch_matches_per_column_loop(power):
         assert err <= 1e-10 * scale, (n, err, scale)
 
 
+def test_finite_difference_jacobian_memory_is_bounded_at_n64():
+    # 128 of the 258 batched points share the base map's power rows; a full
+    # copy of the rows per point peaked at 53 MB
+    import tracemalloc
+
+    m = decaying_map(np.random.default_rng(164), 64)
+    tracemalloc.start()
+    try:
+        finite_difference_jacobian(m, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 @pytest.mark.parametrize("a0, log_rhs_real", [(2.0, 777.6), (0.5, -776.4)])
 def test_jacobian_identity_n32_outside_float_range(a0, log_rhs_real):
     # |det(V U)| ~ a0^1153 overflows (a0 = 2) or underflows (a0 = 0.5) a

@@ -518,8 +518,8 @@ def test_cli_jacobian_finite_difference_bound_is_relative(capsys):
     assert 1e3 < fd["threshold"] < 1e4  # 1e-6 max |V U|
 
 
-def test_cli_jacobian_finite_difference_bound_floor(capsys):
-    # with |V U| <= 1 the bound stays the absolute 1e-6
+def test_cli_jacobian_finite_difference_bound_is_relative_below_unit_scale(capsys):
+    # the threshold is 1e-6 max |V U| = 1e-6 * 2 a0 = 1e-6 at a0 = 0.5
     main(["--json", "jacobian", "--coeffs", "0.5,0.05"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     fd = next(c for c in checks if c["name"] == "jacobian_finite_difference")

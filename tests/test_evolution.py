@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,6 +21,7 @@ from heleshaw.evolution import (
     branch_points,
     poisson_schwarz,
     run_evolution,
+    series_velocity,
     step_polynomial,
     step_taylor_fixed_branch,
 )
@@ -34,6 +35,7 @@ from heleshaw.maps import (
 from heleshaw.moments import moments_richardson
 from heleshaw.scenarios import ScenarioSpec, make_subcase2, subcase2_from_omega
 from test_bracket import _shell_scale, decaying_map
+from test_properties import polynomial_maps
 
 CARDIOID = PolynomialMap((1.0, 0.3))
 
@@ -196,6 +198,22 @@ def test_polynomial_step_preserves_degree_and_normalization():
     state = step_polynomial(state, 1e-3)
     assert state.map.degree_plus == 1
     assert state.map.coeffs[0].imag == 0.0
+
+
+@settings(max_examples=30)
+@given(m=polynomial_maps())
+def test_polynomial_velocity_keeps_a0_exactly_real(m):
+    # the real solve's x[0] is the velocity of a0, so an RK4 step never
+    # moves Im a0 off 0, and no end-of-step gate is needed
+    solve = bracket._string_solve(m.derivative_coeffs())
+    assume(solve.velocities is not None)
+    assert solve.velocities[m.degree_plus].imag == 0.0
+
+
+def test_series_velocity_keeps_a0_exactly_real():
+    # adot_0 = b_0 p_0, a product of two real numbers
+    m = TaylorMap(make_subcase2(1.0, B1_SUB2).power_series(256))
+    assert series_velocity(m.derivative_coeffs(), CircleGrid(4096))[0].imag == 0.0
 
 
 def test_backward_step_toward_degeneracy_raises():

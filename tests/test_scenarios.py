@@ -15,7 +15,7 @@ from heleshaw.maps import (
     TaylorMap,
     winding_number,
 )
-from heleshaw.moments import moments_residue
+from heleshaw.moments import coeffs_to_moments, moments_residue
 from heleshaw.reports import REPORT_SCHEMA
 from heleshaw.scenarios import (
     FAMILY_PARAMS,
@@ -53,30 +53,40 @@ FAMILY_CASES = {
 
 def test_example_abc_weights():
     m, data = make_example_abc(0.4, 2.0, 2.0)
-    assert_allclose(data.weight_a, 0.8, rtol=1e-15)
-    assert_allclose(data.weight_b, 304.0 / 225.0, rtol=1e-15)
-    assert_allclose(data.image_b, -1.0 / 15.0, rtol=1e-13)
+    (node, B), = data.nodes
+    assert_allclose(data.c, (0.8,), rtol=1e-15)
+    assert_allclose(node, 0.5, rtol=1e-15)
+    assert_allclose(B, 304.0 / 225.0, rtol=1e-15)
+    assert_allclose(m.node(), -1.0 / 15.0, rtol=1e-13)
 
 
 def test_example_abc_weights_match_residues():
     m, data = make_example_abc(0.4, 2.0, 2.0)
     integ = m.reflection() * m.derivative_rational()
-    assert abs(integ.residue(0.0) - data.weight_a) < 1e-12
-    assert abs(integ.residue(0.5) - data.weight_b) < 1e-12
+    (_, B), = data.nodes
+    assert abs(integ.residue(0.0) - data.c[0]) < 1e-12
+    assert abs(integ.residue(0.5) - B) < 1e-12
     mv = moments_residue(m, 4)
     for k in range(5):
-        want = data.weight_b * data.image_b**k
+        want = B * m.node()**k
         if k == 0:
-            want += data.weight_a
+            want += data.c[0]
         assert abs(mv[k] - want) < 1e-10
 
 
 def test_example_abc_equal_weights_is_subcase1():
     # a = 1/conj(b) makes the two weights collapse to |c|^2/|b|^2
     m, data = make_example_abc(0.5, 2.0, 2.0)
-    assert_allclose(data.weight_a, 1.0, rtol=1e-13)
-    assert_allclose(data.weight_b, 1.0, rtol=1e-13)
-    assert abs(data.image_b) < 1e-15  # both nodes over the origin
+    (_, B), = data.nodes
+    assert_allclose(data.c, (1.0,), rtol=1e-13)
+    assert_allclose(B, 1.0, rtol=1e-13)
+    assert abs(m.node()) < 1e-15  # both nodes over the origin
+    # so the identity predicts M_0 = 2 and, as f(1/conj(b)) = f(a) = 0,
+    # M_k = 0 for k >= 1, which the residues confirm
+    predicted = coeffs_to_moments(data, m, 6)
+    assert_allclose(predicted[0], 2.0, rtol=1e-13)
+    assert np.max(np.abs(predicted[1:])) < 1e-15
+    assert np.max(np.abs(predicted - moments_residue(m, 6))) < 1e-13
 
 
 def test_example_abc_complex_parameters_normalized():
@@ -91,13 +101,14 @@ def test_example_abc_complex_parameters_weights_match_residues():
     # genuinely complex a and b
     m, data = make_example_abc(0.4 * np.exp(0.7j), 2.0 * np.exp(-0.3j), 1.5)
     integ = m.reflection() * m.derivative_rational()
-    assert abs(integ.residue(0.0) - data.weight_a) < 1e-12
-    assert abs(integ.residue(complex(data.node_b)) - data.weight_b) < 1e-12
+    (node, B), = data.nodes
+    assert abs(integ.residue(0.0) - data.c[0]) < 1e-12
+    assert abs(integ.residue(node) - B) < 1e-12
     mv = moments_residue(m, 3)
     for k in range(4):
-        want = data.weight_b * data.image_b**k
+        want = B * m.node()**k
         if k == 0:
-            want += data.weight_a
+            want += data.c[0]
         assert abs(mv[k] - want) < 1e-11
 
 
