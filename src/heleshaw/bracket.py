@@ -267,7 +267,7 @@ class _StringSolve:
 
 def _string_solve(b: np.ndarray) -> _StringSolve:
     """Build W from f' = sum b_j z^j and invert it once: the string solve
-    of :func:`solve_string_system` and of every polynomial RK4 stage."""
+    of :func:`solve_string_system` and of every polynomial step's end map."""
     W = _string_matrix(b)
     try:
         Winv = np.linalg.inv(W)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default numerical thresholds, one field per gate.  An RK4 step needs no
-    normalization gate: both velocity functions keep Im a0 exactly 0."""
+    """Default numerical thresholds, one field per gate.  A step needs no
+    normalization gate: both steppers keep Im a0 exactly 0."""
 
     #: minimum distance from an evaluation point to a pole of a rational map
     pole_proximity: float = 1e-9

@@ -6,18 +6,17 @@ i.e. the flow realizes d/dt = d/dM_0 and the bracket satisfies
 Re[fdot conj(z f')] = 1 corresponds to dM_0/dt = 2; a solution in that time
 variable tau is obtained from ours by f_PG(tau) = f(2 tau).
 
-Two steppers, both fixed-step RK4:
+Two steppers:
 
-* :func:`step_polynomial` keeps f a polynomial of fixed degree and advances
-  the coefficients with the velocities from the bracket linear system.
-  Branch points move implicitly.
-* :func:`step_taylor_fixed_branch` advances a truncated power series with
-  fdot = z f'(z) P(z), P the Poisson-Schwarz (Herglotz) extension of the
-  boundary data 1/(2 |f'|^2).  Since fdot vanishes at every zero of f' the
-  branch-point images B_j = f(omega_j) stay fixed; their drift is measured
-  and reported, never enforced.
+* :func:`step_polynomial` continues f, a polynomial of fixed degree, from
+  one output time to the next: the string velocity predicts, and Newton's
+  method on M_0..M_n corrects.  Branch points move implicitly.
+* :func:`step_taylor_fixed_branch` takes fixed RK4 steps (:func:`_rk4`) of
+  a truncated power series with fdot = z f'(z) P(z), P the Poisson-Schwarz
+  (Herglotz) extension of the boundary data 1/(2 |f'|^2).  Since fdot
+  vanishes at every zero of f' the branch-point images B_j = f(omega_j)
+  stay fixed; their drift is measured and reported, never enforced.
 
-Both form their RK4 stages in :func:`_rk4`, on bare coefficient arrays.
 Series mode works on the circle grid: f' is sampled by one inverse FFT of
 its coefficients (:func:`heleshaw.maps.circle_values`), :func:`poisson_schwarz`
 takes P from those samples, and :func:`series_velocity` is the one velocity
@@ -40,39 +39,18 @@ from functools import partial
 import numpy as np
 
 from .config import DEFAULT
-from .errors import (
-    BranchPointError,
-    ConfigError,
-    CuspError,
-    DegenerateResultantError,
-    HeleShawError,
-    NormalizationError,
-    TruncationError,
-)
-from .maps import (
-    AnalyticMap,
-    CircleGrid,
-    PolynomialMap,
-    TaylorMap,
-    _normalized,
-    _polynomial_cone,
-    circle_values,
-    simple_derivative_zeros_in_disk,
-)
-from .moments import moments_richardson
+from .errors import (BranchPointError, ConfigError, CuspError, DegenerateResultantError,
+                     HeleShawError, NormalizationError, TruncationError)
+from .maps import (AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, _normalized,
+                   _polynomial_cone, circle_values, simple_derivative_zeros_in_disk)
+from .moments import _power_rows, moments_richardson
 from .rational import RationalFunction, pder, pmul, psub
-from .bracket import _string_solve, _StringSolve, string_residual
+from .bracket import _SQRT2, _string_matrix, _string_solve, _StringSolve, string_residual
 
 __all__ = [
-    "poisson_schwarz",
-    "BranchPointSet",
-    "branch_points",
-    "EvolutionState",
-    "StepDiagnostics",
-    "step_polynomial",
-    "step_taylor_fixed_branch",
-    "EvolutionResult",
-    "run_evolution",
+    "poisson_schwarz", "BranchPointSet", "branch_points", "EvolutionState",
+    "StepDiagnostics", "step_polynomial", "step_taylor_fixed_branch",
+    "EvolutionResult", "run_evolution",
 ]
 
 
@@ -177,14 +155,10 @@ class StepDiagnostics:
 class EvolutionState:
     """A map at time t, with its snapshot diagnostics once annotated.
 
-    When ``map`` is a :class:`PolynomialMap`, ``resultant`` carries its
-    string solve (its velocities, Res(f', f'*) and |W|_F |W^-1|_F) once a
-    step or a snapshot has made it, so the map is solved once: its
-    velocities serve both the snapshot and the next step's first RK4 stage,
-    and its resultant the next step's jump test.  A carried solve has
-    passed the gate of :func:`heleshaw.bracket.solve_string_system`; a state
-    without one is solved from ``map.derivative_coeffs()`` and gated on
-    first use.
+    A :class:`PolynomialMap` state carries its gated string solve in
+    ``resultant`` once a step or snapshot has made it: its velocities serve
+    the snapshot and the next step's predictor, its det W the sign of
+    Res(f', f'*).  Without one, the map is solved and gated on first use.
     """
 
     t: float
@@ -209,7 +183,7 @@ def _rk4(a: np.ndarray, dt: float, cone, velocity, k1: np.ndarray) -> np.ndarray
 
 
 def _admissible(make, a):
-    """``make(a)`` for the coefficients of an RK4 stage or of the step's end;
+    """``make(a)`` for the coefficients of a series RK4 stage or step's end;
     coefficients outside the admissible cone raise NormalizationError."""
     try:
         return make(a)
@@ -219,44 +193,78 @@ def _admissible(make, a):
         ) from exc
 
 
-def step_polynomial(state: EvolutionState, dt: float) -> EvolutionState:
-    """One RK4 step of the fixed-degree polynomial string flow.
+#: Newton iterations, largest correction / |h v| and halvings of a polynomial step
+_NEWTON_ITERATIONS, _MAX_CORRECTION, _MAX_HALVINGS = 8, 0.25, 12
 
-    A stage (:func:`_rk4`) works on the coefficient array: the cone check
-    of :class:`PolynomialMap`, b_j = (j+1) a_j, then one gated real solve
-    (:func:`heleshaw.bracket._string_solve`).  Only the end map is built.
 
-    Besides the conditioning check inside the linear solve, the step guards
-    against tunneling through the Res(f', f'*) = 0 shell: the resultant
-    vanishes like sqrt(t* - t) at the blow-up time, so a fixed step can jump
-    across the singular set without ever landing on it.  A step that moves
-    the resultant by more than its own magnitude is rejected as degenerate.
+def _moments_and_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M_0..M_n by Richardson's sum P C, and the power rows P (V's rows k >= 0)."""
+    P = _power_rows(a)
+    return P @ np.convolve(np.conj(a[::-1]), a * np.arange(1, len(a) + 1))[len(a) - 1 :: -1], P
 
-    The end map is solved once, at the end of the step: its det W gives the
-    resultant for that jump test, which runs first, and then its solve
-    must pass the gate, so a step raises :class:`DegenerateResultantError`
-    when its end map fails the gate.  The new state carries that solve,
-    whose velocities are the next step's first stage.
-    """
+
+def _corrected(a: np.ndarray, target: np.ndarray) -> np.ndarray | str:
+    """Newton's method on M_0..M_n(a) = target from ``a``, or why it failed.
+    The Jacobian is V U: V z = r is one solve on P (z_-k = conj z_k), and
+    U da = z the real W y = (z_0, sqrt2 Re z_j, sqrt2 Im z_j)."""
+    n = len(a) - 1
+    try:
+        a = _polynomial_cone(a)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(_NEWTON_ITERATIONS):
+                M, P = _moments_and_rows(a)
+                z = np.linalg.solve(P, target - M)
+                y = np.linalg.solve(_string_matrix(a * np.arange(1, n + 2)), np.concatenate(
+                    [[z[0].real], _SQRT2 * z[1:].real, _SQRT2 * z[1:].imag]))
+                step = np.concatenate([[y[0]], (y[1 : n + 1] + 1j * y[n + 1 :]) / _SQRT2])
+                a = _polynomial_cone(a + step)
+                if np.max(np.abs(step)) <= 4 * np.finfo(float).eps * np.max(np.abs(a)):
+                    return a
+    except (ValueError, ArithmeticError) as exc:
+        return f"a Newton iterate failed: {exc}"
+    return f"Newton did not converge in {_NEWTON_ITERATIONS} iterations"
+
+
+def _continued(state: EvolutionState, h: float, halvings: int) -> EvolutionState:
+    """``state`` continued by h in one step, or else in two of h/2."""
     m = state.map
-    if not isinstance(m, PolynomialMap):
-        raise TypeError("polynomial stepper needs a PolynomialMap state")
-    n = m.degree_plus
     solve0 = state.resultant or _string_solve(m.derivative_coeffs())
-    anew = _rk4(m.coeffs, dt, _polynomial_cone,
-                lambda b: _string_solve(b).gated()[n:], solve0.gated()[n:])
-    newmap = _admissible(PolynomialMap, anew)
-    solve1 = _string_solve(newmap.derivative_coeffs())
-    # |Res1 - Res0| > (|Res0| + |Res1|) / 2, divided by |Res0|
-    ratio = np.exp(solve1.log_resultant - solve0.log_resultant)
-    if abs(ratio - 1.0) > 0.5 * (1.0 + abs(ratio)):
+    predictor = h * solve0.gated()[m.degree_plus :]
+    target = _moments_and_rows(m.coeffs)[0]
+    target[0] = target[0].real + h
+    a = _corrected(m.coeffs + predictor, target)
+    if isinstance(a, str):
+        why = a
+    elif np.max(np.abs(a - m.coeffs - predictor)) > _MAX_CORRECTION * np.max(np.abs(predictor)):
+        why = f"the correction exceeds {_MAX_CORRECTION} |h v|"
+    else:
+        solve1 = _string_solve(a * np.arange(1, len(a) + 1))
+        if solve1.log_resultant.imag != solve0.log_resultant.imag:
+            why = "Res(f', f'*) changed sign"
+        elif solve1.velocities is None:
+            why = "string system singular at the end map"
+        else:
+            return EvolutionState(state.t + h, PolynomialMap(a), resultant=solve1)
+    if halvings == _MAX_HALVINGS:
         raise DegenerateResultantError(
-            f"Res(f', f'*) jumped from {solve0.resultant:.3e} to "
-            f"{solve1.resultant:.3e} in one step; "
-            "the flow crossed or skirted the degenerate shell"
-        )
-    solve1.gated()
-    return EvolutionState(state.t + dt, newmap, resultant=solve1)
+            f"no step from t = {state.t:.9g} down to {h:.3e} was accepted ({why})")
+    return _continued(_continued(state, 0.5 * h, halvings + 1), 0.5 * h, halvings + 1)
+
+
+def step_polynomial(state: EvolutionState, h: float) -> EvolutionState:
+    """The fixed-degree polynomial string flow continued from t to t + h.
+
+    The end map solves M(a) = M(a(t)) + h e_0, whose Jacobian V U is
+    invertible off the Res(f', f'*) = 0 shell: the carried string velocity
+    v predicts a + h v, and :func:`_corrected` corrects it.  The step is
+    taken as two of h/2 when the corrector fails, its correction exceeds
+    ``_MAX_CORRECTION`` |h v|, Res changes sign, or the end map fails the
+    gate of :func:`heleshaw.bracket.solve_string_system`, and after
+    ``_MAX_HALVINGS`` halvings raises :class:`DegenerateResultantError`.
+    """
+    if not isinstance(state.map, PolynomialMap):
+        raise TypeError("polynomial stepper needs a PolynomialMap state")
+    return _continued(state, h, 0)
 
 
 def step_taylor_fixed_branch(state: EvolutionState, dt: float,
@@ -313,9 +321,8 @@ class EvolutionResult:
         return self.stop_reason == "completed"
 
 
-#: no run takes more RK4 steps than this (about an hour of n = 16
-#: polynomial steps at 0.4 ms each); a horizon past it is a
-#: config error, not a loop that never returns
+#: no horizon holds more steps of dt (six hours of order-256 series steps);
+#: a horizon past it is a config error, not a loop that never returns
 _MAX_STEPS = 10**7
 
 
@@ -335,14 +342,15 @@ def run_evolution(spec) -> EvolutionResult:
     Accepts a :class:`heleshaw.scenarios.ScenarioSpec`.  A
     :class:`PolynomialMap` starting map evolves in polynomial mode, any
     other map in series mode, from its truncation to ``taylor_order``
-    coefficients.  A horizon or output time that is no whole, finite
-    number of steps, or a horizon of more than ``_MAX_STEPS`` steps, raises
-    :class:`ConfigError` before any work.  A typed
-    failure (degeneracy, cusp, truncation, branch trouble) at the initial
-    map (its series truncation, base moments, branch points or first
-    snapshot) raises.  One in a step, or in the snapshot after it, stops
-    the run cleanly: the exception class name and message become the stop
-    reason and the snapshots collected so far are returned.
+    coefficients; series mode steps by ``dt``, polynomial mode from one
+    kept time (0, the output times, the horizon) to the next.  A horizon or
+    output time that is no whole, finite number of steps of ``dt``, or a
+    horizon of more than ``_MAX_STEPS`` of them, raises :class:`ConfigError`
+    before any work.  A typed failure (degeneracy, cusp, truncation, branch
+    trouble) at the initial map (its series truncation, base moments,
+    branch points or first snapshot) raises.  One in a step, or in the
+    snapshot after it, stops the run cleanly: the exception class name and
+    message become the stop reason and the snapshots so far are returned.
     """
     n_steps = _steps_for(spec.horizon, spec.dt, "horizon")
     out_steps = {_steps_for(t, spec.dt, "output time") for t in spec.output_times}
@@ -369,13 +377,9 @@ def run_evolution(spec) -> EvolutionResult:
 
     K = spec.diagnostic_moments
     base = moments_richardson(m, K)
-    if series:
-        bp = branch_points(m, near=seeds)
-        base_branch = bp.values
-        prev_omegas = bp.omegas
-    else:
-        base_branch = np.zeros(0, dtype=complex)
-        prev_omegas = None
+    none = np.zeros(0, dtype=complex)
+    bp = branch_points(m, near=seeds) if series else BranchPointSet(none, none)
+    base_branch, prev_omegas = bp.values, bp.omegas
 
     def annotate(state: EvolutionState) -> EvolutionState:
         nonlocal prev_omegas
@@ -386,11 +390,8 @@ def run_evolution(spec) -> EvolutionResult:
         if series:
             bpt = branch_points(state.map, near=prev_omegas)
             prev_omegas = bpt.omegas
-            bdrift = (
-                np.abs(bpt.values - base_branch)
-                if len(bpt) == len(base_branch)
-                else np.full(max(len(base_branch), 1), np.inf)
-            )
+            bdrift = (np.abs(bpt.values - base_branch) if len(bpt) == len(base_branch)
+                      else np.full(max(len(base_branch), 1), np.inf))
             vel = series_velocity(state.map.derivative_coeffs(), grid)
             solve = None
         else:
@@ -398,22 +399,19 @@ def run_evolution(spec) -> EvolutionResult:
             solve = state.resultant or _string_solve(state.map.derivative_coeffs())
             vel = solve.gated()[state.map.degree_plus:]
         sres = string_residual(state.map, vel, grid)
-        return EvolutionState(
-            state.t,
-            state.map,
-            StepDiagnostics(mv, drift, bdrift, sres),
-            resultant=solve,
-        )
+        return EvolutionState(state.t, state.map, StepDiagnostics(mv, drift, bdrift, sres),
+                              resultant=solve)
 
     state = annotate(EvolutionState(0.0, m))
     states = [state]
     stop = "completed"
-    for k in range(1, n_steps + 1):
+    ends = range(1, n_steps + 1) if series else sorted(out_steps - {0})
+    for k in ends:
         try:
             if series:
                 state = step_taylor_fixed_branch(state, spec.dt, grid=grid)
             else:
-                state = step_polynomial(state, spec.dt)
+                state = step_polynomial(state, round(k * spec.dt, 12) - state.t)
             state = replace(state, t=round(k * spec.dt, 12))
             if k in out_steps:
                 states.append(annotate(state))

@@ -10,7 +10,7 @@ closed unit disk, normalized by f(0) = 0 and f'(0) > 0:
 
 Every class keeps a0 real and positive (:func:`_normalized`, which also gives
 the read-only coefficient arrays the maps hold); it and :func:`_polynomial_cone`
-are the cones the series and polynomial RK4 stages check on bare arrays.
+are the cones series RK4 stages and polynomial Newton iterates check.
 
 Every class exposes its exact rational representation, so differentiation,
 holomorphic reflection f*(z) = conj(f(1/conj z)) and residues all route
@@ -146,7 +146,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _polynomial_cone(coeffs) -> np.ndarray:
     """:func:`_normalized` and a_n != 0 for n > 0: the admissible cone of
-    :class:`PolynomialMap` and of the polynomial RK4 stages."""
+    :class:`PolynomialMap` and of the polynomial Newton iterates."""
     a = _normalized(coeffs)
     if len(a) > 1 and a[-1] == 0:
         raise ValueError("leading coefficient a_n must be nonzero for n > 0")

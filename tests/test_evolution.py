@@ -225,31 +225,38 @@ def test_backward_step_toward_degeneracy_raises():
             state = step_polynomial(state, -2e-5)
 
 
-def test_step_error_estimate_scales_like_dt5():
-    # one full step against two half steps: the difference is the local
-    # error, which scales like dt^5 for RK4
-    def one_vs_two_halves(dt):
-        state = EvolutionState(0.0, CARDIOID)
-        full = step_polynomial(state, dt)
-        half = step_polynomial(step_polynomial(state, 0.5 * dt), 0.5 * dt)
-        return np.max(np.abs(np.subtract(full.map.coeffs, half.map.coeffs)))
+def rk4_reference(a, t, dt):
+    """The polynomial string flow integrated to t by fixed RK4 steps of dt,
+    through the series stepper's ``_rk4`` with the polynomial cone and the
+    gated string velocities: the oracle of the continuation stepper."""
+    a = maps._polynomial_cone(a)
+    n = len(a) - 1
 
-    e1 = one_vs_two_halves(0.05)
-    e2 = one_vs_two_halves(0.025)
-    assert e1 > 0
-    assert 14.0 < e1 / e2 < 45.0  # local error halving gains ~2^5
+    def velocity(b):
+        return bracket._string_solve(b).gated()[n:]
+
+    for _ in range(round(t / dt)):
+        a = evolution._rk4(a, dt, maps._polynomial_cone, velocity,
+                           velocity(a * np.arange(1, n + 2)))
+    return a
 
 
-def test_rk4_order_on_disk():
-    # halving dt cuts the closed-form error by ~2^4
-    def err(dt):
-        state = EvolutionState(0.0, PolynomialMap((1.0,)))
-        for _ in range(int(round(1.0 / dt))):
-            state = step_polynomial(state, dt)
-        return abs(state.map.coeffs[0].real - np.sqrt(2.0))
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_continuation_matches_the_rk4_reference(n):
+    # RK4's global error against one continuation step to t = 0.1 falls
+    # like dt^4 (16x per halving) until it reaches rounding
+    m = decaying_map(np.random.default_rng(n), n)
+    end = step_polynomial(EvolutionState(0.0, m), 0.1).map.coeffs
+    coarse, fine = (np.max(np.abs(rk4_reference(m.coeffs, 0.1, dt) - end))
+                    for dt in (1e-2, 5e-3))
+    assert coarse / fine >= 12.0
+    assert fine < 1e-10
 
-    ratio = err(0.1) / err(0.05)
-    assert 12.0 < ratio < 20.0
+
+def test_continuation_on_disk_closed_form():
+    state = EvolutionState(0.0, PolynomialMap((1.0,)))
+    for t in (0.1, 1.0):
+        assert abs(step_polynomial(state, t).map.coeffs[0] - np.sqrt(1.0 + t)) < 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -350,15 +357,16 @@ def test_series_run_finds_roots_only_on_the_exact_map(monkeypatch):
 
 
 def test_polynomial_run_computes_each_resultant_once(monkeypatch):
-    # each accepted map is solved once, by one real string matrix W: at the
+    # each accepted map is solved once, by one real string solve: at the
     # end of the step that makes it (the initial map at its snapshot).  Its
-    # det W gives Res(f', f'*) for the jump test and its velocities serve
-    # the snapshot and the next step's first stage, so k steps take 4k + 1
-    # real solves, and no Sylvester determinant or complex U.  The RK4
-    # stages solve bare coefficient arrays: only the initial map and each
-    # step's end map are built as PolynomialMaps, k + 1 of them
+    # det W gives the sign of Res(f', f'*) and its velocities serve the
+    # snapshot and the next step's predictor, so k steps take k + 1 solves,
+    # and no Sylvester determinant or complex U.  Polynomial mode steps from
+    # one kept time to the next, and the Newton iterates are bare
+    # coefficient arrays: only the initial map and each step's end map are
+    # built as PolynomialMaps, k + 1 of them
     solved, built = [], []
-    real, real_init = bracket._string_matrix, PolynomialMap.__post_init__
+    real, real_init = evolution._string_solve, PolynomialMap.__post_init__
 
     def counted(b):
         solved.append(tuple(b))
@@ -368,20 +376,20 @@ def test_polynomial_run_computes_each_resultant_once(monkeypatch):
         built.append(self)
         real_init(self)
 
-    monkeypatch.setattr(bracket, "_string_matrix", counted)
+    monkeypatch.setattr(evolution, "_string_solve", counted)
     monkeypatch.setattr(PolynomialMap, "__post_init__", counted_init)
     for name in ("sylvester_matrix", "derivative_reflection_resultant", "bracket_matrix"):
         monkeypatch.setattr(bracket, name, mock.Mock(side_effect=AssertionError(name)))
     every_step = tuple(round(k * 1e-3, 12) for k in range(1, 13))
-    for output_times in ((0.005,), every_step):
+    for output_times, steps in (((0.005,), 2), (every_step, 12)):
         solved.clear()
         built.clear()
         spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3, 0.05j)},
                             horizon=0.012, dt=1e-3, output_times=output_times)
         res = run_evolution(spec)
         assert res.completed
-        assert len(solved) == 4 * 12 + 1
-        assert len(built) == 12 + 1
+        assert len(solved) == steps + 1
+        assert len(built) == steps + 1
     accepted = [tuple(s.map.derivative_coeffs()) for s in res.states]
     assert len(set(accepted)) == 13
     assert all(solved.count(b) == 1 for b in accepted)
@@ -389,9 +397,9 @@ def test_polynomial_run_computes_each_resultant_once(monkeypatch):
 
 def test_step_raises_when_its_end_map_fails_the_gate(monkeypatch):
     # the end map's solve is the one made in the step (the input state
-    # carries its own); rejected there, it raises from this step once the
-    # jump test has passed, not from the next step's first stage.  The
-    # three inner stages are the step's first three solves
+    # carries its own); a step whose end map the gate rejects is halved, and
+    # when every end map down to the last halving is rejected the step
+    # raises, with no state returned: one solve per attempt
     carried = bracket._string_solve(CARDIOID.derivative_coeffs())
     state = EvolutionState(0.0, CARDIOID, resultant=carried)
     assert step_polynomial(state, 1e-3).resultant.velocities is not None
@@ -399,27 +407,47 @@ def test_step_raises_when_its_end_map_fails_the_gate(monkeypatch):
 
     def rejected(b):
         solved.append(b)
-        solve = bracket._string_solve(b)
-        return replace(solve, velocities=None) if len(solved) == 4 else solve
+        return replace(bracket._string_solve(b), velocities=None)
 
     monkeypatch.setattr(evolution, "_string_solve", rejected)
-    with pytest.raises(DegenerateResultantError, match="string system singular"):
+    with pytest.raises(DegenerateResultantError,
+                       match=r"\(string system singular at the end map\)"):
         step_polynomial(state, 1e-3)
-    assert len(solved) == 4
+    assert len(solved) == evolution._MAX_HALVINGS + 1
+
+
+def test_step_to_a_map_across_the_shell_is_rejected(monkeypatch):
+    # an end map whose Res(f', f'*) has the other sign than the start's lies
+    # across the singular shell, however small its correction: every halving
+    # is rejected, and the step raises
+    carried = bracket._string_solve(CARDIOID.derivative_coeffs())
+    state = EvolutionState(0.0, CARDIOID, resultant=carried)
+
+    def across(b):
+        solve = bracket._string_solve(b)
+        solve.__dict__["log_resultant"] = solve.log_resultant + 1j * np.pi
+        return solve
+
+    monkeypatch.setattr(evolution, "_string_solve", across)
+    with pytest.raises(DegenerateResultantError, match=r"\(Res\(f', f'\*\) changed sign\)"):
+        step_polynomial(state, 1e-3)
+
+
+def test_polynomial_step_leaving_the_cone_is_rejected():
+    # the disk's M0 = a0^2 cannot fall below 0: at h = -5 the predictor
+    # leaves the cone, and no halving of the step finds a map, so it fails
+    # with the reason of its last, smallest attempt.  At h = -1.05 that
+    # attempt asks for M0 < 0, and a Newton iterate leaves the cone
+    state = EvolutionState(0.0, PolynomialMap((1.0,)))
+    with pytest.raises(DegenerateResultantError, match="no step from t = "):
+        step_polynomial(state, -5.0)
+    with pytest.raises(DegenerateResultantError,
+                       match=r"\(a Newton iterate failed: a0 must be positive, got "):
+        step_polynomial(state, -1.05)
+    assert_allclose(step_polynomial(state, -0.75).map.coeffs, [0.5], rtol=0, atol=1e-15)
 
 
 CONE = "stage left the admissible coefficient cone: "
-
-
-def test_polynomial_step_leaving_the_cone_is_a_normalization_error():
-    # at dt = -5 the second stage leaves the cone; at dt = -1.05 every stage
-    # stays inside and only the end map leaves it
-    state = EvolutionState(0.0, PolynomialMap((1.0,)))
-    with pytest.raises(NormalizationError) as err:
-        step_polynomial(state, -5.0)
-    assert str(err.value) == CONE + "a0 must be positive, got (-0.25+0j)"
-    with pytest.raises(NormalizationError, match=f"^{CONE}a0 must be positive, got "):
-        step_polynomial(state, -1.05)
 
 
 @pytest.mark.parametrize("dt", [-5.0, -0.6])
@@ -432,15 +460,14 @@ def test_series_step_leaving_the_cone_is_a_normalization_error(dt):
 
 # Stop outcomes of 20 steps (dt = 1e-3, a snapshot after each) from
 # (1 - eps) of the shell scale: (n = 1 outcome, n = 4 outcome), each the
-# stop class and the snapshot count.  Read on the implementation that took
-# Res(f', f'*) from a Sylvester determinant and folded the complex U.
+# stop class and the snapshot count, read on the continuation stepper.
 NEAR_SHELL_STOPS = {
     1e-1: (("completed", 21), ("completed", 21)),
     3e-2: (("completed", 21), ("completed", 21)),
-    1e-2: (("completed", 21), ("DegenerateResultantError", 1)),
-    3e-3: (("DegenerateResultantError", 1), ("DegenerateResultantError", 1)),
-    1e-3: (("DegenerateResultantError", 1), ("DegenerateResultantError", 1)),
-    3e-4: (("DegenerateResultantError", 1), ("DegenerateResultantError", 1)),
+    1e-2: (("completed", 21), ("completed", 21)),
+    3e-3: (("completed", 21), ("completed", 21)),
+    1e-3: (("completed", 21), ("DegenerateResultantError", 1)),
+    3e-4: (("completed", 21), ("DegenerateResultantError", 1)),
     1e-4: (("DegenerateResultantError", 1), ("DegenerateResultantError", 1)),
 }
 
@@ -460,14 +487,43 @@ def test_near_shell_stop_outcomes_are_pinned():
 
 
 def test_backward_run_stops_at_the_pinned_step():
-    # suction from (1, 0.3) runs into the shell near t* = -0.1129; the step
-    # from t = -0.112 is the first to fail, on a resultant jump
+    # suction from (1, 0.3) runs into the shell at t* = 6 (M1/4)^(2/3) - M0
+    # = -0.1129320; the step from t = -0.112 is the first to fail, when no
+    # halving of it is accepted
     state = EvolutionState(0.0, CARDIOID)
     for _ in range(112):
         state = step_polynomial(state, -1e-3)
-    with pytest.raises(DegenerateResultantError, match="jumped"):
+    with pytest.raises(DegenerateResultantError, match="no step from t = -0.1129"):
         step_polynomial(state, -1e-3)
     assert_allclose(state.t, -0.112, rtol=0, atol=1e-12)
+
+
+def test_no_state_is_accepted_past_the_fold():
+    # n = 2 from (1, 0.3, 0.05i) under suction folds at t* = -0.0777759
+    # (Newton on M(a) = M(a(0)) + t e_0 with Res(f', f'*) = 0, t unknown),
+    # where no real solution continues: the step that would cross must fail
+    state = EvolutionState(0.0, PolynomialMap((1.0, 0.3, 0.05j)))
+    with pytest.raises(DegenerateResultantError):
+        for _ in range(100):
+            state = step_polynomial(state, -1e-3)
+            assert state.t > -0.0777759
+    assert_allclose(state.t, -0.077, rtol=0, atol=1e-12)
+
+
+def test_near_shell_runs_stop_typed():
+    # starts 1e-4 and 1e-6 inside the shell scale, where the first step
+    # meets the singular shell: a Newton iterate that leaves the cone is a
+    # rejected step, so a run completes or stops on DegenerateResultantError,
+    # never on NormalizationError or a bare ValueError
+    for eps in (1e-4, 1e-6):
+        for n in (2, 3):
+            for seed in range(20):
+                a = np.asarray(decaying_map(np.random.default_rng(seed), n).coeffs)
+                start = np.concatenate([[1.0], _shell_scale(a) * (1 - eps) * a[1:]])
+                spec = ScenarioSpec(family="polynomial", params={"coeffs": tuple(start)},
+                                    horizon=0.02, dt=1e-3)
+                stop = run_evolution(spec).stop_reason.split(":")[0]
+                assert stop in ("completed", "DegenerateResultantError"), (eps, n, seed)
 
 
 def test_negative_dt_rejected_at_spec_level():
