@@ -39,18 +39,39 @@ from functools import partial
 import numpy as np
 
 from .config import DEFAULT
-from .errors import (BranchPointError, ConfigError, CuspError, DegenerateResultantError,
-                     HeleShawError, NormalizationError, TruncationError)
-from .maps import (AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, _normalized,
-                   _polynomial_cone, circle_values, simple_derivative_zeros_in_disk)
-from .moments import _power_rows, moments_richardson
+from .errors import (
+    BranchPointError,
+    ConfigError,
+    CuspError,
+    DegenerateResultantError,
+    HeleShawError,
+    NormalizationError,
+    TruncationError,
+)
+from .maps import (
+    AnalyticMap,
+    CircleGrid,
+    PolynomialMap,
+    TaylorMap,
+    _normalized,
+    _polynomial_cone,
+    circle_values,
+    simple_derivative_zeros_in_disk,
+)
+from .moments import _moments_and_rows, moments_richardson
 from .rational import RationalFunction, pder, pmul, psub
 from .bracket import _SQRT2, _string_matrix, _string_solve, _StringSolve, string_residual
 
 __all__ = [
-    "poisson_schwarz", "BranchPointSet", "branch_points", "EvolutionState",
-    "StepDiagnostics", "step_polynomial", "step_taylor_fixed_branch",
-    "EvolutionResult", "run_evolution",
+    "poisson_schwarz",
+    "BranchPointSet",
+    "branch_points",
+    "EvolutionState",
+    "StepDiagnostics",
+    "step_polynomial",
+    "step_taylor_fixed_branch",
+    "EvolutionResult",
+    "run_evolution",
 ]
 
 
@@ -159,12 +180,17 @@ class EvolutionState:
     ``resultant`` once a step or snapshot has made it: its velocities serve
     the snapshot and the next step's predictor, its det W the sign of
     Res(f', f'*).  Without one, the map is solved and gated on first use.
+    A stepped polynomial state also carries ``target``, the M_0..M_n its map
+    was solved for: M(a) at the first step's start plus the time stepped,
+    so a run's corrector aims at M(a(0)) + t e_0 and Newton's residuals do
+    not accumulate from step to step.
     """
 
     t: float
     map: AnalyticMap
     diagnostics: StepDiagnostics | None = None
     resultant: _StringSolve | None = field(default=None, compare=False, repr=False)
+    target: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _rk4(a: np.ndarray, dt: float, cone, velocity, k1: np.ndarray) -> np.ndarray:
@@ -197,29 +223,37 @@ def _admissible(make, a):
 _NEWTON_ITERATIONS, _MAX_CORRECTION, _MAX_HALVINGS = 8, 0.25, 12
 
 
-def _moments_and_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M_0..M_n by Richardson's sum P C, and the power rows P (V's rows k >= 0)."""
-    P = _power_rows(a)
-    return P @ np.convolve(np.conj(a[::-1]), a * np.arange(1, len(a) + 1))[len(a) - 1 :: -1], P
-
-
-def _corrected(a: np.ndarray, target: np.ndarray) -> np.ndarray | str:
+def _corrected(a: np.ndarray, target: np.ndarray, cond: float) -> np.ndarray | str:
     """Newton's method on M_0..M_n(a) = target from ``a``, or why it failed.
     The Jacobian is V U: V z = r is one solve on P (z_-k = conj z_k), and
-    U da = z the real W y = (z_0, sqrt2 Re z_j, sqrt2 Im z_j)."""
+    U da = z the real W y = (z_0, sqrt2 Re z_j, sqrt2 Im z_j).
+
+    With u the update size and floor = eps max|a_j|, an iterate is accepted
+    when u <= 4 floor; when Newton contracts and the error it leaves,
+    about u^2 / (u_prev - u), is that small; or when u no longer shrinks
+    and is within max(cond, 4) floor, the rounding floor of a solve on W
+    whose |W|_F |W^-1|_F is ``cond``.
+    """
     n = len(a) - 1
+    last = np.inf
     try:
         a = _polynomial_cone(a)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(_NEWTON_ITERATIONS):
-                M, P = _moments_and_rows(a)
+                M, P = _moments_and_rows(a, np.conj(a))
                 z = np.linalg.solve(P, target - M)
-                y = np.linalg.solve(_string_matrix(a * np.arange(1, n + 2)), np.concatenate(
-                    [[z[0].real], _SQRT2 * z[1:].real, _SQRT2 * z[1:].imag]))
+                rhs = np.concatenate([[z[0].real], _SQRT2 * z[1:].real, _SQRT2 * z[1:].imag])
+                y = np.linalg.solve(_string_matrix(a * np.arange(1, n + 2)), rhs)
                 step = np.concatenate([[y[0]], (y[1 : n + 1] + 1j * y[n + 1 :]) / _SQRT2])
                 a = _polynomial_cone(a + step)
-                if np.max(np.abs(step)) <= 4 * np.finfo(float).eps * np.max(np.abs(a)):
+                u = np.max(np.abs(step))
+                floor = np.finfo(float).eps * np.max(np.abs(a))
+                if u >= last:
+                    if u <= max(cond, 4.0) * floor:
+                        return a
+                elif u <= 4 * floor or (last < np.inf and u * u <= 4 * floor * (last - u)):
                     return a
+                last = u
     except (ValueError, ArithmeticError) as exc:
         return f"a Newton iterate failed: {exc}"
     return f"Newton did not converge in {_NEWTON_ITERATIONS} iterations"
@@ -230,9 +264,11 @@ def _continued(state: EvolutionState, h: float, halvings: int) -> EvolutionState
     m = state.map
     solve0 = state.resultant or _string_solve(m.derivative_coeffs())
     predictor = h * solve0.gated()[m.degree_plus :]
-    target = _moments_and_rows(m.coeffs)[0]
-    target[0] = target[0].real + h
-    a = _corrected(m.coeffs + predictor, target)
+    start = state.target
+    if start is None:
+        start = _moments_and_rows(m.coeffs, np.conj(m.coeffs))[0]
+    target = np.concatenate([[start[0].real + h], start[1:]])
+    a = _corrected(m.coeffs + predictor, target, solve0.cond)
     if isinstance(a, str):
         why = a
     elif np.max(np.abs(a - m.coeffs - predictor)) > _MAX_CORRECTION * np.max(np.abs(predictor)):
@@ -244,7 +280,7 @@ def _continued(state: EvolutionState, h: float, halvings: int) -> EvolutionState
         elif solve1.velocities is None:
             why = "string system singular at the end map"
         else:
-            return EvolutionState(state.t + h, PolynomialMap(a), resultant=solve1)
+            return EvolutionState(state.t + h, PolynomialMap(a), resultant=solve1, target=target)
     if halvings == _MAX_HALVINGS:
         raise DegenerateResultantError(
             f"no step from t = {state.t:.9g} down to {h:.3e} was accepted ({why})")
@@ -254,9 +290,10 @@ def _continued(state: EvolutionState, h: float, halvings: int) -> EvolutionState
 def step_polynomial(state: EvolutionState, h: float) -> EvolutionState:
     """The fixed-degree polynomial string flow continued from t to t + h.
 
-    The end map solves M(a) = M(a(t)) + h e_0, whose Jacobian V U is
-    invertible off the Res(f', f'*) = 0 shell: the carried string velocity
-    v predicts a + h v, and :func:`_corrected` corrects it.  The step is
+    The end map solves M(a) = M(a(t)) + h e_0, with M(a(t)) the state's
+    carried ``target`` when it has one; the Jacobian V U is invertible off
+    the Res(f', f'*) = 0 shell.  The carried string velocity v predicts
+    a + h v, and :func:`_corrected` corrects it.  The step is
     taken as two of h/2 when the corrector fails, its correction exceeds
     ``_MAX_CORRECTION`` |h v|, Res changes sign, or the end map fails the
     gate of :func:`heleshaw.bracket.solve_string_system`, and after
@@ -377,9 +414,13 @@ def run_evolution(spec) -> EvolutionResult:
 
     K = spec.diagnostic_moments
     base = moments_richardson(m, K)
-    none = np.zeros(0, dtype=complex)
-    bp = branch_points(m, near=seeds) if series else BranchPointSet(none, none)
-    base_branch, prev_omegas = bp.values, bp.omegas
+    if series:
+        bp = branch_points(m, near=seeds)
+        base_branch = bp.values
+        prev_omegas = bp.omegas
+    else:
+        base_branch = np.zeros(0, dtype=complex)
+        prev_omegas = None
 
     def annotate(state: EvolutionState) -> EvolutionState:
         nonlocal prev_omegas
@@ -390,8 +431,11 @@ def run_evolution(spec) -> EvolutionResult:
         if series:
             bpt = branch_points(state.map, near=prev_omegas)
             prev_omegas = bpt.omegas
-            bdrift = (np.abs(bpt.values - base_branch) if len(bpt) == len(base_branch)
-                      else np.full(max(len(base_branch), 1), np.inf))
+            bdrift = (
+                np.abs(bpt.values - base_branch)
+                if len(bpt) == len(base_branch)
+                else np.full(max(len(base_branch), 1), np.inf)
+            )
             vel = series_velocity(state.map.derivative_coeffs(), grid)
             solve = None
         else:
@@ -399,8 +443,8 @@ def run_evolution(spec) -> EvolutionResult:
             solve = state.resultant or _string_solve(state.map.derivative_coeffs())
             vel = solve.gated()[state.map.degree_plus:]
         sres = string_residual(state.map, vel, grid)
-        return EvolutionState(state.t, state.map, StepDiagnostics(mv, drift, bdrift, sres),
-                              resultant=solve)
+        return replace(state, diagnostics=StepDiagnostics(mv, drift, bdrift, sres),
+                       resultant=solve)
 
     state = annotate(EvolutionState(0.0, m))
     states = [state]

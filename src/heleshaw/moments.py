@@ -144,6 +144,23 @@ def _power_rows(a, K: int | None = None) -> np.ndarray:
     return P.T.swapaxes(-1, -2)
 
 
+def _richardson_c(a: np.ndarray, abar: np.ndarray) -> np.ndarray:
+    """C_m = sum_q b_q abar_{m+q}, b_q = (q+1) a_q, for m = 0..n, so that
+    M = P C (see :func:`richardson_moments`); a batch axis trails."""
+    L = a.shape[-1]
+    b = a * np.arange(1, L + 1)
+    # C reversed is the head of the product of abar reversed with b
+    return _head_product(abar[..., L - 1 :: -1].T, b.T, L)[::-1]
+
+
+def _moments_and_rows(a: np.ndarray, abar: np.ndarray,
+                      K: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """M_0..M_min(K, n) of one map by Richardson's sum P C, and its power
+    rows P: V's rows k >= 0 when ``abar`` is conj(a) and K >= n."""
+    P = _power_rows(a, K)
+    return P @ _richardson_c(a, abar), P
+
+
 def richardson_moments(a, abar, K: int) -> np.ndarray:
     """M_0..M_K by Richardson's sum, ``a`` and ``abar`` independent variables.
 
@@ -163,13 +180,10 @@ def richardson_moments(a, abar, K: int) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     abar = np.asarray(abar, dtype=complex)
-    L = a.shape[-1]
-    b = a * np.arange(1, L + 1)
-    # C reversed is the head of the product of abar reversed with b
-    C = _head_product(abar[..., L - 1 :: -1].T, b.T, L)[::-1]
     if a.ndim == 1:
-        P = _power_rows(a, K)
-        return np.pad(P @ C, (0, K + 1 - len(P)))
+        M = _moments_and_rows(a, abar, K)[0]
+        return np.pad(M, (0, K + 1 - len(M)))
+    C = _richardson_c(a, abar)
     distinct, which = np.unique(a, axis=0, return_inverse=True)
     P = _power_rows(distinct, K)
     M = np.zeros((len(a), K + 1), dtype=complex)

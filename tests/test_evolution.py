@@ -395,6 +395,31 @@ def test_polynomial_run_computes_each_resultant_once(monkeypatch):
     assert all(solved.count(b) == 1 for b in accepted)
 
 
+def test_small_steps_take_two_newton_iterations(monkeypatch):
+    # at h = 1e-3 the predictor a + h v is off by O(h^2); the first Newton
+    # update leaves O(h^4), and the second, smaller by about h^2, shows that
+    # the error left, about u^2 / (u_prev - u), is below the rounding floor.
+    # Each iteration evaluates M once, and the target M(a(0)) + t e_0 is
+    # carried from step to step, so only the first step evaluates M at its
+    # start: 12 steps take 1 + 2 * 12 evaluations, and M stays at the
+    # target to rounding
+    evaluated = []
+    real = evolution._moments_and_rows
+
+    def counted(a, abar):
+        evaluated.append(a)
+        return real(a, abar)
+
+    monkeypatch.setattr(evolution, "_moments_and_rows", counted)
+    every_step = tuple(round(k * 1e-3, 12) for k in range(1, 13))
+    spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3, 0.05j)},
+                        horizon=0.012, dt=1e-3, output_times=every_step)
+    res = run_evolution(spec)
+    assert res.completed
+    assert len(evaluated) == 1 + 2 * 12
+    assert max(s.diagnostics.max_moment_drift for s in res.states) < 1e-14
+
+
 def test_step_raises_when_its_end_map_fails_the_gate(monkeypatch):
     # the end map's solve is the one made in the step (the input state
     # carries its own); a step whose end map the gate rejects is halved, and
@@ -461,12 +486,15 @@ def test_series_step_leaving_the_cone_is_a_normalization_error(dt):
 # Stop outcomes of 20 steps (dt = 1e-3, a snapshot after each) from
 # (1 - eps) of the shell scale: (n = 1 outcome, n = 4 outcome), each the
 # stop class and the snapshot count, read on the continuation stepper.
+# The runs that stop do so because no halving of the first step keeps its
+# correction within a quarter of |h v|: the flow leaves the shell like
+# sqrt(t - t*), and t - t* is below the smallest step.
 NEAR_SHELL_STOPS = {
     1e-1: (("completed", 21), ("completed", 21)),
     3e-2: (("completed", 21), ("completed", 21)),
     1e-2: (("completed", 21), ("completed", 21)),
     3e-3: (("completed", 21), ("completed", 21)),
-    1e-3: (("completed", 21), ("DegenerateResultantError", 1)),
+    1e-3: (("completed", 21), ("completed", 21)),
     3e-4: (("completed", 21), ("DegenerateResultantError", 1)),
     1e-4: (("DegenerateResultantError", 1), ("DegenerateResultantError", 1)),
 }
@@ -484,6 +512,26 @@ def test_near_shell_stop_outcomes_are_pinned():
             res = run_evolution(spec)
             assert res.stop_reason.split(":")[0] == stop, (eps, coeffs)
             assert len(res.states) == count, (eps, coeffs)
+
+
+def test_corrector_accepts_updates_at_the_rounding_floor_of_w():
+    # 1e-5 inside the shell scale |W|_F |W^-1|_F is 4.1e5: from starts 1e-9
+    # off the map, Newton's updates fall to about cond eps, far above
+    # 4 eps max|a_j|, and stop shrinking.  The corrector accepts them there,
+    # within cond eps of the map, where a fixed 4 eps bound would report
+    # that Newton did not converge
+    a = np.asarray(decaying_map(np.random.default_rng(704), 4).coeffs)
+    a = np.concatenate([[1.0], _shell_scale(a) * (1 - 1e-5) * a[1:]])
+    cond = bracket._string_solve(a * np.arange(1, 6)).cond
+    assert cond > 1e5
+    target = evolution._moments_and_rows(a, np.conj(a))[0]
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        off = 1e-9 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        off[0] = off[0].real
+        end = evolution._corrected(a + off, target, cond)
+        assert not isinstance(end, str), end
+        assert np.max(np.abs(end - a)) < cond * np.finfo(float).eps
 
 
 def test_backward_run_stops_at_the_pinned_step():
