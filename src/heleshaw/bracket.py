@@ -30,8 +30,9 @@ for g = sum_0^n b_j z^j, h = sum_0^n c_k z^{-k}.  This equals (-1)^n times
 the divisor product prod_i h(omega_i) / h(inf)^n over the zeros of g; the
 Sylvester-based sign is the one under which the determinant identities above
 hold uniformly in n (checked against finite differences of the moment map).
-The package needs it only for g = f', h = f'*.  The evolution reads it
-from det W = det U = 2 b0^{2n+1} Res(f', f'*), W the real string matrix of
+The package needs it only for g = f', h = f'*.  The polynomial stepper
+solves on V U (:func:`_newton_update`) and reads the sign of Res from
+det W = det U = 2 b0^{2n+1} Res(f', f'*), W the real string matrix of
 :func:`_string_solve`.  The Jacobian report takes det(V U) as det V det U
 (the product is far worse conditioned than either factor) and checks det U
 against Res from det W (``det_u_resultant_form``) and against 2 b0 det S
@@ -40,6 +41,7 @@ against Res from det W (``det_u_resultant_form``) and against 2 b0 det S
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -48,7 +50,7 @@ import numpy as np
 from .config import DEFAULT
 from .errors import DegenerateResultantError
 from .maps import AnalyticMap, CircleGrid, PolynomialMap, circle_values
-from .moments import _power_rows, richardson_moments
+from .moments import _moments_and_rows, _power_rows, richardson_moments
 from .rational import trim
 
 __all__ = [
@@ -277,11 +279,25 @@ def _string_solve(b: np.ndarray) -> _StringSolve:
     # False as well for an inverse holding inf or nan
     if not cond * DEFAULT.singular_ratio <= 1.0:
         return _StringSolve(W, None, cond)
-    n = len(b) - 1
-    x = Winv[:, 0]
-    vp = (x[1 : n + 1] + 1j * x[n + 1 :]) / _SQRT2
-    v = np.concatenate([np.conj(vp[::-1]), [x[0] + 0j], vp])
-    return _StringSolve(W, v, cond)
+    half = _complex_half(Winv[:, 0])
+    return _StringSolve(W, np.concatenate([np.conj(half[:0:-1]), half]), cond)
+
+
+def _complex_half(y: np.ndarray) -> np.ndarray:
+    """x_0..x_n of a conjugate-symmetric x_-n..x_n from its coordinates
+    y = (x_0, sqrt2 Re x_j, sqrt2 Im x_j) in W's basis (x_0 real)."""
+    n = (len(y) - 1) // 2
+    return np.concatenate([[y[0] + 0j], (y[1 : n + 1] + 1j * y[n + 1 :]) / _SQRT2])
+
+
+def _newton_update(a: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Newton's update da_0..da_n for M_0..M_n(a) = target, one solve on
+    V U: V z = target - M(a) on the power rows P (z_-k = conj z_k), then
+    U da = z as the real W y = (z_0, sqrt2 Re z_j, sqrt2 Im z_j)."""
+    M, P = _moments_and_rows(a, np.conj(a))
+    z = np.linalg.solve(P, target - M)
+    rhs = np.concatenate([[z[0].real], _SQRT2 * z[1:].real, _SQRT2 * z[1:].imag])
+    return _complex_half(np.linalg.solve(_string_matrix(a * np.arange(1, len(a) + 1)), rhs))
 
 
 def solve_string_system(m: PolynomialMap) -> np.ndarray:
@@ -322,7 +338,7 @@ def _conjugate_moment_map(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def finite_difference_jacobian(m: PolynomialMap, step: float = 1e-5) -> np.ndarray:
+def finite_difference_jacobian(m: PolynomialMap, step: float) -> np.ndarray:
     """Central differences of the conjugate-variable moment map, all 2(2n+1)
     points x0 +- step e_j evaluated in one batch."""
     a = m.coeffs
@@ -387,11 +403,11 @@ class JacobianReport:
     log_det_u_sylvester: complex
     #: log Res(f', f'*) from the Sylvester matrix S
     log_resultant: complex
-    fd_max_abs_err: float | None
-    fd_step: float | None
+    fd_max_abs_err: float
+    fd_step: float
     #: max |V U| >= (V U)[0, 0] = 2 a0: the finite-difference error is judged
     #: relative to it, with no absolute floor for a small map to pass under
-    fd_scale: float | None
+    fd_scale: float
 
     @property
     def rel_error(self) -> float:
@@ -399,16 +415,14 @@ class JacobianReport:
         return log_rel_error(self.log_det_vu, self.log_rhs)
 
 
-def jacobian_identity_report(
-    m: PolynomialMap, fd_step: float | None = 1e-5
-) -> JacobianReport:
+def jacobian_identity_report(m: PolynomialMap) -> JacobianReport:
     """Check det(V U) = 2 a0^{n^2+3n+1} Res(f', f'*) and the helpers.
 
     Both sides are compared in log space:  log det V + log det U from
     ``slogdet`` (see :func:`_log_det`) against  log 2 + (n^2+3n+1) log a0 +
     log Res, with Res = det S / a0^{2n} for the Sylvester matrix S of
     (f', z^n f'*).  Also validates V U entrywise against finite differences
-    of the moment map when ``fd_step`` is given (pass None to skip).
+    of the moment map, with a step 1e-5 2^round(log2 a0) that scales with f.
     """
     n = m.degree_plus
     V = moment_power_matrix(m)
@@ -421,12 +435,9 @@ def jacobian_identity_report(
     log_res = log_det_s - 2 * n * log_a0
     log_det_v = _log_det(V)
     log_det_u = _log_det(U)
-    fd_err = fd_scale = None
-    if fd_step is not None:
-        VU = V @ U
-        fd = finite_difference_jacobian(m, fd_step)
-        fd_err = float(np.max(np.abs(VU - fd)))
-        fd_scale = float(np.max(np.abs(VU)))
+    VU = V @ U
+    fd_step = math.ldexp(1e-5, round(math.log2(m.a0)))
+    fd = finite_difference_jacobian(m, fd_step)
     return JacobianReport(
         n=n,
         log_det_vu=log_det_v + log_det_u,
@@ -438,7 +449,7 @@ def jacobian_identity_report(
             log_2 + (2 * n + 1) * log_a0 + _string_solve(b).log_resultant),
         log_det_u_sylvester=complex(np.log(2.0 * m.a0) + log_det_s),
         log_resultant=complex(log_res),
-        fd_max_abs_err=fd_err,
+        fd_max_abs_err=float(np.max(np.abs(VU - fd))),
         fd_step=fd_step,
-        fd_scale=fd_scale,
+        fd_scale=float(np.max(np.abs(VU))),
     )

@@ -216,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     _key_flags(p, "coeffs", required=True)
     p.add_argument("--degree", type=int, default=None,
                    help="expected n (validates len(coeffs) == n+1)")
-    p.add_argument("--fd-step", type=_positive_float, default=1e-5)
-    p.add_argument("--no-fd", action="store_true",
-                   help="skip the finite-difference cross-check")
 
     # family parameters; a0 is the disk's alone
     params = argparse.ArgumentParser(add_help=False)
@@ -297,7 +294,7 @@ def _cmd_jacobian(args, report: RunReport, say):
             f"got {n_coeffs}"
         )
     m = spec.initial
-    rep = jacobian_identity_report(m, fd_step=None if args.no_fd else args.fd_step)
+    rep = jacobian_identity_report(m)
     say(f"n = {rep.n}")
     say(f"det(V U)                      = {_fmt_log(rep.log_det_vu)}")
     say(f"2 a0^(n^2+3n+1) Res(f',f'*)   = {_fmt_log(rep.log_rhs)}")
@@ -313,12 +310,11 @@ def _cmd_jacobian(args, report: RunReport, say):
     ]
     for name, got, want in checks if rep.n else checks[:3]:
         report.check(name, log_rel_error(got, want), 1e-10)
-    if rep.fd_max_abs_err is not None:
-        # relative to the entries of V U, which grow like a0^|k| with n
-        bound = 1e-6 * rep.fd_scale
-        say(f"max |V U - finite differences| = {fmt(rep.fd_max_abs_err)}")
-        report.check("jacobian_finite_difference", rep.fd_max_abs_err, bound,
-                     step=rep.fd_step, threshold=bound)
+    # relative to the entries of V U, which grow like a0^|k| with n
+    bound = 1e-6 * rep.fd_scale
+    say(f"max |V U - finite differences| = {fmt(rep.fd_max_abs_err)}")
+    report.check("jacobian_finite_difference", rep.fd_max_abs_err, bound,
+                 step=rep.fd_step, threshold=bound)
 
 
 def _cmd_quadrature_check(args, report: RunReport, say):

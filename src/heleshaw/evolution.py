@@ -58,9 +58,9 @@ from .maps import (
     circle_values,
     simple_derivative_zeros_in_disk,
 )
-from .moments import _moments_and_rows, moments_richardson
+from .moments import moments_richardson
 from .rational import RationalFunction, pder, pmul, psub
-from .bracket import _SQRT2, _string_matrix, _string_solve, _StringSolve, string_residual
+from .bracket import _newton_update, _string_solve, _StringSolve, string_residual
 
 __all__ = [
     "poisson_schwarz",
@@ -193,15 +193,16 @@ class EvolutionState:
     target: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def _rk4(a: np.ndarray, dt: float, cone, velocity, k1: np.ndarray) -> np.ndarray:
-    """One RK4 step from ``a`` with first stage ``k1``.  Each later stage's
-    coefficients pass ``_admissible(cone, .)`` and give ``velocity(b)`` for
-    b_j = (j+1) a_j, whose 0th entry is exactly real: Im a0 stays exactly 0."""
+def _rk4(a: np.ndarray, dt: float, cone, velocity) -> np.ndarray:
+    """One RK4 step from ``a``.  Each stage's coefficients pass
+    ``_admissible(cone, .)`` and give ``velocity(b)`` for b_j = (j+1) a_j,
+    whose 0th entry is exactly real: Im a0 stays exactly 0."""
     weights = np.arange(1, len(a) + 1)
 
     def stage(x):
         return velocity(_admissible(cone, x) * weights)
 
+    k1 = stage(a)
     k2 = stage(a + 0.5 * dt * k1)
     k3 = stage(a + 0.5 * dt * k2)
     k4 = stage(a + dt * k3)
@@ -219,14 +220,26 @@ def _admissible(make, a):
         ) from exc
 
 
+def _series_map(coeffs) -> TaylorMap:
+    """The :class:`TaylorMap` of ``coeffs``; TruncationError past its tail gate."""
+    m = _admissible(TaylorMap, coeffs)
+    tail = m.tail_energy()
+    if tail > DEFAULT.tail_energy:
+        raise TruncationError(
+            f"relative tail energy {tail:.3e} exceeds {DEFAULT.tail_energy}; "
+            "increase the series order"
+        )
+    return m
+
+
 #: Newton iterations, largest correction / |h v| and halvings of a polynomial step
 _NEWTON_ITERATIONS, _MAX_CORRECTION, _MAX_HALVINGS = 8, 0.25, 12
 
 
 def _corrected(a: np.ndarray, target: np.ndarray, cond: float) -> np.ndarray | str:
-    """Newton's method on M_0..M_n(a) = target from ``a``, or why it failed.
-    The Jacobian is V U: V z = r is one solve on P (z_-k = conj z_k), and
-    U da = z the real W y = (z_0, sqrt2 Re z_j, sqrt2 Im z_j).
+    """Newton's method on M_0..M_n(a) = target from ``a``, or why it failed;
+    each iteration takes :func:`heleshaw.bracket._newton_update`, one solve
+    on V U.
 
     With u the update size and floor = eps max|a_j|, an iterate is accepted
     when u <= 4 floor; when Newton contracts and the error it leaves,
@@ -234,17 +247,12 @@ def _corrected(a: np.ndarray, target: np.ndarray, cond: float) -> np.ndarray | s
     and is within max(cond, 4) floor, the rounding floor of a solve on W
     whose |W|_F |W^-1|_F is ``cond``.
     """
-    n = len(a) - 1
     last = np.inf
     try:
         a = _polynomial_cone(a)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(_NEWTON_ITERATIONS):
-                M, P = _moments_and_rows(a, np.conj(a))
-                z = np.linalg.solve(P, target - M)
-                rhs = np.concatenate([[z[0].real], _SQRT2 * z[1:].real, _SQRT2 * z[1:].imag])
-                y = np.linalg.solve(_string_matrix(a * np.arange(1, n + 2)), rhs)
-                step = np.concatenate([[y[0]], (y[1 : n + 1] + 1j * y[n + 1 :]) / _SQRT2])
+                step = _newton_update(a, target)
                 a = _polynomial_cone(a + step)
                 u = np.max(np.abs(step))
                 floor = np.finfo(float).eps * np.max(np.abs(a))
@@ -266,7 +274,7 @@ def _continued(state: EvolutionState, h: float, halvings: int) -> EvolutionState
     predictor = h * solve0.gated()[m.degree_plus :]
     start = state.target
     if start is None:
-        start = _moments_and_rows(m.coeffs, np.conj(m.coeffs))[0]
+        start = moments_richardson(m, m.degree_plus)
     target = np.concatenate([[start[0].real + h], start[1:]])
     a = _corrected(m.coeffs + predictor, target, solve0.cond)
     if isinstance(a, str):
@@ -310,22 +318,14 @@ def step_taylor_fixed_branch(state: EvolutionState, dt: float,
 
     The velocity is the truncation of fdot = z f' P to the series order
     (:func:`series_velocity`); a stage's cone is a0 real positive.  The new
-    state is tail-checked: if the relative energy in the trailing
-    coefficients exceeds tolerance the series order is insufficient.
+    state is tail-checked by :func:`_series_map`: a series order too low for
+    the step raises :class:`TruncationError`.
     """
     m = state.map
     if not isinstance(m, TaylorMap):
         raise TypeError("series stepper needs a TaylorMap state")
-    velocity = partial(series_velocity, grid=grid)
-    anew = _rk4(m.coeffs, dt, _normalized, velocity, velocity(m.derivative_coeffs()))
-    newmap = _admissible(TaylorMap, anew)
-    tail = newmap.tail_energy()
-    if tail > DEFAULT.tail_energy:
-        raise TruncationError(
-            f"relative tail energy {tail:.3e} exceeds {DEFAULT.tail_energy}; "
-            "increase the series order"
-        )
-    return EvolutionState(state.t + dt, newmap)
+    anew = _rk4(m.coeffs, dt, _normalized, partial(series_velocity, grid=grid))
+    return EvolutionState(state.t + dt, _series_map(anew))
 
 
 def series_velocity(b: np.ndarray, grid: CircleGrid) -> np.ndarray:
@@ -405,12 +405,7 @@ def run_evolution(spec) -> EvolutionResult:
         # the exact map's f' has a low-degree numerator, so its zeros seed
         # the continuation on the truncated series cheaply
         seeds = simple_derivative_zeros_in_disk(m)
-        m = TaylorMap(m.power_series(spec.taylor_order))
-        tail = m.tail_energy()
-        if tail > DEFAULT.tail_energy:
-            raise TruncationError(
-                f"initial series tail energy {tail:.3e} exceeds {DEFAULT.tail_energy}"
-            )
+        m = _series_map(m.power_series(spec.taylor_order))
 
     K = spec.diagnostic_moments
     base = moments_richardson(m, K)

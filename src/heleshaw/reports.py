@@ -10,7 +10,7 @@ holds, wall-clock timing goes to the human-readable console output instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,16 +82,8 @@ class RunReport:
     def all_passed(self) -> bool:
         return all(c["status"] == "pass" for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "checks": self.checks,
-            "artifacts": list(self.artifacts),
-            "timing": self.timing,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -152,10 +144,6 @@ def render_boundary_svg(source, path) -> None:
     lo, hi = lo - pad, hi + pad
     size = 640
     scale = size / (hi - lo)
-
-    def xy(zv: complex):
-        return (zv.real - lo) * scale, (hi - zv.imag) * scale
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -164,7 +152,8 @@ def render_boundary_svg(source, path) -> None:
     ]
     for i, (curve, label) in enumerate(zip(curves, labels)):
         closed = np.concatenate([curve, curve[:1]])
-        pts = " ".join("%.6f,%.6f" % xy(complex(zv)) for zv in closed)
+        x, y = ((closed.real - lo) * scale).tolist(), ((hi - closed.imag) * scale).tolist()
+        pts = " ".join("%.6f,%.6f" % p for p in zip(x, y))
         shade = 30 + (200 * i) // max(len(curves), 1)
         parts.append(f'<g id="layer{i}"><title>{label}</title>')
         parts.append(

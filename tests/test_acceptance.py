@@ -72,7 +72,7 @@ def test_criterion_1_jacobi_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for m in CORPUS:
-        rep = jacobian_identity_report(m, fd_step=None)
+        rep = jacobian_identity_report(m)
         worst = max(worst, rep.rel_error)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 10.0

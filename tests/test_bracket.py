@@ -282,7 +282,7 @@ def test_resultant_from_det_w_n64_log_space(a0):
     for seed in (3, 4):
         m = decaying_map(np.random.default_rng(seed), 64, a0=a0)
         got = _string_solve(m.derivative_coeffs()).log_resultant
-        want = jacobian_identity_report(m, fd_step=None).log_resultant
+        want = jacobian_identity_report(m).log_resultant
         assert np.isfinite(got.real)
         assert log_rel_error(got, want) < 1e-12
 
@@ -332,7 +332,7 @@ def test_jacobian_identity_random_degree3():
     rng = np.random.default_rng(12)
     for _ in range(10):
         m = random_map(rng, 3, scale=0.3 / np.sqrt(2))
-        rep = jacobian_identity_report(m, fd_step=None)
+        rep = jacobian_identity_report(m)
         assert rep.rel_error < 1e-10
 
 
@@ -419,7 +419,7 @@ def test_jacobian_identity_n32_outside_float_range(a0, log_rhs_real):
     # |det(V U)| ~ a0^1153 overflows (a0 = 2) or underflows (a0 = 0.5) a
     # double; the log-space comparison still resolves both sides
     m = decaying_map(np.random.default_rng(3), 32, a0)
-    rep = jacobian_identity_report(m, fd_step=None)
+    rep = jacobian_identity_report(m)
     assert np.isfinite(rep.log_rhs) and np.isfinite(rep.log_det_vu)
     assert abs(rep.log_rhs.real - log_rhs_real) < 1.0
     assert rep.rel_error < 1e-10
@@ -533,7 +533,7 @@ def _check_against_50_digit_oracle(n, a0):
     import mpmath
 
     m = decaying_map(np.random.default_rng(3), n, a0)
-    rep = jacobian_identity_report(m, fd_step=None)
+    rep = jacobian_identity_report(m)
     b = m.derivative_coeffs()
     with mpmath.workdps(50):
         a0 = mpmath.mpf(m.a0)
@@ -560,8 +560,7 @@ def test_jacobian_identity_n64_against_50_digit_oracle():
 def test_jacobian_identity_n64(a0, seed):
     # V U's rows scale like a0^|k|; without equilibration slogdet lost up
     # to 6 digits here at a0 = 2
-    rep = jacobian_identity_report(decaying_map(np.random.default_rng(seed), 64, a0),
-                                   fd_step=None)
+    rep = jacobian_identity_report(decaying_map(np.random.default_rng(seed), 64, a0))
     assert rep.rel_error < 1e-10
     assert abs(rep.log_det_u - rep.log_det_u_closed) < 1e-10
     assert abs(rep.log_det_v - rep.log_det_v_closed) < 1e-10

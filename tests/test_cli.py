@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heleshaw
-from heleshaw import cli
+from heleshaw import bracket, cli
 from heleshaw.cli import main, parse_config
 from heleshaw.errors import ConfigError
 from heleshaw.evolution import run_evolution
@@ -311,6 +311,8 @@ _FAMILY_OPTIONS = {"--coeffs", "--a", "--b", "--c-magnitude", "--M0", "--B1"}
     ("evolve", _FAMILY_OPTIONS | {
         "--config", "--family", "--a0", "--horizon", "--dt", "--output-times",
         "--csv", "--svg", "--json-path"}),
+    # the finite-difference step is read off the map, so there is none to set
+    ("jacobian", {"--coeffs", "--degree"}),
 ])
 def test_cli_help_option_set(command, options, capsys):
     assert main([command, "--help"]) == 0
@@ -414,8 +416,9 @@ _GRID_RULE = "grid size must be a power of two >= 4, got 100"
     # without the check, z^0..z^-1 is no test at all: "0/0 checks passed"
     (["quadrature-check", "--coeffs", "1,0.3", "--max-power", "-1"],
      "argument --max-power: must be nonnegative, got -1"),
-    (["jacobian", "--coeffs", "1,0.3", "--fd-step", "0"],
-     "argument --fd-step: must be positive and finite, got 0"),
+    # a power of two, but below the FFT grid's floor of 4
+    (["bracket-check", "--coeffs", "1,0.3", "--grid", "2"],
+     "config error: grid_n: grid size must be a power of two >= 4, got 2"),
     # --threshold inf passed string_residual whatever the residual
     *([["bracket-check", "--coeffs", "1,0.4999999", "--threshold", bad],
        f"argument --threshold: must be positive and finite, got {bad}"]
@@ -491,13 +494,14 @@ def test_cli_jacobian_n32_far_from_unit_a0(capsys):
     # det(V U) ~ 2^1153 is outside the double range; the identity is still
     # checked and printed in mantissa-exponent form
     coeffs = ",".join(["2"] + ["0.001"] * 32)
-    code = main(["--json", "jacobian", "--coeffs", coeffs, "--no-fd"])
+    code = main(["--json", "jacobian", "--coeffs", coeffs])
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert code == 0
     assert {c["name"]: c["status"] for c in checks} == {
         "jacobian_identity": "pass", "det_v_closed_form": "pass",
-        "det_u_resultant_form": "pass", "det_u_sylvester_form": "pass"}
-    main(["jacobian", "--coeffs", coeffs, "--no-fd"])
+        "det_u_resultant_form": "pass", "det_u_sylvester_form": "pass",
+        "jacobian_finite_difference": "pass"}
+    main(["jacobian", "--coeffs", coeffs])
     assert re.search(r"det\(V U\) += \([^)]+\)e\+3\d\d\n", capsys.readouterr().out)
 
 
@@ -526,9 +530,28 @@ def test_cli_jacobian_finite_difference_bound_is_relative_below_unit_scale(capsy
     assert fd["threshold"] == 1e-6
 
 
-def test_cli_jacobian_finite_difference_fails_at_small_scale(capsys):
-    # a0 = 1e-100: the finite differences miss V U entirely (error 2e-100,
-    # the size of V U itself), which an absolute 1e-6 floor would pass
+@pytest.mark.parametrize("e", [-332, -200, -100, -20, 20, 100, 200])
+def test_cli_jacobian_passes_at_every_scale(e, capsys):
+    # f -> 2^e f scales every coefficient, V U entry and finite-difference
+    # step exactly; a fixed step of 1e-5 failed the finite differences for
+    # |e| >= 100, too large for the map below and lost to rounding above
+    coeffs = ",".join(repr(math.ldexp(c, e)) for c in (1.0, 0.3, 0.1, 0.02))
+    code = main(["--json", "jacobian", "--coeffs", coeffs])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 5
+    assert code == 0
+    fd = checks[-1]
+    assert fd["name"] == "jacobian_finite_difference"
+    assert fd["step"] == math.ldexp(1e-5, e)
+
+
+def test_cli_jacobian_finite_difference_fails_when_off_at_small_scale(monkeypatch, capsys):
+    # a0 = 1e-100: the bound is relative to V U (below 1e-104), so finite
+    # differences off by a relative 1e-4 fail, where an absolute floor
+    # would pass them
+    real = bracket.finite_difference_jacobian
+    monkeypatch.setattr(bracket, "finite_difference_jacobian",
+                        lambda m, step: real(m, step) * (1.0 + 1e-4))
     code = main(["--json", "jacobian", "--coeffs=1e-100,3e-101,1e-101,2e-102"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     fd = next(c for c in checks if c["name"] == "jacobian_finite_difference")
@@ -744,7 +767,7 @@ def _option_argv(draw):
         "moments": {"--K": _COUNT_FLAG_TEXT},
         "bracket-check": {"--threshold": _NUMBER_FLAG_TEXT,
                           "--grid": ("64", "100") + _COUNT_FLAG_TEXT},
-        "jacobian": {"--degree": _COUNT_FLAG_TEXT, "--fd-step": _NUMBER_FLAG_TEXT},
+        "jacobian": {"--degree": _COUNT_FLAG_TEXT},
         "quadrature-check": {"--max-power": _COUNT_FLAG_TEXT},
     }
     command = draw(st.sampled_from(sorted(options)))

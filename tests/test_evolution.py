@@ -236,8 +236,7 @@ def rk4_reference(a, t, dt):
         return bracket._string_solve(b).gated()[n:]
 
     for _ in range(round(t / dt)):
-        a = evolution._rk4(a, dt, maps._polynomial_cone, velocity,
-                           velocity(a * np.arange(1, n + 2)))
+        a = evolution._rk4(a, dt, maps._polynomial_cone, velocity)
     return a
 
 
@@ -401,19 +400,27 @@ def test_small_steps_take_two_newton_iterations(monkeypatch):
     # the error left, about u^2 / (u_prev - u), is below the rounding floor.
     # Each iteration evaluates M once, and the target M(a(0)) + t e_0 is
     # carried from step to step, so only the first step evaluates M at its
-    # start: 12 steps take 1 + 2 * 12 evaluations, and M stays at the
-    # target to rounding
+    # start (M_0..M_n; the snapshots take M_0..M_4): 12 steps take
+    # 1 + 2 * 12 evaluations, and M stays at the target to rounding
     evaluated = []
-    real = evolution._moments_and_rows
+    newton_rows = bracket._moments_and_rows
+    richardson = evolution.moments_richardson
 
-    def counted(a, abar):
+    def counted_iteration(a, abar):
         evaluated.append(a)
-        return real(a, abar)
+        return newton_rows(a, abar)
 
-    monkeypatch.setattr(evolution, "_moments_and_rows", counted)
+    def counted_start(m, K=None):
+        if K == m.degree_plus:
+            evaluated.append(m.coeffs)
+        return richardson(m, K)
+
+    monkeypatch.setattr(bracket, "_moments_and_rows", counted_iteration)
+    monkeypatch.setattr(evolution, "moments_richardson", counted_start)
     every_step = tuple(round(k * 1e-3, 12) for k in range(1, 13))
     spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3, 0.05j)},
-                        horizon=0.012, dt=1e-3, output_times=every_step)
+                        horizon=0.012, dt=1e-3, output_times=every_step,
+                        diagnostic_moments=4)
     res = run_evolution(spec)
     assert res.completed
     assert len(evaluated) == 1 + 2 * 12
@@ -524,7 +531,7 @@ def test_corrector_accepts_updates_at_the_rounding_floor_of_w():
     a = np.concatenate([[1.0], _shell_scale(a) * (1 - 1e-5) * a[1:]])
     cond = bracket._string_solve(a * np.arange(1, 6)).cond
     assert cond > 1e5
-    target = evolution._moments_and_rows(a, np.conj(a))[0]
+    target = moments_richardson(PolynomialMap(a), 4)
     rng = np.random.default_rng(0)
     for _ in range(10):
         off = 1e-9 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))

@@ -87,7 +87,7 @@ def test_resultant_from_det_w_matches_sylvester(m):
 def test_jacobian_determinant_identity(m):
     # det V + det U against 2 a0^(n^2+3n+1) Res, and det U against both of
     # its closed forms: Res read from det W, and 2 b0 det S
-    rep = jacobian_identity_report(m, fd_step=None)
+    rep = jacobian_identity_report(m)
     assert rep.rel_error < 1e-10
     assert log_rel_error(rep.log_det_u, rep.log_det_u_closed) < 1e-10
     assert log_rel_error(rep.log_det_u_sylvester, rep.log_det_u) < 1e-10
