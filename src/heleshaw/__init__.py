@@ -12,7 +12,6 @@ from .maps import (
     AnalyticMap,
     CircleGrid,
     PolynomialMap,
-    RationalMap,
     TaylorMap,
     polynomial_roots,
     winding_number,
@@ -59,7 +58,6 @@ __all__ = [
     "PolynomialMap",
     "QuadratureData",
     "RationalFunction",
-    "RationalMap",
     "ScenarioSpec",
     "TaylorMap",
     "branch_points",

@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobian", help="both sides of the Jacobian determinant identity")
     _key_flags(p, "coeffs", required=True)
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=_nonnegative_int, default=None,
                    help="expected n (validates len(coeffs) == n+1)")
 
     # family parameters; a0 is the disk's alone

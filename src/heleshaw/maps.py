@@ -4,13 +4,12 @@ The map classes all represent analytic functions on a neighborhood of the
 closed unit disk, normalized by f(0) = 0 and f'(0) > 0:
 
 * :class:`PolynomialMap`      f = sum_j a_j z**(j+1)
-* :class:`RationalMap`        f = (sum_j a_j z**(j+1)) / prod_j (1 - wbar_j z)
-* :class:`AbcRationalMap`     f = c z (z - a) / (z - b),  0 < |a| < 1 < |b|
+* :class:`AbcRationalMap`     f = c z (z - a) / (z - b),  a != 0, |b| > 1
 * :class:`TaylorMap`          truncated power series (evolution work state)
 
-Every class keeps a0 real and positive (:func:`_normalized`, which also gives
-the read-only coefficient arrays the maps hold); it and :func:`_polynomial_cone`
-are the cones series RK4 stages and polynomial Newton iterates check.
+The coefficient maps keep a0 real and positive (:func:`_normalized`, which
+also gives their read-only arrays); it and :func:`_polynomial_cone` are the
+cones series RK4 stages and polynomial Newton iterates check.
 
 Every class exposes its exact rational representation, so differentiation,
 holomorphic reflection f*(z) = conj(f(1/conj z)) and residues all route
@@ -35,13 +34,12 @@ from .errors import (
     RootFindingError,
     UnderResolvedError,
 )
-from .rational import RationalFunction, pder, pmul, pval, trim
+from .rational import RationalFunction, pder, pval, trim
 
 __all__ = [
     "CircleGrid",
     "AnalyticMap",
     "PolynomialMap",
-    "RationalMap",
     "AbcRationalMap",
     "TaylorMap",
     "polynomial_roots",
@@ -231,61 +229,13 @@ class PolynomialMap(_CoefficientMap):
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class RationalMap(AnalyticMap):
-    """f = (sum_j a_j z**(j+1)) / prod_j (1 - pole_reflections[j] * z).
-
-    ``pole_reflections`` stores conj(omega_j): the poles sit at
-    1/pole_reflections[j], strictly outside the closed disk, and each
-    reflected point omega_j = conj(pole_reflections[j]) must be a zero of f'
-    for the map to be in consistent (quadrature) state.
-    """
-
-    numer_coeffs: np.ndarray
-    pole_reflections: np.ndarray
-
-    def __post_init__(self):
-        w = _frozen(np.array(self.pole_reflections, dtype=complex))
-        object.__setattr__(self, "numer_coeffs", _normalized(self.numer_coeffs))
-        object.__setattr__(self, "pole_reflections", w)
-        if not np.all(np.abs(w) < 1.0):
-            raise ValueError(f"pole reflections {w} must lie inside the unit disk")
-        self.validate()
-
-    def validate(self):
-        """Check f'(omega_j) = 0 for every stored pole reflection."""
-        fp = self.derivative_rational()
-        scale = max(np.max(np.abs(fp.num)), 1.0)
-        for wb in self.pole_reflections:
-            w = np.conj(wb)
-            val = pval(fp.num, w)
-            if abs(val) > 1e-8 * scale:
-                raise ValueError(
-                    f"inconsistent rational map: f'({w}) = {val}, not a zero"
-                )
-
-    @property
-    def a0(self) -> float:
-        return float(self.numer_coeffs[0].real)
-
-    def finite_poles(self) -> np.ndarray:
-        # Python's complex division, to whose rounding the moments are pinned
-        return np.array([1.0 / w for w in self.pole_reflections.tolist()])
-
-    def rational(self) -> RationalFunction:
-        num = np.concatenate([[0.0], self.numer_coeffs])
-        den = np.array([1.0 + 0.0j])
-        for wb in self.pole_reflections:
-            den = pmul(den, [1.0, -wb])
-        return RationalFunction(num, den)
-
-
 @dataclass(frozen=True)
 class AbcRationalMap(AnalyticMap):
-    """f = c z (z - a) / (z - b) with 0 < |a| < 1 < |b| and f'(0) = a c / b > 0.
+    """f = c z (z - a) / (z - b) with a != 0, |b| > 1 and f'(0) = a c / b > 0.
 
-    The image is a two-sheeted domain carrying the two-node quadrature
-    identity with nodes f(0) = 0 and f(1/conj(b)).
+    The image carries the quadrature identity with nodes 0 and 1/conj(b),
+    whose weight vanishes when f'(1/conj(b)) = 0 (subcase 2).  No formula
+    reads |a|; the example_abc family alone asks |a| < 1.
     """
 
     a: complex
@@ -294,8 +244,8 @@ class AbcRationalMap(AnalyticMap):
 
     def __post_init__(self):
         a, b, c = complex(self.a), complex(self.b), complex(self.c)
-        if not (0 < abs(a) < 1 < abs(b)):
-            raise ValueError(f"need 0 < |a| < 1 < |b|, got |a|={abs(a)}, |b|={abs(b)}")
+        if a == 0 or not abs(b) > 1:
+            raise ValueError(f"need a != 0 and |b| > 1, got a={a}, |b|={abs(b)}")
         if c == 0:
             raise ValueError("c must be nonzero")
         fp0 = a * c / b

@@ -219,8 +219,6 @@ def _reflected_poles(m: AnalyticMap) -> list:
             raise ResidueError(f"singularity of f* at {q} sits on the unit circle")
         if abs(q) < 1.0:
             pts.append(q)
-    if len(set(pts)) < len(pts):
-        raise ResidueError("f has a repeated pole; only simple poles are supported")
     return pts
 
 

@@ -1,6 +1,6 @@
 """Scenario families: exact constructors, inversion formulas, verification.
 
-The rational family f(z) = c z (z - a)/(z - b) with 0 < |a| < 1 < |b| and
+The rational family f(z) = c z (z - a)/(z - b) with a != 0, |b| > 1 and
 f'(0) = a c / b > 0 carries the two-node quadrature identity
 
     (1/2 pi i) int_D g |f'|^2 = A g(0) + B g(1/conj(b)),
@@ -10,6 +10,7 @@ f'(0) = a c / b > 0 carries the two-node quadrature identity
         / (conj(b) (1 - |b|^2)^2),
 
 with moments M_0 = A + B and M_k = B f(1/conj(b))^k in geometric progression.
+The example_abc family takes 0 < |a| < 1; no formula here reads |a|.
 Two degenerations with M_1 = M_2 = ... = 0 serve as closed-form oracles:
 
 * subcase 1, a = 1/conj(b): equal weights A = B = |c|^2/|b|^2, the image is
@@ -20,7 +21,9 @@ Two degenerations with M_1 = M_2 = ... = 0 serve as closed-form oracles:
   genuine one-node identity holds on the covering surface with
       f(z) = C z (2|w|^2 - |w|^4 - conj(w) z) / (1 - conj(w) z),
       C = sqrt(M_0) / (|w| sqrt(2 - |w|^2)),       w = omega_1,
-      B_1 = w |w| sqrt(M_0) / sqrt(2 - |w|^2),  |B_1| < sqrt(M_0).
+      B_1 = w |w| sqrt(M_0) / sqrt(2 - |w|^2),  |B_1| < sqrt(M_0),
+  the family's map with b = 1/conj(w), a = (2|w|^2 - |w|^4)/conj(w) and
+  c = C; |a| > 1 once |w| > 0.618.
 
 Both subcases invert in closed form: (M_0, B_1) determine the map.  In
 subcase 1 the branch-point equation reads (1 - s)/(1 + s) = q with
@@ -37,13 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, UncancelledPoleError
 from .maps import (
     AbcRationalMap,
     AnalyticMap,
     CircleGrid,
     PolynomialMap,
-    RationalMap,
     TaylorMap,
     winding_number,
 )
@@ -147,10 +149,13 @@ def make_example_abc(a, b, c_magnitude: float):
 
 def quadrature_data(m: AnalyticMap) -> QuadratureData:
     """The quadrature identity of a scenario map: one-point (from f* f')
-    unless m is of the c z (z-a)/(z-b) family, whose weights A at the
-    origin and B at the node 1/conj(b) come from the closed forms above."""
-    if not isinstance(m, AbcRationalMap):
+    when every pole of f* is cancelled, as for polynomial maps and subcase
+    2; otherwise m is a c z (z-a)/(z-b) map, whose weights A at the origin
+    and B at the node 1/conj(b) come from the closed forms above."""
+    try:
         return quadrature_coeffs(m)
+    except UncancelledPoleError:
+        pass
     a, b, c2 = m.a, m.b, abs(m.c) ** 2
     bb = np.conj(b)
     B = (
@@ -193,8 +198,9 @@ def make_subcase1(M0: float, B1) -> AbcRationalMap:
     return m
 
 
-def subcase2_from_omega(omega1, M0: float) -> RationalMap:
-    """Subcase-2 map directly from the interior zero omega_1 of f'."""
+def subcase2_from_omega(omega1, M0: float) -> AbcRationalMap:
+    """Subcase-2 map directly from the interior zero w = omega_1 of f':
+    a = k/conj(w) with k = 2|w|^2 - |w|^4, b = 1/conj(w) and c = C."""
     w = complex(omega1)
     if not 0 < abs(w) < 1:
         raise ConfigError("omega1 must lie in the punctured unit disk")
@@ -203,10 +209,12 @@ def subcase2_from_omega(omega1, M0: float) -> RationalMap:
     aw = abs(w)
     C = np.sqrt(M0) / (aw * np.sqrt(2.0 - aw**2))
     k = 2.0 * aw**2 - aw**4
-    return RationalMap((C * k, -C * np.conj(w)), (np.conj(w),))
+    wb = w.conjugate()
+    # b by Python's complex division, to whose rounding the moments are pinned
+    return AbcRationalMap(k / wb, 1.0 / wb, C)
 
 
-def make_subcase2(M0: float, B1) -> RationalMap:
+def make_subcase2(M0: float, B1) -> AbcRationalMap:
     """Invert (M_0, B_1) to the subcase-2 map via the closed inversion."""
     B1 = complex(B1)
     if M0 <= 0:
@@ -339,7 +347,7 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> RunReport:
         check("higher_moments_vanish", max(abs(mv[k]) for k in range(1, 7)), 1e-10)
         qres = quadrature_check(m, data, 2)
         check("one_point_quadrature", max(qres), 1e-6)
-        w = complex(np.conj(m.pole_reflections[0]))
+        w = 1.0 / m.b.conjugate()
         fp = m.derivative_rational()
         other = 2.0 / np.conj(w) - w
         # f' vanishes at omega_1 and at 2/conj(omega_1) - omega_1

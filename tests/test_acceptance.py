@@ -236,7 +236,7 @@ def test_criterion_8_branch_point_machinery():
     ok = ok and abs(back_b1 - B1_SUB1) < 1e-10 and abs(back_m0 - 2.0) < 1e-10
 
     m2i = make_subcase2(1.0, B1_SUB2)
-    w = complex(np.conj(m2i.pole_reflections[0]))
+    w = 1.0 / np.conj(m2i.b)
     back_b1 = complex(m2i.rational()(w))
     back_m0 = complex(quadrature_coeffs(m2i).c[0]).real
     ok = ok and abs(back_b1 - B1_SUB2) < 1e-10 and abs(back_m0 - 1.0) < 1e-10

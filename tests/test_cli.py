@@ -439,6 +439,9 @@ _GRID_RULE = "grid size must be a power of two >= 4, got 100"
     # which used to be reported before the config error
     (["evolve", "--family", "subcase1", "--M0", "2", "--B1", "0.5", "--horizon", "0.0015"],
      "config error: horizon = 0.0015 is not a multiple of dt = 0.001"),
+    # used to be reported as a count mismatch: "--degree -5 expects -4 coefficients"
+    (["jacobian", "--coeffs", "1,0.3", "--degree", "-5"],
+     "argument --degree: must be nonnegative, got -5"),
 ])
 def test_cli_out_of_range_option_exits_2(argv, message, capsys):
     # a usage or config error naming the rule, not a traceback or a run

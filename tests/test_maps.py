@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from heleshaw.cli import main
 from heleshaw.errors import (
     BranchPointError,
+    ConfigError,
     PoleProximityError,
     RootFindingError,
 )
@@ -15,7 +17,6 @@ from heleshaw.maps import (
     AbcRationalMap,
     CircleGrid,
     PolynomialMap,
-    RationalMap,
     TaylorMap,
     circle_values,
     polynomial_roots,
@@ -24,6 +25,7 @@ from heleshaw.maps import (
     winding_number,
 )
 from heleshaw.rational import RationalFunction, pval
+from heleshaw.scenarios import make_example_abc
 
 ABC = AbcRationalMap(0.4, 2.0, 2.0)
 GRID = CircleGrid(1024)
@@ -119,12 +121,29 @@ def test_eval_near_pole_raises():
 
 
 def test_abc_parameter_validation():
+    # |a| >= 1 is admissible: subcase 2 has |a| > 1 once |omega_1| > 0.618
+    for a in (1.0, 1.2, 3.0 + 4.0j):
+        m = AbcRationalMap(a, 2.0 * a / abs(a), 2.0)  # f'(0) = a c / b = |a|
+        assert m.a0 == pytest.approx(abs(a), rel=1e-15)
     with pytest.raises(ValueError):
-        AbcRationalMap(1.2, 2.0, 2.0)  # |a| >= 1
+        AbcRationalMap(0.0, 2.0, 2.0)  # a = 0
     with pytest.raises(ValueError):
-        AbcRationalMap(0.4, 0.9, 2.0)  # |b| <= 1
+        AbcRationalMap(0.4, 0.9, 2.0)  # |b| < 1
     with pytest.raises(ValueError):
-        AbcRationalMap(0.4, 2.0, 2.0j)  # f'(0) not positive
+        AbcRationalMap(0.4, 1.0, 2.0)  # |b| = 1
+    with pytest.raises(ValueError):
+        AbcRationalMap(0.4, 2.0, 2.0j)  # f'(0) not real
+    with pytest.raises(ValueError):
+        AbcRationalMap(0.4, 2.0, -2.0)  # f'(0) negative
+
+
+def test_example_abc_family_keeps_a_inside_the_disk(capsys):
+    # the example_abc family alone asks 0 < |a| < 1, as a config error
+    with pytest.raises(ConfigError, match=r"need 0 < \|a\| < 1 < \|b\|"):
+        make_example_abc(1.2, 2.0, 2.0)
+    assert main(["scenario", "example_abc", "--a=1.2", "--b=2", "--c-magnitude=2"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: need 0 < |a| < 1 < |b|, got |a|=1.2, |b|=2.0\n")
 
 
 def test_polynomial_map_invariants():
@@ -136,15 +155,9 @@ def test_polynomial_map_invariants():
         PolynomialMap((1.0, 0.0))  # vanishing leading coefficient
 
 
-def test_rational_map_consistency_check():
-    # storing a pole reflection whose conjugate is not a zero of f'
-    with pytest.raises(ValueError):
-        RationalMap((1.0, 0.1), (0.5,))
-
-
 def test_rational_map_finite_poles_are_denominator_roots():
-    # poles sit at 1/pole_reflections[j]; the conjugate is a different point
-    # unless the reflection is real
+    # the pole sits at b = 1/conj(omega_1); the conjugate is a different
+    # point unless omega_1 is real
     from heleshaw.scenarios import subcase2_from_omega
 
     m = subcase2_from_omega(0.6 * np.exp(0.7j), 1.0)
@@ -154,42 +167,27 @@ def test_rational_map_finite_poles_are_denominator_roots():
     assert abs(p - 1.0 / np.conj(0.6 * np.exp(0.7j))) < 1e-14
 
 
-@pytest.mark.parametrize("kind", ["polynomial", "taylor", "rational"])
+@pytest.mark.parametrize("kind", ["polynomial", "taylor"])
 def test_map_coefficients_are_read_only_arrays(kind):
     # the map keeps its own read-only complex array: neither writing to it
     # nor mutating the caller's input afterwards changes the map
-    if kind == "rational":
-        from heleshaw.scenarios import subcase2_from_omega
-
-        ref = subcase2_from_omega(0.6 * np.exp(0.7j), 1.0)
-        inputs = (np.array(ref.numer_coeffs), np.array(ref.pole_reflections))
-        m = RationalMap(*inputs)
-        stored = (m.numer_coeffs, m.pole_reflections)
-    else:
-        inputs = (np.array([1.0, 0.3 - 0.1j, 0.05j]),)
-        m = (PolynomialMap if kind == "polynomial" else TaylorMap)(*inputs)
-        stored = (m.coeffs,)
-    before = [a.copy() for a in stored]
-    for x, a in zip(inputs, stored):
-        assert isinstance(a, np.ndarray) and a.dtype == complex
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 2.0
-        x[...] = 0.123
-    for b, a in zip(before, stored):
-        assert np.array_equal(a, b)
+    x = np.array([1.0, 0.3 - 0.1j, 0.05j])
+    m = (PolynomialMap if kind == "polynomial" else TaylorMap)(x)
+    a = m.coeffs
+    before = a.copy()
+    assert isinstance(a, np.ndarray) and a.dtype == complex
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 2.0
+    x[...] = 0.123
+    assert np.array_equal(a, before)
     assert type(m.a0) is float
 
 
 def test_read_only_arrays_cannot_be_made_writeable():
     # each array is backed by immutable bytes: neither it nor its base can
     # have its writeable flag switched back on
-    from heleshaw.scenarios import subcase2_from_omega
-
-    r = subcase2_from_omega(0.6 * np.exp(0.7j), 1.0)
-    arrays = (PolynomialMap((1.0, 0.3)).coeffs, TaylorMap((1.0, 0.2j)).coeffs,
-              r.numer_coeffs, r.pole_reflections)
-    for a in arrays:
+    for a in (PolynomialMap((1.0, 0.3)).coeffs, TaylorMap((1.0, 0.2j)).coeffs):
         with pytest.raises(ValueError):
             a.flags.writeable = True
         assert not isinstance(a.base, np.ndarray)

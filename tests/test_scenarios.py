@@ -9,13 +9,14 @@ from numpy.testing import assert_allclose
 from heleshaw.errors import ConfigError, QuadratureError
 from heleshaw.maps import (
     AbcRationalMap,
+    AnalyticMap,
     CircleGrid,
     PolynomialMap,
-    RationalMap,
     TaylorMap,
     winding_number,
 )
 from heleshaw.moments import coeffs_to_moments, moments_residue
+from heleshaw.rational import RationalFunction
 from heleshaw.reports import REPORT_SCHEMA
 from heleshaw.scenarios import (
     FAMILY_PARAMS,
@@ -208,15 +209,57 @@ def test_subcase1_coordinate_completeness():
 # ----------------------------------------------------------------------
 
 def test_subcase2_closed_forms():
+    # a = (2|w|^2 - |w|^4)/conj(w), b = 1/conj(w), c = C at w = 0.6
     m = subcase2_from_omega(0.6, 1.0)
-    assert_allclose(m.numer_coeffs[0], C_SUB2 * (2 * 0.36 - 0.36**2), rtol=1e-14)
-    assert_allclose(m.numer_coeffs[1], -C_SUB2 * 0.6, rtol=1e-14)
+    assert_allclose(m.a, (2 * 0.36 - 0.36**2) / 0.6, rtol=1e-14)
+    assert m.b == 1.0 / 0.6
+    assert_allclose(m.c, C_SUB2, rtol=1e-14)
     assert_allclose(complex(m.rational()(0.6)), B1_SUB2, rtol=1e-13)
+
+
+def subcase2_general_form(w, M0) -> RationalFunction:
+    """The subcase-2 map in its general form,
+    z (C k - C conj(w) z)/(1 - conj(w) z) with k = 2|w|^2 - |w|^4."""
+    aw = abs(w)
+    C = np.sqrt(M0) / (aw * np.sqrt(2.0 - aw**2))
+    k = 2.0 * aw**2 - aw**4
+    return RationalFunction([0.0, C * k, -C * np.conj(w)], [1.0, -np.conj(w)])
+
+
+class _GeneralForm(AnalyticMap):
+    """A map given by its rational function and its one pole."""
+
+    def __init__(self, r: RationalFunction, pole: complex):
+        self.r, self.pole = r, pole
+
+    def rational(self):
+        return self.r
+
+    def finite_poles(self):
+        return np.array([self.pole])
+
+
+@pytest.mark.parametrize("ratio", [0.2, 0.4, 0.6, 0.8, 0.95])
+def test_subcase2_matches_general_form(ratio):
+    # |B1| = ratio sqrt(M0) gives |w|^2 = (sqrt(ratio^4 + 8 ratio^2) - ratio^2)/2;
+    # |a| = 2|w| - |w|^3 exceeds 1 once |w| > (sqrt(5) - 1)/2
+    M0 = 1.0
+    aw = np.sqrt((np.sqrt(ratio**4 + 8.0 * ratio**2) - ratio**2) / 2.0)
+    for phase in (0.0, 0.7, 2.9):
+        w = aw * np.exp(1j * phase)
+        m = make_subcase2(M0, ratio * np.sqrt(M0) * np.exp(1j * phase))
+        assert (abs(m.a) > 1) == (aw > (np.sqrt(5.0) - 1.0) / 2.0)
+        r = subcase2_general_form(w, M0)
+        assert np.max(np.abs(m.power_series(256) - r.taylor(256)[1:])) < 1e-15
+        general = _GeneralForm(r, 1.0 / np.conj(w))
+        assert np.max(np.abs(moments_residue(m, 6) - moments_residue(general, 6))) < 1e-14
+        rep = verify_scenario(m, "subcase2")
+        assert rep.all_passed, [c for c in rep.checks if c["status"] != "pass"]
 
 
 def test_subcase2_inversion_recovers_omega():
     m = make_subcase2(1.0, B1_SUB2)
-    assert_allclose(np.conj(m.pole_reflections[0]), 0.6, rtol=1e-10)
+    assert_allclose(1.0 / np.conj(m.b), 0.6, rtol=1e-10)
 
 
 def test_subcase2_inversion_complex_branch_point():
@@ -225,7 +268,7 @@ def test_subcase2_inversion_complex_branch_point():
     m_direct = subcase2_from_omega(w, M0)
     B1 = complex(m_direct.rational()(w))
     m_inv = make_subcase2(M0, B1)
-    assert_allclose(np.conj(m_inv.pole_reflections[0]), w, rtol=1e-10)
+    assert_allclose(1.0 / np.conj(m_inv.b), w, rtol=1e-10)
 
 
 def test_subcase2_admissibility():
@@ -340,7 +383,7 @@ def test_initial_map_modes():
     # evolves as a truncated series
     types = {"disk": PolynomialMap, "polynomial": PolynomialMap,
              "example_abc": AbcRationalMap, "subcase1": AbcRationalMap,
-             "subcase2": RationalMap, "taylor": TaylorMap}
+             "subcase2": AbcRationalMap, "taylor": TaylorMap}
     for family, params in FAMILY_CASES.items():
         spec = ScenarioSpec(family=family, params=params)
         assert type(initial_map(spec)) is types[family], family
