@@ -102,7 +102,7 @@ _SPEC_FIELDS = {"csv": "csv_path", "svg": "svg_path", "json": "json_path"}
 _FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioSpec) if f.init)
 _HELP = {
     "coeffs": "polynomial coefficients a_0,a_1,... (a_j multiplies z^{j+1})",
-    "dt": "output-time grid and series RK4 step; polynomial runs continue between outputs",
+    "dt": "output-time grid; both modes step from one output time to the next",
     "output_times": "comma-separated times",
     "svg": "write the image boundary as SVG",
     "json": "write the run report to this file",

@@ -11,16 +11,21 @@ Two steppers:
 * :func:`step_polynomial` continues f, a polynomial of fixed degree, from
   one output time to the next: the string velocity predicts, and Newton's
   method on M_0..M_n corrects.  Branch points move implicitly.
-* :func:`step_taylor_fixed_branch` takes fixed RK4 steps (:func:`_rk4`) of
-  a truncated power series with fdot = z f'(z) P(z), P the Poisson-Schwarz
-  (Herglotz) extension of the boundary data 1/(2 |f'|^2).  Since fdot
-  vanishes at every zero of f' the branch-point images B_j = f(omega_j)
-  stay fixed; their drift is measured and reported, never enforced.
+* :func:`step_taylor_fixed_branch` continues a truncated power series from
+  one output time to the next by error-controlled Dormand-Prince 5(4)
+  steps, with fdot = z f'(z) P(z), P the Poisson-Schwarz (Herglotz)
+  extension of the boundary data 1/(2 |f'|^2).  Since fdot vanishes at
+  every zero of f' the branch-point images B_j = f(omega_j) stay fixed;
+  their drift is measured and reported, never enforced.
+
+So ``dt`` is the output-time grid in both modes, not a step size.
 
 Series mode works on the circle grid: f' is sampled by one inverse FFT of
 its coefficients (:func:`heleshaw.maps.circle_values`), :func:`poisson_schwarz`
 takes P from those samples, and :func:`series_velocity` is the one velocity
-function, shared by the RK4 stages and the snapshot diagnostics.  Branch
+function.  Each Dormand-Prince stage is one call of it, and the last stage
+of an accepted step is the velocity of its end map, which the state carries
+to the next step's first stage and to the snapshot diagnostics.  Branch
 points are found once, from the exact map before truncation, and then
 continued: at each snapshot Newton's method polishes the previous omegas on
 the coefficients of f', and the argument principle on the circles of radius
@@ -89,16 +94,16 @@ def poisson_schwarz(fpv: np.ndarray, n_modes: int | None = None) -> np.ndarray:
     p_m = 2 rho_hat_m for 1 <= m < N/2.  Spectrally accurate for f' analytic
     and zero-free on the circle.
     """
-    small = float(np.min(np.abs(fpv)))
+    modulus = np.abs(fpv)
+    small = float(np.min(modulus))
     if small < DEFAULT.cusp_min_derivative:
         raise CuspError(f"min |f'| = {small:.3e} on the circle (cusp forming)")
-    rho = 1.0 / (2.0 * np.abs(fpv) ** 2)
-    hat = np.fft.rfft(rho) / len(fpv)
+    rho = 1.0 / (2.0 * modulus**2)
     top = len(fpv) // 2 - 1
     n_modes = top if n_modes is None else min(n_modes, top)
-    coeffs = np.zeros(n_modes + 1, dtype=complex)
+    hat = np.fft.rfft(rho)[: n_modes + 1] / len(fpv)
+    coeffs = 2.0 * hat
     coeffs[0] = hat[0].real
-    coeffs[1:] = 2.0 * hat[1 : n_modes + 1]
     return coeffs
 
 
@@ -184,6 +189,10 @@ class EvolutionState:
     was solved for: M(a) at the first step's start plus the time stepped,
     so a run's corrector aims at M(a(0)) + t e_0 and Newton's residuals do
     not accumulate from step to step.
+
+    A :class:`TaylorMap` state carries ``velocity``, its
+    :func:`series_velocity` on the run's grid, once a step or snapshot has
+    made it; the next series step takes it as its first stage.
     """
 
     t: float
@@ -191,26 +200,11 @@ class EvolutionState:
     diagnostics: StepDiagnostics | None = None
     resultant: _StringSolve | None = field(default=None, compare=False, repr=False)
     target: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-def _rk4(a: np.ndarray, dt: float, cone, velocity) -> np.ndarray:
-    """One RK4 step from ``a``.  Each stage's coefficients pass
-    ``_admissible(cone, .)`` and give ``velocity(b)`` for b_j = (j+1) a_j,
-    whose 0th entry is exactly real: Im a0 stays exactly 0."""
-    weights = np.arange(1, len(a) + 1)
-
-    def stage(x):
-        return velocity(_admissible(cone, x) * weights)
-
-    k1 = stage(a)
-    k2 = stage(a + 0.5 * dt * k1)
-    k3 = stage(a + 0.5 * dt * k2)
-    k4 = stage(a + dt * k3)
-    return a + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    velocity: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _admissible(make, a):
-    """``make(a)`` for the coefficients of a series RK4 stage or step's end;
+    """``make(a)`` for the coefficients of a series stage or step's end;
     coefficients outside the admissible cone raise NormalizationError."""
     try:
         return make(a)
@@ -232,8 +226,11 @@ def _series_map(coeffs) -> TaylorMap:
     return m
 
 
-#: Newton iterations, largest correction / |h v| and halvings of a polynomial step
+#: Newton iterations, largest correction / |h v| and halvings of a step
 _NEWTON_ITERATIONS, _MAX_CORRECTION, _MAX_HALVINGS = 8, 0.25, 12
+
+#: largest accepted max|y5 - y4| of a series step, relative to max|a_j|
+_SERIES_TOL = 1e-12
 
 
 def _corrected(a: np.ndarray, target: np.ndarray, cond: float) -> np.ndarray | str:
@@ -267,8 +264,23 @@ def _corrected(a: np.ndarray, target: np.ndarray, cond: float) -> np.ndarray | s
     return f"Newton did not converge in {_NEWTON_ITERATIONS} iterations"
 
 
-def _continued(state: EvolutionState, h: float, halvings: int) -> EvolutionState:
-    """``state`` continued by h in one step, or else in two of h/2."""
+def _halving(attempt, state: EvolutionState, h: float, error,
+             halvings: int = 0) -> EvolutionState:
+    """``state`` continued by h in one step of ``attempt``, or else in two of
+    h/2.  ``attempt(state, h)`` gives the state at t + h, or why it rejected
+    the step; after ``_MAX_HALVINGS`` halvings a rejection raises ``error``
+    naming the time the step was tried from."""
+    out = attempt(state, h)
+    if not isinstance(out, str):
+        return out
+    if halvings == _MAX_HALVINGS:
+        raise error(f"no step from t = {state.t:.9g} down to {h:.3e} was accepted ({out})")
+    half = _halving(attempt, state, 0.5 * h, error, halvings + 1)
+    return _halving(attempt, half, 0.5 * h, error, halvings + 1)
+
+
+def _continued(state: EvolutionState, h: float) -> EvolutionState | str:
+    """``state`` continued by h in one polynomial step, or why not."""
     m = state.map
     solve0 = state.resultant or _string_solve(m.derivative_coeffs())
     predictor = h * solve0.gated()[m.degree_plus :]
@@ -278,21 +290,15 @@ def _continued(state: EvolutionState, h: float, halvings: int) -> EvolutionState
     target = np.concatenate([[start[0].real + h], start[1:]])
     a = _corrected(m.coeffs + predictor, target, solve0.cond)
     if isinstance(a, str):
-        why = a
-    elif np.max(np.abs(a - m.coeffs - predictor)) > _MAX_CORRECTION * np.max(np.abs(predictor)):
-        why = f"the correction exceeds {_MAX_CORRECTION} |h v|"
-    else:
-        solve1 = _string_solve(a * np.arange(1, len(a) + 1))
-        if solve1.log_resultant.imag != solve0.log_resultant.imag:
-            why = "Res(f', f'*) changed sign"
-        elif solve1.velocities is None:
-            why = "string system singular at the end map"
-        else:
-            return EvolutionState(state.t + h, PolynomialMap(a), resultant=solve1, target=target)
-    if halvings == _MAX_HALVINGS:
-        raise DegenerateResultantError(
-            f"no step from t = {state.t:.9g} down to {h:.3e} was accepted ({why})")
-    return _continued(_continued(state, 0.5 * h, halvings + 1), 0.5 * h, halvings + 1)
+        return a
+    if np.max(np.abs(a - m.coeffs - predictor)) > _MAX_CORRECTION * np.max(np.abs(predictor)):
+        return f"the correction exceeds {_MAX_CORRECTION} |h v|"
+    solve1 = _string_solve(a * np.arange(1, len(a) + 1))
+    if solve1.log_resultant.imag != solve0.log_resultant.imag:
+        return "Res(f', f'*) changed sign"
+    if solve1.velocities is None:
+        return "string system singular at the end map"
+    return EvolutionState(state.t + h, PolynomialMap(a), resultant=solve1, target=target)
 
 
 def step_polynomial(state: EvolutionState, h: float) -> EvolutionState:
@@ -309,23 +315,73 @@ def step_polynomial(state: EvolutionState, h: float) -> EvolutionState:
     """
     if not isinstance(state.map, PolynomialMap):
         raise TypeError("polynomial stepper needs a PolynomialMap state")
-    return _continued(state, h, 0)
+    return _halving(_continued, state, h, DegenerateResultantError)
 
 
-def step_taylor_fixed_branch(state: EvolutionState, dt: float,
+#: the Dormand & Prince (1980) 5(4) pair: rows of stages 2..7, the last
+#: row being the 5th-order weights, so the 7th stage is the end's velocity
+_DP_STAGES = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+#: weights of y5 - y4, the 5th- less the 4th-order solution
+_DP_ERROR = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                      22 / 525, -1 / 40))
+
+
+def _dormand_prince(a: np.ndarray, h: float, k1: np.ndarray, velocity):
+    """One Dormand-Prince 5(4) step of h from ``a``, whose velocity is k1:
+    the 5th-order end, its velocity (the 7th stage) and max|y5 - y4|."""
+    ks = np.empty((7, len(a)), dtype=complex)
+    ks[0] = k1
+    for i, row in enumerate(_DP_STAGES, start=1):
+        end = a + h * (row @ ks[:i])
+        ks[i] = velocity(end)
+    return end, ks[6], abs(h) * float(np.max(np.abs(_DP_ERROR @ ks)))
+
+
+def _series_continued(state: EvolutionState, h: float, velocity) -> EvolutionState | str:
+    """``state``, which carries its velocity, continued by h in one
+    Dormand-Prince step, or why the step's error estimate rejects it."""
+    a = state.map.coeffs
+    end, k7, estimate = _dormand_prince(a, h, state.velocity, velocity)
+    target = _SERIES_TOL * float(np.max(np.abs(a)))
+    if estimate > target:
+        return f"error estimate {estimate:.3e} exceeds {target:.3e}"
+    return EvolutionState(state.t + h, _series_map(end), velocity=k7)
+
+
+def step_taylor_fixed_branch(state: EvolutionState, h: float,
                              grid: CircleGrid) -> EvolutionState:
-    """One RK4 step of the fixed-branch-point flow in series space.
+    """The fixed-branch-point flow in series space continued from t to t + h.
 
     The velocity is the truncation of fdot = z f' P to the series order
-    (:func:`series_velocity`); a stage's cone is a0 real positive.  The new
-    state is tail-checked by :func:`_series_map`: a series order too low for
-    the step raises :class:`TruncationError`.
+    (:func:`series_velocity` on ``grid``); each stage's cone is a0 real
+    positive, and a stage outside it raises :class:`NormalizationError`.
+    One Dormand-Prince 5(4) step of h is tried, with the state's carried
+    ``velocity`` as its first stage when it has one.  Its 5th-order end is
+    accepted when max|y5 - y4| <= ``_SERIES_TOL`` max|a_j|; otherwise the
+    step is taken as two of h/2, and after ``_MAX_HALVINGS`` halvings it
+    raises :class:`TruncationError`.  The accepted end is tail-checked by
+    :func:`_series_map`, so a series order too low for the flow raises
+    :class:`TruncationError` too.  The new state carries its velocity, the
+    step's last stage.
     """
     m = state.map
     if not isinstance(m, TaylorMap):
         raise TypeError("series stepper needs a TaylorMap state")
-    anew = _rk4(m.coeffs, dt, _normalized, partial(series_velocity, grid=grid))
-    return EvolutionState(state.t + dt, _series_map(anew))
+    weights = np.arange(1, m.order + 1)
+
+    def velocity(x):
+        return series_velocity(_admissible(_normalized, x) * weights, grid)
+
+    if state.velocity is None:
+        state = replace(state, velocity=velocity(m.coeffs))
+    return _halving(partial(_series_continued, velocity=velocity), state, h, TruncationError)
 
 
 def series_velocity(b: np.ndarray, grid: CircleGrid) -> np.ndarray:
@@ -358,8 +414,8 @@ class EvolutionResult:
         return self.stop_reason == "completed"
 
 
-#: no horizon holds more steps of dt (six hours of order-256 series steps);
-#: a horizon past it is a config error, not a loop that never returns
+#: no horizon holds more intervals of dt; a horizon past it is a config
+#: error, not an output grid too large to hold
 _MAX_STEPS = 10**7
 
 
@@ -379,9 +435,10 @@ def run_evolution(spec) -> EvolutionResult:
     Accepts a :class:`heleshaw.scenarios.ScenarioSpec`.  A
     :class:`PolynomialMap` starting map evolves in polynomial mode, any
     other map in series mode, from its truncation to ``taylor_order``
-    coefficients; series mode steps by ``dt``, polynomial mode from one
-    kept time (0, the output times, the horizon) to the next.  A horizon or
-    output time that is no whole, finite number of steps of ``dt``, or a
+    coefficients.  ``dt`` is the output-time grid: both modes step from one
+    kept time (0, the output times, the horizon) to the next, polynomial
+    mode by continuation and series mode by error-controlled steps.  A
+    horizon or output time that is no whole, finite number of ``dt``, or a
     horizon of more than ``_MAX_STEPS`` of them, raises :class:`ConfigError`
     before any work.  A typed failure (degeneracy, cusp, truncation, branch
     trouble) at the initial map (its series truncation, base moments,
@@ -431,7 +488,9 @@ def run_evolution(spec) -> EvolutionResult:
                 if len(bpt) == len(base_branch)
                 else np.full(max(len(base_branch), 1), np.inf)
             )
-            vel = series_velocity(state.map.derivative_coeffs(), grid)
+            vel = state.velocity
+            if vel is None:
+                vel = series_velocity(state.map.derivative_coeffs(), grid)
             solve = None
         else:
             bdrift = np.zeros(0)
@@ -439,21 +498,17 @@ def run_evolution(spec) -> EvolutionResult:
             vel = solve.gated()[state.map.degree_plus:]
         sres = string_residual(state.map, vel, grid)
         return replace(state, diagnostics=StepDiagnostics(mv, drift, bdrift, sres),
-                       resultant=solve)
+                       resultant=solve, velocity=vel if series else None)
 
     state = annotate(EvolutionState(0.0, m))
     states = [state]
     stop = "completed"
-    ends = range(1, n_steps + 1) if series else sorted(out_steps - {0})
-    for k in ends:
+    step = partial(step_taylor_fixed_branch, grid=grid) if series else step_polynomial
+    for k in sorted(out_steps - {0}):
+        t = round(k * spec.dt, 12)
         try:
-            if series:
-                state = step_taylor_fixed_branch(state, spec.dt, grid=grid)
-            else:
-                state = step_polynomial(state, round(k * spec.dt, 12) - state.t)
-            state = replace(state, t=round(k * spec.dt, 12))
-            if k in out_steps:
-                states.append(annotate(state))
+            state = annotate(replace(step(state, t - state.t), t=t))
+            states.append(state)
         except HeleShawError as exc:
             stop = f"{type(exc).__name__}: {exc}"
             break

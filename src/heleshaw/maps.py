@@ -9,7 +9,7 @@ closed unit disk, normalized by f(0) = 0 and f'(0) > 0:
 
 The coefficient maps keep a0 real and positive (:func:`_normalized`, which
 also gives their read-only arrays); it and :func:`_polynomial_cone` are the
-cones series RK4 stages and polynomial Newton iterates check.
+cones series stages and polynomial Newton iterates check.
 
 Every class exposes its exact rational representation, so differentiation,
 holomorphic reflection f*(z) = conj(f(1/conj z)) and residues all route

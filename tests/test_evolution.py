@@ -227,16 +227,20 @@ def test_backward_step_toward_degeneracy_raises():
 
 def rk4_reference(a, t, dt):
     """The polynomial string flow integrated to t by fixed RK4 steps of dt,
-    through the series stepper's ``_rk4`` with the polynomial cone and the
-    gated string velocities: the oracle of the continuation stepper."""
+    each stage in the polynomial cone with the gated string velocities: the
+    oracle of the continuation stepper."""
     a = maps._polynomial_cone(a)
-    n = len(a) - 1
+    weights = np.arange(1, len(a) + 1)
 
-    def velocity(b):
-        return bracket._string_solve(b).gated()[n:]
+    def velocity(x):
+        return bracket._string_solve(maps._polynomial_cone(x) * weights).gated()[len(x) - 1:]
 
     for _ in range(round(t / dt)):
-        a = evolution._rk4(a, dt, maps._polynomial_cone, velocity)
+        k1 = velocity(a)
+        k2 = velocity(a + 0.5 * dt * k1)
+        k3 = velocity(a + 0.5 * dt * k2)
+        k4 = velocity(a + dt * k3)
+        a = a + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     return a
 
 
@@ -274,6 +278,39 @@ def test_modes_agree_on_univalent_polynomial():
     assert np.max(np.abs(padded - np.asarray(stt.map.coeffs))) < 1e-10
 
 
+def test_string_and_series_velocities_agree_exactly_when_univalent():
+    # with f' free of zeros in the closed disk the string flow keeps the
+    # branch points (there are none) and a polynomial of degree n + 1, so
+    # z f' P truncated to n + 1 coefficients is the string velocity; with
+    # zeros inside, the string flow moves them and the fixed-branch flow
+    # does not.  Zeros are kept 0.02 from the circle, so 1/|f'|^2 decays
+    # like 0.98^k, to 1e-18 at the 2048th mode of a 4096 grid (a 256 grid
+    # aliases to about 2e-8).  Measured: at most 5.7e-16 apart without
+    # zeros inside, at least 0.12 apart with them
+    grid = CircleGrid(4096)
+    counts = [0, 0]
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 15
+        j = np.arange(1, n + 1)
+        scale = rng.uniform(0.1, 0.6) if seed % 2 == 0 else rng.uniform(0.6, 1.5)
+        a = scale / (j + 1) * rng.uniform(0.0, 1.0, n)
+        m = PolynomialMap(tuple(np.concatenate(
+            [[1.0], a * np.exp(2j * np.pi * rng.uniform(size=n))])))
+        b = m.derivative_coeffs()
+        radii = np.abs(np.roots(b[::-1]))
+        if np.min(np.abs(radii - 1.0)) < 0.02:
+            continue
+        gap = np.max(np.abs(bracket._string_solve(b).gated()[n:] - series_velocity(b, grid)))
+        inside = bool(np.any(radii < 1.0))
+        counts[inside] += 1
+        if inside:
+            assert gap >= 1e-3, (seed, gap)
+        else:
+            assert gap <= 1e-12, (seed, gap)
+    assert min(counts) >= 10, counts
+
+
 def test_taylor_step_conserves_moments():
     g = CircleGrid(1024)
     m = TaylorMap(tuple(subcase2_from_omega(0.6, 1.0).power_series(64)))
@@ -284,6 +321,111 @@ def test_taylor_step_conserves_moments():
     mv = moments_richardson(state.map, 4)
     assert abs(mv[0] - base[0] - 0.01) < 1e-8
     assert np.max(np.abs(mv[1:] - base[1:])) < 1e-8
+
+
+FIVE_OUTPUTS = (0.01, 0.02, 0.03, 0.04, 0.05)
+
+
+def subcase2_run(r, output_times, order=256):
+    """The series run of subcase 2 from M0 = 1, B1 = r e^(0.7i) to t = 0.05
+    at dt = 1e-3, and its largest distance from the closed-form family
+    make_subcase2(1 + t, B1) over the snapshots."""
+    b1 = r * np.exp(0.7j)
+    spec = ScenarioSpec(family="subcase2", params={"M0": 1.0, "B1": b1}, horizon=0.05,
+                        dt=1e-3, output_times=output_times, taylor_order=order,
+                        grid_n=4096)
+    res = run_evolution(spec)
+    err = max(np.max(np.abs(np.asarray(s.map.coeffs)
+                            - make_subcase2(1.0 + s.t, b1).power_series(order)))
+              for s in res.states)
+    return res, err
+
+
+@pytest.mark.parametrize("output_times", [FIVE_OUTPUTS, ()], ids=["five", "one"])
+@pytest.mark.parametrize("r", [0.3, 0.6])
+def test_controlled_series_run_tracks_the_closed_form(r, output_times):
+    # dt is the output grid: the run steps from one output time to the
+    # next, over five intervals of 0.01 or one of 0.05, and stays within
+    # 1e-12 of the family (3.5e-16 to 9.9e-15 measured)
+    res, err = subcase2_run(r, output_times)
+    assert res.completed
+    assert len(res.states) == 1 + max(len(output_times), 1)
+    assert err <= 1e-12
+
+
+def counted_tries(monkeypatch):
+    """The step sizes of the Dormand-Prince steps tried, in order."""
+    attempts = []
+    real = evolution._dormand_prince
+
+    def counted(a, h, k1, velocity):
+        attempts.append(h)
+        return real(a, h, k1, velocity)
+
+    monkeypatch.setattr(evolution, "_dormand_prince", counted)
+    return attempts
+
+
+def test_series_run_reuses_the_last_stage(monkeypatch):
+    # an accepted step's 7th stage is the velocity of its end map: it is
+    # the next step's first stage and the snapshot's string velocity, so
+    # five steps without a rejection take 1 + 5 * 6 velocity evaluations
+    calls = []
+    real = evolution.series_velocity
+
+    def counted(b, grid):
+        calls.append(b)
+        return real(b, grid)
+
+    monkeypatch.setattr(evolution, "series_velocity", counted)
+    res, _ = subcase2_run(0.3, FIVE_OUTPUTS)
+    assert res.completed
+    assert len(calls) == 1 + 5 * 6
+    for s in res.states:
+        assert np.array_equal(s.velocity, real(s.map.derivative_coeffs(), CircleGrid(4096)))
+
+
+def test_near_cusp_series_run_needs_the_error_control(monkeypatch):
+    # at |B1| = 0.9 one step of 0.05 leaves coefficient energy above the
+    # tail gate.  The controller halves it (18 steps rejected, measured)
+    # and completes, as close to the family as fixed RK4 steps of 1e-3
+    # came (9.9e-8, the order-256 truncation error; 1.9e-7 over five
+    # snapshots).  Without the error test the one step is accepted, and
+    # the tail gate stops the run (tail energy 6.2e-10)
+    attempts = counted_tries(monkeypatch)
+    res, err = subcase2_run(0.9, ())
+    assert res.completed
+    assert err <= 1.9e-7
+    assert len(attempts) > 1 and min(attempts) < 0.05
+    monkeypatch.setattr(evolution, "_SERIES_TOL", np.inf)
+    res, _ = subcase2_run(0.9, ())
+    assert res.stop_reason.startswith("TruncationError: relative tail energy")
+    assert len(res.states) == 1
+
+
+def test_series_run_nearer_the_cusp_needs_order_512():
+    # at |B1| = 0.95 the order-256 truncation of the initial map already
+    # fails the tail gate (1.1e-8), which raises at the initial map; at
+    # order 512 the controlled run completes within its truncation error
+    # (1.7e-8, as with fixed RK4 steps of 1e-3)
+    with pytest.raises(TruncationError, match="relative tail energy"):
+        subcase2_run(0.95, ())
+    res, err = subcase2_run(0.95, (), order=512)
+    assert res.completed
+    assert err <= 1e-7
+
+
+def test_series_step_raises_after_the_last_halving(monkeypatch):
+    # with a target no estimate meets, each try is rejected and its first
+    # half tried next: after _MAX_HALVINGS halvings the step raises,
+    # naming the time it was tried from, its estimate and the target
+    attempts = counted_tries(monkeypatch)
+    monkeypatch.setattr(evolution, "_SERIES_TOL", 0.0)
+    state = EvolutionState(0.25, TaylorMap(make_subcase2(1.0, B1_SUB2).power_series(64)))
+    with pytest.raises(TruncationError, match=r"^no step from t = 0\.25 down to 2\.441e-07 "
+                       r"was accepted \(error estimate \d\.\d{3}e-\d\d exceeds 0\.000e\+00\)$"):
+        step_taylor_fixed_branch(state, 1e-3, CircleGrid(1024))
+    assert attempts == [1e-3 / 2**k for k in range(evolution._MAX_HALVINGS + 1)]
 
 
 def test_taylor_truncation_guard():
@@ -484,7 +626,9 @@ CONE = "stage left the admissible coefficient cone: "
 
 @pytest.mark.parametrize("dt", [-5.0, -0.6])
 def test_series_step_leaving_the_cone_is_a_normalization_error(dt):
-    # a stage leaves the cone at dt = -5, the end map at dt = -0.6
+    # at dt = -5 the second stage leaves the cone; at dt = -0.6 the error
+    # test rejects the step, and a stage of one of its halved steps leaves
+    # it.  A cone exit raises at once: it is never a rejected step
     state = EvolutionState(0.0, TaylorMap((1.0, 0.1) + (0.0,) * 14))
     with pytest.raises(NormalizationError, match=f"^{CONE}a0 must be positive, got "):
         step_taylor_fixed_branch(state, dt, CircleGrid(256))
