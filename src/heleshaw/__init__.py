@@ -13,6 +13,7 @@ from .maps import (
     CircleGrid,
     PolynomialMap,
     TaylorMap,
+    branch_points,
     polynomial_roots,
     winding_number,
 )
@@ -35,7 +36,6 @@ from .bracket import (
 )
 from .evolution import (
     EvolutionState,
-    branch_points,
     poisson_schwarz,
     run_evolution,
     step_polynomial,

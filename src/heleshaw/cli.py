@@ -22,11 +22,13 @@ dt (1e-3), output_times (none), grid_n (1024), taylor_order (64),
 diagnostic_moments (4), csv, svg, json (artifact paths, none written by
 default), plus the family parameters (a0 | coeffs | a, b, c_magnitude |
 M0, B1).  Blank lines and ``#`` comments are ignored; unknown keys are
-rejected by name.  A key is also a flag, ``--key-name`` for ``key_name``
-and ``--json-path`` for ``json`` (``scenario`` and ``bracket-check``
-have ``--grid`` for grid_n).  Config lines and flags go through one
-table, :data:`_KEYS`, of value parsers, and one function, :func:`_spec`,
-builds the spec.
+rejected by name.  Most keys are also flags, ``--key-name`` for
+``key_name`` and ``--json-path`` for ``json``: ``evolve`` takes family,
+the family parameters, horizon, dt, output_times, csv, svg and json.
+taylor_order and diagnostic_moments are set in a config only, and so is
+grid_n, except as ``--grid`` of ``scenario`` and ``bracket-check``.
+Config lines and flags go through one table, :data:`_KEYS`, of value
+parsers, and one function, :func:`_spec`, builds the spec.
 """
 
 from __future__ import annotations

@@ -19,8 +19,6 @@ class Tolerances:
     """Default numerical thresholds, one field per gate.  A step needs no
     normalization gate: both steppers keep Im a0 exactly 0."""
 
-    #: minimum distance from an evaluation point to a pole of a rational map
-    pole_proximity: float = 1e-9
     #: |remainder| below this (relative to coefficient scale) counts as a root
     root_residual: float = 1e-10
     #: winding-number rounding residual above this aborts (under-resolution)

@@ -26,13 +26,14 @@ takes P from those samples, and :func:`series_velocity` is the one velocity
 function.  Each Dormand-Prince stage is one call of it, and the last stage
 of an accepted step is the velocity of its end map, which the state carries
 to the next step's first stage and to the snapshot diagnostics.  Branch
-points are found once, from the exact map before truncation, and then
-continued: at each snapshot Newton's method polishes the previous omegas on
-the coefficients of f', and the argument principle on the circles of radius
-1 -/+ branch_boundary_margin certifies the zero count.  A count that
-differs between the two circles (a zero at the boundary) raises
-:class:`BranchPointError`; a count that changed, or a Newton run that does
-not converge, falls back to companion-matrix roots for that snapshot.
+points (:func:`heleshaw.maps.branch_points`) are found once, from the
+exact map before truncation, and then continued: at each snapshot Newton's
+method polishes the previous omegas on the coefficients of f', and the
+argument principle on the circles of radius 1 -/+ branch_boundary_margin
+certifies the zero count.  A count that differs between the two circles (a
+zero at the boundary) raises :class:`BranchPointError`; a count that
+changed, or a Newton run that does not converge, falls back to
+companion-matrix roots for that snapshot.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import (
-    BranchPointError,
     ConfigError,
     CuspError,
     DegenerateResultantError,
@@ -60,17 +60,14 @@ from .maps import (
     TaylorMap,
     _normalized,
     _polynomial_cone,
+    branch_points,
     circle_values,
-    simple_derivative_zeros_in_disk,
 )
 from .moments import moments_richardson
-from .rational import RationalFunction, pder, pmul, psub
 from .bracket import _newton_update, _string_solve, _StringSolve, string_residual
 
 __all__ = [
     "poisson_schwarz",
-    "BranchPointSet",
-    "branch_points",
     "EvolutionState",
     "StepDiagnostics",
     "step_polynomial",
@@ -105,54 +102,6 @@ def poisson_schwarz(fpv: np.ndarray, n_modes: int | None = None) -> np.ndarray:
     coeffs = 2.0 * hat
     coeffs[0] = hat[0].real
     return coeffs
-
-
-# ----------------------------------------------------------------------
-# branch points
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BranchPointSet:
-    """Zeros omega_j of f' in the disk with their images B_j = f(omega_j)."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.omegas)
-
-
-def branch_points(m: AnalyticMap, near=None) -> BranchPointSet:
-    """Branch points of the map: simple zeros of f' inside the unit disk.
-
-    Each image is computed both directly as f(omega_j) and as the residue of
-    f f'' / f' at omega_j; disagreement beyond 1e-9 raises, since it means
-    the zero is not resolved.  Pass the previous zeros as ``near`` to
-    continue them along an evolution (see
-    :func:`heleshaw.maps.simple_derivative_zeros_in_disk`).
-    """
-    omegas = simple_derivative_zeros_in_disk(m, near=near)
-    if omegas.size == 0:
-        return BranchPointSet(omegas, np.zeros(0, dtype=complex))
-    r = m.rational()
-    direct = np.asarray([r(w) for w in omegas], dtype=complex)
-    # f = P/Q, f' = N1/Q**2 and f'' = M2/Q**3, so f f''/f' = P M2/(Q**2 N1)
-    # in lowest terms.  Forming it as (f * f'') / f' instead leaves extra
-    # powers of Q in numerator and denominator: a cluster of uncancelled
-    # zeros at the poles of f that ruins the residue near |omega| = 1.
-    P, Q = r.num, r.den
-    N1 = psub(pmul(pder(P), Q), pmul(P, pder(Q)))
-    M2 = psub(pmul(pder(N1), Q), 2.0 * pmul(N1, pder(Q)))
-    integrand = RationalFunction(pmul(P, M2), pmul(pmul(Q, Q), N1))
-    scale = max(float(np.max(np.abs(direct))), 1.0)
-    for w, bv in zip(omegas, direct):
-        res = integrand.residue(w)
-        if abs(res - bv) > 1e-9 * scale:
-            raise BranchPointError(
-                f"branch value mismatch at {w}: f(omega) = {bv}, "
-                f"residue = {res}"
-            )
-    return BranchPointSet(omegas, direct)
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +410,7 @@ def run_evolution(spec) -> EvolutionResult:
     if series and not isinstance(m, TaylorMap):
         # the exact map's f' has a low-degree numerator, so its zeros seed
         # the continuation on the truncated series cheaply
-        seeds = simple_derivative_zeros_in_disk(m)
+        seeds = branch_points(m).omegas
         m = _series_map(m.power_series(spec.taylor_order))
 
     K = spec.diagnostic_moments

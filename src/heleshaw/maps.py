@@ -15,6 +15,8 @@ Every class exposes its exact rational representation, so differentiation,
 holomorphic reflection f*(z) = conj(f(1/conj z)) and residues all route
 through :mod:`heleshaw.rational`.  Points are evaluated by Horner's rule
 (:func:`~heleshaw.rational.pval`), grids by FFT (:func:`ring_values`).
+:func:`branch_points` finds, continues, certifies and images the zeros of
+f' in the disk.
 
 All operations are pure functions on immutable values; nothing here mutates
 shared state, so concurrent use is safe.
@@ -34,7 +36,7 @@ from .errors import (
     RootFindingError,
     UnderResolvedError,
 )
-from .rational import RationalFunction, pder, pval, trim
+from .rational import RationalFunction, pder, pmul, psub, pval, trim
 
 __all__ = [
     "CircleGrid",
@@ -44,6 +46,8 @@ __all__ = [
     "TaylorMap",
     "polynomial_roots",
     "winding_number",
+    "BranchPointSet",
+    "branch_points",
 ]
 
 
@@ -161,18 +165,6 @@ class AnalyticMap:
         """Poles of the map in the finite plane (all outside the closed disk)."""
         return np.zeros(0, dtype=complex)
 
-    def __call__(self, z):
-        """Evaluate the map; rejects points within tolerance of a pole."""
-        z = np.asarray(z, dtype=complex)
-        poles = self.finite_poles()
-        if poles.size:
-            d = np.min(np.abs(z[..., None] - poles[None, :]))
-            if d < DEFAULT.pole_proximity:
-                raise PoleProximityError(
-                    f"evaluation point within {d:.2e} of a pole"
-                )
-        return self.rational()(z)
-
     @property
     def a0(self) -> float:
         """The normalization f'(0) = a0 > 0."""
@@ -266,11 +258,6 @@ class AbcRationalMap(AnalyticMap):
         # c z (z - a) = -a c z + c z^2
         return RationalFunction([0.0, -self.a * self.c, self.c], [-self.b, 1.0])
 
-    def node(self) -> complex:
-        """The second quadrature node f(1/conj(b))."""
-        zb = 1.0 / np.conj(self.b)
-        return complex(self.rational()(zb))
-
 
 @dataclass(frozen=True, eq=False)
 class TaylorMap(_CoefficientMap):
@@ -361,21 +348,61 @@ def winding_number(samples, z):
     return idx, residual
 
 
-def simple_derivative_zeros_in_disk(m: AnalyticMap, near=None) -> np.ndarray:
-    """Zeros of f' strictly inside the unit disk, required simple.
+@dataclass(frozen=True)
+class BranchPointSet:
+    """Zeros omega_j of f' in the disk with their images B_j = f(omega_j)."""
 
-    Pass the previous zeros as ``near`` to continue them: each is polished by
-    Newton's method on the numerator of f', and the zero count in the disk
-    is certified by the argument principle (:func:`_continued_zeros`).
-    Without ``near``, or when the continuation is not certified, all roots
-    are found from the companion matrix and, if the count is unchanged,
-    matched to ``near`` in order.
+    omegas: np.ndarray
+    values: np.ndarray
 
-    Raises :class:`BranchPointError` for multiple zeros or zeros within the
-    boundary margin of the unit circle.
+    def __len__(self) -> int:
+        return len(self.omegas)
+
+
+def branch_points(m: AnalyticMap, near=None) -> BranchPointSet:
+    """The simple zeros omega_j of f' inside the unit disk and their images
+    B_j = f(omega_j).
+
+    Pass the previous zeros as ``near`` to continue them: Newton's method
+    polishes each and the argument principle certifies the count
+    (:func:`_continued_zeros`).  Otherwise, or where that fails, the
+    companion matrix gives all roots, matched to ``near`` when the count is
+    unchanged.  Multiple zeros and zeros within the boundary margin of the
+    unit circle raise :class:`BranchPointError`.
+
+    Each B_j is cross-checked against the residue of f f''/f' at omega_j;
+    a difference above 1e-9 max(1, |B_j|) raises :class:`BranchPointError`.
+    With a pole it catches a misplaced zero: on the subcase-2 map of M0 = 1,
+    B1 = 0.3 one moved by 1e-8 shifts the residue by 1.2e-8.  On a
+    coefficient map P P''/P' has residue P(omega) anywhere, so only the
+    residue's remainder gate acts (:class:`ResidueError`).
     """
-    fp = m.derivative_rational()
-    num = trim(fp.num)
+    r = m.rational()
+    fp = r.derivative()
+    omegas = _derivative_zeros(fp, near)
+    values = np.asarray([r(w) for w in omegas], dtype=complex)
+    # f = P/Q and f' = N/Q**2 (N up to a constant where Q is one), so f f''/f'
+    # is P M/(Q**2 N) in lowest terms, M = N' Q - 2 N Q'.  (f * f'') / f'
+    # would keep uncancelled zeros at the poles of f, which ruin the residue
+    # near |omega| = 1.
+    P, Q, N = r.num, r.den, fp.num
+    M = psub(pmul(pder(N), Q), 2.0 * pmul(N, pder(Q)))
+    integrand = RationalFunction(pmul(P, M), pmul(pmul(Q, Q), N))
+    scale = float(np.max(np.abs(values), initial=1.0))
+    for w, bv in zip(omegas, values):
+        res = integrand.residue(w)
+        if abs(res - bv) > 1e-9 * scale:
+            raise BranchPointError(
+                f"branch value mismatch at {w}: f(omega) = {bv}, "
+                f"residue = {res}"
+            )
+    return BranchPointSet(omegas, values)
+
+
+def _derivative_zeros(fp: RationalFunction, near) -> np.ndarray:
+    """The zeros of f' = ``fp`` for :func:`branch_points`, each simple
+    (|f''| >= ``branch_simple_min``) and ``_MULTIPLE_ZERO_GAP`` apart."""
+    num = fp.num
     if len(num) < 2:
         return np.zeros(0, dtype=complex)
     inside = None

@@ -44,7 +44,7 @@ import numpy as np
 from .config import DEFAULT
 from .errors import CuspError, QuadratureError, ResidueError, UncancelledPoleError
 from .maps import AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, _frozen, ring_values
-from .rational import RationalFunction, deflate
+from .rational import RationalFunction, pval
 
 __all__ = [
     "QuadratureData",
@@ -371,7 +371,7 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
     scale = np.max(np.abs(g.num))
     for q in _reflected_poles(m):
         # the pole of f* at q is simple: f* f' keeps it unless num(q) = 0
-        if abs(deflate(g.num, q)[1]) > DEFAULT.pole_cancel * scale:
+        if abs(pval(g.num, q)) > DEFAULT.pole_cancel * scale:
             raise UncancelledPoleError(
                 f"f* f' keeps a pole at {q}; the map does not satisfy a "
                 "one-point quadrature identity"

@@ -21,7 +21,6 @@ __all__ = [
     "pder",
     "pval",
     "series_div",
-    "deflate",
     "RationalFunction",
 ]
 
@@ -84,19 +83,6 @@ def series_div(num, den, order) -> np.ndarray:
             acc -= np.dot(den[1 : top + 1], t[i - top : i][::-1])
         t[i] = acc / den[0]
     return t
-
-
-def deflate(p, z0):
-    """Synthetic division of ``p`` by (z - z0): returns (quotient, remainder)."""
-    p = np.asarray(p, dtype=complex)
-    if len(p) == 1:
-        return np.zeros(1, dtype=complex), complex(p[0])
-    q = np.zeros(len(p) - 1, dtype=complex)
-    acc = p[-1]
-    for j in range(len(p) - 2, -1, -1):
-        q[j] = acc
-        acc = p[j] + acc * z0
-    return q, complex(acc)
 
 
 class RationalFunction:
@@ -177,21 +163,21 @@ class RationalFunction:
         At the origin the pole is held as exact leading zeros of the
         denominator (the form :meth:`reflect` produces) and the residue is
         read from :meth:`principal_part_at_zero` (0 without such zeros).
-        Elsewhere z0 must be a simple root of the denominator: (z - z0) is
-        deflated from it once and the residue is num(z0) / (den / (z - z0))(z0).
-        Raises :class:`ResidueError` when z0 is no root or a multiple one.
+        Elsewhere z0 must be a simple root of the denominator and the
+        residue is num(z0) / den'(z0), each by :func:`pval`.  Raises
+        :class:`ResidueError` when |den(z0)| > 1e-6 max|den coefficient| (no
+        root) or den'(z0) = 0 (a multiple one).
         """
         if z0 == 0:
             coeffs, s = self.principal_part_at_zero()
             return complex(coeffs[0]) if s else 0.0 + 0.0j
-        den, rem = deflate(self.den, z0)
-        if abs(rem) > 1e-6 * np.max(np.abs(self.den)):
+        if abs(pval(self.den, z0)) > 1e-6 * np.max(np.abs(self.den)):
             raise ResidueError(f"denominator does not vanish at {z0}")
-        dv = deflate(den, z0)[1]
+        dv = pval(pder(self.den), z0)
         if dv == 0:
             raise ResidueError(f"not a simple pole at {z0}")
         # numpy's complex division: the moments are pinned to its rounding
-        return complex(np.complex128(deflate(self.num, z0)[1]) / dv)
+        return complex(np.complex128(pval(self.num, z0)) / dv)
 
     def principal_part_at_zero(self):
         """Laurent coefficients of the pole at the origin.

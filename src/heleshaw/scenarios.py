@@ -130,8 +130,8 @@ class ScenarioSpec:
 # constructors
 # ----------------------------------------------------------------------
 
-def make_example_abc(a, b, c_magnitude: float):
-    """Map of the two-node family and its :func:`quadrature_data`.
+def make_example_abc(a, b, c_magnitude: float) -> AbcRationalMap:
+    """Map of the two-node family; :func:`quadrature_data` gives its identity.
 
     The argument of c is fixed by the normalization a c / b > 0; only |c| is
     free.
@@ -142,9 +142,10 @@ def make_example_abc(a, b, c_magnitude: float):
         raise ConfigError("c_magnitude must be positive")
     if not (0 < abs(a) < 1 < abs(b)):
         raise ConfigError(f"need 0 < |a| < 1 < |b|, got |a|={abs(a)}, |b|={abs(b)}")
+    if max(abs(b), c_magnitude) > np.sqrt(np.finfo(float).max):  # squared by quadrature_data
+        raise OverflowError(f"|b|^2 or |c|^2 overflows: |b|={abs(b)}, |c|={c_magnitude}")
     c = c_magnitude * np.exp(1j * (np.angle(b) - np.angle(a)))
-    m = AbcRationalMap(a, b, c)
-    return m, quadrature_data(m)
+    return AbcRationalMap(a, b, c)
 
 
 def quadrature_data(m: AnalyticMap) -> QuadratureData:
@@ -265,7 +266,7 @@ def initial_map(spec: ScenarioSpec) -> AnalyticMap:
             if fam == "polynomial":
                 return PolynomialMap(p["coeffs"])
             if fam == "example_abc":
-                return make_example_abc(p["a"], p["b"], float(p["c_magnitude"]))[0]
+                return make_example_abc(p["a"], p["b"], float(p["c_magnitude"]))
             if fam == "subcase1":
                 return make_subcase1(float(p["M0"]), p["B1"])
             if fam == "subcase2":

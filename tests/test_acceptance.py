@@ -19,8 +19,8 @@ from heleshaw.bracket import (
     sylvester_matrix,
 )
 from heleshaw.errors import DegenerateResultantError
-from heleshaw.evolution import branch_points, run_evolution
-from heleshaw.maps import CircleGrid, PolynomialMap, winding_number
+from heleshaw.evolution import run_evolution
+from heleshaw.maps import CircleGrid, PolynomialMap, branch_points, winding_number
 from heleshaw.moments import (
     default_moment_count,
     moments_area_oracle,
@@ -34,6 +34,7 @@ from heleshaw.scenarios import (
     make_example_abc,
     make_subcase1,
     make_subcase2,
+    quadrature_data,
     subcase1_branch_value,
     subcase2_from_omega,
 )
@@ -192,7 +193,8 @@ def test_criterion_6_conservation_and_order():
 
 
 def test_criterion_7_example_family():
-    m, data = make_example_abc(0.4, 2.0, 2.0)
+    m = make_example_abc(0.4, 2.0, 2.0)
+    data = quadrature_data(m)
     integ = m.reflection() * m.derivative_rational()
     (node, B), = data.nodes
     errA = abs(integ.residue(0.0) - data.c[0])
@@ -274,7 +276,7 @@ def test_criterion_9_three_way_moments_scenario_corpus():
         worst_exact = max(worst_exact, float(np.max(np.abs(rich - resm))) / scale)
         worst_area = max(worst_area, float(np.max(np.abs(rich - area))))
     rationals = [
-        make_example_abc(0.4, 2.0, 2.0)[0],
+        make_example_abc(0.4, 2.0, 2.0),
         make_subcase1(2.0, B1_SUB1),
         make_subcase2(1.0, B1_SUB2),
     ]

@@ -18,7 +18,6 @@ from heleshaw.errors import (
 )
 from heleshaw.evolution import (
     EvolutionState,
-    branch_points,
     poisson_schwarz,
     run_evolution,
     series_velocity,
@@ -29,8 +28,8 @@ from heleshaw.maps import (
     CircleGrid,
     PolynomialMap,
     TaylorMap,
+    branch_points,
     circle_values,
-    simple_derivative_zeros_in_disk,
 )
 from heleshaw.moments import moments_richardson
 from heleshaw.scenarios import ScenarioSpec, make_subcase2, subcase2_from_omega
@@ -94,7 +93,7 @@ def test_herglotz_boundary_match_all_scenario_maps():
     maps = [
         PolynomialMap((1.0,)),
         CARDIOID,
-        make_example_abc(0.4, 2.0, 2.0)[0],
+        make_example_abc(0.4, 2.0, 2.0),
         make_subcase1(2.0, 7.0 - 4.0 * np.sqrt(3.0)),
         subcase2_from_omega(0.6, 1.0),
     ]
@@ -159,12 +158,12 @@ def test_branch_residue_cross_check_near_the_circle(modulus, phase):
 def test_continuation_matches_companion_on_series(m0, ratio, phase):
     # seed from the exact map, step the order-256 series once, then continue
     exact = make_subcase2(m0, ratio * np.sqrt(m0) * np.exp(1j * phase))
-    seeds = simple_derivative_zeros_in_disk(exact)
+    seeds = branch_points(exact).omegas
     state = EvolutionState(0.0, TaylorMap(tuple(exact.power_series(256))))
     state = step_taylor_fixed_branch(state, 1e-3, grid=CircleGrid(4096))
-    companion = simple_derivative_zeros_in_disk(state.map)
+    companion = branch_points(state.map).omegas
     with mock.patch.object(maps, "polynomial_roots", side_effect=AssertionError):
-        continued = simple_derivative_zeros_in_disk(state.map, near=seeds)
+        continued = branch_points(state.map, near=seeds).omegas
     assert len(continued) == len(companion) == 1
     assert abs(continued[0] - companion[0]) < 1e-12
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +19,10 @@ from heleshaw.maps import (
     CircleGrid,
     PolynomialMap,
     TaylorMap,
+    branch_points,
     circle_values,
     polynomial_roots,
     ring_values,
-    simple_derivative_zeros_in_disk,
     winding_number,
 )
 from heleshaw.rational import RationalFunction, pval
@@ -105,19 +106,15 @@ def test_derivative_on_grid_agrees_across_map_kinds():
 # ----------------------------------------------------------------------
 
 def test_identity_map_eval():
-    assert_allclose(PolynomialMap((1.0,))(0.5), 0.5)
+    assert_allclose(PolynomialMap((1.0,)).rational()(0.5), 0.5)
 
 
 def test_abc_normalization_and_value():
-    assert ABC(0.0) == 0.0
+    f = ABC.rational()
+    assert f(0.0) == 0.0
     # direct evaluation of c z (z-a)/(z-b), cross-checked by exact rational
     # arithmetic: 2 * (1/2) * (1/10) / (-3/2) = -1/15
-    assert_allclose(ABC(0.5), -1.0 / 15.0, rtol=1e-15)
-
-
-def test_eval_near_pole_raises():
-    with pytest.raises(PoleProximityError):
-        ABC(2.0 + 1e-12)
+    assert_allclose(f(0.5), -1.0 / 15.0, rtol=1e-15)
 
 
 def test_abc_parameter_validation():
@@ -389,14 +386,14 @@ def test_winding_under_resolution_raises(monkeypatch):
 
 def test_no_interior_derivative_zero_for_cardioid():
     # f' = 1 + 0.6 z vanishes at -5/3, outside the disk
-    assert len(simple_derivative_zeros_in_disk(PolynomialMap((1.0, 0.3)))) == 0
+    assert len(branch_points(PolynomialMap((1.0, 0.3)))) == 0
 
 
 def test_multiple_zero_rejected():
     # f' = (z - 0.3)^2 -> f = 0.09 z - 0.3 z^2 + z^3/3
     m = PolynomialMap((0.09, -0.3, 1.0 / 3.0))
     with pytest.raises(BranchPointError):
-        simple_derivative_zeros_in_disk(m)
+        branch_points(m)
 
 
 def test_zero_near_circle_rejected():
@@ -404,7 +401,7 @@ def test_zero_near_circle_rejected():
     r = 1.0 - 1e-8
     m = PolynomialMap((1.0, 1.0 / (2 * r)))
     with pytest.raises(BranchPointError):
-        simple_derivative_zeros_in_disk(m)
+        branch_points(m)
 
 
 def _counted_roots(monkeypatch):
@@ -428,12 +425,12 @@ def test_continuation_raises_for_zero_within_margin(monkeypatch):
     with monkeypatch.context() as wide:
         wide.setattr(maps, "DEFAULT", replace(DEFAULT, branch_boundary_margin=0.3))
         with pytest.raises(BranchPointError, match="within 0.3"):
-            simple_derivative_zeros_in_disk(m, near=[0.5])
+            branch_points(m, near=[0.5])
     assert calls == []
     # at the default margin the counts are not resolved; the companion
     # fallback rejects the zero on the circle just the same
     with pytest.raises(BranchPointError):
-        simple_derivative_zeros_in_disk(m, near=[0.5])
+        branch_points(m, near=[0.5])
     assert calls == [2]
 
 
@@ -441,14 +438,53 @@ def test_continuation_with_wrong_count_falls_back(monkeypatch):
     from heleshaw.scenarios import subcase2_from_omega
 
     m = TaylorMap(tuple(subcase2_from_omega(0.5 * np.exp(0.4j), 1.0).power_series(64)))
-    companion = simple_derivative_zeros_in_disk(m)
+    companion = branch_points(m).omegas
     calls = _counted_roots(monkeypatch)
-    assert_allclose(simple_derivative_zeros_in_disk(m, near=companion), companion,
+    assert_allclose(branch_points(m, near=companion).omegas, companion,
                     rtol=1e-12)
     assert calls == []
-    out = simple_derivative_zeros_in_disk(m, near=[companion[0], 0.1])
+    out = branch_points(m, near=[companion[0], 0.1]).omegas
     assert calls == [63]
     assert_allclose(out, companion, rtol=1e-12)
+
+
+def _moved_zeros(monkeypatch, shift):
+    """Make :func:`branch_points` take the zeros of f' moved by ``shift``."""
+    real = maps._derivative_zeros
+    monkeypatch.setattr(maps, "_derivative_zeros",
+                        lambda fp, near: real(fp, near) + shift)
+
+
+def test_residue_cross_check_catches_a_moved_zero_of_a_rational_map(monkeypatch):
+    # with a pole, the residue of f f''/f' moves to first order with the
+    # zero while f(omega) moves to second: 1e-8 off shifts it by ~1e-8
+    from heleshaw.scenarios import make_subcase2
+
+    m = make_subcase2(1.0, 0.3)
+    _moved_zeros(monkeypatch, 1e-8)
+    with pytest.raises(BranchPointError, match="branch value mismatch") as err:
+        branch_points(m)
+    image, res = re.search(r"f\(omega\) = (.*), residue = (.*)$", str(err.value)).groups()
+    assert 1e-8 < abs(complex(res) - complex(image)) < 1.5e-8
+
+
+def test_residue_cross_check_on_a_coefficient_map_is_its_remainder_gate(monkeypatch):
+    # f f''/f' = P P''/P' has residue P(omega) wherever P'(omega) passes the
+    # residue's remainder gate: a zero 1e-8 off is imaged without complaint,
+    # and one 1e-6 off fails the gate
+    from heleshaw.errors import ResidueError
+    from heleshaw.scenarios import subcase2_from_omega
+
+    m = TaylorMap(tuple(subcase2_from_omega(0.6, 1.0).power_series(64)))
+    (omega,) = branch_points(m).omegas
+    with monkeypatch.context() as moved:
+        _moved_zeros(moved, 1e-8)
+        bp = branch_points(m)
+    assert bp.omegas[0] == omega + 1e-8
+    assert bp.values[0] == m.rational()(omega + 1e-8)
+    _moved_zeros(monkeypatch, 1e-6)
+    with pytest.raises(ResidueError, match="does not vanish"):
+        branch_points(m)
 
 
 def test_taylor_map_tail_energy():

@@ -26,11 +26,12 @@ from heleshaw.moments import (
     richardson_moment,
     richardson_moments,
 )
-from heleshaw.rational import RationalFunction, deflate, pval, series_div
+from heleshaw.rational import RationalFunction, pval, series_div
 from heleshaw.scenarios import (
     make_example_abc,
     make_subcase1,
     make_subcase2,
+    quadrature_data,
     subcase2_from_omega,
 )
 
@@ -246,12 +247,13 @@ def test_subcase2_higher_moments_vanish(M0, B1):
     (0.4 * np.exp(-1.0j), 1.2 * np.exp(2.0j)),  # |b| close to 1
 ])
 def test_example_abc_geometric_progression_hard_draws(a, b):
-    m, data = make_example_abc(a, b, 1.3)
+    m = make_example_abc(a, b, 1.3)
+    data = quadrature_data(m)
     mv = moments_residue(m, 6)
-    (_, B), = data.nodes
+    (node, B), = data.nodes
     assert_allclose(mv[0], data.c[0] + B, rtol=1e-12)
     for k in range(1, 7):
-        assert_allclose(mv[k], B * m.node()**k, rtol=1e-12)
+        assert_allclose(mv[k], B * m.rational()(node)**k, rtol=1e-12)
     assert_allclose(coeffs_to_moments(data, m, 6), mv, rtol=1e-12)
     for k in range(2, 6):
         assert abs(mv[k + 1] * mv[k - 1] - mv[k] ** 2) <= 1e-12 * abs(mv[k]) ** 2
@@ -259,21 +261,20 @@ def test_example_abc_geometric_progression_hard_draws(a, b):
 
 def _taylor_at_zero(p, count):
     """The first ``count`` Taylor coefficients of the polynomial p at the
-    origin, read off as the remainders of repeated deflation by z."""
+    origin, zero-padded."""
     out = np.zeros(count, dtype=complex)
-    for k in range(count):
-        p, out[k] = deflate(p, 0.0)
+    out[: min(count, len(p))] = p[:count]
     return out
 
 
 def deflation_residue_at_zero(r):
-    """Residue at the origin by general Laurent division: deflate the
-    denominator by z to the pole order, Taylor-shift both sides by repeated
-    deflation, divide the series."""
+    """Residue at the origin by general Laurent division: divide the
+    denominator by z to the pole order, take the first Taylor coefficients
+    of both sides, divide the series."""
     order = 0
     den = r.den
     while den[0] == 0:
-        den, _ = deflate(den, 0.0)
+        den = den[1:]
         order += 1
     if order == 0:
         return 0j
@@ -294,8 +295,8 @@ def _origin_integrands(m, K):
     PolynomialMap(tuple(_decaying_coeffs(np.random.default_rng(s), n)))
     for s, n in ((41, 1), (42, 4), (43, 9), (44, 16), (45, 24))
 ] + [
-    make_example_abc(0.4, 2.0, 2.0)[0],
-    make_example_abc(0.2 + 0.1j, 1.7 - 0.4j, 1.3)[0],
+    make_example_abc(0.4, 2.0, 2.0),
+    make_example_abc(0.2 + 0.1j, 1.7 - 0.4j, 1.3),
     make_subcase2(1.0, 0.28111),
     make_subcase2(1.7, 0.5 - 0.3j),
 ], ids=lambda m: type(m).__name__)
@@ -441,7 +442,7 @@ def test_angular_nodes_from_nearest_pole():
     assert moments._angular_nodes(CARDIOID) == 256
     # the benchmark's ranges: |B1| <= 0.6 sqrt(M0) and |b| >= 1.5
     assert moments._angular_nodes(make_subcase2(1.0, 0.6)) == 256
-    assert moments._angular_nodes(make_example_abc(0.3, 1.5, 1.0)[0]) == 256
+    assert moments._angular_nodes(make_example_abc(0.3, 1.5, 1.0)) == 256
     # |p| = 1.0174: log(1e12) / log|p| = 1602 nodes
     assert moments._angular_nodes(make_subcase2(1.0, 0.95)) == 2048
     assert moments._angular_nodes(make_subcase2(1.0, 0.98)) == 4096
@@ -564,7 +565,7 @@ def test_quadrature_coeffs_pole_cancellation_seeded():
     for _ in range(40):
         a = rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.uniform())
         b = rng.uniform(1.2, 4.0) * np.exp(2j * np.pi * rng.uniform())
-        m, _ = make_example_abc(a, b, rng.uniform(0.5, 2.0))
+        m = make_example_abc(a, b, rng.uniform(0.5, 2.0))
         with pytest.raises(UncancelledPoleError, match="keeps a pole"):
             quadrature_coeffs(m)
         M0 = rng.uniform(0.5, 2.0)
@@ -600,7 +601,7 @@ def test_quadrature_check_subcase2():
 
 
 def test_quadrature_check_two_point():
-    _, data = make_example_abc(0.4, 2.0, 2.0)
+    data = quadrature_data(make_example_abc(0.4, 2.0, 2.0))
     res = quadrature_check(ABC, data, 2)
     assert max(res) < 1e-6
 

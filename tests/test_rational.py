@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from heleshaw.errors import PoleProximityError, ResidueError
 from heleshaw.rational import (
     RationalFunction,
-    deflate,
+    pder,
     pmul,
     pval,
     series_div,
@@ -43,14 +43,6 @@ def test_pval_matches_numpy():
     c = np.array([1.0, -2.0, 0.5j])
     z = np.array([0.3, 1.0 + 1.0j, -2.0])
     assert_allclose(pval(c, z), np.polynomial.polynomial.polyval(z, c))
-
-
-def test_deflate_reconstructs():
-    p = np.array([2.0, -3.0, 1.0, 4.0], dtype=complex)
-    q, rem = deflate(p, 0.7)
-    rebuilt = pmul(q, [-0.7, 1.0])
-    rebuilt[0] += rem
-    assert_allclose(rebuilt, p, atol=1e-14)
 
 
 def test_series_div_geometric():
@@ -119,6 +111,17 @@ def test_residue_at_simple_pole_matches_closed_form():
     for z0 in (0.5, 0.3 - 0.7j, -2.0 + 1.5j):
         r = RationalFunction([1.0, 2.0, z0], pmul([-z0, 1.0], [-3.0, 1.0]))
         assert_allclose(r.residue(z0), (1.0 + 2.0 * z0 + z0**3) / (z0 - 3.0), rtol=1e-14)
+
+
+def test_residue_at_simple_pole_is_numerator_over_denominator_derivative():
+    # each value by pval: the residue is bitwise num(z0) / den'(z0)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        z0 = complex(rng.standard_normal(), rng.standard_normal())
+        r = RationalFunction(rng.standard_normal(5) + 1j * rng.standard_normal(5),
+                             pmul([-z0, 1.0], rng.standard_normal(4)))
+        want = complex(np.complex128(pval(r.num, z0)) / pval(pder(r.den), z0))
+        assert r.residue(z0) == want
 
 
 def test_residue_where_the_denominator_does_not_vanish_raises():

@@ -25,6 +25,7 @@ from heleshaw.scenarios import (
     make_example_abc,
     make_subcase1,
     make_subcase2,
+    quadrature_data,
     subcase1_branch_value,
     subcase2_from_omega,
     verify_scenario,
@@ -53,23 +54,25 @@ FAMILY_CASES = {
 # ----------------------------------------------------------------------
 
 def test_example_abc_weights():
-    m, data = make_example_abc(0.4, 2.0, 2.0)
+    m = make_example_abc(0.4, 2.0, 2.0)
+    data = quadrature_data(m)
     (node, B), = data.nodes
     assert_allclose(data.c, (0.8,), rtol=1e-15)
     assert_allclose(node, 0.5, rtol=1e-15)
     assert_allclose(B, 304.0 / 225.0, rtol=1e-15)
-    assert_allclose(m.node(), -1.0 / 15.0, rtol=1e-13)
+    assert_allclose(m.rational()(node), -1.0 / 15.0, rtol=1e-13)
 
 
 def test_example_abc_weights_match_residues():
-    m, data = make_example_abc(0.4, 2.0, 2.0)
+    m = make_example_abc(0.4, 2.0, 2.0)
+    data = quadrature_data(m)
     integ = m.reflection() * m.derivative_rational()
-    (_, B), = data.nodes
+    (node, B), = data.nodes
     assert abs(integ.residue(0.0) - data.c[0]) < 1e-12
     assert abs(integ.residue(0.5) - B) < 1e-12
     mv = moments_residue(m, 4)
     for k in range(5):
-        want = B * m.node()**k
+        want = B * m.rational()(node)**k
         if k == 0:
             want += data.c[0]
         assert abs(mv[k] - want) < 1e-10
@@ -77,11 +80,12 @@ def test_example_abc_weights_match_residues():
 
 def test_example_abc_equal_weights_is_subcase1():
     # a = 1/conj(b) makes the two weights collapse to |c|^2/|b|^2
-    m, data = make_example_abc(0.5, 2.0, 2.0)
-    (_, B), = data.nodes
+    m = make_example_abc(0.5, 2.0, 2.0)
+    data = quadrature_data(m)
+    (node, B), = data.nodes
     assert_allclose(data.c, (1.0,), rtol=1e-13)
     assert_allclose(B, 1.0, rtol=1e-13)
-    assert abs(m.node()) < 1e-15  # both nodes over the origin
+    assert abs(m.rational()(node)) < 1e-15  # both nodes over the origin
     # so the identity predicts M_0 = 2 and, as f(1/conj(b)) = f(a) = 0,
     # M_k = 0 for k >= 1, which the residues confirm
     predicted = coeffs_to_moments(data, m, 6)
@@ -91,7 +95,7 @@ def test_example_abc_equal_weights_is_subcase1():
 
 
 def test_example_abc_complex_parameters_normalized():
-    m, _ = make_example_abc(0.4 * np.exp(0.7j), 2.0 * np.exp(-0.3j), 1.5)
+    m = make_example_abc(0.4 * np.exp(0.7j), 2.0 * np.exp(-0.3j), 1.5)
     fp0 = m.a * m.c / m.b
     assert abs(fp0.imag) < 1e-14
     assert fp0.real > 0
@@ -100,14 +104,15 @@ def test_example_abc_complex_parameters_normalized():
 def test_example_abc_complex_parameters_weights_match_residues():
     # the closed-form weights keep their conjugation pattern straight for
     # genuinely complex a and b
-    m, data = make_example_abc(0.4 * np.exp(0.7j), 2.0 * np.exp(-0.3j), 1.5)
+    m = make_example_abc(0.4 * np.exp(0.7j), 2.0 * np.exp(-0.3j), 1.5)
+    data = quadrature_data(m)
     integ = m.reflection() * m.derivative_rational()
     (node, B), = data.nodes
     assert abs(integ.residue(0.0) - data.c[0]) < 1e-12
     assert abs(integ.residue(node) - B) < 1e-12
     mv = moments_residue(m, 3)
     for k in range(4):
-        want = B * m.node()**k
+        want = B * m.rational()(node)**k
         if k == 0:
             want += data.c[0]
         assert abs(mv[k] - want) < 1e-11
@@ -316,7 +321,7 @@ def test_verify_polynomial():
 
 
 def test_verify_example_abc_generic():
-    m, _ = make_example_abc(0.4, 2.0, 2.0)
+    m = make_example_abc(0.4, 2.0, 2.0)
     rep = verify_scenario(m, "example_abc")
     assert rep.all_passed
     names = [c["name"] for c in rep.checks]
@@ -398,7 +403,7 @@ def test_scenario_maps_have_nonvanishing_derivative_on_circle():
     for m in (
         PolynomialMap((1.0,)),
         PolynomialMap((1.0, 0.3)),
-        make_example_abc(0.4, 2.0, 2.0)[0],
+        make_example_abc(0.4, 2.0, 2.0),
         make_subcase1(2.0, B1_SUB1),
         make_subcase2(1.0, B1_SUB2),
     ):
