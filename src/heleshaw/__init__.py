@@ -3,8 +3,9 @@
 The package computes harmonic moments of images of analytic disk maps,
 assembles the coefficient-to-moment Jacobian and its determinant identity,
 solves the string equation {f, f*} = 1 for polynomial maps, and integrates
-Hele-Shaw (Laplacian-growth) evolution with fixed branch points for a class
-of rational maps.
+Hele-Shaw (Laplacian-growth) evolution in two modes: a fixed-degree
+polynomial mode, and a truncated-series mode that keeps the branch points
+B_j = f(omega_j) fixed, for series starts and a class of rational maps.
 """
 
 from .maps import (

@@ -109,13 +109,13 @@ def export_trajectory(result: EvolutionResult, path) -> None:
     header += ["string_residual", "branch_drift"]
     lines = [",".join(header)]
     for s in states:
-        row = [fmt(s.t)]
-        for c in np.pad(s.map.coeffs, (0, ncoef - len(s.map.coeffs))):
-            row += [fmt(c.real), fmt(c.imag)]
-        for mk in s.diagnostics.moments:
-            row += [fmt(mk.real), fmt(mk.imag)]
-        row += [fmt(s.diagnostics.string_residual), fmt(s.diagnostics.max_branch_drift)]
-        lines.append(",".join(row))
+        d = s.diagnostics
+        row = np.concatenate([
+            [s.t], np.pad(s.map.coeffs, (0, ncoef - len(s.map.coeffs))).view(float),
+            np.asarray(d.moments, dtype=complex).view(float),
+            [d.string_residual, d.max_branch_drift],
+        ])
+        lines.append(",".join(fmt(x) for x in row.tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -225,8 +225,8 @@ def test_criterion_7_example_family():
 
 
 def test_criterion_8_branch_point_machinery():
-    # residue formula vs direct values (the cross-check inside branch_points
-    # asserts agreement to 1e-9 and is exercised here on curved parameters)
+    # the zero of f' on curved parameters (branch_points certifies it on
+    # the numerator of f' = N/D: |N(omega)| and |N'(omega)/D(omega)|)
     m2 = subcase2_from_omega(0.45 * np.exp(0.9j), 1.7)
     bp = branch_points(m2)
     ok = len(bp) == 1

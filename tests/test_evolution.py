@@ -131,8 +131,9 @@ def test_branch_point_subcase2():
 
 
 def test_branch_point_residue_route_agreement():
-    # the cross-check inside branch_points asserts the residue of
-    # f f''/f' equals f(omega) to 1e-9; it always runs
+    # branch_points certifies omega on the numerator of f' (|N(omega)|
+    # under root_residual max|N|, |f''(omega)| over branch_simple_min);
+    # it always runs
     m = subcase2_from_omega(0.35 + 0.25j, 1.5)
     bp = branch_points(m)
     assert len(bp) == 1
@@ -141,8 +142,8 @@ def test_branch_point_residue_route_agreement():
 @pytest.mark.parametrize("modulus", [0.85, 0.9, 0.95])
 @pytest.mark.parametrize("phase", [0.0, -2.9])
 def test_branch_residue_cross_check_near_the_circle(modulus, phase):
-    # |omega_1| -> 1 as |B1| -> sqrt(M0): the residue of f f''/f' must stay
-    # within the 1e-9 cross-check instead of failing on uncancelled poles
+    # |omega_1| -> 1 as |B1| -> sqrt(M0): the zero must still pass the
+    # certificate on the numerator of f', and f(omega) must return B1
     b1 = modulus * np.exp(1j * phase)
     bp = branch_points(make_subcase2(1.0, b1))
     assert len(bp) == 1
