@@ -173,9 +173,6 @@ class AnalyticMap:
     def derivative_rational(self) -> RationalFunction:
         return self.rational().derivative()
 
-    def reflection(self) -> RationalFunction:
-        return self.rational().reflect()
-
     def power_series(self, order: int) -> np.ndarray:
         """Coefficients a_0..a_{order-1} with a_j multiplying z**(j+1)."""
         t = self.rational().taylor(order)

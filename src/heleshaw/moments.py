@@ -12,7 +12,7 @@ with f* the holomorphic reflection.  The three routes implemented here:
   M_k = sum (j_0+1) a_{j_0} ... a_{j_k} conj(a_{j_0+...+j_k+k})
   (polynomial / truncated-series maps);
 * ``moments_residue``     sum of residues of f^k f* f' over poles in the disk
-  (all supported map classes);
+  (all supported map classes), read off one Laurent read of f* f';
 * ``moments_area_oracle`` direct two-dimensional quadrature over the disk
   (slow, fully independent; used as the numerical oracle).
 
@@ -22,11 +22,13 @@ The image's quadrature identity (:class:`QuadratureData`) reads
 
 origin weights c_j plus point nodes z_i with weights w_i.  Both of its sides
 are integrals of h^k, k = 0..K, for one function h with h(0) = 0: the disk
-side is ``_disk_quadrature`` and the point side ``_identity_side``.
+side is ``_disk_quadrature`` and the point side ``_point_side``.
 ``quadrature_check`` compares the two with h = z (g = z^p), and
 ``coeffs_to_moments`` is the point side with h = f, the moments the identity
-predicts.  ``quadrature_coeffs`` reads the one-point c_j off the principal
-part of f* f' at the origin.
+predicts.  ``_laurent_data`` reads f* f' once: its principal part pp at the
+origin and the weights f'(q) Res_q f* at the poles q of f* in the disk.
+``moments_residue`` is the point side of that data with h = f, and
+``quadrature_coeffs`` reads the one-point c_j = pp_j / j! off it.
 
 Every route returns the moments as a complex array M_0..M_K with M_0
 exactly real.  Moments with negative index follow the convention
@@ -99,9 +101,8 @@ def default_moment_count(m: AnalyticMap) -> int:
     """
     if isinstance(m, (PolynomialMap, TaylorMap)):
         return max(len(m.coeffs) - 1, 2)
-    r = m.rational()
-    _, s = (r.reflect() * r.derivative()).principal_part_at_zero()
-    return max(s - 1, 2 * len(m.finite_poles()) + 2)
+    _, pp, nodes = _laurent_data(m)
+    return max(len(pp) - 1, 2 * len(nodes) + 2)
 
 
 # ----------------------------------------------------------------------
@@ -210,26 +211,33 @@ def moments_richardson(m, K: int | None = None) -> np.ndarray:
 # residues of f^k f* f'
 # ----------------------------------------------------------------------
 
-def _reflected_poles(m: AnalyticMap) -> list:
-    """The poles q = 1/conj(p) of f* in the disk, one per pole p of f."""
-    pts = []
+def _laurent_data(m: AnalyticMap):
+    """The Laurent data of g = f* f' in the disk: ``(g, pp, nodes)``, with
+    ``pp[j]`` the coefficient of z**-(j+1) at the origin and one node
+    (q, f'(q) Res_q f*) per pole q = 1/conj(p) of f* in the disk, p a pole
+    of f.  Taken factor by factor, the weight stays accurate when f'(q) = 0
+    cancels the pole."""
+    r = m.rational()
+    fp, fstar = r.derivative(), r.reflect()
+    nodes = []
     for p in m.finite_poles():
         q = complex(1.0 / np.conj(p))
         if abs(abs(q) - 1.0) < 1e-9:
             raise ResidueError(f"singularity of f* at {q} sits on the unit circle")
         if abs(q) < 1.0:
-            pts.append(q)
-    return pts
+            nodes.append((q, complex(fp(q) * fstar.residue(q))))
+    g = fstar * fp
+    return g, g.principal_part_at_zero()[0], tuple(nodes)
 
 
 def moments_residue(m: AnalyticMap, K: int | None = None) -> np.ndarray:
     """Moments as sums of residues of f^k f* f' over singularities in the disk.
 
-    At the origin the residue comes from the Laurent data of f^k f* f'.  At
-    a simple pole q of f* in the disk, f and f' are analytic, so the residue
-    is f(q)^k f'(q) Res_q f*.  Taken factor by factor it stays accurate when
-    f'(q) = 0 cancels the pole; the expanded product f^k f* f' loses digits
-    there like a k-th power.
+    The residue at the origin is sum_j pp_j coeff_j(f^k), pp the principal
+    part of f* f' (f^k is analytic there); at a pole q of f* in the disk it
+    is w_q f(q)^k, w_q = f'(q) Res_q f*.  Both come from
+    :func:`_laurent_data`, and the sum is the quadrature identity's point
+    side (:func:`_point_side`) with h = f: no product f^k f* f' is formed.
     """
     if K is None:
         K = default_moment_count(m)
@@ -237,17 +245,8 @@ def moments_residue(m: AnalyticMap, K: int | None = None) -> np.ndarray:
     fp = r.derivative()
     if np.min(np.abs(ring_values(fp, 1.0, CircleGrid(256)))) < DEFAULT.cusp_min_derivative:
         raise CuspError("f' vanishes on the unit circle; boundary form invalid")
-    fstar = r.reflect()
-    pts = _reflected_poles(m)
-    weights = np.array([fp(q) * fstar.residue(q) for q in pts], dtype=complex)
-    images = np.array([r(q) for q in pts], dtype=complex)
-    vals = []
-    integrand = fstar * fp
-    for k in range(K + 1):
-        if k > 0:
-            integrand = integrand * r
-        vals.append(integrand.residue(0j) + np.sum(weights * images**k))
-    return _real_m0(vals)
+    _, pp, nodes = _laurent_data(m)
+    return _real_m0(_point_side(pp, nodes, r, K))
 
 
 # ----------------------------------------------------------------------
@@ -357,8 +356,15 @@ def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int, h=None) -> np.nda
 # the quadrature identity
 # ----------------------------------------------------------------------
 
+def _factorials(n: int) -> np.ndarray:
+    """0!..(n-1)! as floats; inf from 171! on, which overflows a float."""
+    return np.array([math.factorial(j) if j <= 170 else math.inf for j in range(n)],
+                    dtype=float)
+
+
 def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
-    """Read off c_k from the principal part of f* f' at the origin.
+    """Read off c_j = pp_j / j! from the principal part pp of f* f' at the
+    origin (:func:`_laurent_data`); c_j underflows to 0 for j > 170.
 
     Requires every pole of f* in the punctured disk to be cancelled by a zero
     of f' (the one-point quadrature case).  An uncancelled pole raises
@@ -366,20 +372,18 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
     made exactly real; :class:`QuadratureError` unless it is real to
     1e-9 max(1, |c_0|) and positive.
     """
-    r = m.rational()
-    g = r.reflect() * r.derivative()
+    g, pp, nodes = _laurent_data(m)
     scale = np.max(np.abs(g.num))
-    for q in _reflected_poles(m):
+    for q, _ in nodes:
         # the pole of f* at q is simple: f* f' keeps it unless num(q) = 0
         if abs(pval(g.num, q)) > DEFAULT.pole_cancel * scale:
             raise UncancelledPoleError(
                 f"f* f' keeps a pole at {q}; the map does not satisfy a "
                 "one-point quadrature identity"
             )
-    pp, s = g.principal_part_at_zero()
-    if s == 0:
+    if not len(pp):
         raise UncancelledPoleError("f* f' has no pole at the origin")
-    c = [pp[k] / math.factorial(k) for k in range(s)]
+    c = list(pp / _factorials(len(pp)))
     c0 = complex(c[0])
     if abs(c0.imag) > 1e-9 * max(1.0, abs(c0)) or c0.real <= 0:
         raise QuadratureError(f"c_0 must be real positive, got {c0}")
@@ -387,17 +391,23 @@ def quadrature_coeffs(m: AnalyticMap) -> QuadratureData:
     return QuadratureData(c=tuple(c))
 
 
-def _identity_side(data: QuadratureData, h: RationalFunction, K: int) -> np.ndarray:
+def _residue_weights(c) -> np.ndarray:
+    """c_j j!, so that sum_j c_j g^(j)(0) = sum_j (c_j j!) coeff_j(g);
+    :class:`QuadratureError` where c_j j! leaves the float range (j > 170)."""
+    if len(c) > 171:
+        raise QuadratureError("the identity's terms c_j g^(j)(0) overflow a float for j > 170")
+    return np.asarray(c, dtype=complex) * _factorials(len(c))
+
+
+def _point_side(pp, nodes, h: RationalFunction, K: int) -> np.ndarray:
     """The point side of the identity for g = h^k, k = 0..K (h(0) = 0):
-    sum_j c_j (h^k)^(j)(0) + sum_i w_i h(z_i)^k.  The twin of
-    :func:`_disk_quadrature`; (h^k)^(j)(0) = j! coeff_j(h^k) is a power row
-    of :func:`_power_rows`, zero for j < k."""
-    L = len(data.c)
-    fact = np.array([math.factorial(j) for j in range(L)], dtype=float)
-    P = _power_rows(h.taylor(L)[1:], K)
+    sum_j pp_j coeff_j(h^k) + sum_i w_i h(z_i)^k, with pp_j = c_j j! the
+    residue weights at the origin.  The twin of :func:`_disk_quadrature`;
+    coeff_j(h^k) is a power row of :func:`_power_rows`, zero for j < k."""
+    P = _power_rows(h.taylor(len(pp))[1:], K)
     out = np.zeros(K + 1, dtype=complex)
-    out[: len(P)] = P @ (fact * np.asarray(data.c, dtype=complex))
-    for z, w in data.nodes:
+    out[: len(P)] = P @ pp
+    for z, w in nodes:
         out += w * complex(h(z)) ** np.arange(K + 1)
     return out
 
@@ -406,7 +416,8 @@ def coeffs_to_moments(data: QuadratureData, m, K: int | None = None) -> np.ndarr
     """M_0..M_K as the identity predicts them, M_k = sum_j c_j (f^k)^(j)(0)
     + sum_i w_i f(z_i)^k: the point side with h = f.  K defaults to
     ``data.n``; with no nodes M_k = 0 for k > n."""
-    return _real_m0(_identity_side(data, m.rational(), data.n if K is None else K))
+    K = data.n if K is None else K
+    return _real_m0(_point_side(_residue_weights(data.c), data.nodes, m.rational(), K))
 
 
 def quadrature_check(m: AnalyticMap, data: QuadratureData, max_power: int) -> list:
@@ -414,8 +425,10 @@ def quadrature_check(m: AnalyticMap, data: QuadratureData, max_power: int) -> li
 
     Both sides take h = z: the disk side is :func:`_disk_quadrature` on the
     grid of :func:`moments_area_oracle`'s coarse level, the point side
-    :func:`_identity_side`, c_p p! + sum_i w_i z_i^p.
+    :func:`_point_side`, c_p p! + sum_i w_i z_i^p, which reads c_j for
+    j <= max_power only.
     """
+    pp = _residue_weights(data.c[: max_power + 1])
     z = RationalFunction([0.0, 1.0])
     areas = _disk_quadrature(m, max_power, _RADIAL_NODES, _angular_nodes(m), z)
-    return np.abs(areas - _identity_side(data, z, max_power)).tolist()
+    return np.abs(areas - _point_side(pp, data.nodes, z, max_power)).tolist()

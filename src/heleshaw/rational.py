@@ -114,19 +114,8 @@ class RationalFunction:
 
     # -- algebra -------------------------------------------------------
 
-    def __mul__(self, other):
-        other = self._coerce(other)
+    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(pmul(self.num, other.num), pmul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(x) -> "RationalFunction":
-        if isinstance(x, RationalFunction):
-            return x
-        if np.isscalar(x):
-            return RationalFunction([complex(x)])
-        return RationalFunction(x)
 
     def derivative(self) -> "RationalFunction":
         """(num' den - num den') / den**2."""

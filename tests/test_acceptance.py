@@ -195,7 +195,7 @@ def test_criterion_6_conservation_and_order():
 def test_criterion_7_example_family():
     m = make_example_abc(0.4, 2.0, 2.0)
     data = quadrature_data(m)
-    integ = m.reflection() * m.derivative_rational()
+    integ = m.rational().reflect() * m.derivative_rational()
     (node, B), = data.nodes
     errA = abs(integ.residue(0.0) - data.c[0])
     errB = abs(integ.residue(node) - B)

@@ -273,6 +273,26 @@ def test_cli_quadrature_check_families(argv, capsys):
     assert all(c["status"] == "pass" for c in checks)
 
 
+_COEFFS_N200 = ",".join(["1"] + [f"{0.3 / (j + 1) ** 2:.6g}" for j in range(1, 201)])
+
+
+def test_cli_quadrature_check_polynomial_n200(capsys):
+    # 171! overflows a float: c_j = pp_j / j! underflows to 0 beyond j = 170,
+    # and the test functions z^0..z^2 read c_0..c_2 only
+    assert main(["--json", "quadrature-check", f"--coeffs={_COEFFS_N200}"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [f"quadrature_g_power_{p}" for p in range(3)]
+    assert all(c["status"] == "pass" for c in checks)
+
+
+def test_cli_quadrature_check_beyond_float_factorials_is_a_failed_run(capsys):
+    argv = ["--json", "quadrature-check", f"--coeffs={_COEFFS_N200}", "--max-power", "171"]
+    assert main(argv) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [("run", "fail")]
+    assert checks[0]["error"].startswith("QuadratureError: the identity's terms")
+
+
 def test_cli_quadrature_check_underflowing_c0_is_a_failed_run(capsys):
     # a0^2 underflows, so c_0 = 0: a typed error and a failed "run" check,
     # where a bare ValueError used to escape with a traceback

@@ -229,12 +229,12 @@ def test_abc_derivative_closed_form():
 # ----------------------------------------------------------------------
 
 def test_reflect_scaled_identity():
-    fs = PolynomialMap((0.7,)).reflection()
+    fs = PolynomialMap((0.7,)).rational().reflect()
     assert_allclose(fs(2.0), 0.7 / 2.0, rtol=1e-15)
 
 
 def test_reflect_abc_closed_form():
-    fs = ABC.reflection()
+    fs = ABC.rational().reflect()
     for z in (0.3 + 0.1j, 1.5, -0.7j):
         want = 2.0 * (1 - 0.4 * z) / (z * (1 - 2.0 * z))
         assert_allclose(fs(z), want, rtol=1e-13)
@@ -245,7 +245,7 @@ def test_reflect_quadratic_with_imaginary_coeff():
     # coefficients recovered from circle samples
     m = PolynomialMap((1.0, 0.3j))
     g = CircleGrid(64)
-    hat = np.fft.fft(m.reflection()(g.nodes)) / g.size  # hat[-k] multiplies z^-k
+    hat = np.fft.fft(m.rational().reflect()(g.nodes)) / g.size  # hat[-k] multiplies z^-k
     assert_allclose(hat[-1], 1.0, atol=1e-14)
     assert_allclose(hat[-2], -0.3j, atol=1e-14)
     assert_allclose(hat[0], 0.0, atol=1e-14)
@@ -265,7 +265,7 @@ def test_reflect_involution_on_maps():
 def test_reflection_equals_conjugate_on_circle():
     for m in (ABC, PolynomialMap((1.0, 0.25, 0.1j))):
         fv = m.boundary_values(GRID)
-        fsv = m.reflection()(GRID.nodes)
+        fsv = m.rational().reflect()(GRID.nodes)
         scale = np.max(np.abs(fv))
         assert np.max(np.abs(fsv - np.conj(fv))) < 1e-12 * scale
 
@@ -283,7 +283,7 @@ def test_residue_basic_poles():
 
 def test_residue_two_node_weights():
     # residues of f* f' at 0 and 1/conj(b) are the quadrature weights
-    integ = ABC.reflection() * ABC.derivative_rational()
+    integ = ABC.rational().reflect() * ABC.derivative_rational()
     assert_allclose(integ.residue(0.0), 0.8, rtol=1e-13)
     assert_allclose(integ.residue(0.5), 304.0 / 225.0, rtol=1e-13)
 

@@ -34,6 +34,7 @@ from heleshaw.scenarios import (
     quadrature_data,
     subcase2_from_omega,
 )
+from test_scenarios import _GeneralForm, subcase2_general_form
 
 CARDIOID = PolynomialMap((1.0, 0.3))
 ABC = AbcRationalMap(0.4, 2.0, 2.0)
@@ -259,6 +260,73 @@ def test_example_abc_geometric_progression_hard_draws(a, b):
         assert abs(mv[k + 1] * mv[k - 1] - mv[k] ** 2) <= 1e-12 * abs(mv[k]) ** 2
 
 
+def per_k_residue_moments(m, K):
+    """The per-k loop moments_residue replaced: the rational product
+    f^k f* f' for every k and its residue at the origin, plus
+    f'(q) Res_q f* f(q)^k at each pole q of f* in the disk."""
+    r = m.rational()
+    fp = r.derivative()
+    fstar = r.reflect()
+    pts = [q for q in 1.0 / np.conj(m.finite_poles()) if abs(q) < 1.0]
+    weights = np.array([fp(q) * fstar.residue(q) for q in pts], dtype=complex)
+    images = np.array([r(q) for q in pts], dtype=complex)
+    vals = []
+    integrand = fstar * fp
+    for k in range(K + 1):
+        if k > 0:
+            integrand = integrand * r
+        vals.append(integrand.residue(0j) + np.sum(weights * images**k))
+    return np.array(vals, dtype=complex)
+
+
+def _subcase2_at(ratio, phase, M0=1.0):
+    return make_subcase2(M0, ratio * np.sqrt(M0) * np.exp(1j * phase))
+
+
+def _general_form_at(ratio, phase):
+    aw = np.sqrt((np.sqrt(ratio**4 + 8.0 * ratio**2) - ratio**2) / 2.0)
+    w = aw * np.exp(1j * phase)
+    return _GeneralForm(subcase2_general_form(w, 1.0), 1.0 / np.conj(w))
+
+
+@pytest.mark.parametrize("m", [
+    PolynomialMap(tuple(_decaying_coeffs(np.random.default_rng(60 + n), n)))
+    for n in (1, 4, 9, 16, 24, 40, 64)
+] + [
+    make_example_abc(0.4, 2.0, 2.0),
+    make_example_abc(0.2 + 0.1j, 1.7 - 0.4j, 1.3),
+    make_example_abc(0.55 * np.exp(0.3j), 1.8 * np.exp(0.3j), 1.3),
+    make_example_abc(0.4 * np.exp(-1.0j), 1.2 * np.exp(2.0j), 1.3),
+    make_subcase1(2.0, 7.0 - 4.0 * np.sqrt(3.0)),
+] + [
+    _subcase2_at(ratio, phase) for ratio in (0.2, 0.6, 0.95) for phase in (0.0, 2.9)
+] + [
+    _general_form_at(ratio, 0.7) for ratio in (0.2, 0.95)
+], ids=lambda m: type(m).__name__)
+def test_residue_moments_match_per_k_products(m):
+    # pp_j coeff_j(f^k) at the origin is the residue of each product f^k f* f'
+    K = max(default_moment_count(m), 6)
+    want = per_k_residue_moments(m, K)
+    got = moments_residue(m, K)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_residue_matches_richardson_at_n200(power):
+    # the origin pole of f* f' has order 201 and 171! already overflows a
+    # float, so no factorial may enter the moments; with 1/(j+1) decay the
+    # moments grow to 1e6
+    rng = np.random.default_rng(200)
+    j = np.arange(1, 201)
+    a = np.concatenate([[1.0], 0.3 / (j + 1) ** power * rng.uniform(0.0, 1.0, 200)
+                        * np.exp(2j * np.pi * rng.uniform(size=200))])
+    m = PolynomialMap(tuple(a))
+    res = moments_residue(m)
+    rich = moments_richardson(m)
+    assert len(res) == 201
+    assert np.max(np.abs(res - rich)) < 1e-12 * max(1.0, np.max(np.abs(rich)))
+
+
 def _taylor_at_zero(p, count):
     """The first ``count`` Taylor coefficients of the polynomial p at the
     origin, zero-padded."""
@@ -285,7 +353,7 @@ def deflation_residue_at_zero(r):
 
 def _origin_integrands(m, K):
     r = m.rational()
-    g = m.reflection() * m.derivative_rational()
+    g = m.rational().reflect() * m.derivative_rational()
     for _ in range(K + 1):
         yield g
         g = g * r

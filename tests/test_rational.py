@@ -60,7 +60,7 @@ def test_eval_and_arithmetic():
     assert_allclose(r(0.2), 0.2 / 0.9)
     sq = r * r
     assert_allclose(sq(0.2), (0.2 / 0.9) ** 2)
-    assert_allclose((2.0 * sq)(0.2), 2.0 * (0.2 / 0.9) ** 2)
+    assert_allclose((RationalFunction([2.0]) * sq)(0.2), 2.0 * (0.2 / 0.9) ** 2)
 
 
 def test_eval_on_pole_raises():

@@ -66,7 +66,7 @@ def test_example_abc_weights():
 def test_example_abc_weights_match_residues():
     m = make_example_abc(0.4, 2.0, 2.0)
     data = quadrature_data(m)
-    integ = m.reflection() * m.derivative_rational()
+    integ = m.rational().reflect() * m.derivative_rational()
     (node, B), = data.nodes
     assert abs(integ.residue(0.0) - data.c[0]) < 1e-12
     assert abs(integ.residue(0.5) - B) < 1e-12
@@ -106,7 +106,7 @@ def test_example_abc_complex_parameters_weights_match_residues():
     # genuinely complex a and b
     m = make_example_abc(0.4 * np.exp(0.7j), 2.0 * np.exp(-0.3j), 1.5)
     data = quadrature_data(m)
-    integ = m.reflection() * m.derivative_rational()
+    integ = m.rational().reflect() * m.derivative_rational()
     (node, B), = data.nodes
     assert abs(integ.residue(0.0) - data.c[0]) < 1e-12
     assert abs(integ.residue(node) - B) < 1e-12
