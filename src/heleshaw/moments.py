@@ -14,7 +14,8 @@ with f* the holomorphic reflection.  The three routes implemented here:
 * ``moments_residue``     sum of residues of f^k f* f' over poles in the disk
   (all supported map classes), read off one Laurent read of f* f';
 * ``moments_area_oracle`` direct two-dimensional quadrature over the disk
-  (slow, fully independent; used as the numerical oracle).
+  (independent of the coefficient algebra; used as the numerical oracle),
+  on a grid that is exact up to rounding for polynomial maps.
 
 The image's quadrature identity (:class:`QuadratureData`) reads
 
@@ -253,8 +254,8 @@ def moments_residue(m: AnalyticMap, K: int | None = None) -> np.ndarray:
 # area quadrature oracle
 # ----------------------------------------------------------------------
 
-#: radial and angular nodes of the base disk grid; polynomial and series
-#: maps always use it, maps with poles refine the angle (:func:`_angular_nodes`)
+#: radial and angular nodes of the base disk grid of a map with poles; the
+#: angle is refined from the pole alias bound (:func:`_angular_nodes`)
 _RADIAL_NODES = 96
 _ANGULAR_NODES = 256
 #: the trapezoid rule on a ring aliases like |p|**-nt for the nearest pole p
@@ -273,24 +274,74 @@ _BLOCK_NODES = 1 << 15
 def moments_area_oracle(m: AnalyticMap, K: int | None = None):
     """Moments by polar tensor quadrature over the unit disk.
 
-    Gauss-Legendre radially, trapezoid in the angle (spectrally accurate for
-    the periodic direction).  Returns ``(moments, error_estimate)``: the
-    fine (192, 2 nt) grid's moments and max |fine - coarse|, which measures
-    the coarse (96, nt) level and can far overstate the fine one's error at
-    high K.  Raises :class:`QuadratureError` if the poles of f need more
-    angular nodes than the grid may have.
+    Gauss-Legendre radially, trapezoid in the angle, on the grid of
+    :func:`_disk_size`.  Returns ``(moments, error_estimate)``.
+
+    A map without poles gets the one grid on which the quadrature is exact,
+    so only rounding is left.  The estimate is u (log2 N + K + 4) A, u the
+    unit roundoff, N the number of nodes and A the largest over k of
+    A_k = (1/pi) int_D |f|^k |f'|^2 dA >= |M_k| on the same grid.  It bounds
+    the first-order rounding of each M_k, u (log2 N + k + 4) A_k, which
+    counts every rounding once at size u: log2 N for the pairwise sums, k
+    for the products of f and its values, 4 for |f'|^2, the weight and the
+    block sums (the radial rule is accurate to a few ulps,
+    :func:`_radial_rule`).  A worst case would count sqrt(5) u per complex
+    product and log2 nt per FFT value; errors of random sign stay well
+    inside: against 40-digit coefficient sums at n = 1..64 they were at
+    most 0.12 of u (log2 N + k + 4) A_k.
+
+    A map with poles gets the (96, nt) grid of the pole alias bound and its
+    refinement (192, 2 nt): the moments are the fine level's, and the
+    estimate max |fine - coarse| measures the coarse level.
+
+    Raises :class:`QuadratureError` when the grid needs more angular nodes
+    than ``_MAX_ANGULAR_NODES``: from n = 90 on at K = n for a polynomial of
+    degree n + 1.
     """
     if K is None:
         K = default_moment_count(m)
-    nt = _angular_nodes(m, refine=2)
-    coarse = _disk_quadrature(m, K, _RADIAL_NODES, nt)
-    fine = _disk_quadrature(m, K, 2 * _RADIAL_NODES, 2 * nt)
-    err = float(np.max(np.abs(fine - coarse)))
+    h = m.rational()
+    nr, nt = _disk_size(m, K, h, refine=2)
+    fine, size = _disk_quadrature(m, K, nr, nt, h)
+    if size is None:
+        coarse, _ = _disk_quadrature(m, K, *_disk_size(m, K, h), h)
+        err = float(np.max(np.abs(fine - coarse)))
+    else:
+        err = float(np.finfo(float).eps / 2 * (math.log2(nr * nt) + K + 4) * size)
     return _real_m0(fine), err
 
 
+def _disk_size(m: AnalyticMap, K: int, h: RationalFunction, refine: int = 1) -> tuple[int, int]:
+    """(nr, nt), the rings and angles of the disk grid for
+    (1/pi) int_D h^k |f'|^2 dA, k = 0..K, h(0) = 0.
+
+    Without finite poles f' and h are polynomials, of degrees n and d.  On
+    |z| = r the angular mean of h^k f' conj(f') is
+    sum_q coeff_q(h^k f') conj(coeff_q(f')) r^(2q), q <= n, once the
+    trapezoid rule is exact on h^k f' conj(f'), whose frequencies run from
+    -n to K d + n: nt > K d + n, a power of two.  The radial integrand is
+    then r times a polynomial of degree 2n, and nr = n + 1 Gauss nodes
+    integrate it exactly, whatever K is.  ``refine`` plays no part.
+
+    With poles: (96 refine, nt refine), nt from the alias bound of
+    :func:`_angular_nodes`.  Raises :class:`QuadratureError` above
+    ``_MAX_ANGULAR_NODES`` angles either way.
+    """
+    if m.finite_poles().size:
+        return _RADIAL_NODES * refine, _angular_nodes(m, refine) * refine
+    n = len(m.derivative_rational().num) - 1
+    need = K * (len(h.num) - 1) + n + 1
+    nt = max(4, 1 << (need - 1).bit_length())
+    if nt > _MAX_ANGULAR_NODES:
+        raise QuadratureError(
+            f"exact quadrature of moments up to k = {K} of a degree-{n + 1} map needs "
+            f"{n + 1} x {nt} nodes, above the cap of {_MAX_ANGULAR_NODES} angular nodes"
+        )
+    return n + 1, nt
+
+
 def _angular_nodes(m: AnalyticMap, refine: int = 1) -> int:
-    """Angular nodes of the coarsest disk grid the map needs.
+    """Angular nodes of the coarsest disk grid a map with poles needs.
 
     ``_ANGULAR_NODES``, raised to the power of two that brings the alias
     factor |p|**-nt of the nearest finite pole p below ``_ALIAS_BOUND``.
@@ -311,30 +362,54 @@ def _angular_nodes(m: AnalyticMap, refine: int = 1) -> int:
     return nt
 
 
-@lru_cache(maxsize=4)
-def _disk_grid(nr: int, nt: int):
-    """Radii of the polar tensor grid (nr rings x nt angles) on the unit
-    disk and the weight of each ring's nodes.
+@lru_cache(maxsize=16)
+def _radial_rule(nr: int, polished: bool):
+    """Radii of nr-node Gauss-Legendre on [0, 1] and the weights w r of the
+    area element, scaled so that the sum of h * weights[:, None] / nt over
+    an (nr, nt) polar grid is (1/pi) times the area integral of h.
 
-    Gauss-Legendre radially, trapezoid in the angle: the sum of
-    h * weights[:, None] over the nodes is (1/pi) times the area integral
-    of h.  Both arrays are cached and read-only (:func:`_frozen`).
+    ``polished`` takes numpy's nodes through two Newton steps on the
+    Legendre recurrence in ``np.longdouble`` and forms radii and weights
+    there, to a few ulps: numpy's small weights are off by up to 1e4 ulps,
+    which at nr = 41 put 245 u A_k into a moment.  Exact grids need this, as their
+    error estimate is the rounding alone; the two-level grids of maps with
+    poles keep numpy's rule.  Both arrays are cached and read-only
+    (:func:`_frozen`); the cache holds every nr one verification sweep uses.
     """
     x, w = np.polynomial.legendre.leggauss(nr)
-    radii = 0.5 * (x + 1.0)
-    weights = w * radii / nt
-    return _frozen(radii), _frozen(weights)
+    if polished:
+        x = x.astype(np.longdouble)
+        for newton in (True, True, False):
+            p0, p1 = np.ones_like(x), x
+            for j in range(2, nr + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = nr * (x * p1 - p0) / (x * x - 1)
+            if newton:
+                x = x - p1 / dp
+        w = 2 / ((1 - x * x) * dp * dp)
+    radii = (x + 1) / 2
+    return _frozen(radii.astype(float)), _frozen((w * radii).astype(float))
 
 
-def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int, h=None) -> np.ndarray:
+def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int, h=None):
     """(1/pi) int_D h^k |f'|**2 dA for k = 0..K on the (nr, nt) disk grid, h = f
     by default; summed in blocks of at most ``_BLOCK_NODES`` nodes, with the
-    density |f'|**2 times the node weights real and h^k a running product."""
-    radii, weights = _disk_grid(nr, nt)
+    density |f'|**2 times the node weights real and h^k a running product.
+
+    Returns ``(values, size)``.  For a map without poles ``size`` is the
+    largest over k of A_k, the same sums with |h| for h, the scale of their
+    rounding; for a map with poles, None.  A_k is a sum of positive
+    multiples of |h|^k, so it is log-convex in k and its largest value is
+    A_0 or A_K; A_K is the sum of |h^K| times the density.
+    """
+    polynomial = not m.finite_poles().size
+    radii, weights = _radial_rule(nr, polynomial)
+    weights = weights / nt
     grid = CircleGrid(nt)
     fp = m.derivative_rational()
     h = m.rational() if h is None else h
     out = np.zeros(K + 1, dtype=complex)
+    top = 0.0
     step = max(_BLOCK_NODES // nt, 1)
     for block in (slice(s, s + step) for s in range(0, nr, step)):
         v = ring_values(fp, radii[block], grid)
@@ -348,8 +423,10 @@ def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int, h=None) -> np.nda
             for k in range(2, K + 1):
                 term *= hv
                 out[k] += term.sum()
+            if polynomial:
+                top += np.abs(term).sum()
             del term, hv  # before the next block is built
-    return out
+    return out, float(max(out[0].real, top)) if polynomial else None
 
 
 # ----------------------------------------------------------------------
@@ -424,11 +501,12 @@ def quadrature_check(m: AnalyticMap, data: QuadratureData, max_power: int) -> li
     """Residuals |disk side - point side| of the identity for g = z^0..z^max_power.
 
     Both sides take h = z: the disk side is :func:`_disk_quadrature` on the
-    grid of :func:`moments_area_oracle`'s coarse level, the point side
-    :func:`_point_side`, c_p p! + sum_i w_i z_i^p, which reads c_j for
-    j <= max_power only.
+    grid of :func:`_disk_size` (for a polynomial map the exact one,
+    nt > max_power + n angles; for a map with poles the alias-bound
+    (96, nt) grid), the point side :func:`_point_side`,
+    c_p p! + sum_i w_i z_i^p, which reads c_j for j <= max_power only.
     """
     pp = _residue_weights(data.c[: max_power + 1])
     z = RationalFunction([0.0, 1.0])
-    areas = _disk_quadrature(m, max_power, _RADIAL_NODES, _angular_nodes(m), z)
+    areas, _ = _disk_quadrature(m, max_power, *_disk_size(m, max_power, z), z)
     return np.abs(areas - _point_side(pp, data.nodes, z, max_power)).tolist()

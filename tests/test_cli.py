@@ -209,6 +209,33 @@ def test_cli_moments_pass():
     assert main(["moments", "--coeffs", "1,0.3"]) == 0
 
 
+def _moments_checks(coeffs, capsys):
+    code = main(["--json", "moments", "--coeffs=" + ",".join(repr(complex(c)) for c in coeffs)])
+    return code, {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
+def test_cli_moments_area_estimate_is_rounding_level(capsys):
+    # K = 24 on a_j = 0.3/(j+1) e^(ij): one exact grid, so the estimate is
+    # rounding (1.7e-10 against a 1.1e-11 residual), where the change from
+    # a coarse grid used to report 1.80
+    coeffs = [1.0] + [0.3 / (j + 1) * np.exp(1j * j) for j in range(1, 25)]
+    code, checks = _moments_checks(coeffs, capsys)
+    area = checks["richardson_vs_area"]
+    assert code == 0 and area["status"] == "pass"
+    assert area["residual"] <= area["quadrature_error_estimate"] < 1e-9
+
+
+def test_cli_moments_beyond_the_angular_cap_is_a_failed_run(capsys):
+    # n = 100, K = 100 needs 101 x 16384 nodes; from n = 90 on, K = n is
+    # over the cap of 8192 angles
+    coeffs = [1.0] + [0.3 / (j + 1) ** 2 for j in range(1, 101)]
+    code, checks = _moments_checks(coeffs, capsys)
+    assert code == 1
+    assert checks["run"]["status"] == "fail"
+    assert checks["run"]["error"].startswith("QuadratureError")
+    assert "101 x 16384 nodes" in checks["run"]["error"]
+
+
 def test_cli_jacobian_degree_mismatch():
     assert main(["jacobian", "--coeffs", "1,0.3", "--degree", "2"]) == 2
 
@@ -258,6 +285,15 @@ def test_cli_bracket_check_degenerate_map_fails(capsys):
 
 def test_cli_quadrature_check_polynomial():
     assert main(["quadrature-check", "--coeffs", "1,0.3"]) == 0
+
+
+def test_cli_quadrature_check_high_powers_do_not_alias(capsys):
+    # z^p |f'|^2 needs p + 2 angles; a fixed 256 aliased p = 255..257 onto
+    # the mean (residuals up to 1.1e-2)
+    assert main(["--json", "quadrature-check", "--coeffs", "1,0.3", "--max-power", "500"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [f"quadrature_g_power_{p}" for p in range(501)]
+    assert all(c["status"] == "pass" for c in checks)
 
 
 @pytest.mark.parametrize("argv", [

@@ -34,6 +34,7 @@ from heleshaw.scenarios import (
     quadrature_data,
     subcase2_from_omega,
 )
+import mp_oracle
 from test_scenarios import _GeneralForm, subcase2_general_form
 
 CARDIOID = PolynomialMap((1.0, 0.3))
@@ -419,23 +420,61 @@ def reference_disk_quadrature(m, K, nr, nt):
     return out
 
 
+def _random_phase_map(n, rng, power=1):
+    """a_0 = 1, |a_j| uniform in [0, 0.3/(j+1)**power], uniform phases."""
+    j = np.arange(1, n + 1)
+    a = 0.3 / (j + 1) ** power * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+    return PolynomialMap(tuple(np.concatenate([[1.0], a])))
+
+
 def test_area_oracle_matches_reference_quadrature():
-    # polynomial maps keep the (96, 256) / (192, 512) grids
+    # a polynomial map gets one grid, exact for K = n: n + 1 rings and the
+    # least power of two above K (n + 1) + n angles; its rounding estimate
+    # bounds the gap to the plain quadrature on that grid (at most 0.36 of
+    # it here, most of which is numpy's Gauss rule in the reference)
     rng = np.random.default_rng(29)
     for n in range(1, 33):
-        j = np.arange(1, n + 1)
-        a = 0.3 / (j + 1) * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
-        m = PolynomialMap(tuple(np.concatenate([[1.0], a])))
+        m = _random_phase_map(n, rng)
+        nr, nt = moments._disk_size(m, n, m.rational())
+        assert nr == n + 1 and nt // 2 <= n * (n + 1) + n < nt
         mv, err = moments_area_oracle(m, n)
-        coarse = reference_disk_quadrature(m, n, 96, 256)
-        fine = reference_disk_quadrature(m, n, 192, 512)
-        scale = np.max(np.abs(fine))
-        assert np.max(np.abs(mv - fine)) < 1e-12 * scale
-        assert abs(err - np.max(np.abs(fine - coarse))) < 1e-12 * scale
+        assert np.max(np.abs(mv - reference_disk_quadrature(m, n, nr, nt))) <= err
+
+
+@pytest.mark.parametrize("n, seed, bound", [(48, 7, 2e-11), (64, 7, 2e-10)])
+def test_area_oracle_against_40_digit_richardson(n, seed, bound):
+    # |a_j| <= 0.3/(j+1) with random phases.  The exact grid is off by
+    # 2.9e-13 (n = 48, estimate 7.4e-12) and 8.2e-12 (n = 64, estimate
+    # 1.3e-10); the two fixed (96, 256) and (192, 512) grids were off by
+    # 2.7e-6 and 5.5, with estimates 4.1 and 6.0e3
+    m = _random_phase_map(n, np.random.default_rng(seed))
+    area, err = moments_area_oracle(m, n)
+    exact = mp_oracle.richardson_moments(m.coeffs, n)
+    assert np.max(np.abs(moments_richardson(m, n) - area)) < 1e-6  # richardson_vs_area
+    assert np.max(np.abs(area - exact)) <= err < bound
+
+
+def test_disk_size_exact_for_polynomials_alias_bound_for_poles():
+    z = RationalFunction([0.0, 1.0])
+    # degree-2 map: f' of degree 1, h = f of degree 2 or h = z
+    assert moments._disk_size(CARDIOID, 3, CARDIOID.rational()) == (2, 8)
+    assert moments._disk_size(CARDIOID, 500, z) == (2, 512)
+    # refinement is for the two levels of maps with poles only
+    assert moments._disk_size(CARDIOID, 3, CARDIOID.rational(), refine=2) == (2, 8)
+    assert moments._disk_size(ABC, 6, ABC.rational()) == (96, 256)
+    assert moments._disk_size(ABC, 6, ABC.rational(), refine=2) == (192, 512)
+    # K = n: 8192 angles up to n = 89, then over the cap
+    for n, nt in [(89, 8192), (90, None)]:
+        m = PolynomialMap((1.0,) + (0.0,) * (n - 1) + (0.01,))
+        if nt:
+            assert moments._disk_size(m, n, m.rational()) == (n + 1, nt)
+        else:
+            with pytest.raises(QuadratureError, match="needs 91 x 16384 nodes"):
+                moments._disk_size(m, n, m.rational())
 
 
 def _disk_nodes(nr, nt):
-    radii, _ = moments._disk_grid(nr, nt)
+    radii, _ = moments._radial_rule(nr, False)
     return radii[:, None] * np.exp(2j * np.pi * np.arange(nt) / nt)[None, :]
 
 
@@ -444,7 +483,7 @@ def test_ring_values_match_horner(degree):
     # degree 40 > nt = 16 exercises the folding of coefficients mod nt
     rng = np.random.default_rng(degree)
     c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    radii, _ = moments._disk_grid(8, 16)
+    radii, _ = moments._radial_rule(8, False)
     exact = pval(c, _disk_nodes(8, 16))
     err = np.max(np.abs(ring_values(RationalFunction(c), radii, CircleGrid(16)) - exact))
     assert err < 1e-13 * np.max(np.abs(c))
@@ -452,7 +491,7 @@ def test_ring_values_match_horner(degree):
 
 def test_disk_values_agree_across_map_kinds():
     # ring and circle values by FFT against Horner at the same nodes
-    radii, _ = moments._disk_grid(12, 32)
+    radii, _ = moments._radial_rule(12, False)
     zgrid = _disk_nodes(12, 32)
     g = CircleGrid(32)
     for m in (PolynomialMap((1.0, 0.2 - 0.1j, 0.05)),
@@ -469,21 +508,33 @@ def test_disk_values_agree_across_map_kinds():
 
 
 def test_disk_grid_cached_read_only():
-    radii, weights = moments._disk_grid(96, 256)
-    again = moments._disk_grid(96, 256)
-    assert again[0] is radii and again[1] is weights
-    with pytest.raises(ValueError):
-        radii[0] = 0.0
-    with pytest.raises(ValueError):
-        weights[0] = 0.0
-    # the weights integrate 1 over the disk to (1/pi) * area = 1
-    assert abs(np.sum(weights) * 256 - 1.0) < 1e-14
+    # the radial rule is cached by nr (and polish) alone; 1/nt is applied at use
+    for polished in (False, True):
+        radii, weights = moments._radial_rule(96, polished)
+        again = moments._radial_rule(96, polished)
+        assert again[0] is radii and again[1] is weights
+        with pytest.raises(ValueError):
+            radii[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        # the weights integrate 1 over the disk to (1/pi) * area = 1
+        assert abs(np.sum(weights) - 1.0) < 1e-14
 
 
 def test_disk_grid_cannot_be_made_writeable():
-    for a in moments._disk_grid(12, 32):
+    for a in moments._radial_rule(12, False) + moments._radial_rule(12, True):
         with pytest.raises(ValueError):
             a.flags.writeable = True
+
+
+@pytest.mark.parametrize("nr", [1, 25, 41, 65])
+def test_polished_radial_rule_matches_40_digit_rule(nr):
+    # numpy's small weights are off by up to 1e4 u at nr = 41; the polished
+    # rule is within 1.8 u of the 40-digit one at these nr
+    radii, weights = moments._radial_rule(nr, True)
+    want_r, want_w = mp_oracle.disk_gauss_legendre(nr)
+    assert_allclose(radii, want_r, rtol=8 * np.finfo(float).eps, atol=0)
+    assert_allclose(weights, want_w, rtol=8 * np.finfo(float).eps, atol=0)
 
 
 def test_disk_quadrature_of_powers_of_z_matches_closed_form():
@@ -498,7 +549,8 @@ def test_disk_quadrature_of_powers_of_z_matches_closed_form():
         for p in range(P + 1)
     ])
     z = RationalFunction([0.0, 1.0])
-    got = moments._disk_quadrature(m, P, 96, 256, z)
+    assert moments._disk_size(m, P, z) == (5, 16)
+    got, _ = moments._disk_quadrature(m, P, 5, 16, z)
     assert_allclose(got, want, rtol=0, atol=1e-14)
     data = quadrature_coeffs(m)
     one_point = [data.c[p] * math.factorial(p) if p <= n else 0.0 for p in range(P + 1)]
@@ -522,20 +574,20 @@ def test_angular_nodes_from_nearest_pole():
 
 
 def test_ring_blocks_do_not_change_the_quadrature(monkeypatch):
-    # the reference is the whole grid as one block (the fine polynomial grid
-    # has 192 x 512 nodes); the default block and 8 rings per block must
-    # agree with it
+    # the reference is a 192 x 512 grid as one block; the default block and
+    # 8 rings per block must agree with it
     m = PolynomialMap((1.0, 0.3 - 0.1j, 0.05j, -0.02))
     data = quadrature_coeffs(m)
     default = moments._BLOCK_NODES
     with monkeypatch.context() as patch:
         patch.setattr(moments, "_BLOCK_NODES", 192 * 512)
-        whole = moments._disk_quadrature(m, 4, 192, 512)
+        whole, size = moments._disk_quadrature(m, 4, 192, 512)
         checks = quadrature_check(m, data, 2)
     for block in (default, 8 * 512):
         monkeypatch.setattr(moments, "_BLOCK_NODES", block)
-        assert_allclose(moments._disk_quadrature(m, 4, 192, 512), whole,
-                        rtol=0, atol=1e-14 * np.max(np.abs(whole)))
+        got, got_size = moments._disk_quadrature(m, 4, 192, 512)
+        assert_allclose(got, whole, rtol=0, atol=1e-14 * np.max(np.abs(whole)))
+        assert abs(got_size - size) < 1e-14 * size
         assert_allclose(quadrature_check(m, data, 2), checks, rtol=0, atol=1e-14)
 
 
@@ -543,11 +595,16 @@ def test_ring_blocks_do_not_change_the_quadrature(monkeypatch):
     # subcase2 at |B1| = 0.98 sqrt(M0) needs 192 x 8192 nodes on the fine
     # level; evaluated whole, that level peaked at 96 MB of arrays
     (make_subcase2(1.0, 0.98), 6, 16),
-    # a degree-24 polynomial's fine level (192 x 512 nodes) as one block
-    # peaked at 4.6 MB
+    # a degree-25 polynomial (n = 24, K = 24) on its exact 25 x 1024 grid
+    # peaked at 1.2 MB; the old fine level of 192 x 512 nodes, as one block,
+    # at 4.6 MB
     (PolynomialMap((1.0,) + tuple(0.3 / (j + 1)**2 * np.exp(1j * j) for j in range(1, 25))),
      24, 2.5),
-], ids=["subcase2", "polynomial-n24"])
+    # n = 64, K = 64 at the angular cap: 65 x 8192 nodes in blocks of four
+    # rings, peaked at 1.5 MB
+    (PolynomialMap((1.0,) + tuple(0.3 / (j + 1)**2 * np.exp(1j * j) for j in range(1, 65))),
+     64, 2.5),
+], ids=["subcase2", "polynomial-n24", "polynomial-n64"])
 def test_area_oracle_memory_is_bounded_near_the_cap(m, K, bound_mb):
     import tracemalloc
 
