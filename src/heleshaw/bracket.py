@@ -37,11 +37,20 @@ det W = det U = 2 b0^{2n+1} Res(f', f'*), W the real string matrix of
 (the product is far worse conditioned than either factor) and checks det U
 against Res from det W (``det_u_resultant_form``) and against 2 b0 det S
 (``det_u_sylvester_form``); its right-hand side reads Res from S.
+
+V U itself is checked against central differences of the moment map, along
+three seeded probe directions W: V U W against the differences along W, in
+O(n^3) where all 2n+1 coordinate directions cost O(n^4).  That is Freivalds'
+randomized product check (1977) with a finite-difference side.
+:func:`finite_difference_jacobian` with its identity default is the full
+Jacobian, which the tests compare entrywise.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -338,19 +347,36 @@ def _conjugate_moment_map(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def finite_difference_jacobian(m: PolynomialMap, step: float) -> np.ndarray:
-    """Central differences of the conjugate-variable moment map, all 2(2n+1)
-    points x0 +- step e_j evaluated in one batch."""
+def finite_difference_jacobian(m: PolynomialMap, step: float, directions=None) -> np.ndarray:
+    """Central differences of the conjugate-variable moment map along the
+    columns w of ``directions``, a (2n+1) x p array:
+    (F(x0 + step w) - F(x0 - step w)) / (2 step), all 2p points evaluated in
+    one batch.  The default, the identity, gives the full Jacobian from the
+    2(2n+1) points x0 +- step e_j."""
     a = m.coeffs
     n = len(a) - 1
     x0 = np.concatenate([np.conj(a[1:])[::-1], a])
     size = 2 * n + 1
-    X = np.tile(x0, (2, size, 1))
-    j = np.arange(size)
-    X[0, j, j] += step
-    X[1, j, j] -= step
-    F = _conjugate_moment_map(X.reshape(2 * size, size)).reshape(2, size, size)
+    D = np.eye(size) if directions is None else np.asarray(directions)
+    X = x0 + step * np.stack([D.T, -D.T])
+    F = _conjugate_moment_map(X.reshape(-1, size)).reshape(2, -1, size)
     return (F[0] - F[1]).T / (2 * step)
+
+
+#: probe directions of the report's finite-difference check, and the seed of
+#: their phases
+_PROBES = 3
+_PROBE_SEED = 1977
+
+
+def _probe_directions(size: int) -> np.ndarray:
+    """The report's size x ``_PROBES`` probe directions: entries
+    exp(2 pi i theta), theta uniform on [0, 1) from
+    ``random.Random(_PROBE_SEED)`` and formed by ``cmath``, so that every run
+    and numpy version reads the same probes."""
+    rng = random.Random(_PROBE_SEED)
+    phases = [cmath.exp(2j * math.pi * rng.random()) for _ in range(size * _PROBES)]
+    return np.array(phases).reshape(size, _PROBES)
 
 
 def _log_det(M: np.ndarray) -> complex:
@@ -403,8 +429,11 @@ class JacobianReport:
     log_det_u_sylvester: complex
     #: log Res(f', f'*) from the Sylvester matrix S
     log_resultant: complex
+    #: max |V U W - D_W| over the probe directions W (``fd_probes`` columns)
+    #: and the central differences D_W along them, taken with step ``fd_step``
     fd_max_abs_err: float
     fd_step: float
+    fd_probes: int
     #: max |V U| >= (V U)[0, 0] = 2 a0: the finite-difference error is judged
     #: relative to it, with no absolute floor for a small map to pass under
     fd_scale: float
@@ -421,8 +450,16 @@ def jacobian_identity_report(m: PolynomialMap) -> JacobianReport:
     Both sides are compared in log space:  log det V + log det U from
     ``slogdet`` (see :func:`_log_det`) against  log 2 + (n^2+3n+1) log a0 +
     log Res, with Res = det S / a0^{2n} for the Sylvester matrix S of
-    (f', z^n f'*).  Also validates V U entrywise against finite differences
-    of the moment map, with a step 1e-5 2^round(log2 a0) that scales with f.
+    (f', z^n f'*).
+
+    Also checks V U against central differences of the moment map, as
+    Freivalds' product check (1977): V U W against the differences D_W along
+    the columns of W, ``_PROBES`` seeded directions whose entries have
+    modulus 1 (:func:`_probe_directions`).  That is 4 ``_PROBES`` moment
+    evaluations where the full Jacobian takes 4(2n+1).  A wrong entry of
+    V U shows in V U W at its full size, as it does entrywise.  The step
+    1e-5 2^round(log2 a0) / sqrt(2n+1) scales with f, and each perturbation
+    step w has the 2-norm of the coordinate step 1e-5 2^round(log2 a0).
     """
     n = m.degree_plus
     V = moment_power_matrix(m)
@@ -436,8 +473,9 @@ def jacobian_identity_report(m: PolynomialMap) -> JacobianReport:
     log_det_v = _log_det(V)
     log_det_u = _log_det(U)
     VU = V @ U
-    fd_step = math.ldexp(1e-5, round(math.log2(m.a0)))
-    fd = finite_difference_jacobian(m, fd_step)
+    W = _probe_directions(2 * n + 1)
+    fd_step = math.ldexp(1e-5, round(math.log2(m.a0))) / math.sqrt(2 * n + 1)
+    fd = finite_difference_jacobian(m, fd_step, W)
     return JacobianReport(
         n=n,
         log_det_vu=log_det_v + log_det_u,
@@ -449,7 +487,8 @@ def jacobian_identity_report(m: PolynomialMap) -> JacobianReport:
             log_2 + (2 * n + 1) * log_a0 + _string_solve(b).log_resultant),
         log_det_u_sylvester=complex(np.log(2.0 * m.a0) + log_det_s),
         log_resultant=complex(log_res),
-        fd_max_abs_err=float(np.max(np.abs(VU - fd))),
+        fd_max_abs_err=float(np.max(np.abs(VU @ W - fd))),
         fd_step=fd_step,
+        fd_probes=_PROBES,
         fd_scale=float(np.max(np.abs(VU))),
     )

@@ -314,9 +314,10 @@ def _cmd_jacobian(args, report: RunReport, say):
         report.check(name, log_rel_error(got, want), 1e-10)
     # relative to the entries of V U, which grow like a0^|k| with n
     bound = 1e-6 * rep.fd_scale
-    say(f"max |V U - finite differences| = {fmt(rep.fd_max_abs_err)}")
+    say(f"max |V U W - finite differences along W| ({rep.fd_probes} probes) = "
+        f"{fmt(rep.fd_max_abs_err)}")
     report.check("jacobian_finite_difference", rep.fd_max_abs_err, bound,
-                 step=rep.fd_step, threshold=bound)
+                 step=rep.fd_step, probes=rep.fd_probes, threshold=bound)
 
 
 def _cmd_quadrature_check(args, report: RunReport, say):

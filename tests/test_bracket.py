@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from heleshaw.bracket import (
     _conjugate_moment_map,
+    _probe_directions,
     _string_matrix,
     _string_solve,
     bracket_matrix,
@@ -412,6 +414,94 @@ def test_finite_difference_jacobian_memory_is_bounded_at_n64():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _residuals(m):
+    """V U, the report's probe directions W, and the residuals of both
+    finite-difference checks of a map with a0 = 1: R = V U - D at the
+    coordinate step 1e-5, and R_W = V U W - D_W at the probe step
+    1e-5 / sqrt(2n+1)."""
+    VU = jacobian(m)
+    size = len(VU)
+    W = _probe_directions(size)
+    R_W = VU @ W - finite_difference_jacobian(m, 1e-5 / math.sqrt(size), W)
+    return VU, W, VU - finite_difference_jacobian(m, 1e-5), R_W
+
+
+def test_probe_directions_are_fixed_unit_phases():
+    W = _probe_directions(9)
+    assert W.shape == (9, 3)
+    assert_allclose(np.abs(W), 1.0, rtol=1e-15)
+    # drawn from their own seeded stream, not numpy's: the same on every call
+    # and a prefix of the directions of a larger size
+    assert np.array_equal(W, _probe_directions(9))
+    assert np.array_equal(W.ravel(), _probe_directions(17).ravel()[:27])
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_probe_and_full_finite_difference_checks_agree(power):
+    # the report's check along three probes and the full entrywise check give
+    # the same status up to n = 32; at n = 48 and 64, where the full check
+    # costs 4(2n+1) moment evaluations, the probe residual stays below 0.05
+    # of the bound 1e-6 max |V U| (at most 1.7e-2 measured on these maps)
+    rng = np.random.default_rng(60 + power)
+    for n in [*range(1, 33), 48, 64]:
+        m = decaying_map(rng, n, power=power)
+        rep = jacobian_identity_report(m)
+        bound = 1e-6 * rep.fd_scale
+        assert rep.fd_probes == 3
+        assert rep.fd_step == 1e-5 / math.sqrt(2 * n + 1)
+        if n <= 32:
+            full = np.max(np.abs(jacobian(m) - finite_difference_jacobian(m, 1e-5)))
+            assert (rep.fd_max_abs_err < bound) == (full < bound), (n, full / bound)
+        else:
+            assert rep.fd_max_abs_err < 0.05 * bound, (n, rep.fd_max_abs_err / bound)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("n", [4, 8, 16, 24])
+def test_probe_check_catches_mutations_of_v_u(n, power):
+    # Freivalds' check: a wrong V U' = V U + E shows in the probe residual as
+    # R_W + E W, where the full check sees R + E.  D and D_W are formed once
+    # and each mutation's E is added to them
+    m = decaying_map(np.random.default_rng(500 + 10 * n + power), n, power=power)
+    V, U = moment_power_matrix(m), bracket_matrix(m)
+    VU, W, R, R_W = _residuals(m)
+    assert jacobian_identity_report(m).fd_max_abs_err == np.max(np.abs(R_W))
+    bound = 1e-6 * np.max(np.abs(VU))
+
+    def statuses(E):
+        """(full check fails, probe check fails) on V U + E."""
+        b = 1e-6 * np.max(np.abs(VU + E))
+        return bool(np.max(np.abs(R + E)) >= b), bool(np.max(np.abs(R_W + E @ W)) >= b)
+
+    # every single entry moved by 1.1 times the bound with a seeded phase:
+    # each probe entry has modulus 1, so E W's row i carries the move whole
+    size = len(VU)
+    phases = np.exp(2j * np.pi * np.random.default_rng(n + power).random((size, size)))
+    for i in range(size):
+        for j in range(size):
+            E = np.zeros_like(VU)
+            E[i, j] = 1.1 * bound * phases[i, j]
+            assert statuses(E) == (True, True), (i, j)
+    # U's (0, 0) entry 2 b0 replaced by b0, and each band b_k (k = -(i+j))
+    # of U conjugated
+    dU = np.zeros_like(U)
+    dU[n, n] = -0.5 * U[n, n]
+    assert statuses(V @ dU) == (True, True)
+    idx = np.arange(-n, n + 1)
+    for k in range(1, n + 1):
+        band = (idx[:, None] + idx[None, :] == -k) & (U != 0)
+        assert statuses(V @ np.where(band, np.conj(U) - U, 0)) == (True, True), k
+    # each row r of V scaled by 1 + eps, sized so that the row's largest entry
+    # of V U moves by twice the bound.  Three probes can cancel a rank-one
+    # error in part, so the probe check is weaker here: moved by 1.1 times
+    # the bound, rows 22 and 42 at n = 24 with 1/(j+1) decay escape it, as
+    # max_k |(V U)_r w_k| is only 0.83 and 0.60 of max |(V U)_r| there
+    for r in range(size):
+        E = np.zeros_like(VU)
+        E[r] = 2.0 * bound / np.max(np.abs(VU[r])) * VU[r]
+        assert statuses(E) == (True, True), r
 
 
 @pytest.mark.parametrize("a0, log_rhs_real", [(2.0, 777.6), (0.5, -776.4)])

@@ -593,7 +593,8 @@ def test_cli_jacobian_finite_difference_bound_is_relative_below_unit_scale(capsy
 def test_cli_jacobian_passes_at_every_scale(e, capsys):
     # f -> 2^e f scales every coefficient, V U entry and finite-difference
     # step exactly; a fixed step of 1e-5 failed the finite differences for
-    # |e| >= 100, too large for the map below and lost to rounding above
+    # |e| >= 100, too large for the map below and lost to rounding above.
+    # The probe step is the coordinate step over sqrt(2n+1), n = 3
     coeffs = ",".join(repr(math.ldexp(c, e)) for c in (1.0, 0.3, 0.1, 0.02))
     code = main(["--json", "jacobian", "--coeffs", coeffs])
     checks = json.loads(capsys.readouterr().out)["checks"]
@@ -601,7 +602,8 @@ def test_cli_jacobian_passes_at_every_scale(e, capsys):
     assert code == 0
     fd = checks[-1]
     assert fd["name"] == "jacobian_finite_difference"
-    assert fd["step"] == math.ldexp(1e-5, e)
+    assert fd["step"] == math.ldexp(1e-5, e) / math.sqrt(7)
+    assert fd["probes"] == 3
 
 
 def test_cli_jacobian_finite_difference_fails_when_off_at_small_scale(monkeypatch, capsys):
@@ -610,7 +612,8 @@ def test_cli_jacobian_finite_difference_fails_when_off_at_small_scale(monkeypatc
     # would pass them
     real = bracket.finite_difference_jacobian
     monkeypatch.setattr(bracket, "finite_difference_jacobian",
-                        lambda m, step: real(m, step) * (1.0 + 1e-4))
+                        lambda m, step, directions=None:
+                        real(m, step, directions) * (1.0 + 1e-4))
     code = main(["--json", "jacobian", "--coeffs=1e-100,3e-101,1e-101,2e-102"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     fd = next(c for c in checks if c["name"] == "jacobian_finite_difference")

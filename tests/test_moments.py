@@ -474,7 +474,7 @@ def test_disk_size_exact_for_polynomials_alias_bound_for_poles():
 
 
 def _disk_nodes(nr, nt):
-    radii, _ = moments._radial_rule(nr, False)
+    radii, _ = moments._radial_rule(nr)
     return radii[:, None] * np.exp(2j * np.pi * np.arange(nt) / nt)[None, :]
 
 
@@ -483,7 +483,7 @@ def test_ring_values_match_horner(degree):
     # degree 40 > nt = 16 exercises the folding of coefficients mod nt
     rng = np.random.default_rng(degree)
     c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    radii, _ = moments._radial_rule(8, False)
+    radii, _ = moments._radial_rule(8)
     exact = pval(c, _disk_nodes(8, 16))
     err = np.max(np.abs(ring_values(RationalFunction(c), radii, CircleGrid(16)) - exact))
     assert err < 1e-13 * np.max(np.abs(c))
@@ -491,7 +491,7 @@ def test_ring_values_match_horner(degree):
 
 def test_disk_values_agree_across_map_kinds():
     # ring and circle values by FFT against Horner at the same nodes
-    radii, _ = moments._radial_rule(12, False)
+    radii, _ = moments._radial_rule(12)
     zgrid = _disk_nodes(12, 32)
     g = CircleGrid(32)
     for m in (PolynomialMap((1.0, 0.2 - 0.1j, 0.05)),
@@ -508,30 +508,31 @@ def test_disk_values_agree_across_map_kinds():
 
 
 def test_disk_grid_cached_read_only():
-    # the radial rule is cached by nr (and polish) alone; 1/nt is applied at use
-    for polished in (False, True):
-        radii, weights = moments._radial_rule(96, polished)
-        again = moments._radial_rule(96, polished)
-        assert again[0] is radii and again[1] is weights
-        with pytest.raises(ValueError):
-            radii[0] = 0.0
-        with pytest.raises(ValueError):
-            weights[0] = 0.0
-        # the weights integrate 1 over the disk to (1/pi) * area = 1
-        assert abs(np.sum(weights) - 1.0) < 1e-14
+    # the radial rule is cached by nr alone; 1/nt is applied at use
+    radii, weights = moments._radial_rule(96)
+    again = moments._radial_rule(96)
+    assert again[0] is radii and again[1] is weights
+    with pytest.raises(ValueError):
+        radii[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    # the weights integrate 1 over the disk to (1/pi) * area = 1
+    assert abs(np.sum(weights) - 1.0) < 1e-14
 
 
 def test_disk_grid_cannot_be_made_writeable():
-    for a in moments._radial_rule(12, False) + moments._radial_rule(12, True):
+    for a in moments._radial_rule(12):
         with pytest.raises(ValueError):
             a.flags.writeable = True
 
 
-@pytest.mark.parametrize("nr", [1, 25, 41, 65])
+@pytest.mark.parametrize("nr", [1, 25, 41, 65, 96, 192])
 def test_polished_radial_rule_matches_40_digit_rule(nr):
-    # numpy's small weights are off by up to 1e4 u at nr = 41; the polished
-    # rule is within 1.8 u of the 40-digit one at these nr
-    radii, weights = moments._radial_rule(nr, True)
+    # numpy's small weights are off by up to 1e4 u at nr = 41, 1.4e4 u at
+    # nr = 96 and 3.8e5 u at nr = 192; the polished rule is within 3.8 u of
+    # the 40-digit one at these nr, the pole maps' two levels 96 and 192
+    # included
+    radii, weights = moments._radial_rule(nr)
     want_r, want_w = mp_oracle.disk_gauss_legendre(nr)
     assert_allclose(radii, want_r, rtol=8 * np.finfo(float).eps, atol=0)
     assert_allclose(weights, want_w, rtol=8 * np.finfo(float).eps, atol=0)
