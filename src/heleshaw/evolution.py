@@ -27,13 +27,15 @@ function.  Each Dormand-Prince stage is one call of it, and the last stage
 of an accepted step is the velocity of its end map, which the state carries
 to the next step's first stage and to the snapshot diagnostics.  Branch
 points (:func:`heleshaw.maps.branch_points`) are found once, from the
-exact map before truncation, and then continued: at each snapshot Newton's
-method polishes the previous omegas on the coefficients of f', and the
-argument principle on the circles of radius 1 -/+ branch_boundary_margin
-certifies the zero count.  A count that differs between the two circles (a
-zero at the boundary) raises :class:`BranchPointError`; a count that
-changed, or a Newton run that does not converge, falls back to
-companion-matrix roots for that snapshot.
+exact map before truncation, and then continued: at each later snapshot
+Newton's method polishes the previous omegas on the coefficients of f', and
+the argument principle certifies the zero count, on one sampled circle where
+its bound holds and on the circles of radius 1 -/+ branch_boundary_margin
+where it does not.  A count that differs between the two circles (a zero at
+the boundary) raises :class:`BranchPointError`; a count that changed, or a
+Newton run that does not converge, falls back to companion-matrix roots for
+that snapshot.  The t = 0 snapshot reads the initial map's moments and
+branch points, which the run computes once.
 """
 
 from __future__ import annotations
@@ -394,6 +396,8 @@ def run_evolution(spec) -> EvolutionResult:
     branch points or first snapshot) raises.  One in a step, or in the
     snapshot after it, stops the run cleanly: the exception class name and
     message become the stop reason and the snapshots so far are returned.
+    The t = 0 snapshot reads the base moments and branch points, so its
+    moment and branch drifts are exactly 0.
     """
     n_steps = _steps_for(spec.horizon, spec.dt, "horizon")
     out_steps = {_steps_for(t, spec.dt, "output time") for t in spec.output_times}
@@ -415,22 +419,22 @@ def run_evolution(spec) -> EvolutionResult:
 
     K = spec.diagnostic_moments
     base = moments_richardson(m, K)
-    if series:
-        bp = branch_points(m, near=seeds)
-        base_branch = bp.values
-        prev_omegas = bp.omegas
-    else:
-        base_branch = np.zeros(0, dtype=complex)
-        prev_omegas = None
+    bp = branch_points(m, near=seeds) if series else None
+    base_branch = bp.values if series else np.zeros(0, dtype=complex)
+    prev_omegas = None
 
-    def annotate(state: EvolutionState) -> EvolutionState:
+    def annotate(state: EvolutionState, mv=None, bpt=None) -> EvolutionState:
+        """``state`` with its snapshot diagnostics; ``mv`` and ``bpt``, when
+        given, are its moments and branch points, already computed."""
         nonlocal prev_omegas
-        mv = moments_richardson(state.map, K)
+        if mv is None:
+            mv = moments_richardson(state.map, K)
         expected = base.copy()
         expected[0] += state.t
         drift = np.abs(mv - expected)
         if series:
-            bpt = branch_points(state.map, near=prev_omegas)
+            if bpt is None:
+                bpt = branch_points(state.map, near=prev_omegas)
             prev_omegas = bpt.omegas
             bdrift = (
                 np.abs(bpt.values - base_branch)
@@ -449,7 +453,7 @@ def run_evolution(spec) -> EvolutionResult:
         return replace(state, diagnostics=StepDiagnostics(mv, drift, bdrift, sres),
                        resultant=solve, velocity=vel if series else None)
 
-    state = annotate(EvolutionState(0.0, m))
+    state = annotate(EvolutionState(0.0, m), base, bp)
     states = [state]
     stop = "completed"
     step = partial(step_taylor_fixed_branch, grid=grid) if series else step_polynomial

@@ -362,10 +362,12 @@ def branch_points(m: AnalyticMap, near=None) -> BranchPointSet:
 
     Pass the previous zeros as ``near`` to continue them: Newton's method
     polishes each and the argument principle certifies the count
-    (:func:`_continued_zeros`).  Otherwise, or where that fails, the
-    companion matrix gives all roots, matched to ``near`` when the count is
-    unchanged.  Multiple zeros and zeros within the boundary margin of the
-    unit circle raise :class:`BranchPointError`.
+    (:func:`_continued_zeros`), on one sampled circle where its bound holds
+    and on the two rings 1 -/+ branch_boundary_margin where it does not.
+    Otherwise, or where that fails, the companion matrix gives all roots,
+    matched to ``near`` when the count is unchanged.  Multiple zeros and
+    zeros within the boundary margin of the unit circle raise
+    :class:`BranchPointError`.
 
     Either way, each omega is then certified on the numerator of f' = N/D:
     |N(omega)| <= ``root_residual`` max|N|, the bar at which
@@ -434,18 +436,72 @@ _MULTIPLE_ZERO_GAP = 1e-8
 def _continued_zeros(num, near: np.ndarray):
     """Zeros of ``num`` inside the disk, continued from ``near``.
 
-    The zero count is the winding number of ``num`` on the circles of radius
-    1 -/+ branch_boundary_margin.  Different counts mean a zero within the
-    margin of the unit circle, which raises :class:`BranchPointError`.
-    Returns None, so the caller falls back to the companion matrix, when a
-    count is not resolved to ``_BRANCH_COUNT_RESIDUAL``, the count is not
+    The zero count comes from the samples of ``num`` on the circle grid
+    (:func:`_sampled_count`), or, where their bound does not hold, from the
+    circles of radius 1 -/+ branch_boundary_margin (:func:`_ring_count`),
+    which raise :class:`BranchPointError` for a zero within the margin of
+    the unit circle.  Either count, when it is taken, is the number of
+    zeros in the disk.  Returns None, so the caller falls back to the
+    companion matrix, when neither route gives a count, the count is not
     ``len(near)``, or Newton's method does not converge to distinct zeros
     inside the disk.
     """
     margin = DEFAULT.branch_boundary_margin
-    # twice the usual 4x-degree grid: truncated series gather spurious zeros
-    # just outside the circle, and each adds (1/|z|)**N to the residual
-    grid = CircleGrid(max(64, 1 << (8 * len(num) - 1).bit_length()))
+    grid = _count_grid(num)
+    count = _sampled_count(num, grid)
+    if count is None:
+        count = _ring_count(num, grid)
+    if count != len(near):
+        return None
+    if not len(near):
+        return near
+    dnum = pder(num)
+    w = [_newton_zero(num, dnum, complex(z)) for z in near]
+    if None in w:
+        return None
+    w = np.asarray(w)
+    if np.max(np.abs(w)) >= 1.0 - margin or _min_gap(w) < _MULTIPLE_ZERO_GAP:
+        return None
+    return w
+
+
+def _count_grid(num) -> CircleGrid:
+    """The grid both zero counts of ``num`` sample: twice the usual 4x-degree
+    grid, since truncated series gather spurious zeros just outside the
+    circle, and each adds (1/|z|)**N to a ring's winding residual."""
+    return CircleGrid(max(64, 1 << (8 * len(num) - 1).bit_length()))
+
+
+def _sampled_count(num, grid: CircleGrid):
+    """The number of zeros of ``num`` in the disk from its samples w_k at the
+    N grid nodes (one :func:`circle_values`), or None where they prove nothing.
+
+    The count is round(sum_k Arg(w_{k+1} / w_k) / 2 pi), taken only when
+    min_k |w_k| > (mu + 2 pi / N) L, with mu the branch_boundary_margin and
+    L = sum_j j |n_j| (1 + mu)**(j-1) >= max |num'| on |z| <= 1 + mu.  Every
+    point within mu of the circle is within mu + pi / N of a node, so no
+    zero lies there; and along the arc from one node to the next the samples
+    move by at most (2 pi / N) L < |w_k|, so no interval winds round 0
+    unseen (the argument principle on samples; Henrici, Applied and
+    Computational Complex Analysis I, 1974).  The count then equals that of
+    :func:`_ring_count`.
+    """
+    margin = DEFAULT.branch_boundary_margin
+    w = circle_values(num, grid)
+    j = np.arange(1, len(num))
+    slope = float(np.sum(j * np.abs(num[1:]) * (1.0 + margin) ** (j - 1)))
+    if not np.min(np.abs(w)) > (margin + 2.0 * np.pi / grid.size) * slope:
+        return None
+    return round(float(np.sum(np.angle(np.roll(w, -1) / w))) / (2.0 * np.pi))
+
+
+def _ring_count(num, grid: CircleGrid):
+    """The number of zeros of ``num`` in the disk as the winding number of
+    ``num`` on the circles of radius 1 -/+ branch_boundary_margin, or None
+    where one is not resolved to ``_BRANCH_COUNT_RESIDUAL``.  Different
+    counts mean a zero within the margin of the unit circle, which raises
+    :class:`BranchPointError`."""
+    margin = DEFAULT.branch_boundary_margin
     circles = ring_values(RationalFunction(num), [1.0 - margin, 1.0 + margin], grid)
     counts = []
     for values in circles:
@@ -461,18 +517,7 @@ def _continued_zeros(num, near: np.ndarray):
             f"{counts[1] - counts[0]} zero(s) of f' lie within {margin} "
             "of the unit circle"
         )
-    if counts[0] != len(near):
-        return None
-    if not len(near):
-        return near
-    dnum = pder(num)
-    w = [_newton_zero(num, dnum, complex(z)) for z in near]
-    if None in w:
-        return None
-    w = np.asarray(w)
-    if np.max(np.abs(w)) >= 1.0 - margin or _min_gap(w) < _MULTIPLE_ZERO_GAP:
-        return None
-    return w
+    return counts[0]
 
 
 def _min_gap(points: np.ndarray) -> float:

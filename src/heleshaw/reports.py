@@ -10,7 +10,7 @@ holds, wall-clock timing goes to the human-readable console output instead.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,7 +83,9 @@ class RunReport:
         return all(c["status"] == "pass" for c in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        report = {"spec": self.spec, "checks": self.checks,
+                  "artifacts": self.artifacts, "timing": self.timing}
+        return json.dumps(report, indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +117,8 @@ def export_trajectory(result: EvolutionResult, path) -> None:
             np.asarray(d.moments, dtype=complex).view(float),
             [d.string_residual, d.max_branch_drift],
         ])
-        lines.append(",".join(fmt(x) for x in row.tolist()))
+        # one %-format of the row renders each cell as fmt does
+        lines.append(",".join(["%.17g"] * len(row)) % tuple(row.tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -152,8 +155,7 @@ def render_boundary_svg(source, path) -> None:
     ]
     for i, (curve, label) in enumerate(zip(curves, labels)):
         closed = np.concatenate([curve, curve[:1]])
-        x, y = ((closed.real - lo) * scale).tolist(), ((hi - closed.imag) * scale).tolist()
-        pts = " ".join("%.6f,%.6f" % p for p in zip(x, y))
+        pts = _points((closed.real - lo) * scale, (hi - closed.imag) * scale)
         shade = 30 + (200 * i) // max(len(curves), 1)
         parts.append(f'<g id="layer{i}"><title>{label}</title>')
         parts.append(
@@ -164,3 +166,10 @@ def render_boundary_svg(source, path) -> None:
     parts.append("</svg>")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """``x0,y0 x1,y1 ...`` at 6 decimals, by one %-format of x and y interleaved."""
+    xy = np.empty(2 * len(x))
+    xy[0::2], xy[1::2] = x, y
+    return " ".join(["%.6f,%.6f"] * len(x)) % tuple(xy.tolist())

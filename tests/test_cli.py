@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heleshaw
-from heleshaw import bracket, cli
+from heleshaw import bracket, cli, reports
 from heleshaw.cli import main, parse_config
 from heleshaw.errors import ConfigError
-from heleshaw.evolution import run_evolution
+from heleshaw.evolution import EvolutionResult, EvolutionState, StepDiagnostics, run_evolution
+from heleshaw.maps import TaylorMap
 from heleshaw.reports import REPORT_SCHEMA, RunReport, export_trajectory, fmt, render_boundary_svg
 from heleshaw.scenarios import FAMILY_PARAMS, ScenarioSpec
 
@@ -135,6 +137,48 @@ def test_export_empty_trajectory_rejected(tmp_path):
 def test_fmt_17_digits():
     assert fmt(np.sqrt(2.0)) == "1.4142135623730951"
     assert fmt(1.0) == "1"
+
+
+#: cells that formatting can get wrong: infinities, nan, a signed zero, the
+#: smallest subnormal and numbers near the float range's ends
+_AWKWARD = (np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0)
+
+
+def test_csv_rows_render_each_cell_as_fmt(tmp_path):
+    # one %-format per row writes what fmt writes cell by cell
+    cells = np.array(_AWKWARD)
+    moments = np.empty(8, dtype=complex)
+    moments.real, moments.imag = cells[:8], cells[1:9]
+    states = []
+    for t, a0, residual in ((0.0, 1e308, np.nan), (-0.0, 5e-324, -0.0)):
+        coeffs = np.concatenate([[a0], moments[1:]])
+        d = StepDiagnostics(moments, np.abs(moments), cells[3:5], residual)
+        states.append(EvolutionState(t, TaylorMap(coeffs), diagnostics=d))
+    res = EvolutionResult(tuple(states), "completed", moments, np.zeros(0))
+    path = tmp_path / "awkward.csv"
+    export_trajectory(res, path)
+    rows = path.read_text().splitlines()[1:]
+    for s, line in zip(states, rows):
+        d = s.diagnostics
+        row = [s.t, *np.asarray(s.map.coeffs).view(float), *d.moments.view(float),
+               d.string_residual, d.max_branch_drift]
+        assert line == ",".join(fmt(x) for x in row)
+    assert len(rows) == 2
+
+
+def test_svg_points_render_each_coordinate_at_six_decimals():
+    x, y = np.array(_AWKWARD), np.array(_AWKWARD[::-1])
+    assert reports._points(x, y) == " ".join("%.6f,%.6f" % p for p in zip(x, y))
+
+
+def test_report_json_equals_the_dataclass_dump():
+    # to_json dumps its four fields as they are; dataclasses.asdict, which
+    # copies them first, writes the same bytes
+    rep = RunReport(spec={"command": "x", "scenario": {"coeffs": [(1.0, -0.0)]}})
+    for i, r in enumerate(_AWKWARD):
+        rep.add(f"c{i}", i % 2 == 0, r, extra=[r, {"nested": r}], note=None)
+    rep.artifacts.append("out.csv")
+    assert rep.to_json() == json.dumps(dataclasses.asdict(rep), indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

@@ -497,6 +497,29 @@ def test_series_run_finds_roots_only_on_the_exact_map(monkeypatch):
     assert degrees == [2]
 
 
+@pytest.mark.parametrize("family, params", [
+    ("subcase2", {"M0": 1.0, "B1": B1_SUB2}),
+    ("taylor", {"coeffs": (1.0, 0.5, -0.4)}),
+])
+def test_t0_snapshot_reads_the_base_moments_and_branch_points(family, params):
+    # the initial map's moments and branch points are computed once: the
+    # t = 0 snapshot reads them, so its moments are the base bit for bit
+    # and its branch drift is exactly 0; each later snapshot computes both
+    spec = ScenarioSpec(family=family, params=params, horizon=0.002, dt=1e-3,
+                        output_times=(0.001,))
+    with mock.patch.object(evolution, "branch_points", wraps=branch_points) as bp, \
+            mock.patch.object(evolution, "moments_richardson",
+                              wraps=moments_richardson) as mr:
+        res = run_evolution(spec)
+    assert res.completed and len(res.states) == 3
+    d = res.states[0].diagnostics
+    assert d.moments.tobytes() == res.base_moments.tobytes()
+    assert d.branch_drift.tobytes() == np.zeros(1).tobytes()
+    # the exact map's seeds (subcase2 only), the base and two snapshots
+    assert bp.call_count == (4 if family == "subcase2" else 3)
+    assert mr.call_count == 3
+
+
 def test_polynomial_run_computes_each_resultant_once(monkeypatch):
     # each accepted map is solved once, by one real string solve: at the
     # end of the step that makes it (the initial map at its snapshot).  Its

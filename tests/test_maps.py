@@ -1,7 +1,10 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from heleshaw.cli import main
@@ -480,6 +483,100 @@ def test_a_zero_of_fprime_moved_by_1e_8_fails_the_residual_test(monkeypatch, bui
     _moved_zeros(monkeypatch, 1e-8)
     for near in (None, bp.omegas):
         with pytest.raises(BranchPointError, match="does not vanish"):
+            branch_points(m, near=near)
+
+
+# ----------------------------------------------------------------------
+# zero counts of f': one sampled circle, or the two rings
+# ----------------------------------------------------------------------
+
+def _count_routes(m):
+    """The sampled and the ring zero counts of the numerator of m's f'."""
+    num = m.rational().derivative().num
+    grid = maps._count_grid(num)
+    return maps._sampled_count(num, grid), maps._ring_count(num, grid)
+
+
+def _seeded_series(family: str, order: int, seed: int):
+    """An order-``order`` series of the family and the zeros of f' it
+    continues: the exact map's for subcase2 (|B1| / sqrt(M0) in [0.2, 0.6])
+    and example_abc (|a| in [0.1, 0.3], |b| in [1.5, 2]), the companion
+    matrix's for a ``taylor`` map whose f' has |b_1| in [1.2, 1.8] and
+    |b_j| <= 0.5**j after it."""
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * rng.random(3))
+    if family == "subcase2":
+        m0 = 0.5 + 1.5 * rng.random()
+        exact = make_subcase2(m0, np.sqrt(m0) * (0.2 + 0.4 * rng.random()) * phase[0])
+    elif family == "example_abc":
+        exact = make_example_abc((0.1 + 0.2 * rng.random()) * phase[0],
+                                 (1.5 + 0.5 * rng.random()) * phase[1],
+                                 0.5 + 2.0 * rng.random())
+    else:
+        j = np.arange(order)
+        b = rng.random(order) * 0.5**j * np.exp(2j * np.pi * rng.random(order))
+        b[0], b[1] = 1.0, (1.2 + 0.6 * rng.random()) * phase[0]
+        m = TaylorMap(b / (j + 1))
+        return m, branch_points(m).omegas
+    return TaylorMap(exact.power_series(order)), branch_points(exact).omegas
+
+
+@settings(max_examples=24)
+@given(family=st.sampled_from(["subcase2", "example_abc", "taylor"]),
+       order=st.sampled_from([64, 256]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampled_count_equals_ring_count_and_omegas_stay_bitwise(family, order, seed):
+    # the sampled bound holds on these series, so one FFT counts the zeros
+    # of f'; the count is the rings', and Newton polishes the same starts,
+    # so the omegas and their images are bit for bit the ring route's
+    m, near = _seeded_series(family, order, seed)
+    sampled, ring = _count_routes(m)
+    assert sampled == ring == len(near)
+    with mock.patch.object(maps, "polynomial_roots", side_effect=AssertionError), \
+            mock.patch.object(maps, "winding_number", side_effect=AssertionError):
+        fast = branch_points(m, near=near)
+    with mock.patch.object(maps, "_sampled_count", return_value=None), \
+            mock.patch.object(maps, "polynomial_roots", side_effect=AssertionError):
+        rings = branch_points(m, near=near)
+    assert fast.omegas.tobytes() == rings.omegas.tobytes()
+    assert fast.values.tobytes() == rings.values.tobytes()
+
+
+@pytest.mark.parametrize("a, b, order, share", [
+    (0.3, 1.3, 64, 0.64),
+    (0.3, 1.2, 256, 0.94),
+    (0.6, 1.1, 256, 0.26),
+])
+def test_rings_count_where_the_sampled_bound_fails(monkeypatch, a, b, order, share):
+    # a truncation of f' whose coefficients decay only like |b|**-j: min |N|
+    # on the circle is ``share`` of the sampled bound, so the two rings
+    # count, and the continuation still needs no companion matrix
+    exact = make_example_abc(a, b, 1.0)
+    m = TaylorMap(exact.power_series(order))
+    num = m.rational().derivative().num
+    grid = maps._count_grid(num)
+    j = np.arange(1, len(num))
+    slope = np.sum(j * np.abs(num[1:]) * (1.0 + DEFAULT.branch_boundary_margin) ** (j - 1))
+    bound = (DEFAULT.branch_boundary_margin + 2.0 * np.pi / grid.size) * slope
+    assert np.min(np.abs(circle_values(num, grid))) / bound == pytest.approx(share, abs=0.01)
+    assert _count_routes(m) == (None, 1)
+    seeds = branch_points(exact).omegas
+    calls = _counted_roots(monkeypatch)
+    bp = branch_points(m, near=seeds)
+    assert calls == [] and len(bp) == 1
+
+
+@pytest.mark.parametrize("radius", [1.0 - 0.5e-6, 1.0 + 0.5e-6])
+def test_a_zero_within_the_margin_fails_the_sampled_bound_and_raises(radius):
+    # f' = (1 - 2z)(1 - z/radius): a zero at 1/2 and one within the
+    # boundary margin of the circle, inside or outside it.  The samples
+    # bound no count, and the rings and then the companion matrix reject it
+    b = np.convolve([1.0, -2.0], [1.0, -1.0 / radius])
+    m = PolynomialMap(b / np.arange(1, 4))
+    num = m.rational().derivative().num
+    assert maps._sampled_count(num, maps._count_grid(num)) is None
+    for near in ([0.5], [0.5, radius]):
+        with pytest.raises(BranchPointError):
             branch_points(m, near=near)
 
 
