@@ -127,9 +127,14 @@ def bracket_samples(m: AnalyticMap, velocities, grid: CircleGrid) -> np.ndarray:
     the unit circle f'* = conj(f') and fdot* = conj(fdot), so the samples
     are the real values 2 Re[z f' conj(fdot)].
     """
+    return _bracket(m.derivative_on(grid), velocities, grid)
+
+
+def _bracket(fp: np.ndarray, velocities, grid: CircleGrid) -> np.ndarray:
+    """:func:`bracket_samples` from ``fp``, f' at the grid nodes."""
     v = np.asarray(velocities, dtype=complex)
     fdot = circle_values(np.concatenate([[0.0], v]), grid)
-    return 2.0 * np.real(grid.nodes * m.derivative_on(grid) * np.conj(fdot))
+    return 2.0 * np.real(grid.nodes * fp * np.conj(fdot))
 
 
 def string_residual(m: AnalyticMap, velocities, grid: CircleGrid) -> float:

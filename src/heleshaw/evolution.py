@@ -25,7 +25,9 @@ its coefficients (:func:`heleshaw.maps.circle_values`), :func:`poisson_schwarz`
 takes P from those samples, and :func:`series_velocity` is the one velocity
 function.  Each Dormand-Prince stage is one call of it, and the last stage
 of an accepted step is the velocity of its end map, which the state carries
-to the next step's first stage and to the snapshot diagnostics.  Branch
+to the next step's first stage and to the snapshot diagnostics, with the
+samples of f' it formed: the snapshot's string residual is one FFT of fdot
+against them, and the snapshot drops them (a step reads the velocity).  Branch
 points (:func:`heleshaw.maps.branch_points`) are found once, from the
 exact map before truncation, and then continued: at each later snapshot
 Newton's method polishes the previous omegas on the coefficients of f', and
@@ -66,7 +68,7 @@ from .maps import (
     circle_values,
 )
 from .moments import moments_richardson
-from .bracket import _newton_update, _string_solve, _StringSolve, string_residual
+from .bracket import _bracket, _newton_update, _string_solve, _StringSolve, string_residual
 
 __all__ = [
     "poisson_schwarz",
@@ -143,7 +145,10 @@ class EvolutionState:
 
     A :class:`TaylorMap` state carries ``velocity``, its
     :func:`series_velocity` on the run's grid, once a step or snapshot has
-    made it; the next series step takes it as its first stage.
+    made it; the next series step takes it as its first stage.  A stepped
+    one also carries ``_fprime``, the samples of f' that velocity was made
+    from, for its snapshot's string residual, and the snapshot drops them;
+    a state without them (t = 0) takes both from one velocity call.
     """
 
     t: float
@@ -152,6 +157,7 @@ class EvolutionState:
     resultant: _StringSolve | None = field(default=None, compare=False, repr=False)
     target: np.ndarray | None = field(default=None, compare=False, repr=False)
     velocity: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _fprime: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _admissible(make, a):
@@ -286,24 +292,24 @@ _DP_ERROR = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 
 def _dormand_prince(a: np.ndarray, h: float, k1: np.ndarray, velocity):
     """One Dormand-Prince 5(4) step of h from ``a``, whose velocity is k1:
-    the 5th-order end, its velocity (the 7th stage) and max|y5 - y4|."""
+    the 5th-order end, the 7th stage (its velocity and f') and max|y5 - y4|."""
     ks = np.empty((7, len(a)), dtype=complex)
     ks[0] = k1
     for i, row in enumerate(_DP_STAGES, start=1):
         end = a + h * (row @ ks[:i])
-        ks[i] = velocity(end)
-    return end, ks[6], abs(h) * float(np.max(np.abs(_DP_ERROR @ ks)))
+        ks[i], fp = velocity(end)
+    return end, ks[6], fp, abs(h) * float(np.max(np.abs(_DP_ERROR @ ks)))
 
 
 def _series_continued(state: EvolutionState, h: float, velocity) -> EvolutionState | str:
     """``state``, which carries its velocity, continued by h in one
     Dormand-Prince step, or why the step's error estimate rejects it."""
     a = state.map.coeffs
-    end, k7, estimate = _dormand_prince(a, h, state.velocity, velocity)
+    end, k7, fp, estimate = _dormand_prince(a, h, state.velocity, velocity)
     target = _SERIES_TOL * float(np.max(np.abs(a)))
     if estimate > target:
         return f"error estimate {estimate:.3e} exceeds {target:.3e}"
-    return EvolutionState(state.t + h, _series_map(end), velocity=k7)
+    return EvolutionState(state.t + h, _series_map(end), velocity=k7, _fprime=fp)
 
 
 def step_taylor_fixed_branch(state: EvolutionState, h: float,
@@ -320,7 +326,7 @@ def step_taylor_fixed_branch(state: EvolutionState, h: float,
     raises :class:`TruncationError`.  The accepted end is tail-checked by
     :func:`_series_map`, so a series order too low for the flow raises
     :class:`TruncationError` too.  The new state carries its velocity, the
-    step's last stage.
+    step's last stage, and that stage's samples of f'.
     """
     m = state.map
     if not isinstance(m, TaylorMap):
@@ -331,20 +337,20 @@ def step_taylor_fixed_branch(state: EvolutionState, h: float,
         return series_velocity(_admissible(_normalized, x) * weights, grid)
 
     if state.velocity is None:
-        state = replace(state, velocity=velocity(m.coeffs))
+        state = replace(state, velocity=velocity(m.coeffs)[0])
     return _halving(partial(_series_continued, velocity=velocity), state, h, TruncationError)
 
 
-def series_velocity(b: np.ndarray, grid: CircleGrid) -> np.ndarray:
+def series_velocity(b: np.ndarray, grid: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient velocities adot_j of fdot = z f' P, truncated to the
-    order len(b), from f''s coefficients b_j = (j+1) a_j, sampled on the
-    grid by one :func:`heleshaw.maps.circle_values`.
+    order len(b), from f''s coefficients b_j = (j+1) a_j, and f' on the
+    grid, sampled by one :func:`heleshaw.maps.circle_values`.
 
     Only p_0..p_{order-1} reach the kept coefficients, so P is built with
     that many modes and the product is an exact convolution of coefficients.
     """
-    p = poisson_schwarz(circle_values(b, grid), n_modes=len(b) - 1)
-    return np.convolve(b, p)[: len(b)]
+    fp = circle_values(b, grid)
+    return np.convolve(b, poisson_schwarz(fp, n_modes=len(b) - 1))[: len(b)], fp
 
 
 # ----------------------------------------------------------------------
@@ -441,17 +447,17 @@ def run_evolution(spec) -> EvolutionResult:
                 if len(bpt) == len(base_branch)
                 else np.full(max(len(base_branch), 1), np.inf)
             )
-            vel = state.velocity
-            if vel is None:
-                vel = series_velocity(state.map.derivative_coeffs(), grid)
-            solve = None
+            vel, fp, solve = state.velocity, state._fprime, None
+            if fp is None:
+                vel, fp = series_velocity(state.map.derivative_coeffs(), grid)
+            sres = float(np.max(np.abs(_bracket(fp, vel, grid) - 1.0)))  # string_residual on fp
         else:
             bdrift = np.zeros(0)
             solve = state.resultant or _string_solve(state.map.derivative_coeffs())
             vel = solve.gated()[state.map.degree_plus:]
-        sres = string_residual(state.map, vel, grid)
+            sres = string_residual(state.map, vel, grid)
         return replace(state, diagnostics=StepDiagnostics(mv, drift, bdrift, sres),
-                       resultant=solve, velocity=vel if series else None)
+                       resultant=solve, velocity=vel if series else None, _fprime=None)
 
     state = annotate(EvolutionState(0.0, m), base, bp)
     states = [state]

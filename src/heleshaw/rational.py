@@ -70,19 +70,27 @@ def pval(p, z):
 
 
 def series_div(num, den, order) -> np.ndarray:
-    """First ``order + 1`` Taylor coefficients of num/den; requires den[0] != 0."""
-    num = np.asarray(num, dtype=complex)
-    den = np.asarray(den, dtype=complex)
-    if den[0] == 0:
+    """First ``order + 1`` Taylor coefficients of num/den; requires den[0] != 0.
+
+    On Python complex scalars, dividing by den[0] as numpy does (Smith's
+    method with a reciprocal): numpy's arithmetic bit for bit where den has
+    one or two coefficients, and within rounding of a dot per step beyond."""
+    d0, *den = np.asarray(den, dtype=complex).tolist()
+    if d0 == 0:
         raise ZeroDivisionError("series_div requires den(0) != 0")
-    t = np.zeros(order + 1, dtype=complex)
-    for i in range(order + 1):
-        acc = num[i] if i < len(num) else 0.0
-        top = min(i, len(den) - 1)
-        if top >= 1:
-            acc -= np.dot(den[1 : top + 1], t[i - top : i][::-1])
-        t[i] = acc / den[0]
-    return t
+    if abs(d0.real) >= abs(d0.imag):
+        rat = d0.imag / d0.real
+        turn, scale = complex(1.0, -rat), 1.0 / (d0.real + d0.imag * rat)
+    else:
+        rat = d0.real / d0.imag
+        turn, scale = complex(rat, -1.0), 1.0 / (d0.imag + d0.real * rat)
+    t = []
+    for acc in (np.asarray(num, dtype=complex).tolist() + [0j] * (order + 1))[: order + 1]:
+        for dk, tk in zip(den, reversed(t)):
+            acc -= dk * tk
+        q = acc * turn
+        t.append(complex(q.real * scale, q.imag * scale))
+    return np.array(t, dtype=complex)
 
 
 class RationalFunction:

@@ -678,6 +678,42 @@ def test_cli_evolve_degenerate_initial_map_exits_1(capsys):
     assert check["error"].startswith("DegenerateResultantError: ")
 
 
+#: evolve subcase 2 at |B1|/sqrt(M0) = 0.5 to t = 0.01, by flags
+_FOUND_FLAGS = ["evolve", "--family", "subcase2", "--M0", "1", "--B1", "0.5",
+                "--horizon", "0.01", "--output-times", "0.01"]
+
+
+@pytest.mark.parametrize("order, code, residual", [
+    (64, 1, 3.065235905097552e-07),
+    (128, 0, 1.509903313490213e-14),
+])
+def test_cli_evolve_series_order_must_resolve_the_velocity(order, code, residual,
+                                                           tmp_path, capsys):
+    # the order-64 series passes the tail gate (tail energy 1.8e-14 at
+    # t = 0) but not the string residual: the gate reads f, and the
+    # velocity z f' P decays more slowly (its own tail energy, 8.2e-12, is
+    # under the gate too).  Order 128, set in a config file, resolves it.
+    # Every check and residual is pinned bit for bit
+    if order == 64:
+        argv = _FOUND_FLAGS
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("family = subcase2\nM0 = 1\nB1 = 0.5\nhorizon = 0.01\n"
+                       "output_times = 0.01\ntaylor_order = 128\n")
+        argv = ["evolve", "--config", str(cfg)]
+    assert main(["--json", *argv]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["spec"]["scenario"]["taylor_order"] == order
+    checks = {c["name"]: (c["status"], c["residual"]) for c in payload["checks"]}
+    assert checks == {
+        "completed": ("pass", None),
+        "moment_conservation": ("pass", 7.108893781397525e-15 if order == 64
+                                else 2.220446049250313e-16),
+        "branch_fixed": ("pass", 1.1102230246251565e-16),
+        "string_residual": ("fail" if code else "pass", residual),
+    }
+
+
 def test_cli_config_validation_error(tmp_path):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("family = subcase2\nM0 = 1.0\nB1 = 3.0\n")

@@ -213,7 +213,8 @@ def test_polynomial_velocity_keeps_a0_exactly_real(m):
 def test_series_velocity_keeps_a0_exactly_real():
     # adot_0 = b_0 p_0, a product of two real numbers
     m = TaylorMap(make_subcase2(1.0, B1_SUB2).power_series(256))
-    assert series_velocity(m.derivative_coeffs(), CircleGrid(4096))[0].imag == 0.0
+    velocity, _ = series_velocity(m.derivative_coeffs(), CircleGrid(4096))
+    assert velocity[0].imag == 0.0
 
 
 def test_backward_step_toward_degeneracy_raises():
@@ -301,7 +302,7 @@ def test_string_and_series_velocities_agree_exactly_when_univalent():
         radii = np.abs(np.roots(b[::-1]))
         if np.min(np.abs(radii - 1.0)) < 0.02:
             continue
-        gap = np.max(np.abs(bracket._string_solve(b).gated()[n:] - series_velocity(b, grid)))
+        gap = np.max(np.abs(bracket._string_solve(b).gated()[n:] - series_velocity(b, grid)[0]))
         inside = bool(np.any(radii < 1.0))
         counts[inside] += 1
         if inside:
@@ -367,9 +368,10 @@ def counted_tries(monkeypatch):
 
 
 def test_series_run_reuses_the_last_stage(monkeypatch):
-    # an accepted step's 7th stage is the velocity of its end map: it is
-    # the next step's first stage and the snapshot's string velocity, so
-    # five steps without a rejection take 1 + 5 * 6 velocity evaluations
+    # an accepted step's 7th stage is the velocity of its end map, with
+    # the samples of f' it was made from: it is the next step's first stage
+    # and the snapshot's string velocity, so five steps without a rejection
+    # take 1 + 5 * 6 velocity evaluations
     calls = []
     real = evolution.series_velocity
 
@@ -382,7 +384,8 @@ def test_series_run_reuses_the_last_stage(monkeypatch):
     assert res.completed
     assert len(calls) == 1 + 5 * 6
     for s in res.states:
-        assert np.array_equal(s.velocity, real(s.map.derivative_coeffs(), CircleGrid(4096)))
+        velocity, _ = real(s.map.derivative_coeffs(), CircleGrid(4096))
+        assert np.array_equal(s.velocity, velocity)
 
 
 def test_near_cusp_series_run_needs_the_error_control(monkeypatch):
@@ -518,6 +521,32 @@ def test_t0_snapshot_reads_the_base_moments_and_branch_points(family, params):
     # the exact map's seeds (subcase2 only), the base and two snapshots
     assert bp.call_count == (4 if family == "subcase2" else 3)
     assert mr.call_count == 3
+
+
+@pytest.mark.parametrize("family, params", [
+    *(("subcase2", {"M0": 1.0, "B1": r * np.exp(0.7j)}) for r in (0.2, 0.4, 0.6)),
+    *(("example_abc", {"a": 0.3, "b": b, "c_magnitude": 1.0}) for b in (1.3, 1.5)),
+    ("taylor", {"coeffs": (1.0, 0.5, -0.4)}),
+])
+def test_series_snapshot_residual_reads_the_carried_fprime(family, params):
+    # an accepted state carries the samples of f' its last stage formed (the
+    # t = 0 snapshot those of its own velocity call), so a snapshot's
+    # string residual is one circle_values, of fdot, and no derivative_on.
+    # It equals string_residual on the state's map and velocity bit for
+    # bit, and the snapshot drops the samples
+    spec = ScenarioSpec(family=family, params=params, horizon=0.02, dt=1e-3,
+                        output_times=(0.01,), grid_n=4096, taylor_order=256)
+    with mock.patch.object(maps.AnalyticMap, "derivative_on",
+                           side_effect=AssertionError("derivative_on")) as deriv, \
+            mock.patch.object(bracket, "circle_values", wraps=circle_values) as cv:
+        res = run_evolution(spec)
+    assert res.completed and len(res.states) == 3
+    assert deriv.call_count == 0
+    assert cv.call_count == len(res.states)
+    for s in res.states:
+        assert s._fprime is None
+        assert s.diagnostics.string_residual == bracket.string_residual(
+            s.map, s.velocity, CircleGrid(4096))
 
 
 def test_polynomial_run_computes_each_resultant_once(monkeypatch):
