@@ -37,7 +37,8 @@ where it does not.  A count that differs between the two circles (a zero at
 the boundary) raises :class:`BranchPointError`; a count that changed, or a
 Newton run that does not converge, falls back to companion-matrix roots for
 that snapshot.  The t = 0 snapshot reads the initial map's moments and
-branch points, which the run computes once.
+branch points, which the run computes once.  Series moments are the contour
+sum of :func:`~heleshaw.moments._contour_moments`, polynomial ones Richardson's.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .maps import (
     branch_points,
     circle_values,
 )
-from .moments import moments_richardson
+from .moments import _contour_moments, moments_richardson
 from .bracket import _bracket, _newton_update, _string_solve, _StringSolve, string_residual
 
 __all__ = [
@@ -424,7 +425,8 @@ def run_evolution(spec) -> EvolutionResult:
         m = _series_map(m.power_series(spec.taylor_order))
 
     K = spec.diagnostic_moments
-    base = moments_richardson(m, K)
+    moments = partial(_contour_moments if series else moments_richardson, K=K)
+    base = moments(m)
     bp = branch_points(m, near=seeds) if series else None
     base_branch = bp.values if series else np.zeros(0, dtype=complex)
     prev_omegas = None
@@ -434,7 +436,7 @@ def run_evolution(spec) -> EvolutionResult:
         given, are its moments and branch points, already computed."""
         nonlocal prev_omegas
         if mv is None:
-            mv = moments_richardson(state.map, K)
+            mv = moments(state.map)
         expected = base.copy()
         expected[0] += state.t
         drift = np.abs(mv - expected)

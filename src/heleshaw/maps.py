@@ -14,7 +14,8 @@ cones series stages and polynomial Newton iterates check.
 Every class exposes its exact rational representation, so differentiation,
 holomorphic reflection f*(z) = conj(f(1/conj z)) and residues all route
 through :mod:`heleshaw.rational`.  Points are evaluated by Horner's rule
-(:func:`~heleshaw.rational.pval`), grids by FFT (:func:`ring_values`).
+(:func:`~heleshaw.rational.pval`), grids by FFT (:func:`ring_values`), and
+the zeros of f' on long series by one power product (:func:`_power_values`).
 :func:`branch_points` finds, continues, certifies and images the zeros of
 f' in the disk.
 
@@ -373,19 +374,20 @@ def branch_points(m: AnalyticMap, near=None) -> BranchPointSet:
     |N(omega)| <= ``root_residual`` max|N|, the bar at which
     :func:`_newton_zero` stops, and |f''(omega)| = |N'(omega)/D(omega)| >=
     ``branch_simple_min``; otherwise :class:`BranchPointError` is raised.
+    N, N', D and f's numerator and denominator come from one power product.
     """
     r = m.rational()
     fp = r.derivative()
     omegas = _derivative_zeros(fp, near)
-    num, dnum = fp.num, pder(fp.num)
-    small = DEFAULT.root_residual * float(np.max(np.abs(num)))
-    for w in omegas:
-        res = abs(pval(num, w))
+    rows = _stacked((fp.num, pder(fp.num), fp.den, r.num, r.den))
+    n, dn, d, fn, fd = _power_values(rows, omegas)
+    small = DEFAULT.root_residual * float(np.max(np.abs(fp.num)))
+    for w, res, fpp in zip(omegas, np.abs(n), np.abs(dn / d)):
         if res > small:
             raise BranchPointError(f"f' does not vanish at {w}: |N| = {res:.3g} > {small:.3g}")
-        if abs(pval(dnum, w) / pval(fp.den, w)) < DEFAULT.branch_simple_min:
+        if fpp < DEFAULT.branch_simple_min:
             raise BranchPointError(f"zero of f' at {w} is not simple")
-    return BranchPointSet(omegas, np.asarray([r(w) for w in omegas], dtype=complex))
+    return BranchPointSet(omegas, fn / fd)
 
 
 def _derivative_zeros(fp: RationalFunction, near) -> np.ndarray:
@@ -455,8 +457,8 @@ def _continued_zeros(num, near: np.ndarray):
         return None
     if not len(near):
         return near
-    dnum = pder(num)
-    w = [_newton_zero(num, dnum, complex(z)) for z in near]
+    rows = _stacked((num, pder(num)))
+    w = [_newton_zero(rows, complex(z)) for z in near]
     if None in w:
         return None
     w = np.asarray(w)
@@ -529,20 +531,39 @@ def _min_gap(points: np.ndarray) -> float:
     return float(np.min(d))
 
 
-def _newton_zero(c, dc, w: complex):
-    """Newton's method on the polynomial ``c`` from ``w``; None if it stalls.
+def _newton_zero(rows: np.ndarray, w: complex):
+    """Newton's method from ``w`` on the polynomial c stacked with c' in ``rows``
+    (by :func:`_power_values`); None if it stalls, as an overflowed iterate does.
 
     Stops with one more step once |c(w)| counts as a root (``root_residual``
     relative to the coefficient scale); quadratic convergence makes that
     last step reach rounding level.
     """
-    small = DEFAULT.root_residual * float(np.max(np.abs(c)))
-    for _ in range(50):
-        v = pval(c, w)
-        d = pval(dc, w)
-        if d == 0:
-            return None
-        w -= v / d
-        if abs(v) <= small:
-            return w
+    small = DEFAULT.root_residual * float(np.max(np.abs(rows[0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(50):
+            v, d = _power_values(rows, w)[:, 0].tolist()
+            if d == 0:
+                return None
+            w -= v / d
+            if abs(v) <= small:
+                return w
     return None
+
+
+def _stacked(polys) -> np.ndarray:
+    """``polys`` (ascending coefficients) as zero-padded complex rows."""
+    rows = np.zeros((len(polys), max(len(p) for p in polys)), dtype=complex)
+    for row, p in zip(rows, polys):
+        row[: len(p)] = p
+    return rows
+
+
+def _power_values(rows: np.ndarray, w) -> np.ndarray:
+    """The polynomials stacked in ``rows`` (:func:`_stacked`) at the points
+    ``w``: ``rows`` times the powers w**j by cumulative products, for a few
+    points on long polynomials; for |w| < 1 within a few L u sum_j |c_j| |w|**j."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    powers = np.ones((rows.shape[1], len(w)), dtype=complex)
+    powers[1:] = w
+    return rows @ np.cumprod(powers, axis=0)

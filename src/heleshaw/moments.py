@@ -46,7 +46,8 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import CuspError, QuadratureError, ResidueError, UncancelledPoleError
-from .maps import AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, _frozen, ring_values
+from .maps import (AnalyticMap, CircleGrid, PolynomialMap, TaylorMap, _frozen, circle_values,
+                   ring_values)
 from .rational import RationalFunction, pval
 
 __all__ = [
@@ -212,6 +213,28 @@ def moments_richardson(m, K: int | None = None) -> np.ndarray:
     if K is None:
         K = default_moment_count(m)
     return _real_m0(richardson_moments(m.coeffs, np.conj(m.coeffs), K))
+
+
+def _contour_nodes(L: int, K: int) -> int:
+    """The least power of two N_K >= max(4, (min(K, L - 1) + 1) L)."""
+    return max(4, 1 << ((min(K, L - 1) + 1) * L - 1).bit_length())
+
+
+def _contour_moments(m: TaylorMap, K: int) -> np.ndarray:
+    """Richardson's sum as the contour sum M_k = (1/N) sum f^k conj(f) z f'
+    over N = :func:`_contour_nodes` nodes (f, z f' by one :func:`circle_values`),
+    exact to rounding as no frequency k + 1 - L..(k + 1) L - 1 but 0 aliases
+    to 0 (Trefethen & Weideman, SIAM Review 56, 2014); M_k = 0 for k >= L."""
+    L = m.order
+    grid = CircleGrid(_contour_nodes(L, K))
+    rows = np.concatenate((np.zeros((2, 1)), [m.coeffs, m.derivative_coeffs()]), axis=1)
+    f, zfp = circle_values(rows, grid)
+    term = np.conj(f) * zfp / grid.size
+    M = np.zeros(K + 1, dtype=complex)
+    for k in range(min(K, L - 1) + 1):
+        M[k] = term.sum()
+        term *= f
+    return _real_m0(M)
 
 
 # ----------------------------------------------------------------------

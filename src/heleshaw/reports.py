@@ -20,7 +20,6 @@ from .maps import CircleGrid
 __all__ = [
     "fmt",
     "RunReport",
-    "REPORT_SCHEMA",
     "export_trajectory",
     "render_boundary_svg",
 ]
@@ -29,31 +28,6 @@ __all__ = [
 def fmt(x: float) -> str:
     """Fixed 17-significant-digit decimal rendering of one real number."""
     return format(float(x), ".17g")
-
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["spec", "checks", "artifacts", "timing"],
-    "additionalProperties": False,
-    "properties": {
-        "spec": {"type": "object"},
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "status", "residual"],
-                "additionalProperties": True,
-                "properties": {
-                    "name": {"type": "string"},
-                    "status": {"enum": ["pass", "fail"]},
-                    "residual": {"type": ["number", "null"]},
-                },
-            },
-        },
-        "artifacts": {"type": "array", "items": {"type": "string"}},
-        "timing": {"type": ["number", "null"]},
-    },
-}
 
 
 @dataclass

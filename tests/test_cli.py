@@ -22,8 +22,9 @@ from heleshaw.cli import main, parse_config
 from heleshaw.errors import ConfigError
 from heleshaw.evolution import EvolutionResult, EvolutionState, StepDiagnostics, run_evolution
 from heleshaw.maps import TaylorMap
-from heleshaw.reports import REPORT_SCHEMA, RunReport, export_trajectory, fmt, render_boundary_svg
+from heleshaw.reports import RunReport, export_trajectory, fmt, render_boundary_svg
 from heleshaw.scenarios import FAMILY_PARAMS, ScenarioSpec
+from report_schema import REPORT_SCHEMA
 
 
 # ----------------------------------------------------------------------
@@ -693,7 +694,8 @@ def test_cli_evolve_series_order_must_resolve_the_velocity(order, code, residual
     # t = 0) but not the string residual: the gate reads f, and the
     # velocity z f' P decays more slowly (its own tail energy, 8.2e-12, is
     # under the gate too).  Order 128, set in a config file, resolves it.
-    # Every check and residual is pinned bit for bit
+    # Every check and residual is pinned bit for bit: the moments are the
+    # contour sum on its exact grid, the omegas Newton's on power products
     if order == 64:
         argv = _FOUND_FLAGS
     else:
@@ -707,9 +709,10 @@ def test_cli_evolve_series_order_must_resolve_the_velocity(order, code, residual
     checks = {c["name"]: (c["status"], c["residual"]) for c in payload["checks"]}
     assert checks == {
         "completed": ("pass", None),
-        "moment_conservation": ("pass", 7.108893781397525e-15 if order == 64
-                                else 2.220446049250313e-16),
-        "branch_fixed": ("pass", 1.1102230246251565e-16),
+        "moment_conservation": ("pass", 7.070899719185583e-15 if order == 64
+                                else 7.757919228897728e-17),
+        "branch_fixed": ("pass", 5.551115123125783e-16 if order == 64
+                         else 2.220446049250313e-16),
         "string_residual": ("fail" if code else "pass", residual),
     }
 

@@ -31,7 +31,7 @@ from heleshaw.maps import (
     branch_points,
     circle_values,
 )
-from heleshaw.moments import moments_richardson
+from heleshaw.moments import _contour_moments, moments_richardson
 from heleshaw.scenarios import ScenarioSpec, make_subcase2, subcase2_from_omega
 from test_bracket import _shell_scale, decaying_map
 from test_properties import polynomial_maps
@@ -507,12 +507,16 @@ def test_series_run_finds_roots_only_on_the_exact_map(monkeypatch):
 def test_t0_snapshot_reads_the_base_moments_and_branch_points(family, params):
     # the initial map's moments and branch points are computed once: the
     # t = 0 snapshot reads them, so its moments are the base bit for bit
-    # and its branch drift is exactly 0; each later snapshot computes both
+    # and its branch drift is exactly 0; each later snapshot computes both.
+    # A series run takes every moment from the contour sum, none from
+    # Richardson's sum
     spec = ScenarioSpec(family=family, params=params, horizon=0.002, dt=1e-3,
                         output_times=(0.001,))
     with mock.patch.object(evolution, "branch_points", wraps=branch_points) as bp, \
             mock.patch.object(evolution, "moments_richardson",
-                              wraps=moments_richardson) as mr:
+                              wraps=moments_richardson) as mr, \
+            mock.patch.object(evolution, "_contour_moments",
+                              wraps=_contour_moments) as cm:
         res = run_evolution(spec)
     assert res.completed and len(res.states) == 3
     d = res.states[0].diagnostics
@@ -520,7 +524,21 @@ def test_t0_snapshot_reads_the_base_moments_and_branch_points(family, params):
     assert d.branch_drift.tobytes() == np.zeros(1).tobytes()
     # the exact map's seeds (subcase2 only), the base and two snapshots
     assert bp.call_count == (4 if family == "subcase2" else 3)
-    assert mr.call_count == 3
+    assert (mr.call_count, cm.call_count) == (0, 3)
+
+
+def test_polynomial_run_takes_richardsons_moments():
+    # polynomial mode keeps Richardson's sum for the base and each snapshot,
+    # and for the first step's moment target
+    spec = ScenarioSpec(family="polynomial", params={"coeffs": (1.0, 0.3)},
+                        horizon=0.002, dt=1e-3, output_times=(0.001,))
+    with mock.patch.object(evolution, "moments_richardson",
+                           wraps=moments_richardson) as mr, \
+            mock.patch.object(evolution, "_contour_moments",
+                              wraps=_contour_moments) as cm:
+        res = run_evolution(spec)
+    assert res.completed and len(res.states) == 3
+    assert (mr.call_count, cm.call_count) == (4, 0)
 
 
 @pytest.mark.parametrize("family, params", [

@@ -594,6 +594,96 @@ def test_simple_zero_gate_reads_f_second_derivative(monkeypatch):
         branch_points(m)
 
 
+# ----------------------------------------------------------------------
+# points by one power product
+# ----------------------------------------------------------------------
+
+def _horner_bound(c, w):
+    """4 L u sum_j |c_j| |w|**j, L = len(c), u the unit roundoff, at each w."""
+    w = np.atleast_1d(w)
+    powers = np.abs(w)[None, :] ** np.arange(len(c))[:, None]
+    return 4 * len(c) * (np.finfo(float).eps / 2) * (np.abs(c) @ powers)
+
+
+def test_power_values_agree_with_horner():
+    # the omegas' evaluator against pval's scalar Horner loop, on random
+    # coefficients without decay at points up to the boundary margin
+    rng = np.random.default_rng(20)
+    radius = 1.0 - DEFAULT.branch_boundary_margin
+    worst = 0.0
+    for length in range(1, 258):
+        c = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        w = radius * np.sqrt(rng.random(4)) * np.exp(2j * np.pi * rng.random(4))
+        got = maps._power_values(maps._stacked([c]), w)[0]
+        want = np.array([pval(c, complex(x)) for x in w])
+        worst = max(worst, np.max(np.abs(got - want) / _horner_bound(c, w)))
+    assert worst <= 1.0
+
+
+def test_power_values_of_rows_of_unequal_length():
+    # each row is zero-padded to the longest, so each keeps its own degree
+    rows = ([1.0, 2.0], [0.5j], [1.0, 0.0, -3.0])
+    w = np.array([0.5, -0.25j])
+    assert_allclose(maps._power_values(maps._stacked(rows), w),
+                    [[2.0, 1.0 - 0.5j], [0.5j, 0.5j], [0.25, 1.1875]], rtol=1e-15)
+    assert maps._power_values(maps._stacked(rows), np.zeros(0)).shape == (3, 0)
+
+
+def test_newton_from_a_critical_point_overflows_quietly_and_stalls():
+    # N = 1 - 4 z^2 + 1e-3 z^63 has N' = 0 near 0: the first step lands near
+    # 1e11, where z^63 overflows; the run stalls to None, as Horner's did,
+    # with no overflow warning
+    c = np.zeros(64, dtype=complex)
+    c[0], c[2], c[63] = 1.0, -4.0, 1e-3
+    dc = np.arange(1, 64) * c[1:]
+    assert maps._newton_zero(maps._stacked((c, dc)), 1e-12) is None
+
+
+def _horner_branch_points(m, near):
+    """Omegas and images by scalar Horner loops: each of ``near`` Newton
+    polished on the numerator N of f' by pval's N and N' until |N| counts
+    as a root, then one more step, and f = num/den at each by pval."""
+    r = m.rational()
+    num = r.derivative().num
+    dnum = np.arange(1, len(num)) * num[1:]
+    small = DEFAULT.root_residual * np.max(np.abs(num))
+    omegas = []
+    for w in near:
+        w = complex(w)
+        for _ in range(50):
+            v, d = pval(num, w), pval(dnum, w)
+            w -= v / d
+            if abs(v) <= small:
+                break
+        omegas.append(w)
+    return np.array(omegas), np.array([r(w) for w in omegas])
+
+
+@pytest.mark.parametrize("order, continued", [(None, False), (None, True), (256, True)])
+def test_branch_points_by_power_products_match_the_horner_loops(order, continued):
+    # the exact subcase-2 map (companion roots, or continued from 1e-3 off
+    # them, as from an earlier snapshot) and its order-256 series continued
+    # the same way: the omegas and images agree with the Horner loops within
+    # 4 L u sum_j |c_j| |w|**j of N (over |N'(w)| for an omega) and of f's
+    # numerator and denominator
+    exact = make_subcase2(1.0, 0.3 * _PHASE)
+    seeds = branch_points(exact).omegas
+    m = exact if order is None else TaylorMap(exact.power_series(order))
+    near = seeds + 1e-3 if continued else None
+    bp = branch_points(m, near=near)
+    r = m.rational()
+    num = r.derivative().num
+    omegas, values = _horner_branch_points(m, near if continued else bp.omegas)
+    if continued:
+        slope = np.abs(pval(np.arange(1, len(num)) * num[1:], omegas))
+        assert np.all(np.abs(bp.omegas - omegas) <= _horner_bound(num, omegas) / slope)
+    else:
+        assert bp.omegas.tobytes() == seeds.tobytes()
+    den = np.abs(pval(r.den, omegas))
+    quotient = (_horner_bound(r.num, omegas) + np.abs(values) * _horner_bound(r.den, omegas)) / den
+    assert len(bp) == 1 and np.all(np.abs(bp.values - values) <= quotient)
+
+
 def test_taylor_map_tail_energy():
     coeffs = [1.0] + [0.0] * 62 + [1e-3]
     m = TaylorMap(tuple(coeffs))

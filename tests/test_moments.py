@@ -12,6 +12,7 @@ from heleshaw.maps import (
     CircleGrid,
     PolynomialMap,
     TaylorMap,
+    circle_values,
     ring_values,
 )
 from heleshaw.moments import (
@@ -754,3 +755,78 @@ def test_default_moment_count():
     assert default_moment_count(PolynomialMap((1.0, 0.1, 0.1, 0.1, 0.05))) == 4
     assert default_moment_count(ABC) == 4
     assert default_moment_count(subcase2_from_omega(0.6, 1.0)) == 4
+
+
+# ----------------------------------------------------------------------
+# Richardson's sum as a contour sum on its exact grid
+# ----------------------------------------------------------------------
+
+def test_contour_nodes_are_the_least_power_of_two_holding_the_frequencies():
+    # N_K >= (K' + 1) L, K' = min(K, L - 1): a product that is a power of
+    # two is its own grid, and K past L - 1 adds no nodes
+    assert [moments._contour_nodes(L, K) for L, K in
+            [(1, 4), (3, 8), (64, 1), (64, 3), (64, 4), (64, 8), (256, 3), (256, 4)]] \
+        == [4, 16, 128, 256, 512, 1024, 1024, 2048]
+
+
+def _drawn_series(family: str, order: int, seed: int) -> TaylorMap:
+    """An order-``order`` series: of subcase 2 with M0 in [0.5, 2] and
+    |B1| / sqrt(M0) in [0.2, 0.8], of example_abc with |a| in [0.1, 0.3],
+    |b| in [1.5, 2] and |c| in [0.5, 2.5], or a ``taylor`` map whose f' has
+    |b_1| in [1.2, 1.8] and |b_j| <= 0.5**j after it; uniform phases."""
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * rng.random(2))
+    if family == "subcase2":
+        m0 = 0.5 + 1.5 * rng.random()
+        exact = make_subcase2(m0, np.sqrt(m0) * (0.2 + 0.6 * rng.random()) * phase[0])
+    elif family == "example_abc":
+        exact = make_example_abc((0.1 + 0.2 * rng.random()) * phase[0],
+                                 (1.5 + 0.5 * rng.random()) * phase[1],
+                                 0.5 + 2.0 * rng.random())
+    else:
+        j = np.arange(order)
+        b = rng.random(order) * 0.5**j * np.exp(2j * np.pi * rng.random(order))
+        b[0], b[1] = 1.0, (1.2 + 0.6 * rng.random()) * phase[0]
+        return TaylorMap(b / (j + 1))
+    return TaylorMap(exact.power_series(order))
+
+
+def _contour_rounding(m: TaylorMap, K: int) -> np.ndarray:
+    """(K + log2 N_K) u max|f|**(k+1) max|f'| for k = 0..K, u the unit
+    roundoff: the rounding scale of M_k summed over the N_K contour nodes."""
+    grid = CircleGrid(moments._contour_nodes(m.order, K))
+    f = circle_values(np.concatenate([[0.0], m.coeffs]), grid)
+    fp = circle_values(m.derivative_coeffs(), grid)
+    u = np.finfo(float).eps / 2
+    return ((K + math.log2(grid.size)) * u * np.max(np.abs(f)) ** np.arange(1, K + 2)
+            * np.max(np.abs(fp)))
+
+
+@pytest.mark.parametrize("family", ["subcase2", "example_abc", "taylor"])
+@pytest.mark.parametrize("order", [64, 128, 256])
+@pytest.mark.parametrize("K", [1, 4, 8])
+def test_contour_sum_is_richardsons_sum_to_rounding(family, order, K):
+    # every frequency of f^k conj(f) z f' lies within (-N_K, N_K), so the trapezoidal
+    # rule is the contour integral Richardson's sum equals, and the two
+    # differ by rounding alone; four seeded maps per case
+    for seed in range(4):
+        m = _drawn_series(family, order, 100 * order + 10 * K + seed)
+        contour = moments._contour_moments(m, K)
+        assert contour[0].imag == 0.0
+        assert np.all(np.abs(contour - moments_richardson(m, K)) <= _contour_rounding(m, K))
+
+
+def test_contour_sum_against_40_digit_richardson():
+    m = _drawn_series("subcase2", 64, 3)
+    exact = mp_oracle.richardson_moments(m.coeffs, 4)
+    assert np.all(np.abs(moments._contour_moments(m, 4) - exact) <= _contour_rounding(m, 4))
+
+
+def test_contour_sum_is_exactly_zero_from_k_equal_to_the_order():
+    # f^k z f' starts at z**(k+1) and conj(f) ends at z**-L: no constant term
+    # for k >= L, and the sum is not taken there, as Richardson's sum is 0
+    m = TaylorMap((1.0, 0.5, -0.4))
+    contour = moments._contour_moments(m, 8)
+    assert contour[3:].tobytes() == np.zeros(6, dtype=complex).tobytes()
+    assert moments_richardson(m, 8)[3:].tobytes() == contour[3:].tobytes()
+    assert np.all(np.abs(contour[:3] - moments_richardson(m, 2)) <= _contour_rounding(m, 2))

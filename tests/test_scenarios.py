@@ -17,7 +17,6 @@ from heleshaw.maps import (
 )
 from heleshaw.moments import coeffs_to_moments, moments_residue
 from heleshaw.rational import RationalFunction
-from heleshaw.reports import REPORT_SCHEMA
 from heleshaw.scenarios import (
     FAMILY_PARAMS,
     ScenarioSpec,
@@ -30,6 +29,7 @@ from heleshaw.scenarios import (
     subcase2_from_omega,
     verify_scenario,
 )
+from report_schema import REPORT_SCHEMA
 
 # exact subcase-1 constants for b = 2, M0 = 2:
 # omega_1 = 2 - sqrt(3), c = 2, B_1 = 4 (1 - sqrt(3)/2)^2 = 7 - 4 sqrt(3)
