@@ -51,14 +51,10 @@ from .bracket import (
 )
 from .errors import ConfigError, HeleShawError
 from .maps import CircleGrid, PolynomialMap
-from .moments import (
-    moments_area_oracle,
-    moments_residue,
-    moments_richardson,
-    quadrature_check,
-)
+from .moments import quadrature_check
 from .reports import RunReport, export_trajectory, fmt, render_boundary_svg
-from .scenarios import FAMILIES, ScenarioSpec, quadrature_data, verify_scenario
+from .scenarios import (FAMILIES, ScenarioSpec, check_moments, quadrature_data,
+                        verify_scenario)
 from .evolution import run_evolution
 
 __all__ = ["parse_config", "build_parser", "main"]
@@ -258,20 +254,13 @@ def _fmt_log(log_d: complex) -> str:
 
 def _cmd_moments(args, report: RunReport, say):
     m = _spec(args, family="polynomial").initial
-    rich = moments_richardson(m, args.K)
-    K = len(rich) - 1
-    res = moments_residue(m, K)
-    area, err_est = moments_area_oracle(m, K)
-    say(f"harmonic moments of f, degree n = {m.degree_plus}, K = {K}")
+    rich, res, area = check_moments(m, args.K, report)
+    say(f"harmonic moments of f, degree n = {m.degree_plus}, K = {len(rich) - 1}")
     say(f"{'k':>3} {'Richardson':>28} {'residues':>28} {'area quadrature':>28}")
-    for k in range(K + 1):
-        say(f"{k:>3} {rich[k]:>28.16g} {res[k]:>28.16g} {area[k]:>28.16g}")
-    d_rr = float(np.max(np.abs(rich - res)))
-    d_ra = float(np.max(np.abs(rich - area)))
-    report.check("richardson_vs_residue", d_rr, 1e-10)
-    report.check("richardson_vs_area", d_ra, 1e-6, quadrature_error_estimate=err_est)
-    say(f"max |Richardson - residues| = {fmt(d_rr)}")
-    say(f"max |Richardson - area|     = {fmt(d_ra)}")
+    for k, row in enumerate(zip(rich, res, area)):
+        say(f"{k:>3} " + " ".join(f"{v:>28.16g}" for v in row))
+    say(f"max |Richardson - residues| = {fmt(report.checks[-2]['residual'])}")
+    say(f"max |Richardson - area|     = {fmt(report.checks[-1]['residual'])}")
 
 
 def _cmd_bracket_check(args, report: RunReport, say):

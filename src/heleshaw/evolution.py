@@ -382,7 +382,7 @@ def _steps_for(t: float, dt: float, what: str) -> int:
     if not math.isfinite(ratio):
         raise ConfigError(f"{what} = {t} over dt = {dt} is not a finite step count")
     k = round(ratio)
-    if abs(k * dt - t) > 1e-9:
+    if abs(ratio - k) > 1e-6:  # off the grid by more than 1e-6 dt
         raise ConfigError(f"{what} = {t} is not a multiple of dt = {dt}")
     return k
 
@@ -396,10 +396,11 @@ def run_evolution(spec) -> EvolutionResult:
     coefficients.  ``dt`` is the output-time grid: both modes step from one
     kept time (0, the output times, the horizon) to the next, polynomial
     mode by continuation and series mode by error-controlled steps.  A
-    horizon or output time that is no whole, finite number of ``dt``, or a
-    horizon of more than ``_MAX_STEPS`` of them, raises :class:`ConfigError`
-    before any work.  A typed failure (degeneracy, cusp, truncation, branch
-    trouble) at the initial map (its series truncation, base moments,
+    horizon or output time off that grid by more than 1e-6 ``dt``, or a
+    horizon of more than ``_MAX_STEPS`` grid steps, raises
+    :class:`ConfigError` before any work; a snapshot's t is the output time
+    or horizon as given.  A typed failure (degeneracy, cusp, truncation,
+    branch trouble) at the initial map (its series truncation, base moments,
     branch points or first snapshot) raises.  One in a step, or in the
     snapshot after it, stops the run cleanly: the exception class name and
     message become the stop reason and the snapshots so far are returned.
@@ -407,13 +408,13 @@ def run_evolution(spec) -> EvolutionResult:
     moment and branch drifts are exactly 0.
     """
     n_steps = _steps_for(spec.horizon, spec.dt, "horizon")
-    out_steps = {_steps_for(t, spec.dt, "output time") for t in spec.output_times}
+    kept = {_steps_for(t, spec.dt, "output time"): t for t in spec.output_times}
     if n_steps > _MAX_STEPS:
         raise ConfigError(f"horizon = {spec.horizon} over dt = {spec.dt} is "
                           f"{n_steps:.3g} steps, above the cap {_MAX_STEPS}")
-    if not all(0 <= k <= n_steps for k in out_steps):
+    if not all(0 <= k <= n_steps for k in kept):
         raise ConfigError("output time outside [0, horizon]")
-    out_steps |= {0, n_steps}
+    kept[n_steps] = spec.horizon
     m = spec.initial
     series = not isinstance(m, PolynomialMap)
     grid = CircleGrid(spec.grid_n)
@@ -465,8 +466,7 @@ def run_evolution(spec) -> EvolutionResult:
     states = [state]
     stop = "completed"
     step = partial(step_taylor_fixed_branch, grid=grid) if series else step_polynomial
-    for k in sorted(out_steps - {0}):
-        t = round(k * spec.dt, 12)
+    for t in (kept[k] for k in sorted(kept) if k):
         try:
             state = annotate(replace(step(state, t - state.t), t=t))
             states.append(state)

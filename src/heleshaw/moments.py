@@ -14,22 +14,20 @@ with f* the holomorphic reflection.  The three routes implemented here:
 * ``moments_residue``     sum of residues of f^k f* f' over poles in the disk
   (all supported map classes), read off one Laurent read of f* f';
 * ``moments_area_oracle`` direct two-dimensional quadrature over the disk
-  (independent of the coefficient algebra; used as the numerical oracle),
-  on a grid that is exact up to rounding for polynomial maps.
+  (independent of the coefficient algebra; the numerical oracle), on one
+  grid sized a priori, exact up to rounding for polynomial maps.
 
 The image's quadrature identity (:class:`QuadratureData`) reads
 
     (1/pi) int_D g |f'|^2 dA = sum_j c_j g^(j)(0) + sum_i w_i g(z_i),
 
-origin weights c_j plus point nodes z_i with weights w_i.  Both of its sides
-are integrals of h^k, k = 0..K, for one function h with h(0) = 0: the disk
-side is ``_disk_quadrature`` and the point side ``_point_side``.
-``quadrature_check`` compares the two with h = z (g = z^p), and
-``coeffs_to_moments`` is the point side with h = f, the moments the identity
-predicts.  ``_laurent_data`` reads f* f' once: its principal part pp at the
-origin and the weights f'(q) Res_q f* at the poles q of f* in the disk.
-``moments_residue`` is the point side of that data with h = f, and
-``quadrature_coeffs`` reads the one-point c_j = pp_j / j! off it.
+origin weights c_j plus point nodes z_i with weights w_i.  Both sides are
+integrals of h^k, k = 0..K, for one h with h(0) = 0: ``_disk_quadrature``
+and ``_point_side``.  ``quadrature_check`` compares them with h = z, and
+``coeffs_to_moments`` is the point side with h = f.  ``_laurent_data`` reads
+f* f' once: its principal part pp at the origin and the weights
+f'(q) Res_q f* at the poles q of f* in the disk; ``moments_residue`` is its
+point side with h = f, and ``quadrature_coeffs`` reads c_j = pp_j / j! off it.
 
 Every route returns the moments as a complex array M_0..M_K with M_0
 exactly real.  Moments with negative index follow the convention
@@ -283,66 +281,49 @@ def moments_residue(m: AnalyticMap, K: int | None = None) -> np.ndarray:
 # area quadrature oracle
 # ----------------------------------------------------------------------
 
-#: radial and angular nodes of the base disk grid of a map with poles; the
-#: angle is refined from the pole alias bound (:func:`_angular_nodes`)
-_RADIAL_NODES = 96
-_ANGULAR_NODES = 256
-#: the trapezoid rule on a ring aliases like |p|**-nt for the nearest pole p
-#: of f; nt is chosen to push that factor below this bound
-_ALIAS_BOUND = 1e-12
-#: no disk grid gets more angular nodes than this
+#: no ring of a disk grid gets more angular nodes than this; a pole p so near
+#: the circle that |p|**-nt is still above ``_ALIAS_BOUND`` there is refused
 _MAX_ANGULAR_NODES = 8192
-#: disk grids are evaluated and summed in blocks of rings of at most this many
-#: nodes, 512 KB per complex array, so a block's f', density, f and running
-#: product stay in one core's L2 cache; on an x86-64 host with 2 MB of L2 per
-#: core 2**14 timed the same, 2**12 and 2**17 (one block per polynomial grid)
-#: slower
+_ALIAS_BOUND = 1e-12
+#: disk grids are summed in blocks of rings of at most this many nodes, 512 KB
+#: per complex array, so a block's arrays stay in one core's L2 cache; on an
+#: x86-64 host with 2 MB of L2 per core 2**14 timed the same, 2**12 and 2**17
+#: (one block per polynomial grid) slower
 _BLOCK_NODES = 1 << 15
 
 
 def moments_area_oracle(m: AnalyticMap, K: int | None = None):
-    """Moments by polar tensor quadrature over the unit disk.
-
-    Gauss-Legendre radially, trapezoid in the angle, on the grid of
+    """Moments by polar tensor quadrature over the unit disk, Gauss-Legendre
+    radially and trapezoid in the angle, on the one grid of
     :func:`_disk_size`.  Returns ``(moments, error_estimate)``.
 
-    A map without poles gets the one grid on which the quadrature is exact,
-    so only rounding is left.  The estimate is u (log2 N + K + 4) A, u the
-    unit roundoff, N the number of nodes and A the largest over k of
-    A_k = (1/pi) int_D |f|^k |f'|^2 dA >= |M_k| on the same grid.  It bounds
-    the first-order rounding of each M_k, u (log2 N + k + 4) A_k, which
-    counts every rounding once at size u: log2 N for the pairwise sums, k
-    for the products of f and its values, 4 for |f'|^2, the weight and the
-    block sums (the radial rule is accurate to a few ulps,
-    :func:`_radial_rule`).  A worst case would count sqrt(5) u per complex
-    product and log2 nt per FFT value; errors of random sign stay well
-    inside: against 40-digit coefficient sums at n = 1..64 they were at
-    most 0.12 of u (log2 N + k + 4) A_k.
+    The estimate is T + u (log2 N + K + 4) A: T the truncation bound of
+    :func:`_disk_size` (0 on a polynomial's exact grid), u the unit
+    roundoff, N the number of nodes and A the largest A_k >= |M_k| of
+    :func:`_disk_quadrature`; u counts each rounding once: log2 N for the
+    pairwise sums, k for the products of f, 4 for |f'|^2, the weight and the
+    block sums.  Against 40-digit references the error was at most 0.12 of
+    the estimate on polynomials at n = 1..64, and 0.13 on the
+    c z (z - a)/(z - b) class at |b| = 1.02..3 and K = 4, 8.
 
-    A map with poles gets the (96, nt) grid of the pole alias bound and its
-    refinement (192, 2 nt): the moments are the fine level's, and the
-    estimate max |fine - coarse| measures the coarse level.
-
-    Raises :class:`QuadratureError` when the grid needs more angular nodes
-    than ``_MAX_ANGULAR_NODES``: from n = 90 on at K = n for a polynomial of
-    degree n + 1.
+    Raises :class:`QuadratureError` above ``_MAX_ANGULAR_NODES`` angles: from
+    n = 90 on at K = n for a polynomial of degree n + 1, and for a pole
+    within 0.0034 of the unit circle.
     """
     if K is None:
         K = default_moment_count(m)
     h = m.rational()
-    nr, nt = _disk_size(m, K, h, refine=2)
-    fine, size = _disk_quadrature(m, K, nr, nt, h)
-    if size is None:
-        coarse, _ = _disk_quadrature(m, K, *_disk_size(m, K, h), h)
-        err = float(np.max(np.abs(fine - coarse)))
-    else:
-        err = float(np.finfo(float).eps / 2 * (math.log2(nr * nt) + K + 4) * size)
-    return _real_m0(fine), err
+    nr, nt, truncation = _disk_size(m, K, h)
+    values, size = _disk_quadrature(m, K, nr, nt, h)
+    N = np.sum(np.broadcast_to(nt, (nr,)))
+    err = truncation + np.finfo(float).eps / 2 * (math.log2(N) + K + 4) * size
+    return _real_m0(values), float(err)
 
 
-def _disk_size(m: AnalyticMap, K: int, h: RationalFunction, refine: int = 1) -> tuple[int, int]:
-    """(nr, nt), the rings and angles of the disk grid for
-    (1/pi) int_D h^k |f'|^2 dA, k = 0..K, h(0) = 0.
+def _disk_size(m: AnalyticMap, K: int, h: RationalFunction) -> tuple:
+    """(nr, nt, T): the rings of the one disk grid for (1/pi) int_D h^k
+    |f'|^2 dA, k = 0..K, h(0) = 0, its angles (one count for every ring or
+    one per ring) and a bound T on its truncation error.
 
     Without finite poles f' and h are polynomials, of degrees n and d.  On
     |z| = r the angular mean of h^k f' conj(f') is
@@ -350,14 +331,50 @@ def _disk_size(m: AnalyticMap, K: int, h: RationalFunction, refine: int = 1) -> 
     trapezoid rule is exact on h^k f' conj(f'), whose frequencies run from
     -n to K d + n: nt > K d + n, a power of two.  The radial integrand is
     then r times a polynomial of degree 2n, and nr = n + 1 Gauss nodes
-    integrate it exactly, whatever K is.  ``refine`` plays no part.
+    integrate it exactly, whatever K is; T = 0.
 
-    With poles: (96 refine, nt refine), nt from the alias bound of
-    :func:`_angular_nodes`.  Raises :class:`QuadratureError` above
-    ``_MAX_ANGULAR_NODES`` angles either way.
+    With a nearest pole p the sum runs over all q; in x = 2r - 1 the radial
+    integrand is analytic inside the Bernstein ellipse through 2|p| - 1,
+    with a pole of order K + 3 there (3 for h = z).  On the ellipse of
+    parameter R through 2 r_j - 1, r_j = |p| - (|p| - 1) / 2^j, j = 1..4, it
+    is at most r_j H_j F_j, H_j and F_j the root mean squares of h^k f'
+    (largest over k) and f' on |z| = r_j (Cauchy-Schwarz, Parseval), so nr
+    Gauss rings err by at most (64/15) r_j H_j F_j R^(2 - 2 nr) / (R^2 - 1)
+    (Trefethen, *Approximation Theory and Approximation Practice*, 2013,
+    Thm 19.3); nt angles on the ring of radius r alias by at most
+    (H_j F_0 + H_0 F_j) / ((r_j / r)^nt - 1), index 0 on the unit circle.
+    H and F are measured on >= 40 / log(|p| / r_j) nodes, not assumed from
+    the pole's order: far out the regular part of f outweighs the pole, and
+    in subcase 2 a zero of f' nearly cancels it.  nr >= 2 and each ring's
+    nt, a power of two from 4 to the cap, are the least whose bounds meet
+    u H_0 F_0 for some j, u the unit roundoff; T adds the radial bound and
+    the worst ring's alias bound.
     """
-    if m.finite_poles().size:
-        return _RADIAL_NODES * refine, _angular_nodes(m, refine) * refine
+    poles = m.finite_poles()
+    if poles.size:
+        p, fp = float(np.min(np.abs(poles))), m.derivative_rational()
+        if p ** -_MAX_ANGULAR_NODES > _ALIAS_BOUND:
+            raise QuadratureError(f"a pole at distance {p - 1.0:.3e} from the unit circle "
+                                  f"needs angular nodes above the cap {_MAX_ANGULAR_NODES}")
+        rings = []  # (r_j, log F_j, log H_j), |h|^2K scaled by its top
+        for r in p - (p - 1) / 2.0 ** np.arange(5):
+            grid = CircleGrid(max(4, 2 ** math.ceil(math.log2(40 / math.log(p / r)))))
+            if grid.size <= 4 * _MAX_ANGULAR_NODES:
+                d, g = np.abs(ring_values(fp, r, grid)) ** 2, np.abs(ring_values(h, r, grid))
+                top = 2 * K * np.log(g.max()) + np.log(np.mean(d * (g / g.max()) ** (2 * K)))
+                rings.append((r, np.log(d.mean()) / 2, max(np.log(d.mean()), top) / 2))
+        (_, F0, H0), *rest = rings
+        target = F0 + H0 + math.log(np.finfo(float).eps / 2)
+        r, F, H = np.array(rest).T
+        R = 2 * r - 1 + np.sqrt((2 * r - 1) ** 2 - 1)
+        radial = np.log(64 / 15 * r / (R * R - 1)) + F + H
+        nr = max(2, math.ceil(1 + np.min((radial - target) / np.log(R)) / 2))
+        S, lr = np.logaddexp(H + F0, H0 + F)[:, None], np.log(r[:, None] / _radial_rule(nr)[0])
+        need = np.min(np.logaddexp(0, S - target) / lr, axis=0)  # grows outward
+        nt = np.minimum(_MAX_ANGULAR_NODES, 2 ** np.ceil(np.log2(np.maximum(need, 4))))
+        alias = np.max(np.min(S - nt * lr - np.log1p(-np.exp(-nt * lr)), axis=0))
+        radial = np.min(radial + (2 - 2 * nr) * np.log(R))
+        return nr, tuple(int(n) for n in nt), math.exp(radial) + math.exp(alias)
     n = len(m.derivative_rational().num) - 1
     need = K * (len(h.num) - 1) + n + 1
     nt = max(4, 1 << (need - 1).bit_length())
@@ -366,32 +383,10 @@ def _disk_size(m: AnalyticMap, K: int, h: RationalFunction, refine: int = 1) -> 
             f"exact quadrature of moments up to k = {K} of a degree-{n + 1} map needs "
             f"{n + 1} x {nt} nodes, above the cap of {_MAX_ANGULAR_NODES} angular nodes"
         )
-    return n + 1, nt
+    return n + 1, nt, 0.0
 
 
-def _angular_nodes(m: AnalyticMap, refine: int = 1) -> int:
-    """Angular nodes of the coarsest disk grid a map with poles needs.
-
-    ``_ANGULAR_NODES``, raised to the power of two that brings the alias
-    factor |p|**-nt of the nearest finite pole p below ``_ALIAS_BOUND``.
-    Raises :class:`QuadratureError` if the finest grid, ``refine`` times
-    finer, would exceed ``_MAX_ANGULAR_NODES``.
-    """
-    nt = _ANGULAR_NODES
-    poles = m.finite_poles()
-    if poles.size:
-        rho = float(np.min(np.abs(poles)))
-        need = math.ceil(math.log(1.0 / _ALIAS_BOUND) / math.log(rho))
-        nt = max(nt, 1 << (need - 1).bit_length())
-        if refine * nt > _MAX_ANGULAR_NODES:
-            raise QuadratureError(
-                f"a pole at distance {rho - 1.0:.3e} from the unit circle needs "
-                f"{refine * nt} angular nodes, above the cap {_MAX_ANGULAR_NODES}"
-            )
-    return nt
-
-
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _radial_rule(nr: int):
     """Radii of nr-node Gauss-Legendre on [0, 1] and the weights w r of the
     area element, scaled so that the sum of h * weights[:, None] / nt over
@@ -400,9 +395,9 @@ def _radial_rule(nr: int):
     numpy's nodes are taken through two Newton steps on the Legendre
     recurrence in ``np.longdouble``, and radii and weights are formed there,
     to a few u, the unit roundoff: numpy's small weights are off by up to
-    1e4 u at nr = 41, which put 245 u A_k into a moment, and 4e5 u at the
-    pole maps' nr = 192.  Both arrays are cached and read-only
-    (:func:`_frozen`); the cache holds every nr one verification sweep uses.
+    1e4 u at nr = 41, which put 245 u A_k into a moment, and 4e5 u at
+    nr = 192.  Both arrays are cached and read-only (:func:`_frozen`); the
+    cache holds every nr one verification sweep uses.
     """
     x, _ = np.polynomial.legendre.leggauss(nr)
     x = x.astype(np.longdouble)
@@ -418,42 +413,47 @@ def _radial_rule(nr: int):
     return _frozen(radii.astype(float)), _frozen((w * radii).astype(float))
 
 
-def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt: int, h=None):
+def _disk_quadrature(m: AnalyticMap, K: int, nr: int, nt, h=None):
     """(1/pi) int_D h^k |f'|**2 dA for k = 0..K on the (nr, nt) disk grid, h = f
-    by default; summed in blocks of at most ``_BLOCK_NODES`` nodes, with the
+    by default, nt one count or one per ring (nondecreasing outward); summed
+    in blocks of at most ``_BLOCK_NODES`` nodes of one count, with the
     density |f'|**2 times the node weights real and h^k a running product.
 
-    Returns ``(values, size)``.  For a map without poles ``size`` is the
-    largest over k of A_k, the same sums with |h| for h, the scale of their
-    rounding; for a map with poles, None.  A_k is a sum of positive
-    multiples of |h|^k, so it is log-convex in k and its largest value is
-    A_0 or A_K; A_K is the sum of |h^K| times the density.
+    Returns ``(values, size)``, ``size`` the largest over k of A_k, the same
+    sums with |h| for h and each density times the relative rounding, in
+    units of u, of the FFT values of f''s denominator, sum_j |den_j| r^j /
+    |den(z)| (1 without poles).  A_k is log-convex in k, largest at 0 or K.
     """
-    polynomial = not m.finite_poles().size
     radii, weights = _radial_rule(nr)
-    weights = weights / nt
-    grid = CircleGrid(nt)
-    fp = m.derivative_rational()
+    nt = np.broadcast_to(nt, (nr,))
+    fp, poles = m.derivative_rational(), m.finite_poles()
     h = m.rational() if h is None else h
     out = np.zeros(K + 1, dtype=complex)
-    top = 0.0
-    step = max(_BLOCK_NODES // nt, 1)
-    for block in (slice(s, s + step) for s in range(0, nr, step)):
-        v = ring_values(fp, radii[block], grid)
-        dens = (v.real**2 + v.imag**2) * weights[block, None]
+    low = top = 0.0
+    s = 0
+    while s < nr:
+        grid = CircleGrid(int(nt[s]))
+        e = s + min(max(_BLOCK_NODES // grid.size, 1), np.count_nonzero(nt[s:] == grid.size))
+        r = radii[s:e]
+        v = ring_values(fp, r, grid)
+        dens = (v.real**2 + v.imag**2) * (weights[s:e, None] / grid.size)
         del v  # at most one block's arrays are alive at a time
         out[0] += dens.sum()
+        # f''s double poles p: (|p| + r)^2 / |z - p|^2
+        cond = np.prod([((abs(p) + r[:, None]) / np.abs(np.outer(r, grid.nodes) - p)) ** 2
+                        for p in poles], axis=0)
+        low += (dens * cond).sum()
         if K:
-            hv = ring_values(h, radii[block], grid)
+            hv = ring_values(h, r, grid)
             term = dens * hv
             out[1] += term.sum()
             for k in range(2, K + 1):
                 term *= hv
                 out[k] += term.sum()
-            if polynomial:
-                top += np.abs(term).sum()
+            top += (np.abs(term) * cond).sum()
             del term, hv  # before the next block is built
-    return out, float(max(out[0].real, top)) if polynomial else None
+        s = e
+    return out, float(max(low, top))
 
 
 # ----------------------------------------------------------------------
@@ -528,12 +528,11 @@ def quadrature_check(m: AnalyticMap, data: QuadratureData, max_power: int) -> li
     """Residuals |disk side - point side| of the identity for g = z^0..z^max_power.
 
     Both sides take h = z: the disk side is :func:`_disk_quadrature` on the
-    grid of :func:`_disk_size` (for a polynomial map the exact one,
-    nt > max_power + n angles; for a map with poles the alias-bound
-    (96, nt) grid), the point side :func:`_point_side`,
+    grid of :func:`_disk_size`, the point side :func:`_point_side`,
     c_p p! + sum_i w_i z_i^p, which reads c_j for j <= max_power only.
     """
     pp = _residue_weights(data.c[: max_power + 1])
     z = RationalFunction([0.0, 1.0])
-    areas, _ = _disk_quadrature(m, max_power, *_disk_size(m, max_power, z), z)
+    nr, nt, _ = _disk_size(m, max_power, z)
+    areas, _ = _disk_quadrature(m, max_power, nr, nt, z)
     return np.abs(areas - _point_side(pp, data.nodes, z, max_power)).tolist()

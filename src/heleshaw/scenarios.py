@@ -287,6 +287,19 @@ def initial_map(spec: ScenarioSpec) -> AnalyticMap:
 # verification report
 # ----------------------------------------------------------------------
 
+def check_moments(m: PolynomialMap, K: int | None, report: RunReport) -> tuple:
+    """M_0..M_K of a polynomial map by Richardson's sum, residues and the area
+    oracle, and their checks on ``report``, ``richardson_vs_area`` with the
+    oracle's error estimate.  Returns the three moment arrays."""
+    rich = moments_richardson(m, K)
+    res = moments_residue(m, len(rich) - 1)
+    area, err = moments_area_oracle(m, len(rich) - 1)
+    report.check("richardson_vs_residue", float(np.max(np.abs(rich - res))), 1e-10)
+    report.check("richardson_vs_area", float(np.max(np.abs(rich - area))), 1e-6,
+                 quadrature_error_estimate=err)
+    return rich, res, area
+
+
 def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> RunReport:
     """Bundle the family's identity checks into one pass/fail report.
 
@@ -308,11 +321,7 @@ def verify_scenario(m: AnalyticMap, kind: str, grid_n: int = 1024) -> RunReport:
         check("winding_origin", abs(idx - 1) + res, 1e-6)
 
     if kind == "polynomial":
-        mv_rich = moments_richardson(m)
-        mv_res = moments_residue(m, len(mv_rich) - 1)
-        check("richardson_vs_residue", float(np.max(np.abs(mv_rich - mv_res))), 1e-10)
-        mv_area, _ = moments_area_oracle(m, len(mv_rich) - 1)
-        check("richardson_vs_area", float(np.max(np.abs(mv_rich - mv_area))), 1e-6)
+        check_moments(m, None, report)
 
     if kind == "example_abc":
         data = quadrature_data(m)

@@ -49,3 +49,33 @@ def disk_gauss_legendre(nr, dps=40):
             radii.append(float(r))
             weights.append(float(2 / ((1 - x * x) * dp * dp) * r))
     return np.array(radii), np.array(weights)
+
+
+def _abc_weights(a, b, c):
+    """The weights A at the origin and B at the node 1/conj(b) of the
+    two-node identity of f = c z (z - a)/(z - b), and the node, in mp."""
+    a, b, c = (mpmath.mpc(complex(x)) for x in (a, b, c))
+    bb = mpmath.conj(b)
+    c2 = abs(c) ** 2
+    A = c2 * a / b
+    B = c2 * (mpmath.conj(a) - bb) * (1 - 2 * abs(b) ** 2 + a * bb * abs(b) ** 2) / (
+        bb * (1 - abs(b) ** 2) ** 2)
+    return A, B, 1 / bb
+
+
+def abc_moments(m, K, dps=40):
+    """M_0..M_K of the map m = c z (z - a)/(z - b) from its closed forms,
+    M_0 = A + B and M_k = B f(1/conj(b))^k, as complex floats."""
+    with mpmath.workdps(dps):
+        A, B, q = _abc_weights(m.a, m.b, m.c)
+        a, b, c = (mpmath.mpc(complex(x)) for x in (m.a, m.b, m.c))
+        fq = c * q * (q - a) / (q - b)
+        return np.array([complex(A + B)] + [complex(B * fq**k) for k in range(1, K + 1)])
+
+
+def abc_point_side(m, P, dps=40):
+    """The identity's point side A delta_p0 + B conj(b)^-p for g = z^p,
+    p = 0..P, of the map m = c z (z - a)/(z - b), as complex floats."""
+    with mpmath.workdps(dps):
+        A, B, q = _abc_weights(m.a, m.b, m.c)
+        return np.array([complex(A + B)] + [complex(B * q**p) for p in range(1, P + 1)])

@@ -550,6 +550,24 @@ def test_cli_out_of_range_option_exits_2(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_cli_evolve_output_times_are_judged_relative_to_dt(capsys):
+    # half a step off the grid, once accepted within an absolute 1e-9 and
+    # written as t = 2e-10
+    argv = ["evolve", "--family", "polynomial", "--coeffs", "1,0.3", "--dt", "1e-10",
+            "--horizon", "3e-10", "--output-times", "1.5e-10"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: output time = 1.5e-10 is not a multiple of dt = 1e-10\n")
+    # a grid below 1e-12, where t = round(k dt, 12) once made every time 0
+    argv = ["evolve", "--family", "polynomial", "--coeffs", "1,0.3", "--dt", "1e-13",
+            "--horizon", "5e-13", "--output-times", "2e-13"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "3 snapshots, stop reason: completed" in out
+    final = next(ln for ln in out.splitlines() if ln.startswith("final t = "))
+    assert float(final.split("= ")[1]) == 5e-13
+
+
 @pytest.mark.parametrize("horizon, dt, steps", [
     ("0.01", "1e-310", "1e+308"),
     ("0.002", "1e-12", "2e+09"),

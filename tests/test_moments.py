@@ -396,8 +396,55 @@ def test_area_oracle_matches_richardson():
 
 def test_area_oracle_subcase2_roundtrip():
     m = subcase2_from_omega(0.6, 1.0)
-    mv, _ = moments_area_oracle(m, 2)
-    assert abs(mv[0] - 1.0) < 1e-6
+    mv, err = moments_area_oracle(m, 2)
+    assert np.max(np.abs(mv - mp_oracle.abc_moments(m, 2))) <= err < 1e-13
+
+
+def _abc_sweep():
+    """Derandomized maps of the c z (z - a)/(z - b) class: |b| from 1.02 to 3
+    and |a| from 0.1 to 0.9 with seeded phases, and subcase 2 with
+    |B1| / sqrt(M0) from 0.2 to 0.98."""
+    rng = np.random.default_rng(36)
+    for b in (1.02, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0):
+        for a in (0.1, 0.5, 0.9):
+            pa, pb = np.exp(2j * np.pi * rng.random(2))
+            yield make_example_abc(a * pa, b * pb, 1.0)
+    for B1 in (0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.98):
+        yield make_subcase2(1.0, B1 * np.exp(2j * np.pi * rng.random()))
+
+
+@pytest.mark.parametrize("K", [4, 8])
+def test_area_oracle_error_within_its_estimate_on_the_abc_class(K):
+    # against the 40-digit closed forms the worst error was 0.13 of the
+    # estimate (|b| = 3, K = 4, at rounding level); quadrature_check on the
+    # same grid rule stays under its 1e-6 bound (at most 1.7e-10, |b| = 1.02)
+    for m in _abc_sweep():
+        mv, err = moments_area_oracle(m, K)
+        assert np.max(np.abs(mv - mp_oracle.abc_moments(m, K))) <= err
+        assert max(quadrature_check(m, quadrature_data(m), 2)) < 1e-6
+
+
+@pytest.mark.parametrize("m, error, old_estimate", [
+    (make_example_abc(0.5, 1.05 * np.exp(0.5j), 1.0), 5.85e-9, 5.25e-10),
+    (make_example_abc(0.5, 1.1, 1.0), 6.3e-12, 1.9e-12),
+])
+def test_area_oracle_estimate_covers_the_old_under_reports(m, error, old_estimate):
+    # the two-level estimate max|fine - coarse| reported old_estimate beside
+    # the true error; the one grid's bound covers its error
+    mv, err = moments_area_oracle(m, 4)
+    got = np.max(np.abs(mv - mp_oracle.abc_moments(m, 4)))
+    assert got <= err and got < 10 * error
+    assert err > 10 * old_estimate
+
+
+def test_quadrature_check_matches_40_digit_point_side():
+    # the disk side on the one grid, h = z, against A delta_p0 + B conj(b)^-p
+    z = RationalFunction([0.0, 1.0])
+    for m in (ABC, make_example_abc(0.3j, 1.2j, 1.0), make_subcase2(1.0, 0.9)):
+        nr, nt, _ = moments._disk_size(m, 4, z)
+        disk, _ = moments._disk_quadrature(m, 4, nr, nt, z)
+        assert np.max(np.abs(disk - mp_oracle.abc_point_side(m, 4))) < 1e-13
+        assert max(quadrature_check(m, quadrature_data(m), 4)) < 1e-13
 
 
 def reference_disk_quadrature(m, K, nr, nt):
@@ -436,7 +483,7 @@ def test_area_oracle_matches_reference_quadrature():
     rng = np.random.default_rng(29)
     for n in range(1, 33):
         m = _random_phase_map(n, rng)
-        nr, nt = moments._disk_size(m, n, m.rational())
+        nr, nt, _ = moments._disk_size(m, n, m.rational())
         assert nr == n + 1 and nt // 2 <= n * (n + 1) + n < nt
         mv, err = moments_area_oracle(m, n)
         assert np.max(np.abs(mv - reference_disk_quadrature(m, n, nr, nt))) <= err
@@ -457,21 +504,39 @@ def test_area_oracle_against_40_digit_richardson(n, seed, bound):
 
 def test_disk_size_exact_for_polynomials_alias_bound_for_poles():
     z = RationalFunction([0.0, 1.0])
-    # degree-2 map: f' of degree 1, h = f of degree 2 or h = z
-    assert moments._disk_size(CARDIOID, 3, CARDIOID.rational()) == (2, 8)
-    assert moments._disk_size(CARDIOID, 500, z) == (2, 512)
-    # refinement is for the two levels of maps with poles only
-    assert moments._disk_size(CARDIOID, 3, CARDIOID.rational(), refine=2) == (2, 8)
-    assert moments._disk_size(ABC, 6, ABC.rational()) == (96, 256)
-    assert moments._disk_size(ABC, 6, ABC.rational(), refine=2) == (192, 512)
+    # degree-2 map: f' of degree 1, h = f of degree 2 or h = z; the exact
+    # grid has no truncation
+    assert moments._disk_size(CARDIOID, 3, CARDIOID.rational()) == (2, 8, 0.0)
+    assert moments._disk_size(CARDIOID, 500, z) == (2, 512, 0.0)
     # K = n: 8192 angles up to n = 89, then over the cap
     for n, nt in [(89, 8192), (90, None)]:
         m = PolynomialMap((1.0,) + (0.0,) * (n - 1) + (0.01,))
         if nt:
-            assert moments._disk_size(m, n, m.rational()) == (n + 1, nt)
+            assert moments._disk_size(m, n, m.rational()) == (n + 1, nt, 0.0)
         else:
             with pytest.raises(QuadratureError, match="needs 91 x 16384 nodes"):
                 moments._disk_size(m, n, m.rational())
+
+
+def test_disk_size_for_poles_from_the_bernstein_ellipse():
+    # fewer rings as the pole moves out, more as K grows; each ring's angular
+    # count grows outward, and from |b| = 1.2 on the one grid has fewer
+    # nodes than the old coarse (96, 256) level alone
+    rings = []
+    for b in (1.05, 1.2, 1.5, 2.0, 3.0):
+        m = make_example_abc(0.5, b, 1.0)
+        nr, nt, bound = moments._disk_size(m, 4, m.rational())
+        assert 0 < bound < 1e-12 * np.max(np.abs(moments_residue(m, 4)))
+        assert len(nt) == nr and list(nt) == sorted(nt) and nt[0] < nt[-1]
+        assert b < 1.2 or sum(nt) < 96 * 256
+        rings.append(nr)
+    assert rings == sorted(rings, reverse=True) and len(set(rings)) == len(rings)
+    m = make_example_abc(0.5, 1.2, 1.0)
+    by_k = [moments._disk_size(m, K, m.rational())[0] for K in (0, 2, 4, 8)]
+    assert by_k == sorted(by_k) and by_k[0] < by_k[-1]
+    # h = z has the pole order 3 of |f'|^2 alone: no more rings than h = f
+    z = RationalFunction([0.0, 1.0])
+    assert moments._disk_size(m, 8, z)[0] <= by_k[-1]
 
 
 def _disk_nodes(nr, nt):
@@ -531,8 +596,7 @@ def test_disk_grid_cannot_be_made_writeable():
 def test_polished_radial_rule_matches_40_digit_rule(nr):
     # numpy's small weights are off by up to 1e4 u at nr = 41, 1.4e4 u at
     # nr = 96 and 3.8e5 u at nr = 192; the polished rule is within 3.8 u of
-    # the 40-digit one at these nr, the pole maps' two levels 96 and 192
-    # included
+    # the 40-digit one at these nr
     radii, weights = moments._radial_rule(nr)
     want_r, want_w = mp_oracle.disk_gauss_legendre(nr)
     assert_allclose(radii, want_r, rtol=8 * np.finfo(float).eps, atol=0)
@@ -551,7 +615,7 @@ def test_disk_quadrature_of_powers_of_z_matches_closed_form():
         for p in range(P + 1)
     ])
     z = RationalFunction([0.0, 1.0])
-    assert moments._disk_size(m, P, z) == (5, 16)
+    assert moments._disk_size(m, P, z) == (5, 16, 0.0)
     got, _ = moments._disk_quadrature(m, P, 5, 16, z)
     assert_allclose(got, want, rtol=0, atol=1e-14)
     data = quadrature_coeffs(m)
@@ -561,18 +625,19 @@ def test_disk_quadrature_of_powers_of_z_matches_closed_form():
 
 
 def test_angular_nodes_from_nearest_pole():
-    assert moments._angular_nodes(CARDIOID) == 256
-    # the benchmark's ranges: |B1| <= 0.6 sqrt(M0) and |b| >= 1.5
-    assert moments._angular_nodes(make_subcase2(1.0, 0.6)) == 256
-    assert moments._angular_nodes(make_example_abc(0.3, 1.5, 1.0)) == 256
-    # |p| = 1.0174: log(1e12) / log|p| = 1602 nodes
-    assert moments._angular_nodes(make_subcase2(1.0, 0.95)) == 2048
-    assert moments._angular_nodes(make_subcase2(1.0, 0.98)) == 4096
-    # one grid of 8192 angular nodes fits under the cap, its refinement not
-    near = AbcRationalMap(0.4, 1.005, 2.0)
-    assert moments._angular_nodes(near) == 8192
-    with pytest.raises(QuadratureError):
-        moments._angular_nodes(near, refine=2)
+    # a polynomial's exact grid has one angular count; with a pole each ring
+    # has its own, from 4 on the innermost to the outermost's alias need
+    z = RationalFunction([0.0, 1.0])
+    assert moments._disk_size(CARDIOID, 3, CARDIOID.rational())[1] == 8
+    for m, top in [(make_subcase2(1.0, 0.6), 512), (make_example_abc(0.3, 1.5, 1.0), 256),
+                   (make_subcase2(1.0, 0.95), 4096), (make_subcase2(1.0, 0.98), 8192)]:
+        nt = moments._disk_size(m, 4, m.rational())[1]
+        assert nt[0] <= 8 and nt[-1] == top
+    # 8192 angles fit the alias factor |p|**-nt of |p| = 1.005 under 1e-12,
+    # not that of |p| = 1.001
+    assert moments._disk_size(AbcRationalMap(0.4, 1.005, 2.0), 2, z)[1][-1] == 8192
+    with pytest.raises(QuadratureError, match="above the cap"):
+        moments._disk_size(AbcRationalMap(0.4, 1.001, 2.0), 2, z)
 
 
 def test_ring_blocks_do_not_change_the_quadrature(monkeypatch):
@@ -594,8 +659,10 @@ def test_ring_blocks_do_not_change_the_quadrature(monkeypatch):
 
 
 @pytest.mark.parametrize("m, K, bound_mb", [
-    # subcase2 at |B1| = 0.98 sqrt(M0) needs 192 x 8192 nodes on the fine
-    # level; evaluated whole, that level peaked at 96 MB of arrays
+    # subcase2 at |B1| = 0.98 sqrt(M0) gets one grid of 143 rings, 99684
+    # nodes with up to 8192 per ring, and circles of up to 32768 nodes for
+    # its bound, and peaked at 1.9 MB; the old fine level of 192 x 8192
+    # nodes, evaluated whole, at 96 MB
     (make_subcase2(1.0, 0.98), 6, 16),
     # a degree-25 polynomial (n = 24, K = 24) on its exact 25 x 1024 grid
     # peaked at 1.2 MB; the old fine level of 192 x 512 nodes, as one block,

@@ -299,7 +299,8 @@ def test_subcase2_derivative_zeros():
 @pytest.mark.parametrize("family", FAMILY_PARAMS)
 def test_verify_scenario_report_schema(family):
     # the report is the CLI's run report: it validates against the schema,
-    # and each check entry carries only its name, status and residual
+    # and each check entry carries only its name, status and residual, and
+    # richardson_vs_area the oracle's error estimate, as in `moments`
     m = ScenarioSpec(family=family, params=FAMILY_CASES[family]).initial
     rep = verify_scenario(m, family)
     payload = json.loads(rep.to_json())
@@ -307,7 +308,8 @@ def test_verify_scenario_report_schema(family):
     assert payload["spec"] == {"family": family}
     assert payload["checks"]
     for c in payload["checks"]:
-        assert set(c) == {"name", "status", "residual"}
+        extra = {"quadrature_error_estimate"} if c["name"] == "richardson_vs_area" else set()
+        assert set(c) == {"name", "status", "residual"} | extra
 
 
 def test_verify_disk():
@@ -344,7 +346,7 @@ def test_verify_subcase2():
 @pytest.mark.parametrize("M0", [0.5, 2.0])
 def test_verify_subcase2_edge_of_range(ratio, M0):
     # the pole of f nears the circle as |B1| -> sqrt(M0); up to 0.98 sqrt(M0)
-    # the disk grid is refined enough to resolve it and every check passes
+    # the disk grid's rings and angles grow with it and every check passes
     for phase in (0.0, 0.7, 2.9):
         m = make_subcase2(M0, ratio * np.sqrt(M0) * np.exp(1j * phase))
         rep = verify_scenario(m, "subcase2")
