@@ -28,7 +28,9 @@ the family parameters, horizon, dt, output_times, csv, svg and json.
 taylor_order and diagnostic_moments are set in a config only, and so is
 grid_n, except as ``--grid`` of ``scenario`` and ``bracket-check``.
 Config lines and flags go through one table, :data:`_KEYS`, of value
-parsers, and one function, :func:`_spec`, builds the spec.
+parsers, and one function, :func:`_spec`, builds the spec.  :func:`main`
+may be called repeatedly in one process: it parses with one parser, built
+on its first call.  :func:`build_parser` returns a new parser on each call.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -401,10 +404,12 @@ _COMMANDS = {
     "scenario": _cmd_scenario,
     "evolve": _cmd_evolve,
 }
+#: main's parser; every action stores a value, so no call leaves state in it
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -568,6 +568,13 @@ def test_cli_evolve_output_times_are_judged_relative_to_dt(capsys):
     assert float(final.split("= ")[1]) == 5e-13
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this heleshaw."""
+    src = os.path.dirname(os.path.dirname(heleshaw.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("horizon, dt, steps", [
     ("0.01", "1e-310", "1e+308"),
     ("0.002", "1e-12", "2e+09"),
@@ -575,13 +582,10 @@ def test_cli_evolve_output_times_are_judged_relative_to_dt(capsys):
 def test_cli_evolve_step_cap_exits_2_within_seconds(horizon, dt, steps):
     # both used to start an RK4 loop of that many steps that never returned;
     # a child process, so a regression fails on the timeout instead of hanging
-    src = os.path.dirname(os.path.dirname(heleshaw.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "heleshaw.cli", "evolve", "--family", "disk",
          "--horizon", horizon, "--dt", dt],
-        capture_output=True, text=True, env=env, timeout=30,
+        capture_output=True, text=True, env=_child_env(), timeout=30,
     )
     assert proc.returncode == 2
     assert proc.stderr == (f"config error: horizon = {horizon} over dt = {dt} is "
@@ -773,6 +777,88 @@ def test_cli_determinism_byte_identical(tmp_path, monkeypatch):
         outs.append(((d / "run.csv").read_bytes(), (d / "run.json").read_bytes()))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
+
+
+# every subcommand with --json, every help, usage and config errors, and an
+# evolve run that writes each kind of artifact
+_REUSE_ARGV = [
+    ["--json", "moments", "--coeffs", "1,0.3"],
+    ["--json", "bracket-check", "--coeffs", "1,0.3", "--grid", "64"],
+    ["--json", "jacobian", "--coeffs", "1,0.2,0.1", "--degree", "2"],
+    ["--json", "quadrature-check", "--family", "subcase2", "--M0", "1", "--B1", "0.28111"],
+    ["--json", "scenario", "example_abc", "--a", "0.3", "--b", "1.5", "--c-magnitude", "1"],
+    ["--json", "evolve", "--family", "polynomial", "--coeffs", "1,0.3", "--horizon", "0.002",
+     "--output-times", "0.001", "--csv", "run.csv", "--svg", "run.svg", "--json-path", "run.json"],
+    ["--help"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    ["moments", "--coeffs", "1,0.3", "--K", "-1"],
+    ["moments", "--coeffs", "1,0.3", "--no-such-flag"],
+    ["--json", "evolve", "--config", "family = disk\nno_such_key = 1"],
+]
+
+
+def test_cli_main_gives_the_same_results_when_called_again(tmp_path, monkeypatch, capsys):
+    # main parses every call with the parser it built on its first
+    monkeypatch.chdir(tmp_path)
+    passes = []
+    for _ in range(2):
+        runs = []
+        for argv in _REUSE_ARGV:
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        passes.append((runs, [(tmp_path / f"run.{ext}").read_bytes()
+                              for ext in ("csv", "svg", "json")]))
+    assert passes[0] == passes[1]
+    codes = [code for code, _, _ in passes[0][0]]
+    assert codes == [0] * (len(_REUSE_ARGV) - 3) + [2] * 3
+    assert "argument --K: must be nonnegative" in passes[0][0][-3][2]
+    assert "unrecognized arguments: --no-such-flag" in passes[0][0][-2][2]
+    assert "unknown key 'no_such_key'" in passes[0][0][-1][2]
+
+
+def test_cli_build_parser_returns_a_parser_main_does_not_share():
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    parser.add_argument("--extra", action="store_true")
+    assert parser.parse_args(["--extra", "moments", "--coeffs", "1"]).extra
+    assert main(["--extra", "moments", "--coeffs", "1"]) == 2
+
+
+def test_cli_builds_its_parser_on_the_first_call_of_main():
+    # a fresh interpreter, counting every ArgumentParser made: none at
+    # import, and none after the first call of main
+    script = (
+        "import argparse, contextlib, io\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import heleshaw.cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert heleshaw.cli.main(['--json', 'moments', '--coeffs', '1,0.3']) == 0\n"
+        "    counts.append(len(made))\n"
+        "print(counts)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    at_import, first, second = json.loads(proc.stdout)
+    assert at_import == 0 and first > 0 and second == first
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--B1=-0.3j"], 0),
+    # argparse reads a value that starts with '-' and is not a plain
+    # negative number as a flag, so it needs the --key=value form
+    (["--B1", "-0.3j"], 2),
+])
+def test_cli_value_starting_with_a_dash(argv, code, capsys):
+    assert main(["scenario", "subcase2", "--M0", "1", *argv]) == code
+    assert ("argument --B1: expected one argument" in capsys.readouterr().err) == bool(code)
 
 
 @pytest.mark.parametrize("argv", [
